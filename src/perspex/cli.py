@@ -25,8 +25,10 @@ from .errors import DomainError, MaxIterExceeded, PerspexError
 from .mc import KERNEL_BACKEND, make_body, mc_volume
 from .placement import newton_optimize, optimize_quadratic, sweep_optimal_points
 from .power import (
+    _QUADRATIC_EPS,
     PowerFn,
     RelaxationKind,
+    closed_form_volume,
     gradient_system,
     refinement_thresholds,
     volume_extended_naive_quadratic,
@@ -37,8 +39,6 @@ from .power import (
     volume_quadratic,
 )
 from .underestimator import Breakpoints, Interval, build_underestimator, fan_triangle_areas
-
-_QUADRATIC_EPS = 1e-12
 
 
 def _interval(args) -> Interval:
@@ -115,29 +115,6 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _mc_reference(kind: RelaxationKind, pf: PowerFn, bp: Breakpoints | None):
-    """Closed-form volume to compare an estimate against, when one exists."""
-    quadratic = abs(pf.p - 2.0) < _QUADRATIC_EPS
-    if kind is RelaxationKind.PL_PR:
-        return volume_power_closed_form(pf, bp)
-    if kind is RelaxationKind.PL_E_NR:
-        return volume_pl_extended_naive(pf.oracle(), bp)
-    if not quadratic:
-        return None
-    if kind is RelaxationKind.NR:
-        return volume_naive_quadratic(pf.interval)
-    if kind is RelaxationKind.PR:
-        return volume_perspective_quadratic(pf.interval)
-    return volume_extended_naive_quadratic(pf.interval)
-
-
-def _require_quadratic(kind: RelaxationKind, p: float) -> None:
-    if abs(p - 2.0) >= _QUADRATIC_EPS:
-        raise DomainError(
-            f"no closed form for {kind.value} at p={p}; use the mc subcommand"
-        )
-
-
 def cmd_volume(args) -> dict:
     pf = _power(args)
     kind = RelaxationKind.from_tag(args.relax)
@@ -148,19 +125,11 @@ def cmd_volume(args) -> dict:
     if not needs_bp and bp is not None:
         raise DomainError(f"{kind.value} takes no breakpoints")
 
-    if kind is RelaxationKind.PL_PR:
-        vol = volume_power_closed_form(pf, bp)
-    elif kind is RelaxationKind.PL_E_NR:
-        vol = volume_pl_extended_naive(pf.oracle(), bp)
-    elif kind is RelaxationKind.NR:
-        _require_quadratic(kind, pf.p)
-        vol = volume_naive_quadratic(pf.interval)
-    elif kind is RelaxationKind.PR:
-        _require_quadratic(kind, pf.p)
-        vol = volume_perspective_quadratic(pf.interval)
-    else:
-        _require_quadratic(kind, pf.p)
-        vol = volume_extended_naive_quadratic(pf.interval)
+    vol = closed_form_volume(kind, pf, bp)
+    if vol is None:
+        raise DomainError(
+            f"no closed form for {kind.value} at p={pf.p}; use the mc subcommand"
+        )
 
     report = {
         "command": "volume",
@@ -300,7 +269,7 @@ def cmd_mc(args) -> dict:
         "box_volume": est.box_volume,
     }
     if args.check:
-        ref = _mc_reference(kind, pf, bp)
+        ref = closed_form_volume(kind, pf, bp)
         if ref is None:
             report["analytic"] = None
             report["note"] = "no analytic reference"

@@ -23,18 +23,23 @@ from .errors import (
     SingularJacobian,
 )
 from .power import (
+    _QUADRATIC_EPS,
     GradientSystem,
     PowerFn,
     _pow,
-    gradient_system,
+    _power_table,
+    _stationarity,
+    gradient_system,  # re-exported; nothing in this module calls it
     volume_power_closed_form,
 )
 from .underestimator import Breakpoints, Interval
 
-_QUADRATIC_EPS = 1e-12
-
 # Slack for the per-coordinate direction guard on canonical-start runs.
 _MONOTONE_SLACK = 1e-12
+
+_MAX_ITER = 200
+_NEED_INTERIOR = "optimization needs at least one interior point (n >= 2)"
+_NEED_TOL = "tolerance must be positive"
 
 
 def optimize_quadratic(iv: Interval, n: int) -> tuple[Breakpoints, float]:
@@ -51,43 +56,74 @@ def optimize_quadratic(iv: Interval, n: int) -> tuple[Breakpoints, float]:
     return bp, w**3 / 18.0 + w**3 / (36.0 * n * n)
 
 
+def _thomas(sub, diag, sup, rhs) -> tuple[np.ndarray, np.ndarray]:
+    """Thomas elimination on each row of ``(rows, m)`` bands, no pivoting.
+
+    Returns the solutions and, per row, the position of the first pivot at
+    most ``1e-14`` times its row scale in magnitude, or -1.  The loop runs
+    over positions once and works on all rows at a time.  A single row runs
+    on Python floats: they round like numpy's float64 and cost far less to
+    index than one-element arrays.
+    """
+    rows, m = diag.shape
+    if rows == 1:
+        a, d, c, r = (band[0].tolist() for band in (sub, diag, sup, rhs))
+    else:
+        a, d, c, r = (np.ascontiguousarray(band.T) for band in (sub, diag, sup, rhs))
+    dens = [d[0]]
+    x = None
+    try:
+        # a row with a zero pivot runs on with inf/nan; the guard below names it
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            cp = [c[0] / d[0]] if m > 1 else []
+            dp = [r[0] / d[0]]
+            for i in range(1, m):
+                den = d[i] - a[i - 1] * cp[i - 1]
+                dens.append(den)
+                if i < m - 1:
+                    cp.append(c[i] / den)
+                dp.append((r[i] - a[i - 1] * dp[i - 1]) / den)
+            x = [dp[m - 1]]
+            for i in range(m - 2, -1, -1):
+                x.append(dp[i] - cp[i] * x[-1])
+    except ZeroDivisionError:  # Python floats: an exact zero pivot, named below
+        pass
+
+    scale = np.abs(diag)
+    scale[:, 1:] = np.fmax(scale[:, 1:], np.abs(sub))
+    scale[:, :-1] = np.fmax(scale[:, :-1], np.abs(sup))
+    k = len(dens)
+    small = np.abs(np.reshape(dens, (k, rows)).T) <= 1e-14 * np.fmax(scale[:, :k], 1e-300)
+    pivot = np.where(small.any(axis=1), small.argmax(axis=1), -1)
+    if x is None:
+        return np.full((rows, m), np.nan), pivot
+    return np.reshape(x[::-1], (m, rows)).T, pivot
+
+
 def solve_tridiagonal(sub, diag, sup, rhs) -> np.ndarray:
     """Thomas elimination for a tridiagonal system, no pivoting.
 
-    ``sub`` and ``sup`` have one entry less than ``diag``.  Pivoting is not
-    needed for the Newton Jacobians solved here (M-matrices at every
-    iterate), but each pivot is still guarded: a magnitude below
-    ``1e-14`` times its row scale raises :class:`SingularJacobian`.
+    ``sub`` and ``sup`` have one entry less than ``diag``.  All four bands
+    may carry a leading row axis, ``(rows, m)``, to solve that many systems
+    in one pass; each row's solution equals its own 1-D solve.  Pivoting is
+    not needed for the Newton Jacobians solved here (M-matrices at every
+    iterate), but each pivot is still guarded: a magnitude below ``1e-14``
+    times its row scale raises :class:`SingularJacobian`, which names the
+    first such pivot of the first row that has one.
     """
-    d = np.asarray(diag, dtype=float)
-    a = np.asarray(sub, dtype=float)
-    c = np.asarray(sup, dtype=float)
-    r = np.asarray(rhs, dtype=float)
-    m = d.size
-    if a.size != m - 1 or c.size != m - 1 or r.size != m:
+    bands = [np.asarray(band, dtype=float) for band in (sub, diag, sup, rhs)]
+    d = bands[1]
+    if d.ndim not in (1, 2):
+        raise DomainError("tridiagonal bands must be vectors or rows of vectors")
+    lead, m = d.shape[:-1], d.shape[-1]
+    shapes = [lead + (m - 1,), lead + (m,), lead + (m - 1,), lead + (m,)]
+    if [band.shape for band in bands] != shapes:
         raise DomainError("tridiagonal bands have inconsistent lengths")
-
-    cp = np.empty(max(m - 1, 0))
-    dp = np.empty(m)
-    scale = max(abs(d[0]), abs(c[0]) if m > 1 else 0.0, 1e-300)
-    if abs(d[0]) <= 1e-14 * scale:
-        raise SingularJacobian("zero pivot in row 0")
-    if m > 1:
-        cp[0] = c[0] / d[0]
-    dp[0] = r[0] / d[0]
-    for i in range(1, m):
-        den = d[i] - a[i - 1] * cp[i - 1]
-        scale = max(abs(d[i]), abs(a[i - 1]), abs(c[i]) if i < m - 1 else 0.0, 1e-300)
-        if abs(den) <= 1e-14 * scale:
-            raise SingularJacobian(f"zero pivot in row {i}")
-        if i < m - 1:
-            cp[i] = c[i] / den
-        dp[i] = (r[i] - a[i - 1] * dp[i - 1]) / den
-    x = np.empty(m)
-    x[m - 1] = dp[m - 1]
-    for i in range(m - 2, -1, -1):
-        x[i] = dp[i] - cp[i] * x[i + 1]
-    return x
+    x, pivot = _thomas(*(np.atleast_2d(band) for band in bands))
+    failed = np.flatnonzero(pivot >= 0)
+    if failed.size:
+        raise SingularJacobian(f"zero pivot in row {pivot[failed[0]]}")
+    return x if lead else x[0]
 
 
 def solve_newton_system(sys: GradientSystem, rhs) -> np.ndarray:
@@ -119,20 +155,20 @@ class NewtonTrace:
         return len(self.iterates) - 1
 
 
-def _jacobian_condition(sys: GradientSystem) -> float:
+def _jacobian_condition(sub, diag, sup) -> float:
     """Infinity-norm condition number of the stationarity Jacobian.
 
     Uses the row sums of the inverse, obtained from one solve against the
     all-ones vector; exact whenever the inverse is nonnegative, which holds
     at every iterate reached from the equally-spaced start.
     """
-    m = sys.jac_diag.size
-    row = np.abs(sys.jac_diag).copy()
+    m = diag.size
+    row = np.abs(diag).copy()
     if m > 1:
-        row[:-1] += np.abs(sys.jac_sup)
-        row[1:] += np.abs(sys.jac_sub)
+        row[:-1] += np.abs(sup)
+        row[1:] += np.abs(sub)
     try:
-        inv_rows = solve_tridiagonal(sys.jac_sub, sys.jac_diag, sys.jac_sup, np.ones(m))
+        inv_rows = solve_tridiagonal(sub, diag, sup, np.ones(m))
     except SingularJacobian:
         return math.inf
     return float(row.max() * np.abs(inv_rows).max())
@@ -146,17 +182,122 @@ def _direction_for(p: float) -> str:
     return "stationary-at-start"
 
 
-def _interior_feasible(interior: np.ndarray, lo: float, up: float) -> bool:
-    if interior[0] <= lo or interior[-1] >= up:
-        return False
-    return bool((np.diff(interior) > 0.0).all())
+def _interior_feasible(interior: np.ndarray, lo: float, up: float) -> np.ndarray:
+    """Per row of ``interior``: strictly increasing and strictly inside."""
+    return (
+        ~(interior[:, 0] <= lo)
+        & ~(interior[:, -1] >= up)
+        & (np.diff(interior, axis=1) > 0.0).all(axis=1)
+    )
+
+
+def _default_tol(p: float, upper: float) -> float:
+    return 1e-12 * _pow(upper, p - 1.0)
+
+
+def _newton_rows(iv, p, tol, max_iter, xi, canonical=True, trace=None):
+    """Newton iteration on every row of ``xi`` at once.
+
+    ``xi`` holds one start per row, ``(rows, n + 1)``, and is overwritten
+    with each row's last iterate; ``p`` and ``tol`` hold one exponent and
+    one tolerance per row.  Each row stops on its own tolerance and meets
+    the guards of :func:`newton_optimize` on its own.  Returns the error of
+    the lowest-index failing row, or ``None`` when every row converged:
+    rows after a failing one are dropped, since their outcome no longer
+    changes what the caller raises.  ``trace`` records a one-row run.
+    """
+    lo, up = iv.lower, iv.upper
+    ps = np.asarray(p, dtype=float)
+    tols = np.asarray(tol, dtype=float)
+    live = np.arange(len(p))  # rows still iterating, ascending
+    error = None
+    for it in range(max_iter + 1):
+        x = xi[live]
+        ordered = (np.diff(x, axis=1) > 0.0).all(axis=1)
+        if not ordered.all():  # what Breakpoints asks of every iterate
+            j = int(np.argmin(ordered))
+            error = DomainError("breakpoints must be strictly increasing")
+            live, x = live[:j], x[:j]
+        if not live.size:
+            break
+        pl = ps[live]
+        st = _stationarity(x, pl, _power_table(x, pl))
+        norm = np.abs(st.residual).max(axis=1)
+        go = ~(norm <= tols[live])
+        if trace is not None:
+            trace.iterates.append(Breakpoints(iv, x[0]))
+            trace.residual_norms.append(float(norm[0]))
+            trace.condition_numbers.append(
+                _jacobian_condition(st.jac_sub[0], st.jac_diag[0], st.jac_sup[0])
+            )
+            if not go[0]:
+                if it > 0:
+                    trace.direction = _direction_for(p[0])
+                trace.converged = True
+        live, x, norm, pl = live[go], x[go], norm[go], pl[go]
+        if not live.size:
+            break
+        if it == max_iter:
+            k = live[0]
+            if trace is not None:
+                trace.direction = _direction_for(p[k])
+            error = MaxIterExceeded(
+                f"no convergence to {float(tols[k]):g} within {max_iter} iterations "
+                f"(last residual {float(norm[0]):g})",
+                trace,
+            )
+            break
+
+        step, pivot = _thomas(
+            st.jac_sub[go], st.jac_diag[go], st.jac_sup[go], st.residual[go]
+        )
+        singular = pivot >= 0
+        old = x[:, 1:-1]
+        interior = old - step
+        if canonical:
+            checks = [
+                singular,
+                (pl < 2.0) & (interior > old + _MONOTONE_SLACK).any(axis=1),
+                (pl > 2.0) & (interior < old - _MONOTONE_SLACK).any(axis=1),
+                ~_interior_feasible(interior, lo, up),
+            ]
+        else:
+            shrinking = ~singular & ~_interior_feasible(interior, lo, up)
+            for _ in range(80):  # a row still outside after 80 halvings fails
+                if not shrinking.any():
+                    break
+                step[shrinking] *= 0.5
+                interior[shrinking] = old[shrinking] - step[shrinking]
+                shrinking &= ~_interior_feasible(interior, lo, up)
+            checks = [singular, shrinking]
+        failed = np.logical_or.reduce(checks)
+        if failed.any():
+            j = int(np.argmax(failed))
+            k = live[j]
+            if singular[j]:
+                error = SingularJacobian(f"zero pivot in row {pivot[j]}")
+            elif not canonical:
+                error = MaxIterExceeded("damping failed to keep the iterate interior", trace)
+            elif checks[1][j]:
+                error = MonotonicityViolated(
+                    f"a coordinate increased at p={p[k]}; decreasing run expected"
+                )
+            elif checks[2][j]:
+                error = MonotonicityViolated(
+                    f"a coordinate decreased at p={p[k]}; increasing run expected"
+                )
+            else:
+                error = MonotonicityViolated("an iterate left the open ordered interior")
+            live, interior = live[:j], interior[:j]
+        xi[live, 1:-1] = interior
+    return error
 
 
 def newton_optimize(
     pf: PowerFn,
     n: int,
     tol: float | None = None,
-    max_iter: int = 200,
+    max_iter: int = _MAX_ITER,
     start=None,
 ) -> tuple[Breakpoints, NewtonTrace]:
     """Minimize the PL perspective volume over the interior breakpoints.
@@ -173,15 +314,15 @@ def newton_optimize(
     strictly interior and ordered.
     """
     if n < 2:
-        raise DomainError("optimization needs at least one interior point (n >= 2)")
+        raise DomainError(_NEED_INTERIOR)
     if max_iter < 1:
         raise DomainError("max_iter must be positive")
     iv = pf.interval
     lo, up = iv.lower, iv.upper
     if tol is None:
-        tol = 1e-12 * _pow(up, pf.p - 1.0)
+        tol = _default_tol(pf.p, up)
     if not tol > 0.0:
-        raise DomainError("tolerance must be positive")
+        raise DomainError(_NEED_TOL)
 
     canonical = start is None
     if canonical:
@@ -190,55 +331,15 @@ def newton_optimize(
         interior = np.asarray(start, dtype=float).ravel()
         if interior.size != n - 1:
             raise DomainError(f"start must supply {n - 1} interior points")
-        if not _interior_feasible(interior, lo, up):
+        if not _interior_feasible(interior[None, :], lo, up)[0]:
             raise DomainError("start must be strictly increasing inside the interval")
         xi = np.concatenate(([lo], interior, [up]))
 
     trace = NewtonTrace()
-    for _ in range(max_iter + 1):
-        bp = Breakpoints(iv, xi)
-        sys = gradient_system(pf, bp)
-        res = float(np.abs(sys.residual).max())
-        trace.iterates.append(bp)
-        trace.residual_norms.append(res)
-        trace.condition_numbers.append(_jacobian_condition(sys))
-        if res <= tol:
-            if trace.iterations > 0:
-                trace.direction = _direction_for(pf.p)
-            trace.converged = True
-            return bp, trace
-        if trace.iterations >= max_iter:
-            break
-
-        step = solve_newton_system(sys, sys.residual)
-        interior = xi[1:-1] - step
-        if canonical:
-            if pf.p < 2.0 and (interior > xi[1:-1] + _MONOTONE_SLACK).any():
-                raise MonotonicityViolated(
-                    f"a coordinate increased at p={pf.p}; decreasing run expected"
-                )
-            if pf.p > 2.0 and (interior < xi[1:-1] - _MONOTONE_SLACK).any():
-                raise MonotonicityViolated(
-                    f"a coordinate decreased at p={pf.p}; increasing run expected"
-                )
-            if not _interior_feasible(interior, lo, up):
-                raise MonotonicityViolated("an iterate left the open ordered interior")
-        else:
-            shrink = 0
-            while not _interior_feasible(interior, lo, up):
-                step *= 0.5
-                interior = xi[1:-1] - step
-                shrink += 1
-                if shrink > 80:
-                    raise MaxIterExceeded("damping failed to keep the iterate interior", trace)
-        xi = np.concatenate(([lo], interior, [up]))
-
-    trace.direction = _direction_for(pf.p)
-    raise MaxIterExceeded(
-        f"no convergence to {tol:g} within {max_iter} iterations "
-        f"(last residual {trace.residual_norms[-1]:g})",
-        trace,
-    )
+    error = _newton_rows(iv, [pf.p], [tol], max_iter, xi[None, :], canonical, trace)
+    if error is not None:
+        raise error
+    return trace.iterates[-1], trace
 
 
 @dataclass(frozen=True)
@@ -343,8 +444,11 @@ def sweep_optimal_points(iv: Interval, n: int, p_grid) -> SweepResult:
     """Optimal placements across an increasing exponent grid.
 
     Every optimal coordinate is increasing in the exponent, so each column
-    of the result is monotone down the rows.  Solver errors propagate from
-    the offending row.
+    of the result is monotone down the rows.  All rows run as one batched
+    Newton iteration, each row exactly as :func:`newton_optimize` runs it
+    with default settings, but without a trace.  A solver error is the one
+    :func:`newton_optimize` raises for the lowest-index failing row; a
+    :class:`MaxIterExceeded` from here carries no trace.
     """
     grid = np.asarray(p_grid, dtype=float).ravel()
     if grid.size == 0:
@@ -353,11 +457,19 @@ def sweep_optimal_points(iv: Interval, n: int, p_grid) -> SweepResult:
         raise DomainError("every exponent must exceed 1")
     if grid.size > 1 and not (np.diff(grid) > 0.0).all():
         raise DomainError("exponent grid must be strictly increasing")
-    rows = np.empty((grid.size, n - 1))
-    for i, p in enumerate(grid):
-        bp, _ = newton_optimize(PowerFn(float(p), iv), n)
-        rows[i] = bp.interior
-    return SweepResult(interval=iv, n=n, p=grid, interior=rows)
+    ps = grid.tolist()
+    PowerFn(ps[0], iv)  # the grid increases: only its first exponent can be out of range
+    if n < 2:
+        raise DomainError(_NEED_INTERIOR)
+    tol = [_default_tol(p, iv.upper) for p in ps]
+    rows = next((k for k, t in enumerate(tol) if not t > 0.0), len(ps))
+    xi = np.tile(np.linspace(iv.lower, iv.upper, n + 1), (rows, 1))
+    error = _newton_rows(iv, ps[:rows], tol[:rows], _MAX_ITER, xi)
+    if error is None and rows < len(ps):
+        error = DomainError(_NEED_TOL)
+    if error is not None:
+        raise error
+    return SweepResult(interval=iv, n=n, p=grid, interior=xi[:, 1:-1].copy())
 
 
 def concave_surrogate(pf: PowerFn, xi1: float) -> tuple[float, float]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -125,18 +126,6 @@ def volume_power_closed_form(pf: PowerFn, bp: Breakpoints) -> float:
     )
 
 
-def _slope_up(p: float, mid, hi):
-    """Positive factor tied to the tangent pair at (mid, hi), hi > mid."""
-    num = _pow(mid, p) + (p - 1.0) * _pow(hi, p) - p * mid * _pow(hi, p - 1.0)
-    return num / (_pow(hi, p - 1.0) - _pow(mid, p - 1.0))
-
-
-def _slope_dn(p: float, mid, lo):
-    """Positive factor tied to the tangent pair at (lo, mid), lo < mid."""
-    num = _pow(mid, p) + (p - 1.0) * _pow(lo, p) - p * mid * _pow(lo, p - 1.0)
-    return num / (_pow(mid, p - 1.0) - _pow(lo, p - 1.0))
-
-
 def _coupling(p: float, lo: float, hi: float) -> float:
     """Hessian coupling of the adjacent pair (lo, hi), positive for lo > 0.
 
@@ -164,16 +153,66 @@ def _coupling_scaled(p: float, lo: float, hi: float) -> float:
     return (lo / hi) * _coupling(p, lo, hi)
 
 
-def _jac_offdiag(p: float, mid, nb):
-    """Derivative of the stationarity residual at ``mid`` w.r.t. neighbor ``nb``."""
-    num = (p - 1.0) * _pow(mid, p) + _pow(nb, p) - p * _pow(mid, p - 1.0) * nb
-    return -(p - 1.0) * _pow(nb, p - 2.0) * num / (_pow(mid, p - 1.0) - _pow(nb, p - 1.0)) ** 2
+def _power_table(xi: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``xi**p``, ``xi**(p-1)`` and ``xi**(p-2)``, one exponent per row of ``xi``.
+
+    Returns shape ``(3,) + xi.shape``.  Each entry comes from a power of one
+    contiguous row by a scalar exponent, the operation :func:`_pow` performs.
+    numpy takes exact shortcuts (``x*x``, ``sqrt``) for some scalar
+    exponents that a broadcast exponent array skips, so a row's table must
+    not depend on the rows batched with it.  Breakpoints increase from
+    ``lower >= 0``, so only column 0 can be zero; it follows ``_pow``'s
+    ``0**q := 0`` convention.
+    """
+    table = np.empty((3,) + xi.shape)
+    exps = np.stack((p, p - 1.0, p - 2.0))
+    with np.errstate(divide="ignore"):  # 0**q for q < 0, replaced below
+        for j, row_exps in enumerate(exps.tolist()):
+            for k, q in enumerate(row_exps):
+                np.power(xi[k], q, out=table[j, k])
+    table[:, :, 0][(xi[:, 0] == 0.0) & (exps != 0.0)] = 0.0
+    return table
 
 
-def _jac_offdiag_scaled(p: float, mid, nb):
-    """``nb`` times :func:`_jac_offdiag`, safe at ``nb == 0``."""
-    num = (p - 1.0) * _pow(mid, p) + _pow(nb, p) - p * _pow(mid, p - 1.0) * nb
-    return -(p - 1.0) * _pow(nb, p - 1.0) * num / (_pow(mid, p - 1.0) - _pow(nb, p - 1.0)) ** 2
+class _Stationarity(NamedTuple):
+    residual: np.ndarray
+    t_up: np.ndarray
+    t_dn: np.ndarray
+    jac_sub: np.ndarray
+    jac_diag: np.ndarray
+    jac_sup: np.ndarray
+
+
+def _stationarity(xi: np.ndarray, p: np.ndarray, table: np.ndarray) -> _Stationarity:
+    """Stationarity residual and its tridiagonal Newton Jacobian, row by row.
+
+    ``xi`` holds one set of at least three breakpoints per row, ``p`` one
+    exponent per row and ``table`` their :func:`_power_table`.  Every entry
+    is elementwise in its row, so a batched row equals the row alone.
+    """
+    pc = p[:, None]
+    q = pc - 1.0
+    lo, mid, hi = xi[:, :-2], xi[:, 1:-1], xi[:, 2:]
+    xp, xp1, xp2 = table
+    lo_p, mid_p, hi_p = xp[:, :-2], xp[:, 1:-1], xp[:, 2:]
+    lo_p1, mid_p1, hi_p1 = xp1[:, :-2], xp1[:, 1:-1], xp1[:, 2:]
+    lo_p2, hi_p2 = xp2[:, :-2], xp2[:, 2:]
+
+    # positive factors tied to the tangent pairs (mid, hi) and (lo, mid)
+    t_up = (mid_p + q * hi_p - pc * mid * hi_p1) / (hi_p1 - mid_p1)
+    t_dn = (mid_p + q * lo_p - pc * mid * lo_p1) / (mid_p1 - lo_p1)
+    residual = t_dn - t_up
+
+    # derivatives of the residual at mid w.r.t. each neighbor; s_lo is lo
+    # times the one at lo, which stays finite at lo == 0
+    num_hi = q * mid_p + hi_p - pc * mid_p1 * hi
+    d_hi = -q * hi_p2 * num_hi / (mid_p1 - hi_p1) ** 2
+    num_lo = q * mid_p + lo_p - pc * mid_p1 * lo
+    den_lo = (mid_p1 - lo_p1) ** 2
+    d_lo = -q * lo_p2 * num_lo / den_lo
+    s_lo = -q * lo_p1 * num_lo / den_lo
+    jac_diag = (residual - s_lo - hi * d_hi) / mid
+    return _Stationarity(residual, t_up, t_dn, d_lo[:, 1:], jac_diag, d_hi[:, :-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,12 +277,13 @@ def gradient_system(pf: PowerFn, bp: Breakpoints) -> GradientSystem:
     p = float(pf.p)
     xi = bp.xi
     n = bp.n
-    lo, mid, hi = xi[:-2], xi[1:-1], xi[2:]
+    mid, hi = xi[1:-1], xi[2:]
 
-    t_up = _slope_up(p, mid, hi)
-    t_dn = _slope_dn(p, mid, lo)
-    residual = t_dn - t_up
-    grad = -(p - 1.0) * _pow(mid, p - 2.0) / (6.0 * p) * (t_up**2 - t_dn**2)
+    batch, ps = xi[None, :], np.array([p])
+    table = _power_table(batch, ps)
+    st = _stationarity(batch, ps, table)
+    residual, t_up, t_dn = st.residual[0], st.t_up[0], st.t_dn[0]
+    grad = -(p - 1.0) * table[2, 0, 1:-1] / (6.0 * p) * (t_up**2 - t_dn**2)
 
     coupling = np.array(
         [_coupling(p, float(a), float(b)) for a, b in zip(xi[:-1], xi[1:])]
@@ -253,12 +293,7 @@ def gradient_system(pf: PowerFn, bp: Breakpoints) -> GradientSystem:
     prev_scaled[1:] = (mid[:-1] / mid[1:]) * coupling[1 : n - 1]
     hess_diag = (p / mid) * grad + prev_scaled + (hi / mid) * coupling[1:]
     hess_offdiag = coupling[1 : n - 1].copy()
-
-    jac_sup = _jac_offdiag(p, mid[:-1], hi[:-1])
-    jac_sub = _jac_offdiag(p, mid[1:], lo[1:])
-    s_lo = _jac_offdiag_scaled(p, mid, lo)
-    s_hi = hi * _jac_offdiag(p, mid, hi)
-    jac_diag = (residual - s_lo - s_hi) / mid
+    jac_sub, jac_diag, jac_sup = st.jac_sub[0], st.jac_diag[0], st.jac_sup[0]
 
     return GradientSystem(
         p=p,
@@ -340,6 +375,28 @@ def volume_pl_extended_naive(f: ConvexFunction, bp: Breakpoints) -> float:
         - (up + 2.0 * lo) / 6.0 * (f_up - f_lo)
         - (up - lo) / (6.0 * up) * (up * f_up - lo * f_lo)
     )
+
+
+def closed_form_volume(
+    kind: RelaxationKind, pf: PowerFn, bp: Breakpoints | None
+) -> float | None:
+    """Exact volume of relaxation ``kind`` of ``pf``, or ``None`` without one.
+
+    The piecewise-linear kinds need breakpoints and have closed forms at
+    every exponent; ``nr``, ``pr`` and ``enr`` take none and have closed
+    forms at ``p = 2`` only.
+    """
+    if kind is RelaxationKind.PL_PR:
+        return volume_power_closed_form(pf, bp)
+    if kind is RelaxationKind.PL_E_NR:
+        return volume_pl_extended_naive(pf.oracle(), bp)
+    if abs(pf.p - 2.0) >= _QUADRATIC_EPS:
+        return None
+    if kind is RelaxationKind.NR:
+        return volume_naive_quadratic(pf.interval)
+    if kind is RelaxationKind.PR:
+        return volume_perspective_quadratic(pf.interval)
+    return volume_extended_naive_quadratic(pf.interval)
 
 
 def refinement_thresholds(iv: Interval, gap: float) -> tuple[int, int, float]:

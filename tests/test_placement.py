@@ -9,6 +9,7 @@ from perspex import (
     DomainError,
     Interval,
     MaxIterExceeded,
+    PerspexError,
     PowerFn,
     SingularJacobian,
     bracket_gap,
@@ -84,6 +85,43 @@ class TestTridiagonal:
     def test_shape_mismatch(self):
         with pytest.raises(DomainError):
             solve_tridiagonal([1.0], [1.0, 1.0, 1.0], [1.0], [1.0, 1.0, 1.0])
+
+    @staticmethod
+    def _bands(rng, rows, m):
+        return (
+            rng.uniform(-1.0, 1.0, (rows, m - 1)),
+            rng.uniform(2.0, 4.0, (rows, m)),
+            rng.uniform(-1.0, 1.0, (rows, m - 1)),
+            rng.normal(size=(rows, m)),
+        )
+
+    @pytest.mark.parametrize("rows, m", [(1, 1), (1, 7), (2, 1), (5, 2), (40, 9)])
+    def test_rows_equal_their_own_solves(self, rows, m):
+        sub, diag, sup, rhs = self._bands(np.random.default_rng(rows * 100 + m), rows, m)
+        got = solve_tridiagonal(sub, diag, sup, rhs)
+        assert got.shape == (rows, m)
+        for k in range(rows):
+            assert (got[k] == solve_tridiagonal(sub[k], diag[k], sup[k], rhs[k])).all()
+
+    def test_rows_singular_when_any_row_is(self):
+        sub, diag, sup, rhs = self._bands(np.random.default_rng(34), 4, 5)
+        a, d, c = sub[2], diag[2], sup[2]
+        # elimination leaves exactly zero in row 2 of system 2
+        d[2] = a[1] * (c[1] / (d[1] - a[0] * (c[0] / d[0])))
+        with pytest.raises(SingularJacobian, match=r"^zero pivot in row 2$"):
+            solve_tridiagonal(a, d, c, rhs[2])
+        with pytest.raises(SingularJacobian, match=r"^zero pivot in row 2$"):
+            solve_tridiagonal(sub, diag, sup, rhs)
+        diag[1, 0] = 0.0
+        with pytest.raises(SingularJacobian, match=r"^zero pivot in row 0$"):
+            solve_tridiagonal(sub, diag, sup, rhs)
+
+    def test_rows_shape_mismatch(self):
+        sub, diag, sup, rhs = self._bands(np.random.default_rng(35), 3, 4)
+        with pytest.raises(DomainError):
+            solve_tridiagonal(sub, diag, sup, rhs[:2])
+        with pytest.raises(DomainError):
+            solve_tridiagonal(sub[:, :2], diag, sup, rhs)
 
 
 class TestNewton:
@@ -301,6 +339,53 @@ class TestSweep:
         expected, _ = optimize_quadratic(UNIT, 4)
         np.testing.assert_allclose(result.interior[0], expected.interior, atol=1e-14)
 
+    @staticmethod
+    def _row_by_row(iv, n, grid):
+        """The sweep as separate solves: its rows, or the first row's error."""
+        rows = []
+        for p in grid:
+            try:
+                bp, _ = newton_optimize(PowerFn(float(p), iv), n)
+            except PerspexError as exc:
+                return None, exc
+            rows.append(bp.interior)
+        return np.array(rows), None
+
+    @pytest.mark.parametrize("lower", [0.0, 0.3])
+    @pytest.mark.parametrize("n", [2, 20])
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            [1.2, 1.5, 1.9],
+            [2.0],
+            [2.5, 3.0, 4.0, 7.5],
+            [1.1, 1.5, 2.0, 2.5, 3.0, 4.0, 8.0],
+            np.geomspace(1.1, 8.0, 40),
+        ],
+    )
+    def test_rows_equal_single_solves_exactly(self, lower, n, grid):
+        iv = Interval(lower, 1.0)
+        rows, err = self._row_by_row(iv, n, grid)
+        assert err is None
+        assert (sweep_optimal_points(iv, n, grid).interior == rows).all()
+
+    @pytest.mark.parametrize(
+        "lower, upper, grid",
+        [
+            (1.8, 2.0, np.geomspace(1.01, 8.0, 60)),  # the first rows fail
+            (0.45, 0.5, np.geomspace(1.5, 16.0, 40)),  # later rows run out of iterations
+        ],
+    )
+    def test_same_outcome_as_single_solves(self, lower, upper, grid):
+        iv = Interval(lower, upper)
+        rows, err = self._row_by_row(iv, 20, grid)
+        if err is None:
+            assert (sweep_optimal_points(iv, 20, grid).interior == rows).all()
+        else:
+            with pytest.raises(type(err)) as got:
+                sweep_optimal_points(iv, 20, grid)
+            assert str(got.value) == str(err)
+
     def test_grid_validation(self):
         with pytest.raises(DomainError):
             sweep_optimal_points(UNIT, 3, [])
@@ -308,6 +393,8 @@ class TestSweep:
             sweep_optimal_points(UNIT, 3, [0.5, 2.0])
         with pytest.raises(DomainError):
             sweep_optimal_points(UNIT, 3, [2.0, 1.5])
+        with pytest.raises(DomainError):
+            sweep_optimal_points(UNIT, 0, [2.0, 3.0])
 
 
 class TestConcaveSurrogate:

@@ -11,6 +11,7 @@ from perspex import (
     HypothesisViolated,
     Interval,
     PowerFn,
+    RelaxationKind,
     bordered_hessian_eigs,
     build_underestimator,
     gradient_system,
@@ -25,6 +26,7 @@ from perspex import (
     volume_power_closed_form,
     volume_quadratic,
 )
+from perspex.power import closed_form_volume
 
 UNIT = Interval(0.0, 1.0)
 
@@ -342,6 +344,33 @@ class TestQuadraticSpecials:
         vol = volume_quadratic(Breakpoints.equally_spaced(iv, n))
         gap = iv.width**3 / (36.0 * n * n)
         assert vol - volume_perspective_quadratic(iv) == pytest.approx(gap, rel=1e-9)
+
+
+class TestClosedFormDispatch:
+    IV = Interval(0.2, 1.0)
+
+    def test_every_kind_at_two(self):
+        pf = PowerFn(2.0, self.IV)
+        bp = Breakpoints.equally_spaced(self.IV, 3)
+        expected = {
+            RelaxationKind.NR: volume_naive_quadratic(self.IV),
+            RelaxationKind.PR: volume_perspective_quadratic(self.IV),
+            RelaxationKind.PL_PR: volume_power_closed_form(pf, bp),
+            RelaxationKind.E_NR: volume_extended_naive_quadratic(self.IV),
+            RelaxationKind.PL_E_NR: volume_pl_extended_naive(pf.oracle(), bp),
+        }
+        for kind, vol in expected.items():
+            plain = kind in (RelaxationKind.NR, RelaxationKind.PR, RelaxationKind.E_NR)
+            assert closed_form_volume(kind, pf, None if plain else bp) == vol
+
+    def test_none_without_a_closed_form(self):
+        pf = PowerFn(3.0, self.IV)
+        bp = Breakpoints.equally_spaced(self.IV, 3)
+        for kind in (RelaxationKind.NR, RelaxationKind.PR, RelaxationKind.E_NR):
+            assert closed_form_volume(kind, pf, None) is None
+        assert closed_form_volume(RelaxationKind.PL_PR, pf, bp) == volume_power_closed_form(
+            pf, bp
+        )
 
 
 class TestExtendedNaive:
