@@ -1,80 +1,187 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled Monte-Carlo kernel against the numpy fallback.
+"""Time the Monte-Carlo oracle the way ``mc_volume`` runs it.
 
-Times the raw membership-counting kernels on identical pre-drawn sample
-arrays, one row per relaxation body, and reports throughput plus speedup.
+Two parts, both on a fixed grid of bodies (every relaxation kind x p in
+{1.5, 2, 3.7, 6} x lower in {0, 0.15} on upper 1, 8 equal pieces):
 
-    python3 benchmarks/bench_mc.py --samples 2000000 --repeat 5
+* blocks: ``mc._block_hits`` on real 2**16-sample blocks, split into the
+  Philox draw (stream set-up, draw, scaling to the box) and the membership
+  kernel (``mc._kernel.count_hits``); medians per kind over bodies and
+  blocks.
+* target: the loop that brings one body to a relative stderr of 3e-3:
+  a one-block pilot, then calls sized from the last estimate, on
+  ``min(2, nproc)`` workers.  One op per body, ``--rounds`` rounds; the
+  digest of every op's ``(hits, samples)`` shows whether two checkouts
+  took the same hit decisions.
+
+    PYTHONPATH=src python3 benchmarks/bench_mc.py [--json PATH]
+
+Times whichever kernel ``perspex.mc`` loaded, so the same script measures
+any checkout; ``KERNEL_BACKEND``, nproc and the numpy version are recorded
+beside the numbers.
 """
 
 import argparse
+import hashlib
+import json
+import math
+import os
+import platform
+import statistics
 import time
 
 import numpy as np
 
-from perspex import Breakpoints, Interval, PowerFn, RelaxationKind, make_body
-from perspex import _mc_fallback
-from perspex.mc import _KIND_CODE
+import perspex
+from perspex import Breakpoints, Interval, PowerFn, RelaxationKind, make_body, mc_volume
+from perspex import mc
 
-try:
-    from perspex import _mc_kernel
-except ImportError:
-    _mc_kernel = None
+EXPONENTS = (1.5, 2.0, 3.7, 6.0)
+LOWERS = (0.0, 0.15)
+PIECES = 8
+TARGET_RSE = 3e-3
+SEED = 1
 
 
-def _best_time(fn, repeat):
-    best = float("inf")
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+def _bodies(kind):
+    out = []
+    for p in EXPONENTS:
+        for lower in LOWERS:
+            iv = Interval(lower, 1.0)
+            out.append(make_body(kind, PowerFn(p, iv), Breakpoints.equally_spaced(iv, PIECES)))
+    return out
+
+
+def _cpu_model():
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
+def _time_block(body, seed, block):
+    """Draw and kernel times of one block, in seconds, and its hits."""
+    t0 = time.perf_counter()
+    gen = np.random.Generator(np.random.Philox(key=seed).jumped(block))
+    xs, ys, zs = gen.random((3, mc.BLOCK_SIZE))
+    xs *= body.interval.upper
+    ys *= body.box_height
+    t1 = time.perf_counter()
+    hits = mc._kernel.count_hits(mc._KIND_CODE[body.kind], xs, ys, zs, *body._kernel_args())
+    t2 = time.perf_counter()
+    return t1 - t0, t2 - t1, hits
+
+
+def bench_blocks(blocks, seed):
+    rows = {}
+    for kind in RelaxationKind:
+        draw, kernel, whole, hits = [], [], [], 0
+        for body in _bodies(kind):
+            _time_block(body, seed, 0)  # warm-up
+            for b in range(blocks):
+                d, k, h = _time_block(body, seed, b)
+                t0 = time.perf_counter()
+                same = mc._block_hits(body, seed, b, mc.BLOCK_SIZE)
+                whole.append(time.perf_counter() - t0)
+                if same != h:
+                    raise RuntimeError(f"split block disagrees with _block_hits for {kind.value}")
+                draw.append(d)
+                kernel.append(k)
+                hits += h
+        samples = len(whole) * mc.BLOCK_SIZE
+        rows[kind.value] = {
+            "draw_ms": statistics.median(draw) * 1e3,
+            "kernel_ms": statistics.median(kernel) * 1e3,
+            "block_ms": statistics.median(whole) * 1e3,
+            "hit_frac": hits / samples,
+            "blocks": len(whole),
+        }
+    return rows
+
+
+def _samples_for(est, rse):
+    """Whole blocks expected to bring the relative stderr under ``rse``."""
+    frac = est.hits / est.samples
+    if frac == 0.0:
+        return 16 * est.samples
+    need = 1.05 * (1.0 - frac) / (frac * rse**2)
+    blocks = math.ceil(need / mc.BLOCK_SIZE)
+    return max(blocks * mc.BLOCK_SIZE, est.samples + mc.BLOCK_SIZE)
+
+
+def _to_target(body, seed, rse, workers):
+    est = mc_volume(body, mc.BLOCK_SIZE, seed, workers)
+    while not est.stderr <= rse * est.mean:
+        est = mc_volume(body, _samples_for(est, rse), seed, workers)
+    return est
+
+
+def bench_target(rounds, rse, workers, seed):
+    bodies = [body for kind in RelaxationKind for body in _bodies(kind)]
+    round_s, op_ms, digest, samples = [], [], hashlib.sha256(), 0
+    for r in range(rounds):
+        t_round = time.perf_counter()
+        for i, body in enumerate(bodies):
+            t0 = time.perf_counter()
+            est = _to_target(body, seed + i, rse, workers)
+            op_ms.append((time.perf_counter() - t0) * 1e3)
+            if r == 0:
+                digest.update(f"{est.hits},{est.samples};".encode())
+                samples += est.samples
+        round_s.append(time.perf_counter() - t_round)
+    return {
+        "workers": workers,
+        "rse": rse,
+        "ops_per_round": len(bodies),
+        "round_s": round_s,
+        "median_round_s": statistics.median(round_s),
+        "median_op_ms": statistics.median(op_ms),
+        "samples_per_round": samples,
+        "msamples_per_s": samples / statistics.median(round_s) / 1e6,
+        "hits_digest": digest.hexdigest()[:16],
+    }
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--samples", type=int, default=2_000_000)
-    parser.add_argument("--repeat", type=int, default=5)
-    parser.add_argument("--p", type=float, default=2.0)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--blocks", type=int, default=6, help="timed blocks per body")
+    parser.add_argument("--rounds", type=int, default=3, help="rounds of the target loop")
+    parser.add_argument("--json", metavar="PATH", help="also write the results here")
     args = parser.parse_args()
 
-    iv = Interval(0.5, 1.0)
-    pf = PowerFn(args.p, iv)
-    bp = Breakpoints.equally_spaced(iv, 8)
+    nproc = os.cpu_count() or 1
+    result = {
+        "machine": {
+            "nproc": nproc,
+            "cpu_model": _cpu_model(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "kernel_backend": perspex.KERNEL_BACKEND,
+        },
+        "blocks": bench_blocks(args.blocks, SEED),
+        "target": bench_target(args.rounds, TARGET_RSE, min(2, nproc), SEED),
+    }
 
-    gen = np.random.Generator(np.random.Philox(key=0))
-    r = gen.random((3, args.samples))
-
-    if _mc_kernel is None:
-        print("compiled kernel not built; timing the numpy fallback only\n")
-
-    header = f"{'body':8s} {'numpy ms':>10s} {'numpy Ms/s':>11s}"
-    if _mc_kernel is not None:
-        header += f" {'compiled ms':>12s} {'compiled Ms/s':>14s} {'speedup':>8s}"
-    print(f"samples per body: {args.samples:,} (p={args.p})")
-    print(header)
-
-    for kind in RelaxationKind:
-        body = make_body(kind, pf, bp)
-        xs = r[0] * body.interval.upper
-        ys = r[1] * body.box_height
-        zs = r[2]
-        code = _KIND_CODE[kind]
-        kernel_args = body._kernel_args()
-
-        t_py = _best_time(
-            lambda: _mc_fallback.count_hits(code, xs, ys, zs, *kernel_args), args.repeat
-        )
-        line = f"{kind.value:8s} {t_py*1e3:10.1f} {args.samples/t_py/1e6:11.1f}"
-        if _mc_kernel is not None:
-            hits_c = _mc_kernel.count_hits(code, xs, ys, zs, *kernel_args)
-            hits_p = _mc_fallback.count_hits(code, xs, ys, zs, *kernel_args)
-            assert hits_c == hits_p, f"backend mismatch for {kind.value}: {hits_c} vs {hits_p}"
-            t_c = _best_time(
-                lambda: _mc_kernel.count_hits(code, xs, ys, zs, *kernel_args), args.repeat
-            )
-            line += f" {t_c*1e3:12.1f} {args.samples/t_c/1e6:14.1f} {t_py/t_c:7.1f}x"
-        print(line)
+    m = result["machine"]
+    print(f"{m['nproc']} CPUs, numpy {m['numpy']}, kernel backend {m['kernel_backend']}")
+    print(f"\nper 2**16-sample block, medians over {len(EXPONENTS) * len(LOWERS)} bodies")
+    print(f"{'body':8s} {'draw ms':>8s} {'kernel ms':>10s} {'block ms':>9s} {'hit frac':>9s}")
+    for kind, row in result["blocks"].items():
+        print(f"{kind:8s} {row['draw_ms']:8.3f} {row['kernel_ms']:10.3f} "
+              f"{row['block_ms']:9.3f} {row['hit_frac']:9.4f}")
+    t = result["target"]
+    print(f"\n{t['ops_per_round']} ops to relative stderr {t['rse']:g} on {t['workers']} workers: "
+          f"round {t['median_round_s']:.3f} s (median of {len(t['round_s'])}), "
+          f"op {t['median_op_ms']:.1f} ms, {t['msamples_per_s']:.1f} Msample/s, "
+          f"hits digest {t['hits_digest']}")
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as fh:
+            json.dump(result, fh, indent=1)
+            fh.write("\n")
 
 
 if __name__ == "__main__":

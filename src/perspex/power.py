@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, HypothesisViolated
+from .errors import DegenerateTangents, DomainError, HypothesisViolated
 from .underestimator import (
     Breakpoints,
     ConvexFunction,
@@ -118,6 +118,10 @@ def volume_power_closed_form(pf: PowerFn, bp: Breakpoints) -> float:
     lo, up = xi[0], xi[-1]
     a, b = xi[:-1], xi[1:]
     am, bm = _pow(a, p - 1.0), _pow(b, p - 1.0)
+    if (bm <= am).any():
+        raise DegenerateTangents(
+            "adjacent tangent slopes coincide: x**(p-1) rounds equal at neighbouring breakpoints"
+        )
     s = float((am * bm * (b - a) ** 2 / (bm - am)).sum())
     return (
         -((p - 1.0) ** 2) / (6.0 * p) * s
@@ -143,6 +147,11 @@ def _coupling(p: float, lo: float, hi: float) -> float:
     n1 = (p - 1.0) * hi**p + lo**p - p * hi ** (p - 1.0) * lo
     n2 = hi**p + (p - 1.0) * lo**p - p * hi * lo ** (p - 1.0)
     den = (hi ** (p - 1.0) - lo ** (p - 1.0)) ** 3
+    if den == 0.0:
+        raise DegenerateTangents(
+            f"Hessian coupling of ({lo!r}, {hi!r}) degenerates: "
+            "hi**(p-1) - lo**(p-1) or its cube rounds to zero"
+        )
     return (p - 1.0) ** 2 / (3.0 * p) * lo ** (p - 2.0) * hi ** (p - 2.0) * n1 * n2 / den
 
 

@@ -186,8 +186,10 @@ def build_underestimator(f: ConvexFunction, bp: Breakpoints) -> PLUnderEstimator
     fx = np.array([float(f.fn(float(t))) for t in xi])
     dfx = np.array([float(f.deriv(float(t))) for t in xi])
     gaps = np.diff(dfx)
-    tol = _SLOPE_GAP_RTOL * np.maximum(1.0, np.abs(dfx[1:]))
-    if (np.abs(gaps) < tol).any():
+    # relative to the slope itself, so the guard is invariant under x -> c x;
+    # ``<=`` keeps two slopes that both underflow to 0 degenerate
+    tol = _SLOPE_GAP_RTOL * np.abs(dfx[1:])
+    if (np.abs(gaps) <= tol).any():
         raise DegenerateTangents("adjacent tangent slopes coincide within tolerance")
     if (gaps <= 0.0).any():
         raise DomainError("derivative must be strictly increasing at the breakpoints")

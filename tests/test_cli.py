@@ -226,3 +226,7 @@ class TestOutputContracts:
             "mc", "--p", "2", "--l", "0", "--u", "1", "--relax", "nr", "--samples", "10"
         )
         assert code == 2
+        code, out, err = run_cli(
+            "volume", "--p", "150", "--l", "0", "--u", "0.01", "--equal", "5", "--relax", "plpr"
+        )
+        assert code == 2 and out == "" and err.startswith("error: DegenerateTangents")

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import perspex
 from perspex import (
     Breakpoints,
     DomainError,
@@ -12,8 +11,8 @@ from perspex import (
     mc_volume,
     volume_power_closed_form,
 )
-from perspex import _mc_fallback
 from perspex import mc as mc_mod
+from perspex._mc_fallback import Z_FLOOR
 
 UNIT = Interval(0.0, 1.0)
 HALF = Interval(0.5, 1.0)
@@ -153,30 +152,111 @@ class TestMembership:
         assert not body.membership(x, chord - 1e-6, z).item()
 
 
-class TestKernelParity:
-    @pytest.mark.skipif(perspex.KERNEL_BACKEND != "compiled", reason="extension not built")
-    def test_compiled_matches_fallback(self):
-        from perspex import _mc_kernel
+# Hits per 64k block, blocks 0-2, recorded with the kernel that tested every
+# sample of a block: body (kind, lower, p) on [lower, 2] with 5 equal pieces
+# for the PL kinds, keyed by seed.
+GOLDEN_UPPER = 2.0
+GOLDEN_SEEDS = (7, 8, 9)
+GOLDEN_BLOCKS = 3
+GOLDEN_HITS = {
+    ('nr', 0.0, 2.0): {7: (5435, 5534, 5527), 8: (5518, 5430, 5426), 9: (5528, 5422, 5504)},
+    ('nr', 0.0, 3.7): {7: (8453, 8484, 8638), 8: (8589, 8432, 8430), 9: (8591, 8392, 8540)},
+    ('nr', 0.3, 2.0): {7: (4003, 4114, 4123), 8: (4153, 4028, 3988), 9: (4106, 4052, 4070)},
+    ('nr', 0.3, 3.7): {7: (6800, 6827, 6975), 8: (6990, 6798, 6762), 9: (6962, 6825, 6899)},
+    ('pr', 0.0, 2.0): {7: (3608, 3639, 3686), 8: (3674, 3648, 3653), 9: (3686, 3556, 3698)},
+    ('pr', 0.0, 3.7): {7: (6228, 6349, 6383), 8: (6349, 6294, 6230), 9: (6379, 6197, 6323)},
+    ('pr', 0.3, 2.0): {7: (2179, 2224, 2286), 8: (2312, 2251, 2218), 9: (2271, 2190, 2267)},
+    ('pr', 0.3, 3.7): {7: (4575, 4693, 4720), 8: (4750, 4660, 4562), 9: (4751, 4631, 4682)},
+    ('plpr', 0.0, 2.0): {7: (3676, 3716, 3775), 8: (3749, 3730, 3722), 9: (3773, 3618, 3764)},
+    ('plpr', 0.0, 3.7): {7: (6366, 6476, 6515), 8: (6481, 6405, 6376), 9: (6506, 6312, 6459)},
+    ('plpr', 0.3, 2.0): {7: (2221, 2263, 2339), 8: (2359, 2297, 2263), 9: (2324, 2230, 2313)},
+    ('plpr', 0.3, 3.7): {7: (4671, 4785, 4815), 8: (4841, 4748, 4665), 9: (4845, 4720, 4773)},
+    ('enr', 0.0, 2.0): {7: (5435, 5534, 5527), 8: (5518, 5430, 5426), 9: (5528, 5422, 5504)},
+    ('enr', 0.0, 3.7): {7: (8453, 8484, 8638), 8: (8589, 8432, 8430), 9: (8591, 8392, 8540)},
+    ('enr', 0.3, 2.0): {7: (3988, 4094, 4102), 8: (4136, 4012, 3974), 9: (4086, 4037, 4062)},
+    ('enr', 0.3, 3.7): {7: (6799, 6826, 6974), 8: (6989, 6796, 6759), 9: (6960, 6824, 6896)},
+    ('plenr', 0.0, 2.0): {7: (5553, 5652, 5645), 8: (5632, 5547, 5534), 9: (5640, 5523, 5604)},
+    ('plenr', 0.0, 3.7): {7: (8550, 8586, 8744), 8: (8703, 8537, 8546), 9: (8688, 8472, 8635)},
+    ('plenr', 0.3, 2.0): {7: (4046, 4152, 4163), 8: (4184, 4065, 4043), 9: (4134, 4094, 4124)},
+    ('plenr', 0.3, 3.7): {7: (6875, 6906, 7038), 8: (7077, 6879, 6833), 9: (7029, 6892, 6969)},
+}
 
-        gen = np.random.Generator(np.random.Philox(key=99))
-        r = gen.random((3, 200_000))
-        for p, iv in ((2.0, HALF), (2.0, UNIT), (3.0, HALF)):
-            pf = PowerFn(p, iv)
-            bp = Breakpoints.equally_spaced(iv, 3)
-            for kind in RelaxationKind:
-                body = make_body(kind, pf, bp)
-                xs = r[0] * body.interval.upper
-                ys = r[1] * body.box_height
-                zs = r[2]
-                code = mc_mod._KIND_CODE[kind]
-                compiled = _mc_kernel.count_hits(code, xs, ys, zs, *body._kernel_args())
-                fallback = _mc_fallback.count_hits(code, xs, ys, zs, *body._kernel_args())
-                if p == 2.0 or kind in (RelaxationKind.PL_PR, RelaxationKind.PL_E_NR):
-                    # identical arithmetic: counts must agree exactly
-                    assert compiled == fallback
-                else:
-                    # libm pow vs numpy pow may differ in the last ulp
-                    assert abs(compiled - fallback) <= 1
+# Packed BodySpec.membership masks on _boundary_points, same recording.
+BOUNDARY_BODIES = ((3.7, Interval(0.3, 1.2), 4), (2.0, UNIT, 3))
+GOLDEN_BOUNDARY = {
+    ('nr', 3.7): '936db6dfffff80',
+    ('nr', 2.0): 'f37dbedffff8',
+    ('pr', 3.7): '9349a4c0000000',
+    ('pr', 2.0): 'f379bcc00000',
+    ('plpr', 3.7): '9349a4c0000055555500',
+    ('plpr', 2.0): 'f379bcc00007d5f500',
+    ('enr', 3.7): '934da6c36ffd00',
+    ('enr', 2.0): 'f37dbedffff8',
+    ('plenr', 3.7): '934da6c36ffd5555ff80',
+    ('plenr', 2.0): 'f37dbeffffffd5ff80',
+}
+
+
+def _golden_body(kind, lower, p):
+    iv = Interval(lower, GOLDEN_UPPER)
+    return make_body(RelaxationKind(kind), PowerFn(p, iv), Breakpoints.equally_spaced(iv, 5))
+
+
+def _boundary_points(body):
+    """Points on the shared planes, on the z = 0 face and below Z_FLOOR, left
+    of the lower end for the extended kinds and on every PL vertex."""
+    lo, hi = body.interval.lower, body.interval.upper
+    top = lambda x, z: body.secant_z * z + body.secant_x * x  # noqa: E731
+    pts = []
+    for z in (1.0, 0.5, 0.25, Z_FLOOR / 10.0, 0.0):
+        for x in (lo * z, hi * z, 0.5 * (lo + hi) * z):
+            pts += [(x, top(x, z), z), (x, 0.5 * top(x, z), z), (x, 0.0, z)]
+    if lo > 0.0:
+        for z in (0.5, 0.8):
+            x = 0.9 * lo
+            chord = body.extension_slope * x
+            pts += [(x, chord, z), (x, np.nextafter(chord, 0.0), z)]
+    if body.estimator is not None:
+        for z in (1.0, 0.5):
+            for kx, ky in zip(body.estimator.x, body.estimator.y):
+                pts += [(kx * z, ky * z, z), (kx * z, np.nextafter(ky * z, 0.0), z)]
+    return tuple(np.array(c) for c in zip(*pts))
+
+
+class TestGoldenHits:
+    """The kernel's hit decisions are pinned, not just its statistics."""
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN_HITS))
+    def test_block_hits(self, key):
+        body = _golden_body(*key)
+        for seed in GOLDEN_SEEDS:
+            hits = tuple(
+                mc_mod._block_hits(body, seed, b, mc_mod.BLOCK_SIZE)
+                for b in range(GOLDEN_BLOCKS)
+            )
+            assert hits == GOLDEN_HITS[key][seed], seed
+
+    @pytest.mark.parametrize("kind", [k.value for k in RelaxationKind])
+    def test_boundary_points(self, kind):
+        for p, iv, n in BOUNDARY_BODIES:
+            body = make_body(RelaxationKind(kind), PowerFn(p, iv), Breakpoints.equally_spaced(iv, n))
+            xs, ys, zs = _boundary_points(body)
+            mask = body.membership(xs, ys, zs)
+            assert np.packbits(mask).tobytes().hex() == GOLDEN_BOUNDARY[kind, p]
+            code = mc_mod._KIND_CODE[body.kind]
+            hits = mc_mod._kernel.count_hits(code, xs, ys, zs, *body._kernel_args())
+            assert hits == np.count_nonzero(mask)
+
+    def test_block_with_no_survivors(self):
+        xs = np.linspace(0.0, 1.0, 101)
+        zs = np.linspace(0.0, 1.0, 101)[::-1]
+        for body in _bodies(p=3.7).values():
+            ys = np.full_like(xs, 2.0 * body.box_height)  # the top plane stays under box_height
+            code = mc_mod._KIND_CODE[body.kind]
+            assert mc_mod._kernel.count_hits(code, xs, ys, zs, *body._kernel_args()) == 0
+            assert not body.membership(xs, ys, zs).any()
+        with pytest.raises(ValueError, match="unknown body kind code"):
+            mc_mod._kernel.count_hits(5, xs, ys, zs, *body._kernel_args())
 
 
 class TestWorkers:

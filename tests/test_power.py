@@ -7,6 +7,7 @@ from conftest import random_power_instance
 from perspex import (
     Breakpoints,
     ConvexFunction,
+    DegenerateTangents,
     DomainError,
     HypothesisViolated,
     Interval,
@@ -109,6 +110,17 @@ class TestClosedForm:
             closed = volume_power_closed_form(pf, bp)
             geo = volume_pl_perspective(build_underestimator(pf.oracle(), bp))
             assert geo == pytest.approx(closed, rel=5e-9)
+
+    def test_underflowing_slopes_raise(self):
+        # on [0, 0.01] at p = 150, x**(p-1) underflows to 0 at the first
+        # breakpoints: the closed form divided 0 by 0 and the Hessian
+        # coupling raised ZeroDivisionError
+        pf = PowerFn(150.0, Interval(0.0, 0.01))
+        bp = Breakpoints.equally_spaced(pf.interval, 5)
+        with pytest.raises(DegenerateTangents):
+            volume_power_closed_form(pf, bp)
+        with pytest.raises(DegenerateTangents), np.errstate(invalid="ignore"):
+            gradient_system(pf, bp)  # its residual turns NaN before the coupling raises
 
     def test_interval_mismatch(self):
         with pytest.raises(DomainError):

@@ -119,6 +119,28 @@ class TestBuild:
         with pytest.raises(DegenerateTangents):
             build_underestimator(affine, Breakpoints(iv, [0.0, 0.5, 1.0]))
 
+    @pytest.mark.parametrize("p", [1.5, 3.0, 8.0])
+    @pytest.mark.parametrize("n", [2, 8, 64])
+    def test_scale_equivariance(self, p, n):
+        # x -> c x maps the tangent vertices to c x and the volume to
+        # c**(p+1) times itself, so the slope guard must not depend on c
+        for ratio in (0.0, 0.15):
+            unit = Interval(ratio, 1.0)
+            base = build_underestimator(PowerFn(p, unit).oracle(), Breakpoints.equally_spaced(unit, n))
+            vol = volume_pl_perspective(base)
+            for u in (0.01, 0.1, 1.0, 100.0):
+                iv = Interval(ratio * u, u)
+                est = build_underestimator(PowerFn(p, iv).oracle(), Breakpoints.equally_spaced(iv, n))
+                np.testing.assert_allclose(est.x, u * base.x, rtol=1e-13)
+                assert volume_pl_perspective(est) == pytest.approx(vol * u ** (p + 1.0), rel=1e-12)
+
+    def test_underflowing_slopes_are_degenerate(self):
+        # adjacent derivatives both round to 0, so no relative gap separates them
+        iv = Interval(0.0, 0.01)
+        f = ConvexFunction(fn=lambda x: 1.0 + x**150, deriv=lambda x: 150.0 * x**149, interval=iv)
+        with pytest.raises(DegenerateTangents):
+            build_underestimator(f, Breakpoints.equally_spaced(iv, 5))
+
     def test_decreasing_derivative_rejected(self):
         iv = Interval(0.0, 1.0)
         bogus = ConvexFunction(fn=lambda x: x + 1.0, deriv=lambda x: -x, interval=iv)
