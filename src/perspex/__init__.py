@@ -36,7 +36,6 @@ from .placement import (
     newton_optimize,
     optimize_quadratic,
     single_point_bounds,
-    solve_newton_system,
     solve_tridiagonal,
     sweep_optimal_points,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "power_curvature_terms",
     "refinement_thresholds",
     "single_point_bounds",
-    "solve_newton_system",
     "solve_tridiagonal",
     "sweep_optimal_points",
     "volume_extended_naive_quadratic",

@@ -82,6 +82,15 @@ def _resolve_breakpoints(args, pf: PowerFn):
     return None, None
 
 
+def _check_breakpoints(kind: RelaxationKind, bp) -> None:
+    """The piecewise-linear relaxations need breakpoints; the others take none."""
+    needs_bp = kind in (RelaxationKind.PL_PR, RelaxationKind.PL_E_NR)
+    if needs_bp and bp is None:
+        raise DomainError(f"{kind.value} needs breakpoints (--xi, --equal or --optimize)")
+    if not needs_bp and bp is not None:
+        raise DomainError(f"{kind.value} takes no breakpoints")
+
+
 def _flatten(report: dict, prefix: str = "") -> list[tuple[str, object]]:
     rows: list[tuple[str, object]] = []
     for key, value in report.items():
@@ -119,11 +128,7 @@ def cmd_volume(args) -> dict:
     pf = _power(args)
     kind = RelaxationKind.from_tag(args.relax)
     bp, trace_summary = _resolve_breakpoints(args, pf)
-    needs_bp = kind in (RelaxationKind.PL_PR, RelaxationKind.PL_E_NR)
-    if needs_bp and bp is None:
-        raise DomainError(f"{kind.value} needs breakpoints (--xi, --equal or --optimize)")
-    if not needs_bp and bp is not None:
-        raise DomainError(f"{kind.value} takes no breakpoints")
+    _check_breakpoints(kind, bp)
 
     vol = closed_form_volume(kind, pf, bp)
     if vol is None:
@@ -246,11 +251,7 @@ def cmd_mc(args) -> dict:
     pf = _power(args)
     kind = RelaxationKind.from_tag(args.relax)
     bp, _ = _resolve_breakpoints(args, pf)
-    needs_bp = kind in (RelaxationKind.PL_PR, RelaxationKind.PL_E_NR)
-    if needs_bp and bp is None:
-        raise DomainError(f"{kind.value} needs breakpoints (--xi, --equal or --optimize)")
-    if not needs_bp and bp is not None:
-        raise DomainError(f"{kind.value} takes no breakpoints")
+    _check_breakpoints(kind, bp)
     body = make_body(kind, pf, bp)
     est = mc_volume(body, args.samples, args.seed, args.workers)
     report = {

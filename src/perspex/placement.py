@@ -17,15 +17,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    DegenerateTangents,
     DomainError,
     MaxIterExceeded,
     MonotonicityViolated,
     SingularJacobian,
 )
 from .power import (
+    _FLAT_SLOPES,
     _QUADRATIC_EPS,
-    GradientSystem,
     PowerFn,
+    _flat_slopes,
     _pow,
     _power_table,
     _stationarity,
@@ -126,11 +128,6 @@ def solve_tridiagonal(sub, diag, sup, rhs) -> np.ndarray:
     return x if lead else x[0]
 
 
-def solve_newton_system(sys: GradientSystem, rhs) -> np.ndarray:
-    """Solve the stationarity Jacobian against ``rhs`` in O(n)."""
-    return solve_tridiagonal(sys.jac_sub, sys.jac_diag, sys.jac_sup, rhs)
-
-
 @dataclass(eq=False)
 class NewtonTrace:
     """Record of one Newton run.
@@ -212,23 +209,27 @@ def _newton_rows(iv, p, tol, max_iter, xi, canonical=True, trace=None):
     live = np.arange(len(p))  # rows still iterating, ascending
     error = None
     for it in range(max_iter + 1):
-        x = xi[live]
-        ordered = (np.diff(x, axis=1) > 0.0).all(axis=1)
-        if not ordered.all():  # what Breakpoints asks of every iterate
-            j = int(np.argmin(ordered))
-            error = DomainError("breakpoints must be strictly increasing")
-            live, x = live[:j], x[:j]
+        x, pl = xi[live], ps[live]
+        table = _power_table(x, pl)
+        ordered = (np.diff(x, axis=1) > 0.0).all(axis=1)  # what Breakpoints asks
+        failed = ~ordered | _flat_slopes(table)
+        if failed.any():
+            j = int(np.argmax(failed))
+            if not ordered[j]:
+                error = DomainError("breakpoints must be strictly increasing")
+            else:
+                error = DegenerateTangents(f"{_FLAT_SLOPES} (p={p[live[j]]})")
+            live, x, pl, table = live[:j], x[:j], pl[:j], table[:, :j]
         if not live.size:
             break
-        pl = ps[live]
-        st = _stationarity(x, pl, _power_table(x, pl))
+        st = _stationarity(x, pl, table)
         norm = np.abs(st.residual).max(axis=1)
         go = ~(norm <= tols[live])
         if trace is not None:
             trace.iterates.append(Breakpoints(iv, x[0]))
             trace.residual_norms.append(float(norm[0]))
             trace.condition_numbers.append(
-                _jacobian_condition(st.jac_sub[0], st.jac_diag[0], st.jac_sup[0])
+                _jacobian_condition(st.d_lo[0, 1:], st.jac_diag[0], st.d_hi[0, :-1])
             )
             if not go[0]:
                 if it > 0:
@@ -249,7 +250,7 @@ def _newton_rows(iv, p, tol, max_iter, xi, canonical=True, trace=None):
             break
 
         step, pivot = _thomas(
-            st.jac_sub[go], st.jac_diag[go], st.jac_sup[go], st.residual[go]
+            st.d_lo[go, 1:], st.jac_diag[go], st.d_hi[go, :-1], st.residual[go]
         )
         singular = pivot >= 0
         old = x[:, 1:-1]
@@ -311,7 +312,8 @@ def newton_optimize(
 
     Runs started from ``start`` (a vector of ``n - 1`` interior points)
     carry no direction guarantee; their steps are halved as needed to stay
-    strictly interior and ordered.
+    strictly interior and ordered.  An iterate at which ``x**(p-1)`` rounds
+    equal at neighbouring breakpoints raises :class:`DegenerateTangents`.
     """
     if n < 2:
         raise DomainError(_NEED_INTERIOR)

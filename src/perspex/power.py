@@ -117,49 +117,16 @@ def volume_power_closed_form(pf: PowerFn, bp: Breakpoints) -> float:
     xi = bp.xi
     lo, up = xi[0], xi[-1]
     a, b = xi[:-1], xi[1:]
-    am, bm = _pow(a, p - 1.0), _pow(b, p - 1.0)
-    if (bm <= am).any():
-        raise DegenerateTangents(
-            "adjacent tangent slopes coincide: x**(p-1) rounds equal at neighbouring breakpoints"
-        )
+    table = _power_table(xi[None, :], np.array([p]))
+    if _flat_slopes(table)[0]:
+        raise DegenerateTangents(_FLAT_SLOPES)
+    am, bm = table[1, 0, :-1], table[1, 0, 1:]
     s = float((am * bm * (b - a) ** 2 / (bm - am)).sum())
     return (
         -((p - 1.0) ** 2) / (6.0 * p) * s
         + (p - 1.0) / (6.0 * p) * (_pow(up, p + 1.0) - _pow(lo, p + 1.0))
         - (_pow(up, p) * lo - up * _pow(lo, p)) / 6.0
     )
-
-
-def _coupling(p: float, lo: float, hi: float) -> float:
-    """Hessian coupling of the adjacent pair (lo, hi), positive for lo > 0.
-
-    At ``lo == 0`` the expression has a one-sided limit only for ``p >= 2``
-    (zero for p > 2, ``hi/6`` at p = 2) and diverges for ``p < 2``; the
-    divergent case is returned as ``inf`` and only ever used through the
-    finite scaled product ``(lo/hi) * coupling``.
-    """
-    if lo == 0.0:
-        if p > 2.0 + _QUADRATIC_EPS:
-            return 0.0
-        if abs(p - 2.0) <= _QUADRATIC_EPS:
-            return hi / 6.0
-        return math.inf
-    n1 = (p - 1.0) * hi**p + lo**p - p * hi ** (p - 1.0) * lo
-    n2 = hi**p + (p - 1.0) * lo**p - p * hi * lo ** (p - 1.0)
-    den = (hi ** (p - 1.0) - lo ** (p - 1.0)) ** 3
-    if den == 0.0:
-        raise DegenerateTangents(
-            f"Hessian coupling of ({lo!r}, {hi!r}) degenerates: "
-            "hi**(p-1) - lo**(p-1) or its cube rounds to zero"
-        )
-    return (p - 1.0) ** 2 / (3.0 * p) * lo ** (p - 2.0) * hi ** (p - 2.0) * n1 * n2 / den
-
-
-def _coupling_scaled(p: float, lo: float, hi: float) -> float:
-    """``(lo/hi) * _coupling(p, lo, hi)``, finite for every ``lo >= 0``."""
-    if lo == 0.0:
-        return 0.0
-    return (lo / hi) * _coupling(p, lo, hi)
 
 
 def _power_table(xi: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -174,7 +141,7 @@ def _power_table(xi: np.ndarray, p: np.ndarray) -> np.ndarray:
     ``0**q := 0`` convention.
     """
     table = np.empty((3,) + xi.shape)
-    exps = np.stack((p, p - 1.0, p - 2.0))
+    exps = p - np.array([[0.0], [1.0], [2.0]])  # p, p - 1, p - 2 per row
     with np.errstate(divide="ignore"):  # 0**q for q < 0, replaced below
         for j, row_exps in enumerate(exps.tolist()):
             for k, q in enumerate(row_exps):
@@ -183,21 +150,39 @@ def _power_table(xi: np.ndarray, p: np.ndarray) -> np.ndarray:
     return table
 
 
+_FLAT_SLOPES = "adjacent tangent slopes coincide: x**(p-1) rounds equal at neighbouring breakpoints"
+
+
+def _flat_slopes(table: np.ndarray) -> np.ndarray:
+    """Per row of a :func:`_power_table`: does ``x**(p-1)`` fail to increase
+    between some pair of neighbouring breakpoints?
+
+    The two tangents of such a pair have equal slopes in float64, so every
+    tangent-pair formula here would divide by zero on that row.
+    """
+    xp1 = table[1]
+    return (xp1[:, 1:] <= xp1[:, :-1]).any(axis=1)
+
+
 class _Stationarity(NamedTuple):
     residual: np.ndarray
     t_up: np.ndarray
     t_dn: np.ndarray
-    jac_sub: np.ndarray
+    d_lo: np.ndarray
+    d_hi: np.ndarray
+    s_lo: np.ndarray
     jac_diag: np.ndarray
-    jac_sup: np.ndarray
 
 
 def _stationarity(xi: np.ndarray, p: np.ndarray, table: np.ndarray) -> _Stationarity:
-    """Stationarity residual and its tridiagonal Newton Jacobian, row by row.
+    """Stationarity residual and the terms of its derivatives, row by row.
 
     ``xi`` holds one set of at least three breakpoints per row, ``p`` one
-    exponent per row and ``table`` their :func:`_power_table`.  Every entry
-    is elementwise in its row, so a batched row equals the row alone.
+    exponent per row and ``table`` their :func:`_power_table`, whose rows
+    :func:`_flat_slopes` must have passed.  Entry k of each band belongs to
+    interior point k; the Newton Jacobian's sub- and super-diagonal are
+    ``d_lo[:, 1:]`` and ``d_hi[:, :-1]``.  Every entry is elementwise in its
+    row, so a batched row equals the row alone.
     """
     pc = p[:, None]
     q = pc - 1.0
@@ -221,7 +206,7 @@ def _stationarity(xi: np.ndarray, p: np.ndarray, table: np.ndarray) -> _Stationa
     d_lo = -q * lo_p2 * num_lo / den_lo
     s_lo = -q * lo_p1 * num_lo / den_lo
     jac_diag = (residual - s_lo - hi * d_hi) / mid
-    return _Stationarity(residual, t_up, t_dn, d_lo[:, 1:], jac_diag, d_hi[:, :-1])
+    return _Stationarity(residual, t_up, t_dn, d_lo, d_hi, s_lo, jac_diag)
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,24 +270,29 @@ def gradient_system(pf: PowerFn, bp: Breakpoints) -> GradientSystem:
         raise DomainError("need at least one interior breakpoint")
     p = float(pf.p)
     xi = bp.xi
-    n = bp.n
     mid, hi = xi[1:-1], xi[2:]
 
     batch, ps = xi[None, :], np.array([p])
     table = _power_table(batch, ps)
+    if _flat_slopes(table)[0]:
+        raise DegenerateTangents(_FLAT_SLOPES)
     st = _stationarity(batch, ps, table)
     residual, t_up, t_dn = st.residual[0], st.t_up[0], st.t_dn[0]
     grad = -(p - 1.0) * table[2, 0, 1:-1] / (6.0 * p) * (t_up**2 - t_dn**2)
 
-    coupling = np.array(
-        [_coupling(p, float(a), float(b)) for a, b in zip(xi[:-1], xi[1:])]
-    )
-    prev_scaled = np.empty(n - 1)
-    prev_scaled[0] = _coupling_scaled(p, float(xi[0]), float(xi[1]))
-    prev_scaled[1:] = (mid[:-1] / mid[1:]) * coupling[1 : n - 1]
+    # The Hessian coupling of a tangent pair, n1 * n2 / den up to a factor,
+    # is w times a product of stationarity terms at an interior point k:
+    # t_dn * -d_lo for the pair left of k, t_up * -d_hi at the last k for the
+    # last pair.  (x_{k-1}/x_k) times the left coupling is w * t_dn * -s_lo
+    # / x_k, which stays finite at lower == 0.
+    w = (p - 1.0) / (3.0 * p) * table[2, 0, 1:-1]
+    coupling = np.append(w * t_dn * -st.d_lo[0], w[-1] * t_up[-1] * -st.d_hi[0, -1])
+    if xi[0] == 0.0 and p < 2.0:
+        coupling[0] = math.inf  # the lo -> 0 limit diverges; only its scaled product is used
+    prev_scaled = w * t_dn * -st.s_lo[0] / mid
     hess_diag = (p / mid) * grad + prev_scaled + (hi / mid) * coupling[1:]
-    hess_offdiag = coupling[1 : n - 1].copy()
-    jac_sub, jac_diag, jac_sup = st.jac_sub[0], st.jac_diag[0], st.jac_sup[0]
+    hess_offdiag = coupling[1:-1].copy()
+    jac_sub, jac_diag, jac_sup = st.d_lo[0, 1:], st.jac_diag[0], st.d_hi[0, :-1]
 
     return GradientSystem(
         p=p,

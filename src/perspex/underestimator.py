@@ -14,7 +14,7 @@ fan triangulation rooted at the left endpoint delivers in linear time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -110,7 +110,6 @@ class ConvexFunction:
     fn: Callable[[float], float]
     deriv: Callable[[float], float]
     interval: Interval
-    positive_on_domain: bool = field(init=False, default=True)
 
     def __post_init__(self) -> None:
         mid = 0.5 * (self.interval.lower + self.interval.upper)

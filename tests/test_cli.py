@@ -226,7 +226,13 @@ class TestOutputContracts:
             "mc", "--p", "2", "--l", "0", "--u", "1", "--relax", "nr", "--samples", "10"
         )
         assert code == 2
-        code, out, err = run_cli(
-            "volume", "--p", "150", "--l", "0", "--u", "0.01", "--equal", "5", "--relax", "plpr"
-        )
-        assert code == 2 and out == "" and err.startswith("error: DegenerateTangents")
+        degenerate = ("--l", "0", "--u", "0.01")
+        for argv in (
+            ("volume", "--p", "150", *degenerate, "--equal", "5", "--relax", "plpr"),
+            ("optimize", "--p", "150", *degenerate, "--n", "5"),
+            ("sweep", *degenerate, "--n", "5", "--p-grid", "150"),
+            ("sweep", *degenerate, "--n", "5", "--p-grid", "3,150"),
+        ):
+            code, out, err = run_cli(*argv)
+            assert code == 2 and out == "" and err.startswith("error: DegenerateTangents")
+            assert "Warning" not in err

@@ -6,6 +6,7 @@ from conftest import random_power_instance
 
 from perspex import (
     Breakpoints,
+    DegenerateTangents,
     DomainError,
     Interval,
     MaxIterExceeded,
@@ -19,7 +20,6 @@ from perspex import (
     newton_optimize,
     optimize_quadratic,
     single_point_bounds,
-    solve_newton_system,
     solve_tridiagonal,
     sweep_optimal_points,
     volume_power_closed_form,
@@ -72,7 +72,7 @@ class TestTridiagonal:
     def test_newton_system_residual(self):
         pf = PowerFn(3.0, UNIT)
         sys = gradient_system(pf, Breakpoints.equally_spaced(UNIT, 6))
-        x = solve_newton_system(sys, sys.residual)
+        x = solve_tridiagonal(sys.jac_sub, sys.jac_diag, sys.jac_sup, sys.residual)
         residual = sys.jacobian() @ x - sys.residual
         assert float(np.abs(residual).max()) <= 1e-12
 
@@ -224,6 +224,12 @@ class TestNewton:
             newton_optimize(PowerFn(8.0, UNIT), 10, max_iter=2)
         assert err.value.trace is not None
         assert err.value.trace.iterations == 2
+
+    def test_underflowing_slopes_raise(self):
+        # x**149 underflows to 0 at the first breakpoints of [0, 0.01]; the
+        # guard fires before any NaN is formed (warnings fail the suite)
+        with pytest.raises(DegenerateTangents):
+            newton_optimize(PowerFn(150.0, Interval(0.0, 0.01)), 5)
 
     def test_input_validation(self):
         with pytest.raises(DomainError):
@@ -385,6 +391,13 @@ class TestSweep:
             with pytest.raises(type(err)) as got:
                 sweep_optimal_points(iv, 20, grid)
             assert str(got.value) == str(err)
+
+    def test_underflowing_slopes_raise_for_their_row(self):
+        iv = Interval(0.0, 0.01)
+        assert sweep_optimal_points(iv, 5, [3.0]).interior.shape == (1, 4)
+        for grid in ([150.0], [3.0, 150.0]):
+            with pytest.raises(DegenerateTangents, match=r"p=150\.0"):
+                sweep_optimal_points(iv, 5, grid)
 
     def test_grid_validation(self):
         with pytest.raises(DomainError):

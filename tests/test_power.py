@@ -113,14 +113,14 @@ class TestClosedForm:
 
     def test_underflowing_slopes_raise(self):
         # on [0, 0.01] at p = 150, x**(p-1) underflows to 0 at the first
-        # breakpoints: the closed form divided 0 by 0 and the Hessian
-        # coupling raised ZeroDivisionError
+        # breakpoints, so every tangent-pair formula would divide by zero;
+        # both raise before forming a NaN (warnings fail the suite)
         pf = PowerFn(150.0, Interval(0.0, 0.01))
         bp = Breakpoints.equally_spaced(pf.interval, 5)
         with pytest.raises(DegenerateTangents):
             volume_power_closed_form(pf, bp)
-        with pytest.raises(DegenerateTangents), np.errstate(invalid="ignore"):
-            gradient_system(pf, bp)  # its residual turns NaN before the coupling raises
+        with pytest.raises(DegenerateTangents):
+            gradient_system(pf, bp)
 
     def test_interval_mismatch(self):
         with pytest.raises(DomainError):
@@ -266,6 +266,44 @@ class TestHessian:
                 ]
             )
             np.testing.assert_allclose(sys.jac_diag, alt, rtol=1e-9, atol=1e-12)
+
+    @staticmethod
+    def _reference(mpmath, p, xi):
+        """Couplings and Hessian diagonal from their defining formulas, 60 digits."""
+        with mpmath.workdps(60):
+            p = mpmath.mpf(p)
+            q = p - 1
+            x = [mpmath.mpf(v) for v in xi.tolist()]
+
+            def coupling(lo, hi):
+                n1 = q * hi**p + lo**p - p * hi**q * lo
+                n2 = hi**p + q * lo**p - p * hi * lo**q
+                return q**2 / (3 * p) * (lo * hi) ** (p - 2) * n1 * n2 / (hi**q - lo**q) ** 3
+
+            def tangent(mid, nb):
+                return (mid**p + q * nb**p - p * mid * nb**q) / abs(nb**q - mid**q)
+
+            c = [coupling(lo, hi) for lo, hi in zip(x[:-1], x[1:])]
+            diag = []
+            for k in range(1, len(x) - 1):
+                lo, mid, hi = x[k - 1 : k + 2]
+                grad = -q / (6 * p) * mid ** (p - 2) * (tangent(mid, hi) ** 2 - tangent(mid, lo) ** 2)
+                diag.append(p / mid * grad + lo / mid * c[k - 1] + hi / mid * c[k])
+            return np.array([float(v) for v in c]), np.array([float(v) for v in diag])
+
+    def test_matches_high_precision_couplings(self):
+        # float64 couplings lose accuracy to the cancelling numerators n1
+        # and n2: at worst 3.4e-9 on this grid, 2.9e-7 over 5800 grids
+        # drawn the same way
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(211)
+        for _ in range(100):
+            pf, bp = random_power_instance(rng, n_min=2, n_max=30, positive_lower=True)
+            sys = gradient_system(pf, bp)
+            coupling, diag = self._reference(mpmath, pf.p, bp.xi)
+            np.testing.assert_allclose(sys.coupling, coupling, rtol=1e-6, atol=0)
+            np.testing.assert_allclose(sys.hess_offdiag, coupling[1:-1], rtol=1e-6, atol=0)
+            np.testing.assert_allclose(sys.hess_diag, diag, rtol=1e-6, atol=0)
 
     def test_couplings_positive(self):
         rng = np.random.default_rng(26)
