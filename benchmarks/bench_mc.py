@@ -1,18 +1,23 @@
 #!/usr/bin/env python3
 """Time the Monte-Carlo oracle the way ``mc_volume`` runs it.
 
-Two parts, both on a fixed grid of bodies (every relaxation kind x p in
-{1.5, 2, 3.7, 6} x lower in {0, 0.15} on upper 1, 8 equal pieces):
+Three parts, the first two on a fixed grid of bodies (every relaxation
+kind x p in {1.5, 2, 3.7, 6} x lower in {0, 0.15} on upper 1, 8 equal
+pieces):
 
 * blocks: ``mc._block_hits`` on real 2**16-sample blocks, split into the
-  Philox draw (stream set-up, draw, scaling to the box) and the membership
-  kernel (``mc._kernel.count_hits``); medians per kind over bodies and
-  blocks.
+  draw (stream set-up, Philox draw and the map into the sampled cone, chunk
+  by chunk) and the membership kernel (``mc._kernel.count_hits``); medians
+  per kind over bodies and blocks.
 * target: the loop that brings one body to a relative stderr of 3e-3:
   a one-block pilot, then calls sized from the last estimate, on
   ``min(2, nproc)`` workers.  One op per body, ``--rounds`` rounds; the
   digest of every op's ``(hits, samples)`` shows whether two checkouts
   took the same hit decisions.
+* fanout: ``mc_volume`` on one plpr body (p = 3.7 on [0.15, 1], 8 pieces,
+  40 blocks, seed 3) on 1 and on 2 workers, 6 alternating runs each.
+
+The process's peak resident set (``ru_maxrss``) is recorded at the end.
 
     PYTHONPATH=src python3 benchmarks/bench_mc.py [--json PATH]
 
@@ -27,6 +32,7 @@ import json
 import math
 import os
 import platform
+import resource
 import statistics
 import time
 
@@ -64,16 +70,22 @@ def _cpu_model():
 
 
 def _time_block(body, seed, block):
-    """Draw and kernel times of one block, in seconds, and its hits."""
+    """Draw (with the map into the cone) and kernel times of one block, in
+    seconds, and its hits; the same chunks as ``mc._block_hits``."""
+    code, args = mc._KIND_CODE[body.kind], body._kernel_args()
+    draw = kernel = 0.0
+    hits = 0
     t0 = time.perf_counter()
     gen = np.random.Generator(np.random.Philox(key=seed).jumped(block))
-    xs, ys, zs = gen.random((3, mc.BLOCK_SIZE))
-    xs *= body.interval.upper
-    ys *= body.box_height
-    t1 = time.perf_counter()
-    hits = mc._kernel.count_hits(mc._KIND_CODE[body.kind], xs, ys, zs, *body._kernel_args())
-    t2 = time.perf_counter()
-    return t1 - t0, t2 - t1, hits
+    for _ in range(mc.BLOCK_SIZE // mc.CHUNK_SIZE):
+        xs, ys, zs = mc._to_cone(body, gen.random((3, mc.CHUNK_SIZE)))
+        t1 = time.perf_counter()
+        hits += mc._kernel.count_hits(code, xs, ys, zs, *args)
+        t2 = time.perf_counter()
+        draw += t1 - t0
+        kernel += t2 - t1
+        t0 = t2
+    return draw, kernel, hits
 
 
 def bench_blocks(blocks, seed):
@@ -146,6 +158,22 @@ def bench_target(rounds, rse, workers, seed):
     }
 
 
+def bench_fanout(runs=6, blocks=40, seed=3):
+    iv = Interval(0.15, 1.0)
+    body = make_body(RelaxationKind.PL_PR, PowerFn(3.7, iv), Breakpoints.equally_spaced(iv, PIECES))
+    samples = blocks * mc.BLOCK_SIZE
+    mc_volume(body, samples, seed, 1)  # warm-up
+    times = {1: [], 2: []}
+    for r in range(runs):
+        for workers in ((1, 2) if r % 2 == 0 else (2, 1)):
+            t0 = time.perf_counter()
+            mc_volume(body, samples, seed, workers)
+            times[workers].append(time.perf_counter() - t0)
+    one, two = statistics.median(times[1]), statistics.median(times[2])
+    return {"blocks": blocks, "runs": runs, "one_worker_s": one, "two_workers_s": two,
+            "speedup": one / two}
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--blocks", type=int, default=6, help="timed blocks per body")
@@ -164,7 +192,10 @@ def main():
         },
         "blocks": bench_blocks(args.blocks, SEED),
         "target": bench_target(args.rounds, TARGET_RSE, min(2, nproc), SEED),
+        "fanout": bench_fanout(),
     }
+    # Linux reports ru_maxrss in KiB
+    result["ru_maxrss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
     m = result["machine"]
     print(f"{m['nproc']} CPUs, numpy {m['numpy']}, kernel backend {m['kernel_backend']}")
@@ -178,6 +209,10 @@ def main():
           f"round {t['median_round_s']:.3f} s (median of {len(t['round_s'])}), "
           f"op {t['median_op_ms']:.1f} ms, {t['msamples_per_s']:.1f} Msample/s, "
           f"hits digest {t['hits_digest']}")
+    f = result["fanout"]
+    print(f"fan-out over {f['blocks']} blocks: 1 worker {f['one_worker_s']:.3f} s, "
+          f"2 workers {f['two_workers_s']:.3f} s, speedup {f['speedup']:.2f} "
+          f"(medians of {f['runs']}); peak RSS {result['ru_maxrss_mb']:.1f} MB")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(result, fh, indent=1)

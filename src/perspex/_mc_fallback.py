@@ -1,13 +1,13 @@
 """Vectorized numpy membership kernel for the Monte-Carlo oracle.
 
-Box first: the three inequalities every body shares (``lo*z <= x <=
-hi*z`` and the secant plane ``y <= sec_z*z + sec_x*x``) are evaluated over
-the whole block, and the body's own lower-bound test (powers, the
-``Z_FLOOR`` face, the piecewise-linear lookup) runs only on the samples
-that pass them.  Per-sample arithmetic does not depend on which samples
-survive, so the hits are those of testing every sample.  Kind codes: 0
-naive, 1 perspective, 2 PL perspective, 3 extended naive, 4 PL extended
-naive.
+A sample is inside a body when it passes the three inequalities every
+body shares (``lo*z <= x <= hi*z`` and the secant plane ``y <= sec_z*z +
+sec_x*x``) and the body's own lower-bound test (powers, the ``Z_FLOOR``
+face, the piecewise-linear lookup).  Both run on every sample: the oracle
+draws in the cone the shared inequalities cut out, so nearly every sample
+passes them and compacting the survivors would cost more than it saves.
+Kind codes: 0 naive, 1 perspective, 2 PL perspective, 3 extended naive,
+4 PL extended naive.
 """
 
 from __future__ import annotations
@@ -27,19 +27,18 @@ def _power(v: np.ndarray, q: float) -> np.ndarray:
 
 
 def _pl_eval(kx: np.ndarray, ky: np.ndarray, w: np.ndarray) -> np.ndarray:
-    k = np.searchsorted(kx, w, side="right") - 1
-    np.clip(k, 0, kx.size - 2, out=k)
-    slope = (ky[k + 1] - ky[k]) / (kx[k + 1] - kx[k])
-    return ky[k] + slope * (w - kx[k])
+    # piece k holds kx[k] <= w < kx[k+1]; the end pieces extend outwards
+    k = np.searchsorted(kx[1:-1], w, side="right")
+    slope = (ky[1:] - ky[:-1]) / (kx[1:] - kx[:-1])
+    return ky[k] + slope[k] * (w - kx[k])
 
 
-def _inside(kind, xs, ys, zs, lo, hi, p, sec_z, sec_x, kx, ky, ext_slope):
-    """Indices of the samples inside the shared box, and which of them also
-    pass the body's lower-bound test."""
+def membership_mask(kind, x, y, z, lo, hi, p, sec_z, sec_x, kx, ky, ext_slope):
+    """Which points ``(x, y, z)`` lie in the body: the shared planes and the
+    body's lower bound."""
     if kind not in range(5):
         raise ValueError(f"unknown body kind code {kind}")
-    idx = np.flatnonzero((xs >= lo * zs) & (xs <= hi * zs) & (ys <= sec_z * zs + sec_x * xs))
-    x, y, z = xs[idx], ys[idx], zs[idx]
+    inside = (x >= lo * z) & (x <= hi * z) & (y <= sec_z * z + sec_x * x)
     if kind == 0:
         lower = y >= _power(x, p)
     elif kind == 1:
@@ -53,16 +52,10 @@ def _inside(kind, xs, ys, zs, lo, hi, p, sec_z, sec_x, kx, ky, ext_slope):
         lower = y >= np.where(x < lo, ext_slope * x, _power(x, p))
     else:
         lower = y >= np.where(x < lo, ext_slope * x, _pl_eval(kx, ky, x))
-    return idx, lower
+    inside &= lower
+    return inside
 
 
-def membership_mask(kind, xs, ys, zs, lo, hi, p, sec_z, sec_x, kx, ky, ext_slope):
-    idx, lower = _inside(kind, xs, ys, zs, lo, hi, p, sec_z, sec_x, kx, ky, ext_slope)
-    mask = np.zeros(xs.shape, dtype=bool)
-    mask[idx[lower]] = True
-    return mask
-
-
-def count_hits(kind, xs, ys, zs, lo, hi, p, sec_z, sec_x, kx, ky, ext_slope) -> int:
-    _, lower = _inside(kind, xs, ys, zs, lo, hi, p, sec_z, sec_x, kx, ky, ext_slope)
-    return int(np.count_nonzero(lower))
+def count_hits(kind, x, y, z, lo, hi, p, sec_z, sec_x, kx, ky, ext_slope) -> int:
+    mask = membership_mask(kind, x, y, z, lo, hi, p, sec_z, sec_x, kx, ky, ext_slope)
+    return int(np.count_nonzero(mask))

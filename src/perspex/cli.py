@@ -267,7 +267,7 @@ def cmd_mc(args) -> dict:
         "mean": est.mean,
         "stderr": est.stderr,
         "hits": est.hits,
-        "box_volume": est.box_volume,
+        "box_volume": est.box_volume,  # volume of the sampled cone
     }
     if args.check:
         ref = closed_form_volume(kind, pf, bp)

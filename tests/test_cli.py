@@ -236,3 +236,10 @@ class TestOutputContracts:
             code, out, err = run_cli(*argv)
             assert code == 2 and out == "" and err.startswith("error: DegenerateTangents")
             assert "Warning" not in err
+        for argv in (
+            ("mc", "--p", "150", "--l", "0", "--u", "1000", "--relax", "nr"),
+            ("mc", "--p", "150", "--l", "1e-5", "--u", "1e-3", "--relax", "pr"),
+        ):
+            code, out, err = run_cli(*argv)
+            assert code == 2 and out == "" and err.startswith("error: DomainError")
+            assert "Warning" not in err

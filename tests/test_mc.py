@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from perspex import (
     mc_volume,
     volume_power_closed_form,
 )
+from perspex.power import closed_form_volume
 from perspex import mc as mc_mod
 from perspex._mc_fallback import Z_FLOOR
 
@@ -142,6 +145,14 @@ class TestMembership:
         assert body.membership(0.9, 0.85, 0.95).item()
         assert not body.membership(0.9, 0.5, 0.95).item()
 
+    def test_points_outside_the_planes_are_out_without_warnings(self):
+        # negative x makes x**p NaN for non-integer p, huge x makes it inf
+        for body in _bodies(p=3.7).values():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                mask = body.membership([-0.5, 1e300, 0.7], [0.1, 1e300, 0.1], [0.5, 0.5, -0.5])
+            assert not mask.any()
+
     def test_extension_below_lower_end(self):
         # with lower > 0, points under the chord from the origin are out
         body = _bodies()[RelaxationKind.E_NR]
@@ -152,9 +163,10 @@ class TestMembership:
         assert not body.membership(x, chord - 1e-6, z).item()
 
 
-# Hits per 64k block, blocks 0-2, recorded with the kernel that tested every
-# sample of a block: body (kind, lower, p) on [lower, 2] with 5 equal pieces
-# for the PL kinds, keyed by seed.
+# Kernel hits per 64k block of the bounding-box stream (Philox draws scaled to
+# [0, upper] x [0, f(upper)] x [0, 1]), blocks 0-2, recorded with the kernel
+# that tested every sample of a block: body (kind, lower, p) on [lower, 2] with
+# 5 equal pieces for the PL kinds, keyed by seed.
 GOLDEN_UPPER = 2.0
 GOLDEN_SEEDS = (7, 8, 9)
 GOLDEN_BLOCKS = 3
@@ -179,6 +191,32 @@ GOLDEN_HITS = {
     ('plenr', 0.0, 3.7): {7: (8550, 8586, 8744), 8: (8703, 8537, 8546), 9: (8688, 8472, 8635)},
     ('plenr', 0.3, 2.0): {7: (4046, 4152, 4163), 8: (4184, 4065, 4043), 9: (4134, 4094, 4124)},
     ('plenr', 0.3, 3.7): {7: (6875, 6906, 7038), 8: (7077, 6879, 6833), 9: (7029, 6892, 6969)},
+}
+
+# Hits of mc._block_hits, the same bodies, seeds and blocks, recorded when
+# the oracle began to draw uniformly in the cone every body lies in, chunk by
+# chunk; the kernel pinned by GOLDEN_HITS was unchanged by that step.
+GOLDEN_CONE_HITS = {
+    ('enr', 0.0, 2.0): {7: (32972, 32430, 32705), 8: (32731, 33094, 32762), 9: (32890, 32797, 32857)},
+    ('enr', 0.0, 3.7): {7: (50918, 50677, 50733), 8: (50962, 51161, 50781), 9: (51215, 51006, 50914)},
+    ('enr', 0.3, 2.0): {7: (27991, 27572, 27899), 8: (27819, 28193, 27939), 9: (27905, 27933, 27976)},
+    ('enr', 0.3, 3.7): {7: (48316, 48110, 48182), 8: (48416, 48609, 48189), 9: (48587, 48416, 48470)},
+    ('nr', 0.0, 2.0): {7: (32972, 32430, 32705), 8: (32731, 33094, 32762), 9: (32890, 32797, 32857)},
+    ('nr', 0.0, 3.7): {7: (50918, 50677, 50733), 8: (50962, 51161, 50781), 9: (51215, 51006, 50914)},
+    ('nr', 0.3, 2.0): {7: (28091, 27680, 28018), 8: (27919, 28307, 28061), 9: (28018, 28044, 28079)},
+    ('nr', 0.3, 3.7): {7: (48329, 48119, 48191), 8: (48427, 48617, 48196), 9: (48593, 48424, 48474)},
+    ('plenr', 0.0, 2.0): {7: (33628, 33077, 33355), 8: (33353, 33765, 33414), 9: (33546, 33472, 33505)},
+    ('plenr', 0.0, 3.7): {7: (51534, 51332, 51357), 8: (51601, 51791, 51377), 9: (51831, 51637, 51504)},
+    ('plenr', 0.3, 2.0): {7: (28363, 27943, 28256), 8: (28227, 28578, 28309), 9: (28330, 28321, 28358)},
+    ('plenr', 0.3, 3.7): {7: (48818, 48603, 48695), 8: (48902, 49112, 48740), 9: (49122, 48958, 48925)},
+    ('plpr', 0.0, 2.0): {7: (22393, 22065, 22293), 8: (22256, 22471, 22348), 9: (22363, 22293, 22404)},
+    ('plpr', 0.0, 3.7): {7: (38346, 38217, 38416), 8: (38566, 38787, 38299), 9: (38704, 38425, 38450)},
+    ('plpr', 0.3, 2.0): {7: (15777, 15498, 15898), 8: (15760, 16021, 15779), 9: (15758, 15760, 15831)},
+    ('plpr', 0.3, 3.7): {7: (33442, 33213, 33367), 8: (33462, 33908, 33355), 9: (33711, 33390, 33486)},
+    ('pr', 0.0, 2.0): {7: (21944, 21602, 21839), 8: (21850, 22054, 21895), 9: (21905, 21852, 21956)},
+    ('pr', 0.0, 3.7): {7: (37542, 37490, 37585), 8: (37776, 38020, 37542), 9: (37933, 37602, 37662)},
+    ('pr', 0.3, 2.0): {7: (15503, 15202, 15568), 8: (15436, 15716, 15484), 9: (15468, 15440, 15525)},
+    ('pr', 0.3, 3.7): {7: (32776, 32535, 32718), 8: (32776, 33228, 32704), 9: (33037, 32738, 32809)},
 }
 
 # Packed BodySpec.membership masks on _boundary_points, same recording.
@@ -228,13 +266,30 @@ class TestGoldenHits:
 
     @pytest.mark.parametrize("key", sorted(GOLDEN_HITS))
     def test_block_hits(self, key):
+        # the kernel on the bounding-box stream the oracle sampled before it
+        # drew in the cone: block b is Philox(seed).jumped(b) scaled to
+        # [0, upper] x [0, f(upper)] x [0, 1]
+        body = _golden_body(*key)
+        code = mc_mod._KIND_CODE[body.kind]
+        for seed in GOLDEN_SEEDS:
+            hits = []
+            for b in range(GOLDEN_BLOCKS):
+                gen = np.random.Generator(np.random.Philox(key=seed).jumped(b))
+                xs, ys, zs = gen.random((3, mc_mod.BLOCK_SIZE))
+                xs *= body.interval.upper
+                ys *= body.box_height
+                hits.append(mc_mod._kernel.count_hits(code, xs, ys, zs, *body._kernel_args()))
+            assert tuple(hits) == GOLDEN_HITS[key][seed], seed
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN_CONE_HITS))
+    def test_cone_block_hits(self, key):
         body = _golden_body(*key)
         for seed in GOLDEN_SEEDS:
             hits = tuple(
                 mc_mod._block_hits(body, seed, b, mc_mod.BLOCK_SIZE)
                 for b in range(GOLDEN_BLOCKS)
             )
-            assert hits == GOLDEN_HITS[key][seed], seed
+            assert hits == GOLDEN_CONE_HITS[key][seed], seed
 
     @pytest.mark.parametrize("kind", [k.value for k in RelaxationKind])
     def test_boundary_points(self, kind):
@@ -257,6 +312,82 @@ class TestGoldenHits:
             assert not body.membership(xs, ys, zs).any()
         with pytest.raises(ValueError, match="unknown body kind code"):
             mc_mod._kernel.count_hits(5, xs, ys, zs, *body._kernel_args())
+
+
+def _random_bodies(count, seed):
+    """Seeded bodies of every kind: l/u 0 or up to 0.9, upper in [0.1, 100];
+    p = 2 for the kinds with quadratic closed forms only, p in [1.1, 8] and
+    2 to 12 equal pieces for the piecewise-linear kinds."""
+    rng = np.random.default_rng(seed)
+    kinds = list(RelaxationKind)
+    out = []
+    for i in range(count):
+        kind = kinds[i % len(kinds)]
+        upper = 10.0 ** rng.uniform(-1.0, 2.0)
+        lower = 0.0 if i % 2 == 0 else upper * rng.uniform(0.0, 0.9)
+        iv = Interval(lower, upper)
+        if kind in (RelaxationKind.PL_PR, RelaxationKind.PL_E_NR):
+            pf = PowerFn(rng.uniform(1.1, 8.0), iv)
+            bp = Breakpoints.equally_spaced(iv, int(rng.integers(2, 13)))
+        else:
+            pf, bp = PowerFn(2.0, iv), None
+        out.append((make_body(kind, pf, bp), closed_form_volume(kind, pf, bp)))
+    return out
+
+
+class TestConeSampler:
+    """The oracle draws uniformly in the cone every body lies in."""
+
+    def test_estimates_match_closed_forms(self):
+        bodies = _random_bodies(60, seed=2718)
+        zs = []
+        for i, (body, exact) in enumerate(bodies):
+            est = mc_volume(body, 4 * mc_mod.BLOCK_SIZE, seed=1000 + i)
+            zs.append((est.mean - exact) / est.stderr)
+        zs = np.array(zs)
+        assert np.abs(zs).max() <= 5.0, zs
+        assert abs(zs.mean()) <= 4.0 / np.sqrt(zs.size), zs.mean()
+
+    def test_chunk_points_lie_in_the_shared_cone(self):
+        bodies = [body for body, _ in _random_bodies(20, seed=31)]
+        bodies.append(_golden_body("plpr", 0.3, 3.7))
+        bodies.append(make_body(RelaxationKind.PR, PowerFn(3.0, Interval(1000.0, 1000.001))))
+        for i, body in enumerate(bodies):
+            gen = np.random.Generator(np.random.Philox(key=i))
+            xs, ys, zs = mc_mod._to_cone(body, gen.random((3, mc_mod.CHUNK_SIZE)))
+            lo, hi = body.interval.lower, body.interval.upper
+            assert ((zs >= 0.0) & (zs <= 1.0)).all()
+            assert (xs >= lo * zs).all() and (xs <= hi * zs).all()
+            assert ((ys >= 0.0) & (ys <= body.secant_z * zs + body.secant_x * xs)).all()
+
+    def test_box_volume_is_the_cone_volume(self):
+        for body, _ in _random_bodies(20, seed=5):
+            lo, up = body.interval.lower, body.interval.upper
+            pf = PowerFn(body.p, body.interval)
+            assert body.box_volume == (up - lo) * (pf(lo) + pf(up)) / 6.0
+
+    def test_zero_uniforms_map_to_the_apex(self):
+        for iv in (UNIT, HALF):
+            body = make_body(RelaxationKind.PR, PowerFn(3.0, iv))
+            with warnings.catch_warnings(), np.errstate(all="raise"):
+                warnings.simplefilter("error")
+                point = mc_mod._to_cone(body, np.zeros((3, 1)))
+            assert (point == 0.0).all()
+
+    @pytest.mark.parametrize("kind", [k.value for k in RelaxationKind])
+    def test_hits_do_not_depend_on_workers_or_chunking(self, kind):
+        iv = Interval(0.2, 1.5)
+        body = make_body(RelaxationKind(kind), PowerFn(3.7, iv), Breakpoints.equally_spaced(iv, 6))
+        samples = 2 * mc_mod.BLOCK_SIZE + mc_mod.CHUNK_SIZE + 1234  # not a multiple of a chunk
+        hits = {w: mc_volume(body, samples, seed=3, workers=w).hits for w in (1, 2, 4)}
+        assert hits[1] == hits[2] == hits[4]
+        gen = np.random.Generator(np.random.Philox(key=3).jumped(2))
+        tail = 0
+        for m in (mc_mod.CHUNK_SIZE, 1234):
+            xs, ys, zs = mc_mod._to_cone(body, gen.random((3, m)))
+            tail += np.count_nonzero(body.membership(xs, ys, zs))
+        full = sum(mc_mod._block_hits(body, 3, b, mc_mod.BLOCK_SIZE) for b in range(2))
+        assert hits[1] == full + tail
 
 
 class TestWorkers:
