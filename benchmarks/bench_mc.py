@@ -2,18 +2,19 @@
 """Time the Monte-Carlo oracle the way ``mc_volume`` runs it.
 
 Three parts, the first two on a fixed grid of bodies (every relaxation
-kind x p in {1.5, 2, 3.7, 6} x lower in {0, 0.15} on upper 1, 8 equal
+kind x p in {1.5, 2, 3.7, 6} x lower in {0, 0.15, 0.5} on upper 1, 8 equal
 pieces):
 
 * blocks: ``mc._block_hits`` on real 2**16-sample blocks, split into the
-  draw (stream set-up, Philox draw and the map into the sampled cone, chunk
-  by chunk) and the membership kernel (``mc._kernel.count_hits``); medians
-  per kind over bodies and blocks.
+  draw (stream set-up, Philox draw and the map into the cone's footprint,
+  chunk by chunk) and the column kernel (``mc._kernel.count_hits``);
+  medians per kind and lower end over exponents and blocks.
 * target: the loop that brings one body to a relative stderr of 3e-3:
-  a one-block pilot, then calls sized from the last estimate, on
-  ``min(2, nproc)`` workers.  One op per body, ``--rounds`` rounds; the
-  digest of every op's ``(hits, samples)`` shows whether two checkouts
-  took the same hit decisions.
+  a one-block pilot, then calls sized from the last estimate's hits as
+  the benchmark's mc-target workload sizes them, on ``min(2, nproc)``
+  workers.  One op per body, ``--rounds`` rounds; the digest of every op's
+  ``(hits, samples, mean, stderr)`` shows whether two checkouts reached the
+  same estimates.
 * fanout: ``mc_volume`` on one plpr body (p = 3.7 on [0.15, 1], 8 pieces,
   40 blocks, seed 3) on 1 and on 2 workers, 6 alternating runs each.
 
@@ -21,9 +22,8 @@ The process's peak resident set (``ru_maxrss``) is recorded at the end.
 
     PYTHONPATH=src python3 benchmarks/bench_mc.py [--json PATH]
 
-Times whichever kernel ``perspex.mc`` loaded, so the same script measures
-any checkout; ``KERNEL_BACKEND``, nproc and the numpy version are recorded
-beside the numbers.
+``KERNEL_BACKEND``, nproc and the numpy version are recorded beside the
+numbers.
 """
 
 import argparse
@@ -43,16 +43,16 @@ from perspex import Breakpoints, Interval, PowerFn, RelaxationKind, make_body, m
 from perspex import mc
 
 EXPONENTS = (1.5, 2.0, 3.7, 6.0)
-LOWERS = (0.0, 0.15)
+LOWERS = (0.0, 0.15, 0.5)
 PIECES = 8
 TARGET_RSE = 3e-3
 SEED = 1
 
 
-def _bodies(kind):
+def _bodies(kind, lowers=LOWERS):
     out = []
     for p in EXPONENTS:
-        for lower in LOWERS:
+        for lower in lowers:
             iv = Interval(lower, 1.0)
             out.append(make_body(kind, PowerFn(p, iv), Breakpoints.equally_spaced(iv, PIECES)))
     return out
@@ -70,53 +70,59 @@ def _cpu_model():
 
 
 def _time_block(body, seed, block):
-    """Draw (with the map into the cone) and kernel times of one block, in
-    seconds, and its hits; the same chunks as ``mc._block_hits``."""
+    """Draw (with the map into the footprint) and kernel times of one block,
+    in seconds, and its ``(hits, count, mean, M2)``; the same chunks as
+    ``mc._block_hits``."""
     code, args = mc._KIND_CODE[body.kind], body._kernel_args()
     draw = kernel = 0.0
-    hits = 0
+    total = None
     t0 = time.perf_counter()
     gen = np.random.Generator(np.random.Philox(key=seed).jumped(block))
     for _ in range(mc.BLOCK_SIZE // mc.CHUNK_SIZE):
-        xs, ys, zs = mc._to_cone(body, gen.random((3, mc.CHUNK_SIZE)))
+        ws, zs = mc._to_cone(body, gen.random((2, mc.CHUNK_SIZE)))
         t1 = time.perf_counter()
-        hits += mc._kernel.count_hits(code, xs, ys, zs, *args)
+        hits, mean, m2 = mc._kernel.count_hits(code, ws, zs, *args)
         t2 = time.perf_counter()
         draw += t1 - t0
         kernel += t2 - t1
         t0 = t2
-    return draw, kernel, hits
+        part = (hits, mc.CHUNK_SIZE, mean, m2)
+        total = part if total is None else mc._merge(total, part)
+    return draw, kernel, total
 
 
 def bench_blocks(blocks, seed):
     rows = {}
     for kind in RelaxationKind:
-        draw, kernel, whole, hits = [], [], [], 0
-        for body in _bodies(kind):
-            _time_block(body, seed, 0)  # warm-up
-            for b in range(blocks):
-                d, k, h = _time_block(body, seed, b)
-                t0 = time.perf_counter()
-                same = mc._block_hits(body, seed, b, mc.BLOCK_SIZE)
-                whole.append(time.perf_counter() - t0)
-                if same != h:
-                    raise RuntimeError(f"split block disagrees with _block_hits for {kind.value}")
-                draw.append(d)
-                kernel.append(k)
-                hits += h
-        samples = len(whole) * mc.BLOCK_SIZE
-        rows[kind.value] = {
-            "draw_ms": statistics.median(draw) * 1e3,
-            "kernel_ms": statistics.median(kernel) * 1e3,
-            "block_ms": statistics.median(whole) * 1e3,
-            "hit_frac": hits / samples,
-            "blocks": len(whole),
-        }
+        for lower in LOWERS:
+            draw, kernel, whole, hits, frac = [], [], [], 0, []
+            for body in _bodies(kind, (lower,)):
+                _time_block(body, seed, 0)  # warm-up
+                for b in range(blocks):
+                    d, k, part = _time_block(body, seed, b)
+                    t0 = time.perf_counter()
+                    same = mc._block_hits(body, seed, b, mc.BLOCK_SIZE)
+                    whole.append(time.perf_counter() - t0)
+                    if same != part:
+                        raise RuntimeError(f"split block disagrees with _block_hits for {kind.value}")
+                    draw.append(d)
+                    kernel.append(k)
+                    hits += part[0]
+                    frac.append(part[2])
+            rows[f"{kind.value} l={lower:g}"] = {
+                "draw_ms": statistics.median(draw) * 1e3,
+                "kernel_ms": statistics.median(kernel) * 1e3,
+                "block_ms": statistics.median(whole) * 1e3,
+                "hit_frac": hits / (len(whole) * mc.BLOCK_SIZE),
+                "mean_fraction": statistics.fmean(frac),
+                "blocks": len(whole),
+            }
     return rows
 
 
 def _samples_for(est, rse):
-    """Whole blocks expected to bring the relative stderr under ``rse``."""
+    """Whole blocks expected to bring the relative stderr under ``rse``, from
+    the hit fraction, as the benchmark's mc-target workload sizes them."""
     frac = est.hits / est.samples
     if frac == 0.0:
         return 16 * est.samples
@@ -142,7 +148,7 @@ def bench_target(rounds, rse, workers, seed):
             est = _to_target(body, seed + i, rse, workers)
             op_ms.append((time.perf_counter() - t0) * 1e3)
             if r == 0:
-                digest.update(f"{est.hits},{est.samples};".encode())
+                digest.update(f"{est.hits},{est.samples},{est.mean!r},{est.stderr!r};".encode())
                 samples += est.samples
         round_s.append(time.perf_counter() - t_round)
     return {
@@ -154,7 +160,7 @@ def bench_target(rounds, rse, workers, seed):
         "median_op_ms": statistics.median(op_ms),
         "samples_per_round": samples,
         "msamples_per_s": samples / statistics.median(round_s) / 1e6,
-        "hits_digest": digest.hexdigest()[:16],
+        "digest": digest.hexdigest()[:16],
     }
 
 
@@ -199,16 +205,17 @@ def main():
 
     m = result["machine"]
     print(f"{m['nproc']} CPUs, numpy {m['numpy']}, kernel backend {m['kernel_backend']}")
-    print(f"\nper 2**16-sample block, medians over {len(EXPONENTS) * len(LOWERS)} bodies")
-    print(f"{'body':8s} {'draw ms':>8s} {'kernel ms':>10s} {'block ms':>9s} {'hit frac':>9s}")
-    for kind, row in result["blocks"].items():
-        print(f"{kind:8s} {row['draw_ms']:8.3f} {row['kernel_ms']:10.3f} "
-              f"{row['block_ms']:9.3f} {row['hit_frac']:9.4f}")
+    print(f"\nper 2**16-sample block, medians over {len(EXPONENTS)} exponents")
+    print(f"{'body':12s} {'draw ms':>8s} {'kernel ms':>10s} {'block ms':>9s} {'hit frac':>9s} "
+          f"{'mean g':>7s}")
+    for name, row in result["blocks"].items():
+        print(f"{name:12s} {row['draw_ms']:8.3f} {row['kernel_ms']:10.3f} "
+              f"{row['block_ms']:9.3f} {row['hit_frac']:9.4f} {row['mean_fraction']:7.4f}")
     t = result["target"]
     print(f"\n{t['ops_per_round']} ops to relative stderr {t['rse']:g} on {t['workers']} workers: "
           f"round {t['median_round_s']:.3f} s (median of {len(t['round_s'])}), "
           f"op {t['median_op_ms']:.1f} ms, {t['msamples_per_s']:.1f} Msample/s, "
-          f"hits digest {t['hits_digest']}")
+          f"digest {t['digest']}")
     f = result["fanout"]
     print(f"fan-out over {f['blocks']} blocks: 1 worker {f['one_worker_s']:.3f} s, "
           f"2 workers {f['two_workers_s']:.3f} s, speedup {f['speedup']:.2f} "

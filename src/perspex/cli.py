@@ -161,7 +161,7 @@ def cmd_volume(args) -> dict:
             "seed": est.seed,
             "mean": est.mean,
             "stderr": est.stderr,
-            "sigma_distance": abs(vol - est.mean) / est.stderr if est.stderr > 0 else 0.0,
+            **_sigma_distance(vol, est),
         }
     return report
 
@@ -247,6 +247,21 @@ def cmd_compare(args) -> dict:
     }
 
 
+def _sigma_distance(ref: float, est) -> dict:
+    """``sigma_distance`` of the estimate from ``ref``.  With a zero stderr it
+    is 0 only when the mean equals ``ref``; otherwise it is ``None`` and a
+    ``note`` says why."""
+    if est.stderr > 0:
+        return {"sigma_distance": abs(ref - est.mean) / est.stderr}
+    if est.mean == ref:
+        return {"sigma_distance": 0.0}
+    return {
+        "sigma_distance": None,
+        "note": "zero stderr: the estimate differs from the analytic volume "
+        "by an unknown number of standard errors",
+    }
+
+
 def cmd_mc(args) -> dict:
     pf = _power(args)
     kind = RelaxationKind.from_tag(args.relax)
@@ -276,9 +291,7 @@ def cmd_mc(args) -> dict:
             report["note"] = "no analytic reference"
         else:
             report["analytic"] = ref
-            report["sigma_distance"] = (
-                abs(ref - est.mean) / est.stderr if est.stderr > 0 else 0.0
-            )
+            report.update(_sigma_distance(ref, est))
     return report
 
 

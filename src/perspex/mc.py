@@ -1,31 +1,42 @@
-"""Seeded hit-or-miss Monte-Carlo volumes for the relaxation bodies.
+"""Seeded conditional Monte-Carlo volumes for the relaxation bodies.
 
 Ground truth for every closed form in the package, kept deliberately
-independent of them: membership is tested straight from the defining
-inequalities of each body.
+independent of them: each body's lower bound is evaluated straight from its
+defining inequalities.
 
 Every body lies in one cone, cut out by ``lower*z <= x <= upper*z``,
 ``y >= 0`` and the secant plane through ``(lower, f(lower), 1)`` and
 ``(upper, f(upper), 1)``: the cone with apex at the origin over the
 trapezoid ``{lower <= w <= upper, 0 <= v <= chord(w)}`` at ``z = 1``, of
-volume ``(upper - lower) * (f(lower) + f(upper)) / 6``.  Samples are drawn
-uniformly in that cone, not in a bounding box, so almost none of them is
-wasted on points no body can contain.
+volume ``box_volume = (upper - lower) * (f(lower) + f(upper)) / 6``.
+
+The oracle draws no ``y``: it draws columns ``(w, z)``, distributed as the
+footprint coordinates ``(x / z, z)`` of a point uniform in the cone, and
+integrates ``y`` exactly over each column ``0 <= y <= z * chord(w)``.  The
+column's share ``g`` in the body is ``(S - L) / S``, clipped to ``[0, 1]``,
+with ``S`` the secant plane and ``L`` the body's lower bound at ``(x = z*w,
+z)``.  The volume is ``box_volume * E[g]``, estimated by the sample mean of
+``g`` with the sample standard error; ``hits`` counts the columns that meet
+the body (``g > 0``).
 
 Sampling is a pure function of ``(seed, sample index)``: samples are
 partitioned into fixed blocks of ``2**16`` and block ``b`` draws from the
-counter-based Philox stream ``Philox(seed).jumped(b)``, so estimates are
-bit-identical regardless of the number of workers.  A block is drawn,
-mapped into the cone and tested in chunks of ``2**13`` samples, which keeps
-every temporary cache-sized.  Membership is counted by the numpy kernel in
-``_mc_fallback``.
+counter-based Philox stream ``Philox(seed).jumped(b)``.  A block is drawn,
+mapped into the footprint and scored in chunks of ``2**13`` samples, which
+keeps every temporary cache-sized; each chunk yields a ``(count, mean, M2)``
+partial (``M2`` the sum of squared deviations from the chunk mean), and the
+partials are merged in block order, so estimates are bit-identical
+regardless of the number of workers.  The numpy kernel in ``_mc_fallback``
+scores the chunks.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 from math import inf, isfinite, sqrt
 
 import numpy as np
@@ -56,7 +67,7 @@ _PL_KINDS = (RelaxationKind.PL_PR, RelaxationKind.PL_E_NR)
 
 @dataclass(frozen=True, eq=False)
 class BodySpec:
-    """One relaxation body reduced to kernel-ready membership data.
+    """One relaxation body reduced to the data its column kernel needs.
 
     ``box_volume`` and ``box_height`` keep their names from the bounding box
     the oracle once sampled; the sampled region is now the cone every body
@@ -84,7 +95,6 @@ class BodySpec:
         ky = est.y if est is not None else _EMPTY
         return (
             self.interval.lower,
-            self.interval.upper,
             self.p,
             self.secant_z,
             self.secant_x,
@@ -93,24 +103,11 @@ class BodySpec:
             self.extension_slope,
         )
 
-    def membership(self, x, y, z) -> np.ndarray:
-        """Vectorized membership predicate over point coordinates."""
-        x, y, z = np.broadcast_arrays(
-            np.asarray(x, dtype=float), np.asarray(y, dtype=float), np.asarray(z, dtype=float)
-        )
-        # the kernel tests every point: outside the shared planes (negative or
-        # huge x) the lower bound may be NaN or inf, and the planes reject it
-        with np.errstate(invalid="ignore", over="ignore"):
-            mask = _kernel.membership_mask(
-                _KIND_CODE[self.kind], x.ravel(), y.ravel(), z.ravel(), *self._kernel_args()
-            )
-        return mask.reshape(x.shape)
-
 
 def make_body(
     kind: RelaxationKind, power: PowerFn, breakpoints: Breakpoints | None = None
 ) -> BodySpec:
-    """Assemble the membership data of one relaxation body.
+    """Assemble the kernel data of one relaxation body.
 
     The piecewise-linear kinds need breakpoints to build the tangent
     under-estimator from; the others ignore them.  Raises ``DomainError``
@@ -157,10 +154,13 @@ def make_body(
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Hit-or-miss volume estimate with its binomial standard error.
+    """Conditional Monte-Carlo volume estimate with its standard error.
 
-    ``mean = box_volume * hits / samples``, where ``box_volume`` is the
-    volume of the sampled cone (``BodySpec.box_volume``).
+    ``mean = box_volume * mean(g)`` over the samples' column fractions ``g``
+    and ``stderr = box_volume * sqrt(M2 / (samples - 1) / samples)``, the
+    sample standard error, where ``box_volume`` is the volume of the sampled
+    cone (``BodySpec.box_volume``).  ``hits`` counts the sampled columns that
+    meet the body (``g > 0``).
     """
 
     mean: float
@@ -186,16 +186,16 @@ def _resolve_workers(workers: int | None) -> int:
 
 
 def _to_cone(body: BodySpec, r: np.ndarray) -> np.ndarray:
-    """Map uniforms ``r`` of shape ``(3, m)`` in place to points ``(x, y, z)``
-    uniform in the body's cone, and return ``r``.
+    """Map uniforms ``r`` of shape ``(2, m)`` in place to columns ``(w, z)``
+    uniform in the footprint of the body's cone, and return ``r``.
 
-    ``z = cbrt(U)`` has density ``3 z**2``.  ``w = x / z`` follows the
-    trapezoid's linear density on ``[lower, upper]``, by its inverse CDF, and
-    ``y`` is uniform under the secant plane at ``(x, z)``.
+    ``w`` follows the trapezoid's linear density on ``[lower, upper]``, by
+    its inverse CDF, and ``z = cbrt(U)`` has density ``3 z**2``: together,
+    the density of ``(x / z, z)`` for a point ``(x, y, z)`` uniform in the
+    cone.
     """
     lo, up = body.interval.lower, body.interval.upper
-    xs, ys, zs = r
-    np.cbrt(zs, out=zs)
+    ws, zs = r
     # t = (w - lo) / (up - lo) has density proportional to ratio + (1 - ratio) t,
     # so F(t) = U solves (1 - ratio) t**2 + 2 ratio t = (1 + ratio) U.  The root
     # is written in ratio = f(lo) / f(up) <= 1, so no power of f is squared,
@@ -203,44 +203,75 @@ def _to_cone(body: BodySpec, r: np.ndarray) -> np.ndarray:
     # form would reach as 0/0 at U = 0.
     ratio = body.lower_height / body.box_height
     if ratio == 0.0:
-        np.sqrt(xs, out=xs)
+        np.sqrt(ws, out=ws)
     else:
-        root = xs * (1.0 - ratio * ratio)
+        root = ws * (1.0 - ratio * ratio)
         root += ratio * ratio
         np.sqrt(root, out=root)
         root += ratio
-        xs *= 1.0 + ratio
-        xs /= root
-    xs *= up - lo
-    xs += lo
-    np.minimum(xs, up, out=xs)  # rounding must not step past the upper plane
-    xs *= zs
-    ys *= body.secant_z * zs + body.secant_x * xs  # the kernel's plane: y <= it holds in floats
+        ws *= 1.0 + ratio
+        ws /= root
+    ws *= up - lo
+    ws += lo
+    np.minimum(ws, up, out=ws)  # rounding must not step past the upper plane
+    np.cbrt(zs, out=zs)
     return r
 
 
-def _block_hits(body: BodySpec, seed: int, block: int, count: int) -> int:
+def _merge(a: tuple, b: tuple) -> tuple:
+    """Merge two ``(hits, count, mean, M2)`` partials by Chan et al.'s
+    pairwise update."""
+    hits_a, n_a, mean_a, m2_a = a
+    hits_b, n_b, mean_b, m2_b = b
+    n = n_a + n_b
+    delta = mean_b - mean_a
+    return (
+        hits_a + hits_b,
+        n,
+        mean_a + delta * (n_b / n),
+        m2_a + m2_b + delta * delta * (n_a * (n_b / n)),
+    )
+
+
+def _block_hits(body: BodySpec, seed: int, block: int, count: int) -> tuple:
+    """``(hits, count, mean, M2)`` of one block's column fractions, merged
+    chunk by chunk in draw order."""
     gen = np.random.Generator(np.random.Philox(key=seed).jumped(block))
     code, args = _KIND_CODE[body.kind], body._kernel_args()
-    hits = 0
+    total = None
     for start in range(0, count, CHUNK_SIZE):
-        xs, ys, zs = _to_cone(body, gen.random((3, min(CHUNK_SIZE, count - start))))
-        hits += _kernel.count_hits(code, xs, ys, zs, *args)
-    return hits
+        m = min(CHUNK_SIZE, count - start)
+        ws, zs = _to_cone(body, gen.random((2, m)))
+        hits, mean, m2 = _kernel.count_hits(code, ws, zs, *args)
+        part = (hits, m, mean, m2)
+        total = part if total is None else _merge(total, part)
+    return total
+
+
+def _integer(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 def mc_volume(
     body: BodySpec, samples: int, seed: int, workers: int | None = None
 ) -> McEstimate:
-    """Estimate the body volume from ``samples`` uniform draws in its cone.
+    """Estimate the body volume from ``samples`` columns drawn uniformly in
+    the footprint of its cone.
 
+    ``mean = box_volume * mean(g)`` over the column fractions ``g``, and
+    ``stderr = box_volume * sqrt(M2 / (samples - 1) / samples)``, both from
+    per-chunk ``(count, mean, M2)`` partials merged in block order.
     Deterministic in ``(seed, samples)``: rerunning or changing the worker
-    count never changes the hits, and extending the sample budget keeps the
-    hits of every whole chunk of ``CHUNK_SIZE`` samples already counted
-    (only a trailing partial chunk is drawn afresh).  ``workers=None``
-    defers to ``PERSPEX_THREADS`` (0 = one per CPU), defaulting to a single
-    worker.
+    count never changes a bit of the estimate, and extending the sample
+    budget keeps the partials of every whole chunk of ``CHUNK_SIZE`` samples
+    already drawn (only a trailing partial chunk is drawn afresh).
+    ``samples`` and ``seed`` must be integers.  ``workers=None`` defers to
+    ``PERSPEX_THREADS`` (0 = one per CPU), defaulting to a single worker.
     """
+    samples, seed = _integer("samples", samples), _integer("seed", seed)
     if samples < MIN_SAMPLES:
         raise DomainError(f"need at least {MIN_SAMPLES} samples, got {samples}")
     if not 0 <= seed < 2**64:
@@ -252,16 +283,16 @@ def mc_volume(
         for b in range((samples + BLOCK_SIZE - 1) // BLOCK_SIZE)
     ]
     if nworkers == 1 or len(blocks) == 1:
-        hits = sum(_block_hits(body, seed, b, m) for b, m in blocks)
+        parts = [_block_hits(body, seed, b, m) for b, m in blocks]
     else:
         with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            hits = sum(pool.map(lambda bm: _block_hits(body, seed, *bm), blocks))
+            parts = list(pool.map(lambda bm: _block_hits(body, seed, *bm), blocks))
+    hits, _, mean, m2 = reduce(_merge, parts)
 
-    frac = hits / samples
     box = body.box_volume
     return McEstimate(
-        mean=box * frac,
-        stderr=box * sqrt(frac * (1.0 - frac) / samples),
+        mean=box * mean,
+        stderr=box * sqrt(m2 / (samples - 1) / samples),
         samples=samples,
         seed=seed,
         hits=hits,

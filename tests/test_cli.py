@@ -6,6 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
+from perspex import McEstimate, cli
 from perspex.cli import main
 
 GOLDEN = (5.0**0.5 - 1.0) / 2.0
@@ -174,6 +175,37 @@ class TestMc:
         )
         assert report["analytic"] is None
         assert report["note"] == "no analytic reference"
+
+    def test_narrow_body_has_a_spread(self):
+        report = run_json(
+            "mc", "--p", "2", "--l", "1000", "--u", "1000.001", "--relax", "pr",
+            "--check", "--seed", "1", "--samples", "200000",
+        )
+        assert report["stderr"] > 0.0 and report["mean"] > 0.0
+        assert report["sigma_distance"] <= 4.0
+
+    @pytest.mark.parametrize("agrees", [False, True])
+    def test_zero_stderr_is_no_agreement(self, monkeypatch, agrees):
+        # an estimate with no spread says nothing about its distance from the
+        # closed form unless it equals it
+        def no_spread(body, samples, seed, workers=None):
+            mean = 1.0 / 18.0 if agrees else 0.0
+            return McEstimate(mean, 0.0, samples, seed, 0, body.box_volume)
+
+        monkeypatch.setattr(cli, "mc_volume", no_spread)
+        common = ("--p", "2", "--l", "0", "--u", "1", "--relax", "pr", "--check",
+                  "--samples", "20000", "--seed", "1")
+        mc_report = run_json("mc", *common)
+        volume_report = run_json("volume", *common)["mc_check"]
+        for report in (mc_report, volume_report):
+            if agrees:
+                assert report["sigma_distance"] == 0.0 and "note" not in report
+            else:
+                assert report["sigma_distance"] is None
+                assert "zero stderr" in report["note"]
+        if not agrees:  # CSV prints the null as an empty value
+            _, out, _ = run_cli("mc", *common, "--format", "csv")
+            assert "\nsigma_distance,\n" in out
 
 
 class TestOutputContracts:

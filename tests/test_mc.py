@@ -1,3 +1,4 @@
+import functools
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from perspex import (
     Interval,
     PowerFn,
     RelaxationKind,
+    build_underestimator,
     make_body,
     mc_volume,
     volume_power_closed_form,
@@ -27,6 +29,22 @@ def _bodies(p=2.0, iv=HALF, n=3):
     return {kind: make_body(kind, pf, bp) for kind in RelaxationKind}
 
 
+def _fractions(body, ws, zs):
+    """The kernel's column fractions of ``body`` on the columns ``(ws, zs)``."""
+    code = mc_mod._KIND_CODE[body.kind]
+    return mc_mod._kernel.column_fraction(code, ws, zs, *body._kernel_args())
+
+
+def _chunks(body, seed, samples):
+    """The columns ``mc_volume`` draws for ``samples``, chunk by chunk."""
+    for start in range(0, samples, mc_mod.BLOCK_SIZE):
+        gen = np.random.Generator(np.random.Philox(key=seed).jumped(start // mc_mod.BLOCK_SIZE))
+        count = min(mc_mod.BLOCK_SIZE, samples - start)
+        for offset in range(0, count, mc_mod.CHUNK_SIZE):
+            m = min(mc_mod.CHUNK_SIZE, count - offset)
+            yield mc_mod._to_cone(body, gen.random((2, m)))
+
+
 class TestDeterminism:
     def test_same_seed_same_estimate(self):
         body = make_body(RelaxationKind.PL_PR, PowerFn(2.0, UNIT), Breakpoints.equally_spaced(UNIT, 2))
@@ -38,7 +56,7 @@ class TestDeterminism:
         body = make_body(RelaxationKind.NR, PowerFn(2.0, UNIT))
         serial = mc_volume(body, 300_000, seed=5, workers=1)
         threaded = mc_volume(body, 300_000, seed=5, workers=4)
-        assert serial.hits == threaded.hits
+        assert serial == threaded
 
     def test_block_streams_are_pure_functions_of_seed_and_index(self):
         body = make_body(RelaxationKind.PR, PowerFn(2.0, UNIT))
@@ -47,19 +65,26 @@ class TestDeterminism:
         assert direct == again
 
     def test_different_seeds_differ(self):
+        # every sampled column meets this body, so the hits alone agree
         body = make_body(RelaxationKind.NR, PowerFn(2.0, UNIT))
-        assert mc_volume(body, 50_000, seed=1).hits != mc_volume(body, 50_000, seed=2).hits
+        assert mc_volume(body, 50_000, seed=1).mean != mc_volume(body, 50_000, seed=2).mean
 
 
 class TestEstimates:
-    def test_stderr_is_binomial(self):
-        body = make_body(RelaxationKind.NR, PowerFn(2.0, UNIT))
-        est = mc_volume(body, 40_000, seed=11)
-        frac = est.hits / est.samples
-        assert est.mean == pytest.approx(est.box_volume * frac, rel=1e-15)
-        assert est.stderr == pytest.approx(
-            est.box_volume * np.sqrt(frac * (1.0 - frac) / est.samples), rel=1e-15
-        )
+    def test_stderr_is_the_sample_standard_error(self):
+        # recompute every column fraction chunk by chunk, as the oracle draws them
+        iv = Interval(0.2, 1.5)
+        samples = mc_mod.BLOCK_SIZE + 3 * mc_mod.CHUNK_SIZE + 77
+        for kind in RelaxationKind:
+            body = make_body(kind, PowerFn(3.7, iv), Breakpoints.equally_spaced(iv, 6))
+            est = mc_volume(body, samples, seed=11)
+            g = np.concatenate([_fractions(body, ws, zs) for ws, zs in _chunks(body, 11, samples)])
+            assert g.size == samples
+            assert est.hits == np.count_nonzero(g > 0.0)
+            assert est.mean == pytest.approx(est.box_volume * g.mean(), rel=1e-13)
+            assert est.stderr == pytest.approx(
+                est.box_volume * g.std(ddof=1) / np.sqrt(samples), rel=1e-10
+            )
 
     @pytest.mark.parametrize(
         "kind,expected",
@@ -113,14 +138,24 @@ class TestEstimates:
         with pytest.raises(DomainError):
             make_body(RelaxationKind.PL_PR, PowerFn(2.0, UNIT))
 
+    def test_samples_and_seed_must_be_integers(self):
+        body = make_body(RelaxationKind.NR, PowerFn(2.0, UNIT))
+        with pytest.raises(DomainError, match="seed must be an integer"):
+            mc_volume(body, 50_000, seed=1.5)
+        with pytest.raises(DomainError, match="samples must be an integer"):
+            mc_volume(body, 1e5, seed=1)
+        # integral numpy scalars are integers
+        assert mc_volume(body, np.int64(50_000), seed=np.uint64(1)) == mc_volume(body, 50_000, 1)
+
 
 class TestMembership:
+    """Column fractions: the share of each sampled column inside the body."""
+
     def test_nesting_on_sampled_points(self):
         bodies = _bodies()
         gen = np.random.Generator(np.random.Philox(key=77))
-        r = gen.random((3, 20_000))
-        xs, ys, zs = r[0] * 1.0, r[1] * 1.0, r[2]
-        inside = {kind: body.membership(xs, ys, zs) for kind, body in bodies.items()}
+        ws, zs = mc_mod._to_cone(bodies[RelaxationKind.NR], gen.random((2, 20_000)))
+        share = {kind: _fractions(body, ws, zs) for kind, body in bodies.items()}
         pairs = [
             (RelaxationKind.PR, RelaxationKind.PL_PR),
             (RelaxationKind.PR, RelaxationKind.E_NR),
@@ -129,109 +164,123 @@ class TestMembership:
             (RelaxationKind.PL_PR, RelaxationKind.PL_E_NR),
         ]
         for small, large in pairs:
-            assert not (inside[small] & ~inside[large]).any(), f"{small} not inside {large}"
+            assert (share[small] <= share[large]).all(), f"{small} not inside {large}"
         # and the chain is strict somewhere on this sample
-        assert inside[RelaxationKind.PR].sum() < inside[RelaxationKind.PL_PR].sum()
+        assert share[RelaxationKind.PR].sum() < share[RelaxationKind.PL_PR].sum()
 
     def test_extension_degenerates_at_zero_lower(self):
         # with lower == 0 there is nothing to extend: E+NR and NR coincide
         pf = PowerFn(2.0, UNIT)
         nr = mc_volume(make_body(RelaxationKind.NR, pf), 100_000, seed=5)
         enr = mc_volume(make_body(RelaxationKind.E_NR, pf), 100_000, seed=5)
-        assert nr.hits == enr.hits
+        assert nr.hits == enr.hits and nr.mean == enr.mean
 
     def test_scalar_membership(self):
+        # one column by hand: x**2 on [0.5, 1] has chord 1.5 w - 0.5
         body = _bodies()[RelaxationKind.NR]
-        assert body.membership(0.9, 0.85, 0.95).item()
-        assert not body.membership(0.9, 0.5, 0.95).item()
+        w, z = 0.9, 0.95
+        top = z * (1.5 * w - 0.5)
+        (g,) = _fractions(body, np.array([w]), np.array([z]))
+        assert g == pytest.approx((top - (z * w) ** 2) / top, rel=1e-14)
+        assert 0.0 < g < 1.0
 
     def test_points_outside_the_planes_are_out_without_warnings(self):
-        # negative x makes x**p NaN for non-integer p, huge x makes it inf
-        for body in _bodies(p=3.7).values():
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                mask = body.membership([-0.5, 1e300, 0.7], [0.1, 1e300, 0.1], [0.5, 0.5, -0.5])
-            assert not mask.any()
+        # where the shared planes leave a column no height (z = 0, or w = 0 at
+        # lower 0) and on the perspective kinds' z < Z_FLOOR face, g = 0;
+        # w = 0 makes x**p 0**p and the column 0 / 0 if divided
+        for iv in (UNIT, Interval(0.3, 1.2)):
+            lo = iv.lower
+            ws = np.array([lo, 0.5, lo, 0.5, 1.0])
+            zs = np.array([0.0, 0.0, Z_FLOOR / 10.0, Z_FLOOR / 10.0, 0.0])
+            for body in _bodies(p=3.7, iv=iv).values():
+                with warnings.catch_warnings(), np.errstate(divide="raise", invalid="raise"):
+                    warnings.simplefilter("error")
+                    g = _fractions(body, ws, zs)
+                out = (zs == 0.0) | (body.kind in (RelaxationKind.PR, RelaxationKind.PL_PR))
+                assert not g[out].any(), body.kind
 
     def test_extension_below_lower_end(self):
-        # with lower > 0, points under the chord from the origin are out
-        body = _bodies()[RelaxationKind.E_NR]
-        x = 0.25  # below lower, reachable since z can be small
-        z = 0.4
-        chord = body.extension_slope * x
-        assert body.membership(x, chord + 1e-6, z).item()
-        assert not body.membership(x, chord - 1e-6, z).item()
+        # with lower > 0, the chord from the origin bounds columns left of it
+        bodies = _bodies()
+        x, z = 0.25, 0.4  # below lower, reachable since z can be small
+        w = x / z
+        top = z * (1.5 * w - 0.5)
+        (g_enr,) = _fractions(bodies[RelaxationKind.E_NR], np.array([w]), np.array([z]))
+        (g_nr,) = _fractions(bodies[RelaxationKind.NR], np.array([w]), np.array([z]))
+        chord = bodies[RelaxationKind.E_NR].extension_slope * x
+        assert g_enr == pytest.approx((top - chord) / top, rel=1e-14)
+        assert g_nr == pytest.approx((top - x * x) / top, rel=1e-14)
+        assert g_enr < g_nr
 
 
-# Kernel hits per 64k block of the bounding-box stream (Philox draws scaled to
-# [0, upper] x [0, f(upper)] x [0, 1]), blocks 0-2, recorded with the kernel
-# that tested every sample of a block: body (kind, lower, p) on [lower, 2] with
-# 5 equal pieces for the PL kinds, keyed by seed.
+# Mean column fraction of mc._kernel.count_hits, summed over blocks 0-2, on
+# columns drawn uniformly on the footprint's bounding rectangle (not through
+# the cone map): body (kind, lower, p) on [lower, 2] with 5 equal pieces for
+# the PL kinds, one entry per seed in GOLDEN_SEEDS.  Every column of these
+# blocks meets its body, so the hits are all 3 * BLOCK_SIZE.
 GOLDEN_UPPER = 2.0
 GOLDEN_SEEDS = (7, 8, 9)
 GOLDEN_BLOCKS = 3
-GOLDEN_HITS = {
-    ('nr', 0.0, 2.0): {7: (5435, 5534, 5527), 8: (5518, 5430, 5426), 9: (5528, 5422, 5504)},
-    ('nr', 0.0, 3.7): {7: (8453, 8484, 8638), 8: (8589, 8432, 8430), 9: (8591, 8392, 8540)},
-    ('nr', 0.3, 2.0): {7: (4003, 4114, 4123), 8: (4153, 4028, 3988), 9: (4106, 4052, 4070)},
-    ('nr', 0.3, 3.7): {7: (6800, 6827, 6975), 8: (6990, 6798, 6762), 9: (6962, 6825, 6899)},
-    ('pr', 0.0, 2.0): {7: (3608, 3639, 3686), 8: (3674, 3648, 3653), 9: (3686, 3556, 3698)},
-    ('pr', 0.0, 3.7): {7: (6228, 6349, 6383), 8: (6349, 6294, 6230), 9: (6379, 6197, 6323)},
-    ('pr', 0.3, 2.0): {7: (2179, 2224, 2286), 8: (2312, 2251, 2218), 9: (2271, 2190, 2267)},
-    ('pr', 0.3, 3.7): {7: (4575, 4693, 4720), 8: (4750, 4660, 4562), 9: (4751, 4631, 4682)},
-    ('plpr', 0.0, 2.0): {7: (3676, 3716, 3775), 8: (3749, 3730, 3722), 9: (3773, 3618, 3764)},
-    ('plpr', 0.0, 3.7): {7: (6366, 6476, 6515), 8: (6481, 6405, 6376), 9: (6506, 6312, 6459)},
-    ('plpr', 0.3, 2.0): {7: (2221, 2263, 2339), 8: (2359, 2297, 2263), 9: (2324, 2230, 2313)},
-    ('plpr', 0.3, 3.7): {7: (4671, 4785, 4815), 8: (4841, 4748, 4665), 9: (4845, 4720, 4773)},
-    ('enr', 0.0, 2.0): {7: (5435, 5534, 5527), 8: (5518, 5430, 5426), 9: (5528, 5422, 5504)},
-    ('enr', 0.0, 3.7): {7: (8453, 8484, 8638), 8: (8589, 8432, 8430), 9: (8591, 8392, 8540)},
-    ('enr', 0.3, 2.0): {7: (3988, 4094, 4102), 8: (4136, 4012, 3974), 9: (4086, 4037, 4062)},
-    ('enr', 0.3, 3.7): {7: (6799, 6826, 6974), 8: (6989, 6796, 6759), 9: (6960, 6824, 6896)},
-    ('plenr', 0.0, 2.0): {7: (5553, 5652, 5645), 8: (5632, 5547, 5534), 9: (5640, 5523, 5604)},
-    ('plenr', 0.0, 3.7): {7: (8550, 8586, 8744), 8: (8703, 8537, 8546), 9: (8688, 8472, 8635)},
-    ('plenr', 0.3, 2.0): {7: (4046, 4152, 4163), 8: (4184, 4065, 4043), 9: (4134, 4094, 4124)},
-    ('plenr', 0.3, 3.7): {7: (6875, 6906, 7038), 8: (7077, 6879, 6833), 9: (7029, 6892, 6969)},
+GOLDEN_KERNEL = {
+    ('enr', 0.0, 2.0): (2.2505083219021715, 2.2518903655612994, 2.250059356689026),
+    ('enr', 0.0, 3.7): (2.781346529238159, 2.780990788336411, 2.7809563878376746),
+    ('enr', 0.3, 2.0): (1.84925898973691, 1.8505873442573555, 1.8499599082007028),
+    ('enr', 0.3, 3.7): (2.705349031929468, 2.7051548168181507, 2.704866518352692),
+    ('nr', 0.0, 2.0): (2.2505083219021715, 2.2518903655612994, 2.250059356689026),
+    ('nr', 0.0, 3.7): (2.781346529238159, 2.780990788336411, 2.7809563878376746),
+    ('nr', 0.3, 2.0): (1.9806495674534028, 1.982705553713041, 1.9810684299083094),
+    ('nr', 0.3, 3.7): (2.7191742589779246, 2.719093776318517, 2.7187872268132742),
+    ('plenr', 0.0, 2.0): (2.3221132366015493, 2.3236401057894405, 2.3217299175070387),
+    ('plenr', 0.0, 3.7): (2.7956377628940867, 2.7952792429858118, 2.7952357907201333),
+    ('plenr', 0.3, 2.0): (1.866969109090113, 1.8682699725632992, 1.867672027380649),
+    ('plenr', 0.3, 3.7): (2.718758644749056, 2.718547029183174, 2.7182986124537614),
+    ('plpr', 0.0, 2.0): (1.5421365818140673, 1.5401858809201425, 1.5389707322047346),
+    ('plpr', 0.0, 3.7): (2.219628502714229, 2.217267618418429, 2.2176144057405693),
+    ('plpr', 0.3, 2.0): (0.9874279192528439, 0.9859297506522233, 0.9856809444615435),
+    ('plpr', 0.3, 3.7): (1.9914137811082604, 1.9891251785719657, 1.9890254524121875),
+    ('pr', 0.0, 2.0): (1.5029834039341803, 1.5012476431378574, 1.5001194612908488),
+    ('pr', 0.0, 3.7): (2.19197653798939, 2.189748060457523, 2.190025706390011),
+    ('pr', 0.3, 2.0): (0.9632229585948855, 0.9618618885764834, 0.9616532444669523),
+    ('pr', 0.3, 3.7): (1.9622099689173236, 1.9600792158377454, 1.9599475810938285),
 }
 
-# Hits of mc._block_hits, the same bodies, seeds and blocks, recorded when
-# the oracle began to draw uniformly in the cone every body lies in, chunk by
-# chunk; the kernel pinned by GOLDEN_HITS was unchanged by that step.
+# The same sums over mc._block_hits, which draws through the cone map.
 GOLDEN_CONE_HITS = {
-    ('enr', 0.0, 2.0): {7: (32972, 32430, 32705), 8: (32731, 33094, 32762), 9: (32890, 32797, 32857)},
-    ('enr', 0.0, 3.7): {7: (50918, 50677, 50733), 8: (50962, 51161, 50781), 9: (51215, 51006, 50914)},
-    ('enr', 0.3, 2.0): {7: (27991, 27572, 27899), 8: (27819, 28193, 27939), 9: (27905, 27933, 27976)},
-    ('enr', 0.3, 3.7): {7: (48316, 48110, 48182), 8: (48416, 48609, 48189), 9: (48587, 48416, 48470)},
-    ('nr', 0.0, 2.0): {7: (32972, 32430, 32705), 8: (32731, 33094, 32762), 9: (32890, 32797, 32857)},
-    ('nr', 0.0, 3.7): {7: (50918, 50677, 50733), 8: (50962, 51161, 50781), 9: (51215, 51006, 50914)},
-    ('nr', 0.3, 2.0): {7: (28091, 27680, 28018), 8: (27919, 28307, 28061), 9: (28018, 28044, 28079)},
-    ('nr', 0.3, 3.7): {7: (48329, 48119, 48191), 8: (48427, 48617, 48196), 9: (48593, 48424, 48474)},
-    ('plenr', 0.0, 2.0): {7: (33628, 33077, 33355), 8: (33353, 33765, 33414), 9: (33546, 33472, 33505)},
-    ('plenr', 0.0, 3.7): {7: (51534, 51332, 51357), 8: (51601, 51791, 51377), 9: (51831, 51637, 51504)},
-    ('plenr', 0.3, 2.0): {7: (28363, 27943, 28256), 8: (28227, 28578, 28309), 9: (28330, 28321, 28358)},
-    ('plenr', 0.3, 3.7): {7: (48818, 48603, 48695), 8: (48902, 49112, 48740), 9: (49122, 48958, 48925)},
-    ('plpr', 0.0, 2.0): {7: (22393, 22065, 22293), 8: (22256, 22471, 22348), 9: (22363, 22293, 22404)},
-    ('plpr', 0.0, 3.7): {7: (38346, 38217, 38416), 8: (38566, 38787, 38299), 9: (38704, 38425, 38450)},
-    ('plpr', 0.3, 2.0): {7: (15777, 15498, 15898), 8: (15760, 16021, 15779), 9: (15758, 15760, 15831)},
-    ('plpr', 0.3, 3.7): {7: (33442, 33213, 33367), 8: (33462, 33908, 33355), 9: (33711, 33390, 33486)},
-    ('pr', 0.0, 2.0): {7: (21944, 21602, 21839), 8: (21850, 22054, 21895), 9: (21905, 21852, 21956)},
-    ('pr', 0.0, 3.7): {7: (37542, 37490, 37585), 8: (37776, 38020, 37542), 9: (37933, 37602, 37662)},
-    ('pr', 0.3, 2.0): {7: (15503, 15202, 15568), 8: (15436, 15716, 15484), 9: (15468, 15440, 15525)},
-    ('pr', 0.3, 3.7): {7: (32776, 32535, 32718), 8: (32776, 33228, 32704), 9: (33037, 32738, 32809)},
+    ('enr', 0.0, 2.0): (1.5002777474551368, 1.5025133121053482, 1.5008873644029093),
+    ('enr', 0.0, 3.7): (2.3285181938769233, 2.329719811520939, 2.3292566707816764),
+    ('enr', 0.3, 2.0): (1.275646860365304, 1.2769212615854733, 1.2752240892260287),
+    ('enr', 0.3, 3.7): (2.210433390538525, 2.2116807489179373, 2.2109346178995835),
+    ('nr', 0.0, 2.0): (1.5002777474551368, 1.5025133121053482, 1.5008873644029093),
+    ('nr', 0.0, 3.7): (2.3285181938769233, 2.329719811520939, 2.3292566707816764),
+    ('nr', 0.3, 2.0): (1.2806501652388556, 1.281918223572168, 1.2801797992050532),
+    ('nr', 0.3, 3.7): (2.2108129693580527, 2.2120741661745473, 2.2113129292361475),
+    ('plenr', 0.0, 2.0): (1.5304634090738367, 1.5327665504122838, 1.5308484404609342),
+    ('plenr', 0.0, 3.7): (2.357521729407874, 2.3584636910780006, 2.358099348958786),
+    ('plenr', 0.3, 2.0): (1.2936466543851521, 1.2949533041213368, 1.293241710442676),
+    ('plenr', 0.3, 3.7): (2.2350147567964256, 2.2361095331794623, 2.2354210237832577),
+    ('plpr', 0.0, 2.0): (1.0195686230020107, 1.0225858819953528, 1.0216398197743293),
+    ('plpr', 0.0, 3.7): (1.7597322432435318, 1.76173423197359, 1.7617193266264766),
+    ('plpr', 0.3, 2.0): (0.7205119275907035, 0.7224688831777764, 0.7218413624432783),
+    ('plpr', 0.3, 3.7): (1.5304585578735428, 1.5327983910600973, 1.5324942864487516),
+    ('pr', 0.0, 2.0): (0.9995272787015117, 1.002545187340551, 1.00165248016003),
+    ('pr', 0.0, 3.7): (1.723606237733312, 1.7257619192351557, 1.725784932121431),
+    ('pr', 0.3, 2.0): (0.7063622057490083, 0.708277852998337, 0.7076970679842001),
+    ('pr', 0.3, 3.7): (1.4996402650722884, 1.5020719946049186, 1.5018167984297919),
 }
 
-# Packed BodySpec.membership masks on _boundary_points, same recording.
+# Packed masks of the columns that meet each body among _boundary_columns.
 BOUNDARY_BODIES = ((3.7, Interval(0.3, 1.2), 4), (2.0, UNIT, 3))
-GOLDEN_BOUNDARY = {
-    ('nr', 3.7): '936db6dfffff80',
-    ('nr', 2.0): 'f37dbedffff8',
-    ('pr', 3.7): '9349a4c0000000',
-    ('pr', 2.0): 'f379bcc00000',
-    ('plpr', 3.7): '9349a4c0000055555500',
-    ('plpr', 2.0): 'f379bcc00007d5f500',
-    ('enr', 3.7): '934da6c36ffd00',
-    ('enr', 2.0): 'f37dbedffff8',
-    ('plenr', 3.7): '934da6c36ffd5555ff80',
-    ('plenr', 2.0): 'f37dbeffffffd5ff80',
+GOLDEN_BOUNDARY_COLUMNS = {
+    ('nr', 3.7): 'fff1e0',
+    ('nr', 2.0): '2db0',
+    ('pr', 3.7): 'ff81e0',
+    ('pr', 2.0): '2480',
+    ('plpr', 3.7): 'ff81fffe',
+    ('plpr', 2.0): '2480e700',
+    ('enr', 3.7): 'fff1e0',
+    ('enr', 2.0): '2db0',
+    ('plenr', 3.7): 'fff1fffe',
+    ('plenr', 2.0): '2db0e780',
 }
 
 
@@ -240,78 +289,101 @@ def _golden_body(kind, lower, p):
     return make_body(RelaxationKind(kind), PowerFn(p, iv), Breakpoints.equally_spaced(iv, 5))
 
 
-def _boundary_points(body):
-    """Points on the shared planes, on the z = 0 face and below Z_FLOOR, left
-    of the lower end for the extended kinds and on every PL vertex."""
+def _footprint_block(body, seed, block):
+    """Block ``block`` of ``Philox(seed)`` as columns uniform on the footprint's
+    bounding rectangle ``[lower, upper] x [0, 1]``, not through ``_to_cone``."""
+    gen = np.random.Generator(np.random.Philox(key=seed).jumped(block))
+    ws, zs = gen.random((2, mc_mod.BLOCK_SIZE))
+    ws *= body.interval.width
+    ws += body.interval.lower
+    return ws, zs
+
+
+def _boundary_columns(body):
+    """Columns at both ends and the middle of the footprint, on the z = 0
+    face and below Z_FLOOR, on every PL vertex, and at and left of the lower
+    end for the extended kinds."""
     lo, hi = body.interval.lower, body.interval.upper
-    top = lambda x, z: body.secant_z * z + body.secant_x * x  # noqa: E731
-    pts = []
-    for z in (1.0, 0.5, 0.25, Z_FLOOR / 10.0, 0.0):
-        for x in (lo * z, hi * z, 0.5 * (lo + hi) * z):
-            pts += [(x, top(x, z), z), (x, 0.5 * top(x, z), z), (x, 0.0, z)]
+    cols = [(w, z) for z in (1.0, 0.5, 0.25, Z_FLOOR / 10.0, 0.0) for w in (lo, hi, 0.5 * (lo + hi))]
     if lo > 0.0:
         for z in (0.5, 0.8):
-            x = 0.9 * lo
-            chord = body.extension_slope * x
-            pts += [(x, chord, z), (x, np.nextafter(chord, 0.0), z)]
+            cols += [(lo / z, z), (0.9 * lo / z, z)]  # x = lo and x = 0.9 lo
     if body.estimator is not None:
         for z in (1.0, 0.5):
-            for kx, ky in zip(body.estimator.x, body.estimator.y):
-                pts += [(kx * z, ky * z, z), (kx * z, np.nextafter(ky * z, 0.0), z)]
-    return tuple(np.array(c) for c in zip(*pts))
+            cols += [(kx, z) for kx in body.estimator.x]
+    return tuple(np.array(c) for c in zip(*cols))
 
 
 class TestGoldenHits:
-    """The kernel's hit decisions are pinned, not just its statistics."""
+    """The kernel's column fractions are pinned, not just their statistics.
 
-    @pytest.mark.parametrize("key", sorted(GOLDEN_HITS))
+    Means are compared to 1e-12 relative: ``np.power`` may differ in the last
+    place between numpy builds, and nothing else in them should move."""
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN_KERNEL))
     def test_block_hits(self, key):
-        # the kernel on the bounding-box stream the oracle sampled before it
-        # drew in the cone: block b is Philox(seed).jumped(b) scaled to
-        # [0, upper] x [0, f(upper)] x [0, 1]
         body = _golden_body(*key)
         code = mc_mod._KIND_CODE[body.kind]
-        for seed in GOLDEN_SEEDS:
-            hits = []
-            for b in range(GOLDEN_BLOCKS):
-                gen = np.random.Generator(np.random.Philox(key=seed).jumped(b))
-                xs, ys, zs = gen.random((3, mc_mod.BLOCK_SIZE))
-                xs *= body.interval.upper
-                ys *= body.box_height
-                hits.append(mc_mod._kernel.count_hits(code, xs, ys, zs, *body._kernel_args()))
-            assert tuple(hits) == GOLDEN_HITS[key][seed], seed
+        for seed, want in zip(GOLDEN_SEEDS, GOLDEN_KERNEL[key]):
+            parts = [
+                mc_mod._kernel.count_hits(code, *_footprint_block(body, seed, b), *body._kernel_args())
+                for b in range(GOLDEN_BLOCKS)
+            ]
+            assert sum(hits for hits, _, _ in parts) == GOLDEN_BLOCKS * mc_mod.BLOCK_SIZE
+            assert sum(mean for _, mean, _ in parts) == pytest.approx(want, rel=1e-12), seed
 
     @pytest.mark.parametrize("key", sorted(GOLDEN_CONE_HITS))
     def test_cone_block_hits(self, key):
         body = _golden_body(*key)
-        for seed in GOLDEN_SEEDS:
-            hits = tuple(
-                mc_mod._block_hits(body, seed, b, mc_mod.BLOCK_SIZE)
-                for b in range(GOLDEN_BLOCKS)
-            )
-            assert hits == GOLDEN_CONE_HITS[key][seed], seed
+        for seed, want in zip(GOLDEN_SEEDS, GOLDEN_CONE_HITS[key]):
+            parts = [
+                mc_mod._block_hits(body, seed, b, mc_mod.BLOCK_SIZE) for b in range(GOLDEN_BLOCKS)
+            ]
+            assert sum(part[0] for part in parts) == GOLDEN_BLOCKS * mc_mod.BLOCK_SIZE
+            assert sum(part[2] for part in parts) == pytest.approx(want, rel=1e-12), seed
 
     @pytest.mark.parametrize("kind", [k.value for k in RelaxationKind])
     def test_boundary_points(self, kind):
         for p, iv, n in BOUNDARY_BODIES:
             body = make_body(RelaxationKind(kind), PowerFn(p, iv), Breakpoints.equally_spaced(iv, n))
-            xs, ys, zs = _boundary_points(body)
-            mask = body.membership(xs, ys, zs)
-            assert np.packbits(mask).tobytes().hex() == GOLDEN_BOUNDARY[kind, p]
+            ws, zs = _boundary_columns(body)
+            g = _fractions(body, ws, zs)
+            assert ((g >= 0.0) & (g <= 1.0)).all()
+            assert np.packbits(g > 0.0).tobytes().hex() == GOLDEN_BOUNDARY_COLUMNS[kind, p]
             code = mc_mod._KIND_CODE[body.kind]
-            hits = mc_mod._kernel.count_hits(code, xs, ys, zs, *body._kernel_args())
-            assert hits == np.count_nonzero(mask)
+            hits, mean, m2 = mc_mod._kernel.count_hits(code, ws, zs, *body._kernel_args())
+            assert hits == np.count_nonzero(g > 0.0)
+            assert mean == pytest.approx(g.mean(), rel=1e-15)
+            assert m2 == pytest.approx(((g - g.mean()) ** 2).sum(), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 64])
+    def test_piece_lookup_is_searchsorted(self, n):
+        # the bucketed lookup against the binary search it replaces, on
+        # vertices, their neighbours in floats and points past both ends
+        rng = np.random.default_rng(n)
+        for p, iv in ((3.7, Interval(0.0, 1.0)), (8.0, Interval(0.3, 1.2)),
+                      (2.0, Interval(1000.0, 1000.001))):
+            kx = build_underestimator(
+                PowerFn(p, iv).oracle(), Breakpoints.equally_spaced(iv, n)
+            ).x
+            w = np.concatenate([
+                iv.lower + iv.width * rng.random(4000),
+                kx, np.nextafter(kx, -np.inf), np.nextafter(kx, np.inf),
+                [iv.lower - iv.width, iv.upper + iv.width, 0.0],
+            ])
+            want = np.searchsorted(kx[1:-1], w, side="right")
+            assert (mc_mod._kernel._piece(kx, w) == want).all()
 
     def test_block_with_no_survivors(self):
-        xs = np.linspace(0.0, 1.0, 101)
-        zs = np.linspace(0.0, 1.0, 101)[::-1]
+        # columns of no height: the z = 0 face over the whole footprint
         for body in _bodies(p=3.7).values():
-            ys = np.full_like(xs, 2.0 * body.box_height)  # the top plane stays under box_height
+            lo, hi = body.interval.lower, body.interval.upper
+            ws = np.linspace(lo, hi, 101)
+            zs = np.zeros_like(ws)
             code = mc_mod._KIND_CODE[body.kind]
-            assert mc_mod._kernel.count_hits(code, xs, ys, zs, *body._kernel_args()) == 0
-            assert not body.membership(xs, ys, zs).any()
+            assert mc_mod._kernel.count_hits(code, ws, zs, *body._kernel_args()) == (0, 0.0, 0.0)
         with pytest.raises(ValueError, match="unknown body kind code"):
-            mc_mod._kernel.count_hits(5, xs, ys, zs, *body._kernel_args())
+            mc_mod._kernel.count_hits(5, ws, zs, *body._kernel_args())
 
 
 def _random_bodies(count, seed):
@@ -349,16 +421,17 @@ class TestConeSampler:
         assert abs(zs.mean()) <= 4.0 / np.sqrt(zs.size), zs.mean()
 
     def test_chunk_points_lie_in_the_shared_cone(self):
+        # columns (w, z) lie in the cone's footprint: x = z * w is between the
+        # planes lower * z and upper * z
         bodies = [body for body, _ in _random_bodies(20, seed=31)]
         bodies.append(_golden_body("plpr", 0.3, 3.7))
         bodies.append(make_body(RelaxationKind.PR, PowerFn(3.0, Interval(1000.0, 1000.001))))
         for i, body in enumerate(bodies):
             gen = np.random.Generator(np.random.Philox(key=i))
-            xs, ys, zs = mc_mod._to_cone(body, gen.random((3, mc_mod.CHUNK_SIZE)))
+            ws, zs = mc_mod._to_cone(body, gen.random((2, mc_mod.CHUNK_SIZE)))
             lo, hi = body.interval.lower, body.interval.upper
             assert ((zs >= 0.0) & (zs <= 1.0)).all()
-            assert (xs >= lo * zs).all() and (xs <= hi * zs).all()
-            assert ((ys >= 0.0) & (ys <= body.secant_z * zs + body.secant_x * xs)).all()
+            assert ((ws >= lo) & (ws <= hi)).all()
 
     def test_box_volume_is_the_cone_volume(self):
         for body, _ in _random_bodies(20, seed=5):
@@ -371,23 +444,47 @@ class TestConeSampler:
             body = make_body(RelaxationKind.PR, PowerFn(3.0, iv))
             with warnings.catch_warnings(), np.errstate(all="raise"):
                 warnings.simplefilter("error")
-                point = mc_mod._to_cone(body, np.zeros((3, 1)))
-            assert (point == 0.0).all()
+                (w,), (z,) = mc_mod._to_cone(body, np.zeros((2, 1)))
+            assert (w, z) == (iv.lower, 0.0)  # x = z * w = 0: the apex
 
     @pytest.mark.parametrize("kind", [k.value for k in RelaxationKind])
     def test_hits_do_not_depend_on_workers_or_chunking(self, kind):
         iv = Interval(0.2, 1.5)
         body = make_body(RelaxationKind(kind), PowerFn(3.7, iv), Breakpoints.equally_spaced(iv, 6))
         samples = 2 * mc_mod.BLOCK_SIZE + mc_mod.CHUNK_SIZE + 1234  # not a multiple of a chunk
-        hits = {w: mc_volume(body, samples, seed=3, workers=w).hits for w in (1, 2, 4)}
-        assert hits[1] == hits[2] == hits[4]
+        est = {w: mc_volume(body, samples, seed=3, workers=w) for w in (1, 2, 4)}
+        assert est[1] == est[2] == est[4]  # hits, mean and stderr, bit for bit
+        # the same estimate from the blocks and the partial block rebuilt chunk by chunk
         gen = np.random.Generator(np.random.Philox(key=3).jumped(2))
-        tail = 0
+        code = mc_mod._KIND_CODE[body.kind]
+        chunks = []
         for m in (mc_mod.CHUNK_SIZE, 1234):
-            xs, ys, zs = mc_mod._to_cone(body, gen.random((3, m)))
-            tail += np.count_nonzero(body.membership(xs, ys, zs))
-        full = sum(mc_mod._block_hits(body, 3, b, mc_mod.BLOCK_SIZE) for b in range(2))
-        assert hits[1] == full + tail
+            ws, zs = mc_mod._to_cone(body, gen.random((2, m)))
+            hits, mean, m2 = mc_mod._kernel.count_hits(code, ws, zs, *body._kernel_args())
+            chunks.append((hits, m, mean, m2))
+        # a shorter budget draws the same whole chunk
+        assert mc_mod._block_hits(body, 3, 2, mc_mod.CHUNK_SIZE) == chunks[0]
+        blocks = [mc_mod._block_hits(body, 3, b, mc_mod.BLOCK_SIZE) for b in range(2)]
+        blocks.append(mc_mod._merge(*chunks))
+        hits, n, mean, m2 = functools.reduce(mc_mod._merge, blocks)
+        assert n == samples and hits == est[1].hits
+        assert est[1].mean == body.box_volume * mean
+        assert est[1].stderr == body.box_volume * np.sqrt(m2 / (n - 1) / n)
+
+    @pytest.mark.parametrize(
+        "kind,p,iv,n",
+        [
+            (RelaxationKind.PR, 2.0, Interval(1000.0, 1000.001), None),
+            (RelaxationKind.PL_PR, 3.0, Interval(1.0, 1.001), 4),
+        ],
+    )
+    def test_narrow_bodies_match_closed_forms(self, kind, p, iv, n):
+        # hit-or-miss sampling counted no hit in these bodies at 200k samples
+        pf = PowerFn(p, iv)
+        bp = Breakpoints.equally_spaced(iv, n) if n else None
+        est = mc_volume(make_body(kind, pf, bp), 200_000, seed=1)
+        assert est.stderr > 0.0
+        assert abs(est.mean - closed_form_volume(kind, pf, bp)) <= 4.0 * est.stderr
 
 
 class TestWorkers:
