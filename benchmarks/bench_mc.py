@@ -6,9 +6,10 @@ kind x p in {1.5, 2, 3.7, 6} x lower in {0, 0.15, 0.5} on upper 1, 8 equal
 pieces):
 
 * blocks: ``mc._block_hits`` on real 2**16-sample blocks, split into the
-  draw (stream set-up, Philox draw and the map into the cone's footprint,
-  chunk by chunk) and the column kernel (``mc._kernel.count_hits``);
-  medians per kind and lower end over exponents and blocks.
+  draw (stream set-up, the uniforms the kind reads and their map into the
+  cone's footprint, chunk by chunk) and the column kernel
+  (``mc._kernel.count_hits``); medians per kind and lower end over exponents
+  and blocks.
 * target: the loop that brings one body to a relative stderr of 3e-3:
   a one-block pilot, then calls sized from the last estimate's hits as
   the benchmark's mc-target workload sizes them, on ``min(2, nproc)``
@@ -22,8 +23,8 @@ The process's peak resident set (``ru_maxrss``) is recorded at the end.
 
     PYTHONPATH=src python3 benchmarks/bench_mc.py [--json PATH]
 
-``KERNEL_BACKEND``, nproc and the numpy version are recorded beside the
-numbers.
+The oracle's bit generator, ``KERNEL_BACKEND``, nproc and the numpy version
+are recorded beside the numbers.
 """
 
 import argparse
@@ -77,9 +78,9 @@ def _time_block(body, seed, block):
     draw = kernel = 0.0
     total = None
     t0 = time.perf_counter()
-    gen = np.random.Generator(np.random.Philox(key=seed).jumped(block))
+    gen = mc._block_stream(seed, block)
     for _ in range(mc.BLOCK_SIZE // mc.CHUNK_SIZE):
-        ws, zs = mc._to_cone(body, gen.random((2, mc.CHUNK_SIZE)))
+        ws, zs = mc._draw_chunk(body, gen, mc.CHUNK_SIZE)
         t1 = time.perf_counter()
         hits, mean, m2 = mc._kernel.count_hits(code, ws, zs, *args)
         t2 = time.perf_counter()
@@ -194,6 +195,7 @@ def main():
             "cpu_model": _cpu_model(),
             "python": platform.python_version(),
             "numpy": np.__version__,
+            "bit_generator": type(mc._block_stream(0, 0).bit_generator).__name__,
             "kernel_backend": perspex.KERNEL_BACKEND,
         },
         "blocks": bench_blocks(args.blocks, SEED),
@@ -204,7 +206,8 @@ def main():
     result["ru_maxrss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
     m = result["machine"]
-    print(f"{m['nproc']} CPUs, numpy {m['numpy']}, kernel backend {m['kernel_backend']}")
+    print(f"{m['nproc']} CPUs, numpy {m['numpy']}, {m['bit_generator']} draws, "
+          f"kernel backend {m['kernel_backend']}")
     print(f"\nper 2**16-sample block, medians over {len(EXPONENTS)} exponents")
     print(f"{'body':12s} {'draw ms':>8s} {'kernel ms':>10s} {'block ms':>9s} {'hit frac':>9s} "
           f"{'mean g':>7s}")

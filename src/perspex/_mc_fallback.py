@@ -4,11 +4,11 @@ The oracle samples columns, not points: a sample is ``(w, z)`` in the
 footprint of the cone every body lies in (``lo <= w <= hi``, ``0 <= z <=
 1``), and its column is ``0 <= y <= S`` at ``x = z*w``, with ``S = sec_z*z +
 sec_x*x`` the shared secant plane.  The body keeps the part of the column
-above its own lower bound ``L(x, z)`` (powers, the ``Z_FLOOR`` face, the
-piecewise-linear lookup), so the column's share in the body is exactly
-``g = clip((S - L) / S, 0, 1)``; ``g = 0`` where ``S <= 0`` and, for the
-perspective kinds, where ``z < Z_FLOOR``.  The kernel does not test the
-footprint: the sampler draws inside it.
+above its own lower bound ``L(x, z)`` (powers, the piecewise-linear
+lookup), so the column's share in the body is exactly ``g = clip((S - L) /
+S, 0, 1)``, and ``g = 0`` where ``S <= 0``.  For the perspective kinds ``L =
+z * f(w)``, so ``z`` cancels and is not read: the sampler passes ``None``.
+The kernel does not test the footprint: the sampler draws inside it.
 Kind codes: 0 naive, 1 perspective, 2 PL perspective, 3 extended naive,
 4 PL extended naive.
 """
@@ -16,10 +16,6 @@ Kind codes: 0 naive, 1 perspective, 2 PL perspective, 3 extended naive,
 from __future__ import annotations
 
 import numpy as np
-
-# below this z a column lies on the measure-zero z = 0 face, where the
-# perspective kinds' on-fraction x / z is undefined
-Z_FLOOR = 1e-300
 
 
 def _power(v: np.ndarray, q: float) -> np.ndarray:
@@ -71,15 +67,15 @@ def _pl_eval(kx: np.ndarray, ky: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def column_fraction(kind, w, z, lo, p, sec_z, sec_x, kx, ky, ext_slope):
-    """The share ``g`` of each sampled column ``(w, z)`` that lies in the body."""
+    """The share ``g`` of each sampled column ``(w, z)`` that lies in the
+    body; ``z`` may be ``None`` for the perspective kinds (1 and 2)."""
     if kind not in range(5):
         raise ValueError(f"unknown body kind code {kind}")
     top = sec_x * w
     top += sec_z  # chord(w) = S / z
     if kind in (1, 2):
-        # L = z * f(w): z cancels from (S - L) / S, except on the z = 0 face
+        # L = z * f(w): z cancels from (S - L) / S
         lower = _power(w, p) if kind == 1 else _pl_eval(kx, ky, w)
-        valid = (z >= Z_FLOOR) & (top > 0.0)
     else:
         x = z * w
         top *= z
@@ -88,9 +84,8 @@ def column_fraction(kind, w, z, lo, p, sec_z, sec_x, kx, ky, ext_slope):
         else:
             inner = _power(x, p) if kind == 3 else _pl_eval(kx, ky, x)
             lower = np.where(x < lo, ext_slope * x, inner)
-        valid = top > 0.0
     np.subtract(top, lower, out=lower)
-    g = np.divide(lower, top, out=np.zeros_like(top), where=valid)
+    g = np.divide(lower, top, out=np.zeros_like(top), where=top > 0.0)
     return np.clip(g, 0.0, 1.0, out=g)
 
 

@@ -19,11 +19,17 @@ z)``.  The volume is ``box_volume * E[g]``, estimated by the sample mean of
 ``g`` with the sample standard error; ``hits`` counts the columns that meet
 the body (``g > 0``).
 
+For the perspective kinds (pr and plpr) ``z`` cancels from ``g``, and since
+``w`` and ``z`` are independent in the footprint, ``E[g]`` is the mean of
+``g(w)`` under ``w``'s own marginal: these kinds draw one uniform per sample,
+``w``, and the others two, ``(w, z)``.
+
 Sampling is a pure function of ``(seed, sample index)``: samples are
-partitioned into fixed blocks of ``2**16`` and block ``b`` draws from the
-counter-based Philox stream ``Philox(seed).jumped(b)``.  A block is drawn,
-mapped into the footprint and scored in chunks of ``2**13`` samples, which
-keeps every temporary cache-sized; each chunk yields a ``(count, mean, M2)``
+partitioned into fixed blocks of ``2**16`` and block ``b`` draws from its own
+keyed stream, ``PCG64(SeedSequence(seed, spawn_key=(b,)))``, numpy's
+``SeedSequence(seed).spawn`` child ``b``.  A block is drawn, mapped into the
+footprint and scored in chunks of ``2**13`` samples, which keeps every
+temporary cache-sized; each chunk yields a ``(count, mean, M2)``
 partial (``M2`` the sum of squared deviations from the chunk mean), and the
 partials are merged in block order, so estimates are bit-identical
 regardless of the number of workers.  The numpy kernel in ``_mc_fallback``
@@ -63,6 +69,8 @@ _KIND_CODE = {
 
 _EMPTY = np.zeros(0)
 _PL_KINDS = (RelaxationKind.PL_PR, RelaxationKind.PL_E_NR)
+# kinds whose column fraction does not read z: one uniform per sample
+_W_ONLY_KINDS = (RelaxationKind.PR, RelaxationKind.PL_PR)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,16 +194,16 @@ def _resolve_workers(workers: int | None) -> int:
 
 
 def _to_cone(body: BodySpec, r: np.ndarray) -> np.ndarray:
-    """Map uniforms ``r`` of shape ``(2, m)`` in place to columns ``(w, z)``
-    uniform in the footprint of the body's cone, and return ``r``.
+    """Map uniforms ``r`` of shape ``(1, m)`` or ``(2, m)`` in place to
+    columns uniform in the footprint of the body's cone, and return ``r``.
 
-    ``w`` follows the trapezoid's linear density on ``[lower, upper]``, by
-    its inverse CDF, and ``z = cbrt(U)`` has density ``3 z**2``: together,
-    the density of ``(x / z, z)`` for a point ``(x, y, z)`` uniform in the
-    cone.
+    Row 0 becomes ``w``, which follows the trapezoid's linear density on
+    ``[lower, upper]``, by its inverse CDF.  Row 1, if present, becomes ``z =
+    cbrt(U)``, with density ``3 z**2``: together, the density of ``(x / z,
+    z)`` for a point ``(x, y, z)`` uniform in the cone.
     """
     lo, up = body.interval.lower, body.interval.upper
-    ws, zs = r
+    ws = r[0]
     # t = (w - lo) / (up - lo) has density proportional to ratio + (1 - ratio) t,
     # so F(t) = U solves (1 - ratio) t**2 + 2 ratio t = (1 + ratio) U.  The root
     # is written in ratio = f(lo) / f(up) <= 1, so no power of f is squared,
@@ -214,8 +222,24 @@ def _to_cone(body: BodySpec, r: np.ndarray) -> np.ndarray:
     ws *= up - lo
     ws += lo
     np.minimum(ws, up, out=ws)  # rounding must not step past the upper plane
-    np.cbrt(zs, out=zs)
+    if len(r) > 1:
+        np.cbrt(r[1], out=r[1])
     return r
+
+
+def _block_stream(seed: int, block: int) -> np.random.Generator:
+    """The generator block ``block`` of ``seed`` draws from, a pure function
+    of the pair."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(block,))))
+
+
+def _draw_chunk(body: BodySpec, gen: np.random.Generator, m: int) -> tuple:
+    """The next ``m`` columns ``(w, z)`` of ``gen`` in the body's footprint;
+    ``z`` is ``None`` for the kinds whose kernel does not read it."""
+    if body.kind in _W_ONLY_KINDS:
+        return _to_cone(body, gen.random((1, m)))[0], None
+    ws, zs = _to_cone(body, gen.random((2, m)))
+    return ws, zs
 
 
 def _merge(a: tuple, b: tuple) -> tuple:
@@ -236,12 +260,12 @@ def _merge(a: tuple, b: tuple) -> tuple:
 def _block_hits(body: BodySpec, seed: int, block: int, count: int) -> tuple:
     """``(hits, count, mean, M2)`` of one block's column fractions, merged
     chunk by chunk in draw order."""
-    gen = np.random.Generator(np.random.Philox(key=seed).jumped(block))
+    gen = _block_stream(seed, block)
     code, args = _KIND_CODE[body.kind], body._kernel_args()
     total = None
     for start in range(0, count, CHUNK_SIZE):
         m = min(CHUNK_SIZE, count - start)
-        ws, zs = _to_cone(body, gen.random((2, m)))
+        ws, zs = _draw_chunk(body, gen, m)
         hits, mean, m2 = _kernel.count_hits(code, ws, zs, *args)
         part = (hits, m, mean, m2)
         total = part if total is None else _merge(total, part)
@@ -249,6 +273,8 @@ def _block_hits(body: BodySpec, seed: int, block: int, count: int) -> tuple:
 
 
 def _integer(name: str, value) -> int:
+    if isinstance(value, bool):  # operator.index takes True for 1
+        raise DomainError(f"{name} must be an integer, got {value!r}")
     try:
         return operator.index(value)
     except TypeError:
@@ -268,10 +294,13 @@ def mc_volume(
     count never changes a bit of the estimate, and extending the sample
     budget keeps the partials of every whole chunk of ``CHUNK_SIZE`` samples
     already drawn (only a trailing partial chunk is drawn afresh).
-    ``samples`` and ``seed`` must be integers.  ``workers=None`` defers to
-    ``PERSPEX_THREADS`` (0 = one per CPU), defaulting to a single worker.
+    ``samples``, ``seed`` and ``workers`` must be integers.  ``workers=None``
+    defers to ``PERSPEX_THREADS`` (0 = one per CPU), defaulting to a single
+    worker.
     """
     samples, seed = _integer("samples", samples), _integer("seed", seed)
+    if workers is not None:
+        workers = _integer("workers", workers)
     if samples < MIN_SAMPLES:
         raise DomainError(f"need at least {MIN_SAMPLES} samples, got {samples}")
     if not 0 <= seed < 2**64:

@@ -17,10 +17,11 @@ from perspex import (
 )
 from perspex.power import closed_form_volume
 from perspex import mc as mc_mod
-from perspex._mc_fallback import Z_FLOOR
 
 UNIT = Interval(0.0, 1.0)
 HALF = Interval(0.5, 1.0)
+W_ONLY = (RelaxationKind.PR, RelaxationKind.PL_PR)  # kinds whose fractions do not read z
+TINY_Z = 1e-301  # a column next to the z = 0 face, far below any sampled z
 
 
 def _bodies(p=2.0, iv=HALF, n=3):
@@ -38,11 +39,10 @@ def _fractions(body, ws, zs):
 def _chunks(body, seed, samples):
     """The columns ``mc_volume`` draws for ``samples``, chunk by chunk."""
     for start in range(0, samples, mc_mod.BLOCK_SIZE):
-        gen = np.random.Generator(np.random.Philox(key=seed).jumped(start // mc_mod.BLOCK_SIZE))
+        gen = mc_mod._block_stream(seed, start // mc_mod.BLOCK_SIZE)
         count = min(mc_mod.BLOCK_SIZE, samples - start)
         for offset in range(0, count, mc_mod.CHUNK_SIZE):
-            m = min(mc_mod.CHUNK_SIZE, count - offset)
-            yield mc_mod._to_cone(body, gen.random((2, m)))
+            yield mc_mod._draw_chunk(body, gen, min(mc_mod.CHUNK_SIZE, count - offset))
 
 
 class TestDeterminism:
@@ -63,6 +63,13 @@ class TestDeterminism:
         direct = mc_mod._block_hits(body, seed=9, block=3, count=1000)
         again = mc_mod._block_hits(body, seed=9, block=3, count=1000)
         assert direct == again
+
+    def test_block_keys_do_not_alias(self):
+        # a seed past 2**32 spans two 32-bit words; block 0 of seed 2**32 must
+        # not replay block 1 of seed 0
+        a = mc_mod._block_stream(2**32, 0).random(4)
+        b = mc_mod._block_stream(0, 1).random(4)
+        assert not (a == b).any()
 
     def test_different_seeds_differ(self):
         # every sampled column meets this body, so the hits alone agree
@@ -144,8 +151,19 @@ class TestEstimates:
             mc_volume(body, 50_000, seed=1.5)
         with pytest.raises(DomainError, match="samples must be an integer"):
             mc_volume(body, 1e5, seed=1)
+        with pytest.raises(DomainError, match="seed must be an integer"):
+            mc_volume(body, 50_000, seed=True)
         # integral numpy scalars are integers
         assert mc_volume(body, np.int64(50_000), seed=np.uint64(1)) == mc_volume(body, 50_000, 1)
+
+    @pytest.mark.parametrize("workers", [1.5, True, "2"])
+    def test_workers_must_be_an_integer(self, workers):
+        body = make_body(RelaxationKind.NR, PowerFn(2.0, UNIT))
+        with pytest.raises(DomainError, match="workers must be an integer"):
+            mc_volume(body, 3 * mc_mod.BLOCK_SIZE, 1, workers)
+        assert mc_volume(body, 3 * mc_mod.BLOCK_SIZE, 1, np.int64(2)) == mc_volume(
+            body, 3 * mc_mod.BLOCK_SIZE, 1, 1
+        )
 
 
 class TestMembership:
@@ -185,19 +203,36 @@ class TestMembership:
         assert 0.0 < g < 1.0
 
     def test_points_outside_the_planes_are_out_without_warnings(self):
-        # where the shared planes leave a column no height (z = 0, or w = 0 at
-        # lower 0) and on the perspective kinds' z < Z_FLOOR face, g = 0;
-        # w = 0 makes x**p 0**p and the column 0 / 0 if divided
+        # where the shared planes leave a column no height, g = 0: z = 0 for
+        # the kinds that read z, and w = 0 at lower 0 for every kind; w = 0
+        # makes x**p 0**p and the column 0 / 0 if divided.  The perspective
+        # kinds do not read z, so next to and on the z = 0 face they score
+        # the column of the same w at z = 1
         for iv in (UNIT, Interval(0.3, 1.2)):
             lo = iv.lower
             ws = np.array([lo, 0.5, lo, 0.5, 1.0])
-            zs = np.array([0.0, 0.0, Z_FLOOR / 10.0, Z_FLOOR / 10.0, 0.0])
+            zs = np.array([0.0, 0.0, TINY_Z, TINY_Z, 0.0])
             for body in _bodies(p=3.7, iv=iv).values():
                 with warnings.catch_warnings(), np.errstate(divide="raise", invalid="raise"):
                     warnings.simplefilter("error")
                     g = _fractions(body, ws, zs)
-                out = (zs == 0.0) | (body.kind in (RelaxationKind.PR, RelaxationKind.PL_PR))
-                assert not g[out].any(), body.kind
+                if body.kind in W_ONLY:
+                    assert (g == _fractions(body, ws, np.ones_like(zs))).all(), body.kind
+                    assert not g[ws == 0.0].any(), body.kind
+                else:
+                    assert not g[(zs == 0.0) | (ws == 0.0)].any(), body.kind
+
+    @pytest.mark.parametrize("kind", W_ONLY, ids=lambda k: k.value)
+    def test_perspective_fractions_do_not_read_z(self, kind):
+        for iv in (UNIT, Interval(0.3, 1.2)):
+            body = _bodies(p=3.7, iv=iv)[kind]
+            ws = iv.lower + iv.width * np.linspace(0.0, 1.0, 41)
+            with warnings.catch_warnings(), np.errstate(all="raise"):
+                warnings.simplefilter("error")
+                want = _fractions(body, ws, None)
+                for z in (0.0, 1e-310, 0.3, 1.0):
+                    assert (_fractions(body, ws, np.full_like(ws, z)) == want).all(), z
+            assert want.any()
 
     def test_extension_below_lower_end(self):
         # with lower > 0, the chord from the origin bounds columns left of it
@@ -246,26 +281,26 @@ GOLDEN_KERNEL = {
 
 # The same sums over mc._block_hits, which draws through the cone map.
 GOLDEN_CONE_HITS = {
-    ('enr', 0.0, 2.0): (1.5002777474551368, 1.5025133121053482, 1.5008873644029093),
-    ('enr', 0.0, 3.7): (2.3285181938769233, 2.329719811520939, 2.3292566707816764),
-    ('enr', 0.3, 2.0): (1.275646860365304, 1.2769212615854733, 1.2752240892260287),
-    ('enr', 0.3, 3.7): (2.210433390538525, 2.2116807489179373, 2.2109346178995835),
-    ('nr', 0.0, 2.0): (1.5002777474551368, 1.5025133121053482, 1.5008873644029093),
-    ('nr', 0.0, 3.7): (2.3285181938769233, 2.329719811520939, 2.3292566707816764),
-    ('nr', 0.3, 2.0): (1.2806501652388556, 1.281918223572168, 1.2801797992050532),
-    ('nr', 0.3, 3.7): (2.2108129693580527, 2.2120741661745473, 2.2113129292361475),
-    ('plenr', 0.0, 2.0): (1.5304634090738367, 1.5327665504122838, 1.5308484404609342),
-    ('plenr', 0.0, 3.7): (2.357521729407874, 2.3584636910780006, 2.358099348958786),
-    ('plenr', 0.3, 2.0): (1.2936466543851521, 1.2949533041213368, 1.293241710442676),
-    ('plenr', 0.3, 3.7): (2.2350147567964256, 2.2361095331794623, 2.2354210237832577),
-    ('plpr', 0.0, 2.0): (1.0195686230020107, 1.0225858819953528, 1.0216398197743293),
-    ('plpr', 0.0, 3.7): (1.7597322432435318, 1.76173423197359, 1.7617193266264766),
-    ('plpr', 0.3, 2.0): (0.7205119275907035, 0.7224688831777764, 0.7218413624432783),
-    ('plpr', 0.3, 3.7): (1.5304585578735428, 1.5327983910600973, 1.5324942864487516),
-    ('pr', 0.0, 2.0): (0.9995272787015117, 1.002545187340551, 1.00165248016003),
-    ('pr', 0.0, 3.7): (1.723606237733312, 1.7257619192351557, 1.725784932121431),
-    ('pr', 0.3, 2.0): (0.7063622057490083, 0.708277852998337, 0.7076970679842001),
-    ('pr', 0.3, 3.7): (1.4996402650722884, 1.5020719946049186, 1.5018167984297919),
+    ('enr', 0.0, 2.0): (1.5014757590332093, 1.501152741179674, 1.4976398957035162),
+    ('enr', 0.0, 3.7): (2.3299298328244236, 2.329623246427648, 2.3256517363424933),
+    ('enr', 0.3, 2.0): (1.2761083967226434, 1.2757735571294246, 1.2730940367815813),
+    ('enr', 0.3, 3.7): (2.211825581042034, 2.2113604464172956, 2.2075154296793054),
+    ('nr', 0.0, 2.0): (1.5014757590332093, 1.501152741179674, 1.4976398957035162),
+    ('nr', 0.0, 3.7): (2.3299298328244236, 2.329623246427648, 2.3256517363424933),
+    ('nr', 0.3, 2.0): (1.2809137372281398, 1.2807562189018191, 1.2780763518178289),
+    ('nr', 0.3, 3.7): (2.212190205010047, 2.2117442355232746, 2.207903438471738),
+    ('plenr', 0.0, 2.0): (1.5315334955136397, 1.5311444699324355, 1.5275872431488733),
+    ('plenr', 0.0, 3.7): (2.358738075067035, 2.3585023324144707, 2.354556835254353),
+    ('plenr', 0.3, 2.0): (1.2941097687219703, 1.2938280202048709, 1.2911379058537045),
+    ('plenr', 0.3, 3.7): (2.236309846007697, 2.235931117597762, 2.2320823875371127),
+    ('plpr', 0.0, 2.0): (1.0189359216858263, 1.0190056371596077, 1.0182301074730782),
+    ('plpr', 0.0, 3.7): (1.7583264057626993, 1.758837390865369, 1.7561698093432598),
+    ('plpr', 0.3, 2.0): (0.7202145747960397, 0.7201429089195694, 0.7192443129631838),
+    ('plpr', 0.3, 3.7): (1.5293659905728152, 1.5297225284323617, 1.5275617434004412),
+    ('pr', 0.0, 2.0): (0.998939493508822, 0.9990833662492793, 0.9982357427131201),
+    ('pr', 0.0, 3.7): (1.7223411517777634, 1.7228046472886587, 1.720210903236692),
+    ('pr', 0.3, 2.0): (0.7061106345920662, 0.7060619961722877, 0.7051498097519391),
+    ('pr', 0.3, 3.7): (1.4986502737533822, 1.4989840562138323, 1.4968833675432025),
 }
 
 # Packed masks of the columns that meet each body among _boundary_columns.
@@ -273,10 +308,10 @@ BOUNDARY_BODIES = ((3.7, Interval(0.3, 1.2), 4), (2.0, UNIT, 3))
 GOLDEN_BOUNDARY_COLUMNS = {
     ('nr', 3.7): 'fff1e0',
     ('nr', 2.0): '2db0',
-    ('pr', 3.7): 'ff81e0',
-    ('pr', 2.0): '2480',
-    ('plpr', 3.7): 'ff81fffe',
-    ('plpr', 2.0): '2480e700',
+    ('pr', 3.7): 'ffffe0',
+    ('pr', 2.0): '2492',
+    ('plpr', 3.7): 'fffffffe',
+    ('plpr', 2.0): '2492e700',
     ('enr', 3.7): 'fff1e0',
     ('enr', 2.0): '2db0',
     ('plenr', 3.7): 'fff1fffe',
@@ -291,7 +326,8 @@ def _golden_body(kind, lower, p):
 
 def _footprint_block(body, seed, block):
     """Block ``block`` of ``Philox(seed)`` as columns uniform on the footprint's
-    bounding rectangle ``[lower, upper] x [0, 1]``, not through ``_to_cone``."""
+    bounding rectangle ``[lower, upper] x [0, 1]``: a fixed input that pins the
+    kernel apart from the oracle's own stream and ``_to_cone``."""
     gen = np.random.Generator(np.random.Philox(key=seed).jumped(block))
     ws, zs = gen.random((2, mc_mod.BLOCK_SIZE))
     ws *= body.interval.width
@@ -300,11 +336,11 @@ def _footprint_block(body, seed, block):
 
 
 def _boundary_columns(body):
-    """Columns at both ends and the middle of the footprint, on the z = 0
-    face and below Z_FLOOR, on every PL vertex, and at and left of the lower
-    end for the extended kinds."""
+    """Columns at both ends and the middle of the footprint, on and next to
+    the z = 0 face, on every PL vertex, and at and left of the lower end for
+    the extended kinds."""
     lo, hi = body.interval.lower, body.interval.upper
-    cols = [(w, z) for z in (1.0, 0.5, 0.25, Z_FLOOR / 10.0, 0.0) for w in (lo, hi, 0.5 * (lo + hi))]
+    cols = [(w, z) for z in (1.0, 0.5, 0.25, TINY_Z, 0.0) for w in (lo, hi, 0.5 * (lo + hi))]
     if lo > 0.0:
         for z in (0.5, 0.8):
             cols += [(lo / z, z), (0.9 * lo / z, z)]  # x = lo and x = 0.9 lo
@@ -375,11 +411,17 @@ class TestGoldenHits:
             assert (mc_mod._kernel._piece(kx, w) == want).all()
 
     def test_block_with_no_survivors(self):
-        # columns of no height: the z = 0 face over the whole footprint
+        # columns of no height: the z = 0 face over the whole footprint; the
+        # perspective kinds do not read z, and leave no height where the
+        # chord meets f, over both ends of the footprint at any z
         for body in _bodies(p=3.7).values():
             lo, hi = body.interval.lower, body.interval.upper
-            ws = np.linspace(lo, hi, 101)
-            zs = np.zeros_like(ws)
+            if body.kind in W_ONLY:
+                ws = np.resize([lo, hi], 101)
+                zs = np.linspace(0.0, 1.0, 101)
+            else:
+                ws = np.linspace(lo, hi, 101)
+                zs = np.zeros_like(ws)
             code = mc_mod._KIND_CODE[body.kind]
             assert mc_mod._kernel.count_hits(code, ws, zs, *body._kernel_args()) == (0, 0.0, 0.0)
         with pytest.raises(ValueError, match="unknown body kind code"):
@@ -427,11 +469,13 @@ class TestConeSampler:
         bodies.append(_golden_body("plpr", 0.3, 3.7))
         bodies.append(make_body(RelaxationKind.PR, PowerFn(3.0, Interval(1000.0, 1000.001))))
         for i, body in enumerate(bodies):
-            gen = np.random.Generator(np.random.Philox(key=i))
-            ws, zs = mc_mod._to_cone(body, gen.random((2, mc_mod.CHUNK_SIZE)))
+            ws, zs = mc_mod._draw_chunk(body, mc_mod._block_stream(i, 0), mc_mod.CHUNK_SIZE)
             lo, hi = body.interval.lower, body.interval.upper
-            assert ((zs >= 0.0) & (zs <= 1.0)).all()
             assert ((ws >= lo) & (ws <= hi)).all()
+            if body.kind in W_ONLY:
+                assert zs is None
+            else:
+                assert ((zs >= 0.0) & (zs <= 1.0)).all()
 
     def test_box_volume_is_the_cone_volume(self):
         for body, _ in _random_bodies(20, seed=5):
@@ -455,11 +499,11 @@ class TestConeSampler:
         est = {w: mc_volume(body, samples, seed=3, workers=w) for w in (1, 2, 4)}
         assert est[1] == est[2] == est[4]  # hits, mean and stderr, bit for bit
         # the same estimate from the blocks and the partial block rebuilt chunk by chunk
-        gen = np.random.Generator(np.random.Philox(key=3).jumped(2))
+        gen = mc_mod._block_stream(3, 2)
         code = mc_mod._KIND_CODE[body.kind]
         chunks = []
         for m in (mc_mod.CHUNK_SIZE, 1234):
-            ws, zs = mc_mod._to_cone(body, gen.random((2, m)))
+            ws, zs = mc_mod._draw_chunk(body, gen, m)
             hits, mean, m2 = mc_mod._kernel.count_hits(code, ws, zs, *body._kernel_args())
             chunks.append((hits, m, mean, m2))
         # a shorter budget draws the same whole chunk
@@ -470,6 +514,21 @@ class TestConeSampler:
         assert n == samples and hits == est[1].hits
         assert est[1].mean == body.box_volume * mean
         assert est[1].stderr == body.box_volume * np.sqrt(m2 / (n - 1) / n)
+
+    @pytest.mark.parametrize("kind", W_ONLY, ids=lambda k: k.value)
+    def test_perspective_kinds_draw_only_w(self, kind):
+        # two chunks of a block: had the first drawn a z row as well, the
+        # second chunk's w would start 2 * CHUNK_SIZE draws in, not CHUNK_SIZE
+        iv = Interval(0.2, 1.5)
+        body = make_body(kind, PowerFn(3.7, iv), Breakpoints.equally_spaced(iv, 6))
+        code = mc_mod._KIND_CODE[body.kind]
+        gen = mc_mod._block_stream(5, 1)
+        chunks = []
+        for _ in range(2):
+            (ws,) = mc_mod._to_cone(body, gen.random((1, mc_mod.CHUNK_SIZE)))
+            hits, mean, m2 = mc_mod._kernel.count_hits(code, ws, None, *body._kernel_args())
+            chunks.append((hits, mc_mod.CHUNK_SIZE, mean, m2))
+        assert mc_mod._block_hits(body, 5, 1, 2 * mc_mod.CHUNK_SIZE) == mc_mod._merge(*chunks)
 
     @pytest.mark.parametrize(
         "kind,p,iv,n",
