@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """Time the Monte-Carlo oracle the way ``mc_volume`` runs it.
 
-Three parts, the first two on a fixed grid of bodies (every relaxation
-kind x p in {1.5, 2, 3.7, 6} x lower in {0, 0.15, 0.5} on upper 1, 8 equal
-pieces):
+Two parts, on a fixed grid of bodies (every relaxation kind x p in
+{1.5, 2, 3.7, 6} x lower in {0, 0.15, 0.5} on upper 1, 8 equal pieces):
 
 * blocks: ``mc._block_hits`` on real 2**16-sample blocks, split into the
   draw (stream set-up, the uniforms the kind reads and their map into the
@@ -12,12 +11,9 @@ pieces):
   and blocks.
 * target: the loop that brings one body to a relative stderr of 3e-3:
   a one-block pilot, then calls sized from the last estimate's hits as
-  the benchmark's mc-target workload sizes them, on ``min(2, nproc)``
-  workers.  One op per body, ``--rounds`` rounds; the digest of every op's
-  ``(hits, samples, mean, stderr)`` shows whether two checkouts reached the
-  same estimates.
-* fanout: ``mc_volume`` on one plpr body (p = 3.7 on [0.15, 1], 8 pieces,
-  40 blocks, seed 3) on 1 and on 2 workers, 6 alternating runs each.
+  the benchmark's mc-target workload sizes them.  One op per body,
+  ``--rounds`` rounds; the digest of every op's ``(hits, samples, mean,
+  stderr)`` shows whether two checkouts reached the same estimates.
 
 The process's peak resident set (``ru_maxrss``) is recorded at the end.
 
@@ -74,7 +70,6 @@ def _time_block(body, seed, block):
     """Draw (with the map into the footprint) and kernel times of one block,
     in seconds, and its ``(hits, count, mean, M2)``; the same chunks as
     ``mc._block_hits``."""
-    code, args = mc._KIND_CODE[body.kind], body._kernel_args()
     draw = kernel = 0.0
     total = None
     t0 = time.perf_counter()
@@ -82,7 +77,7 @@ def _time_block(body, seed, block):
     for _ in range(mc.BLOCK_SIZE // mc.CHUNK_SIZE):
         ws, zs = mc._draw_chunk(body, gen, mc.CHUNK_SIZE)
         t1 = time.perf_counter()
-        hits, mean, m2 = mc._kernel.count_hits(code, ws, zs, *args)
+        hits, mean, m2 = mc._kernel.count_hits(body, ws, zs)
         t2 = time.perf_counter()
         draw += t1 - t0
         kernel += t2 - t1
@@ -132,28 +127,27 @@ def _samples_for(est, rse):
     return max(blocks * mc.BLOCK_SIZE, est.samples + mc.BLOCK_SIZE)
 
 
-def _to_target(body, seed, rse, workers):
-    est = mc_volume(body, mc.BLOCK_SIZE, seed, workers)
+def _to_target(body, seed, rse):
+    est = mc_volume(body, mc.BLOCK_SIZE, seed)
     while not est.stderr <= rse * est.mean:
-        est = mc_volume(body, _samples_for(est, rse), seed, workers)
+        est = mc_volume(body, _samples_for(est, rse), seed)
     return est
 
 
-def bench_target(rounds, rse, workers, seed):
+def bench_target(rounds, rse, seed):
     bodies = [body for kind in RelaxationKind for body in _bodies(kind)]
     round_s, op_ms, digest, samples = [], [], hashlib.sha256(), 0
     for r in range(rounds):
         t_round = time.perf_counter()
         for i, body in enumerate(bodies):
             t0 = time.perf_counter()
-            est = _to_target(body, seed + i, rse, workers)
+            est = _to_target(body, seed + i, rse)
             op_ms.append((time.perf_counter() - t0) * 1e3)
             if r == 0:
                 digest.update(f"{est.hits},{est.samples},{est.mean!r},{est.stderr!r};".encode())
                 samples += est.samples
         round_s.append(time.perf_counter() - t_round)
     return {
-        "workers": workers,
         "rse": rse,
         "ops_per_round": len(bodies),
         "round_s": round_s,
@@ -165,22 +159,6 @@ def bench_target(rounds, rse, workers, seed):
     }
 
 
-def bench_fanout(runs=6, blocks=40, seed=3):
-    iv = Interval(0.15, 1.0)
-    body = make_body(RelaxationKind.PL_PR, PowerFn(3.7, iv), Breakpoints.equally_spaced(iv, PIECES))
-    samples = blocks * mc.BLOCK_SIZE
-    mc_volume(body, samples, seed, 1)  # warm-up
-    times = {1: [], 2: []}
-    for r in range(runs):
-        for workers in ((1, 2) if r % 2 == 0 else (2, 1)):
-            t0 = time.perf_counter()
-            mc_volume(body, samples, seed, workers)
-            times[workers].append(time.perf_counter() - t0)
-    one, two = statistics.median(times[1]), statistics.median(times[2])
-    return {"blocks": blocks, "runs": runs, "one_worker_s": one, "two_workers_s": two,
-            "speedup": one / two}
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--blocks", type=int, default=6, help="timed blocks per body")
@@ -188,10 +166,9 @@ def main():
     parser.add_argument("--json", metavar="PATH", help="also write the results here")
     args = parser.parse_args()
 
-    nproc = os.cpu_count() or 1
     result = {
         "machine": {
-            "nproc": nproc,
+            "nproc": os.cpu_count() or 1,
             "cpu_model": _cpu_model(),
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -199,8 +176,7 @@ def main():
             "kernel_backend": perspex.KERNEL_BACKEND,
         },
         "blocks": bench_blocks(args.blocks, SEED),
-        "target": bench_target(args.rounds, TARGET_RSE, min(2, nproc), SEED),
-        "fanout": bench_fanout(),
+        "target": bench_target(args.rounds, TARGET_RSE, SEED),
     }
     # Linux reports ru_maxrss in KiB
     result["ru_maxrss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
@@ -215,14 +191,10 @@ def main():
         print(f"{name:12s} {row['draw_ms']:8.3f} {row['kernel_ms']:10.3f} "
               f"{row['block_ms']:9.3f} {row['hit_frac']:9.4f} {row['mean_fraction']:7.4f}")
     t = result["target"]
-    print(f"\n{t['ops_per_round']} ops to relative stderr {t['rse']:g} on {t['workers']} workers: "
+    print(f"\n{t['ops_per_round']} ops to relative stderr {t['rse']:g}: "
           f"round {t['median_round_s']:.3f} s (median of {len(t['round_s'])}), "
           f"op {t['median_op_ms']:.1f} ms, {t['msamples_per_s']:.1f} Msample/s, "
-          f"digest {t['digest']}")
-    f = result["fanout"]
-    print(f"fan-out over {f['blocks']} blocks: 1 worker {f['one_worker_s']:.3f} s, "
-          f"2 workers {f['two_workers_s']:.3f} s, speedup {f['speedup']:.2f} "
-          f"(medians of {f['runs']}); peak RSS {result['ru_maxrss_mb']:.1f} MB")
+          f"digest {t['digest']}; peak RSS {result['ru_maxrss_mb']:.1f} MB")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(result, fh, indent=1)

@@ -31,7 +31,6 @@ from .placement import (
     SinglePointBounds,
     SweepResult,
     bracket_gap,
-    concave_surrogate,
     min_bracket_gap,
     newton_optimize,
     optimize_quadratic,
@@ -41,12 +40,10 @@ from .placement import (
 )
 from .power import (
     GradientSystem,
-    PowerCurvatureTerms,
     PowerFn,
     RelaxationKind,
     bordered_hessian_eigs,
     gradient_system,
-    power_curvature_terms,
     refinement_thresholds,
     volume_extended_naive_quadratic,
     volume_naive_quadratic,
@@ -85,7 +82,6 @@ __all__ = [
     "NewtonTrace",
     "PLUnderEstimator",
     "PerspexError",
-    "PowerCurvatureTerms",
     "PowerFn",
     "RelaxationKind",
     "SinglePointBounds",
@@ -94,7 +90,6 @@ __all__ = [
     "bordered_hessian_eigs",
     "bracket_gap",
     "build_underestimator",
-    "concave_surrogate",
     "fan_triangle_areas",
     "gradient_system",
     "make_body",
@@ -102,7 +97,6 @@ __all__ = [
     "min_bracket_gap",
     "newton_optimize",
     "optimize_quadratic",
-    "power_curvature_terms",
     "refinement_thresholds",
     "single_point_bounds",
     "solve_tridiagonal",

@@ -8,14 +8,19 @@ above its own lower bound ``L(x, z)`` (powers, the piecewise-linear
 lookup), so the column's share in the body is exactly ``g = clip((S - L) /
 S, 0, 1)``, and ``g = 0`` where ``S <= 0``.  For the perspective kinds ``L =
 z * f(w)``, so ``z`` cancels and is not read: the sampler passes ``None``.
-The kernel does not test the footprint: the sampler draws inside it.
-Kind codes: 0 naive, 1 perspective, 2 PL perspective, 3 extended naive,
-4 PL extended naive.
+The kernel does not test the footprint: the sampler draws inside it.  It
+reads the body (an ``mc.BodySpec``) as it is: its kind, exponent, secant
+plane, tangent under-estimator and extension slope.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .power import RelaxationKind
+
+# kinds whose column fraction does not read z: one uniform per sample
+W_ONLY_KINDS = (RelaxationKind.PR, RelaxationKind.PL_PR)
 
 
 def _power(v: np.ndarray, q: float) -> np.ndarray:
@@ -66,34 +71,33 @@ def _pl_eval(kx: np.ndarray, ky: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def column_fraction(kind, w, z, lo, p, sec_z, sec_x, kx, ky, ext_slope):
-    """The share ``g`` of each sampled column ``(w, z)`` that lies in the
-    body; ``z`` may be ``None`` for the perspective kinds (1 and 2)."""
-    if kind not in range(5):
-        raise ValueError(f"unknown body kind code {kind}")
-    top = sec_x * w
-    top += sec_z  # chord(w) = S / z
-    if kind in (1, 2):
+def column_fraction(body, w, z):
+    """The share ``g`` of each sampled column ``(w, z)`` that lies in
+    ``body``; ``z`` may be ``None`` for the kinds in ``W_ONLY_KINDS``."""
+    kind, p, est = body.kind, body.p, body.estimator
+    top = body.secant_x * w
+    top += body.secant_z  # chord(w) = S / z
+    if kind in W_ONLY_KINDS:
         # L = z * f(w): z cancels from (S - L) / S
-        lower = _power(w, p) if kind == 1 else _pl_eval(kx, ky, w)
+        lower = _power(w, p) if kind is RelaxationKind.PR else _pl_eval(est.x, est.y, w)
     else:
         x = z * w
         top *= z
-        if kind == 0:
+        if kind is RelaxationKind.NR:
             lower = _power(x, p)
         else:
-            inner = _power(x, p) if kind == 3 else _pl_eval(kx, ky, x)
-            lower = np.where(x < lo, ext_slope * x, inner)
+            inner = _power(x, p) if kind is RelaxationKind.E_NR else _pl_eval(est.x, est.y, x)
+            lower = np.where(x < body.interval.lower, body.extension_slope * x, inner)
     np.subtract(top, lower, out=lower)
     g = np.divide(lower, top, out=np.zeros_like(top), where=top > 0.0)
     return np.clip(g, 0.0, 1.0, out=g)
 
 
-def count_hits(kind, w, z, lo, p, sec_z, sec_x, kx, ky, ext_slope):
+def count_hits(body, w, z):
     """``(hits, mean, M2)`` of one chunk's column fractions: the columns that
     meet the body, the mean fraction and the sum of squared deviations from
     it."""
-    g = column_fraction(kind, w, z, lo, p, sec_z, sec_x, kx, ky, ext_slope)
+    g = column_fraction(body, w, z)
     hits = int(np.count_nonzero(g > 0.0))
     mean = float(g.sum()) / g.size
     g -= mean

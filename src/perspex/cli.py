@@ -328,7 +328,10 @@ def _add_output(sp) -> None:
 def _add_mc(sp) -> None:
     sp.add_argument("--samples", type=int, default=1_000_000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--workers", type=int, default=None, help="0 = one per CPU")
+    sp.add_argument(
+        "--workers", type=int, default=None,
+        help="accepted and ignored: Monte-Carlo blocks always run on the calling thread",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -30,17 +30,14 @@ keyed stream, ``PCG64(SeedSequence(seed, spawn_key=(b,)))``, numpy's
 ``SeedSequence(seed).spawn`` child ``b``.  A block is drawn, mapped into the
 footprint and scored in chunks of ``2**13`` samples, which keeps every
 temporary cache-sized; each chunk yields a ``(count, mean, M2)``
-partial (``M2`` the sum of squared deviations from the chunk mean), and the
-partials are merged in block order, so estimates are bit-identical
-regardless of the number of workers.  The numpy kernel in ``_mc_fallback``
-scores the chunks.
+partial (``M2`` the sum of squared deviations from the chunk mean).  Blocks
+run in order on the calling thread and their partials are merged in block
+order.  The numpy kernel in ``_mc_fallback`` scores the chunks.
 """
 
 from __future__ import annotations
 
 import operator
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
 from math import inf, isfinite, sqrt
@@ -59,18 +56,7 @@ BLOCK_SIZE = 1 << 16
 CHUNK_SIZE = 1 << 13
 MIN_SAMPLES = 10_000
 
-_KIND_CODE = {
-    RelaxationKind.NR: 0,
-    RelaxationKind.PR: 1,
-    RelaxationKind.PL_PR: 2,
-    RelaxationKind.E_NR: 3,
-    RelaxationKind.PL_E_NR: 4,
-}
-
-_EMPTY = np.zeros(0)
 _PL_KINDS = (RelaxationKind.PL_PR, RelaxationKind.PL_E_NR)
-# kinds whose column fraction does not read z: one uniform per sample
-_W_ONLY_KINDS = (RelaxationKind.PR, RelaxationKind.PL_PR)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,20 +82,6 @@ class BodySpec:
     def box_volume(self) -> float:
         """Volume of the sampled cone, ``(upper - lower) * (f(lower) + f(upper)) / 6``."""
         return self.interval.width * (self.lower_height + self.box_height) / 6.0
-
-    def _kernel_args(self):
-        est = self.estimator
-        kx = est.x if est is not None else _EMPTY
-        ky = est.y if est is not None else _EMPTY
-        return (
-            self.interval.lower,
-            self.p,
-            self.secant_z,
-            self.secant_x,
-            kx,
-            ky,
-            self.extension_slope,
-        )
 
 
 def make_body(
@@ -179,20 +151,6 @@ class McEstimate:
     box_volume: float
 
 
-def _resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        env = os.environ.get("PERSPEX_THREADS")
-        if env is None:
-            return 1
-        try:
-            workers = int(env)
-        except ValueError:
-            raise DomainError(f"PERSPEX_THREADS must be an integer, got {env!r}") from None
-    if workers < 0:
-        raise DomainError("worker count must be >= 0")
-    return workers if workers > 0 else (os.cpu_count() or 1)
-
-
 def _to_cone(body: BodySpec, r: np.ndarray) -> np.ndarray:
     """Map uniforms ``r`` of shape ``(1, m)`` or ``(2, m)`` in place to
     columns uniform in the footprint of the body's cone, and return ``r``.
@@ -236,7 +194,7 @@ def _block_stream(seed: int, block: int) -> np.random.Generator:
 def _draw_chunk(body: BodySpec, gen: np.random.Generator, m: int) -> tuple:
     """The next ``m`` columns ``(w, z)`` of ``gen`` in the body's footprint;
     ``z`` is ``None`` for the kinds whose kernel does not read it."""
-    if body.kind in _W_ONLY_KINDS:
+    if body.kind in _kernel.W_ONLY_KINDS:
         return _to_cone(body, gen.random((1, m)))[0], None
     ws, zs = _to_cone(body, gen.random((2, m)))
     return ws, zs
@@ -261,12 +219,11 @@ def _block_hits(body: BodySpec, seed: int, block: int, count: int) -> tuple:
     """``(hits, count, mean, M2)`` of one block's column fractions, merged
     chunk by chunk in draw order."""
     gen = _block_stream(seed, block)
-    code, args = _KIND_CODE[body.kind], body._kernel_args()
     total = None
     for start in range(0, count, CHUNK_SIZE):
         m = min(CHUNK_SIZE, count - start)
         ws, zs = _draw_chunk(body, gen, m)
-        hits, mean, m2 = _kernel.count_hits(code, ws, zs, *args)
+        hits, mean, m2 = _kernel.count_hits(body, ws, zs)
         part = (hits, m, mean, m2)
         total = part if total is None else _merge(total, part)
     return total
@@ -290,32 +247,25 @@ def mc_volume(
     ``mean = box_volume * mean(g)`` over the column fractions ``g``, and
     ``stderr = box_volume * sqrt(M2 / (samples - 1) / samples)``, both from
     per-chunk ``(count, mean, M2)`` partials merged in block order.
-    Deterministic in ``(seed, samples)``: rerunning or changing the worker
-    count never changes a bit of the estimate, and extending the sample
-    budget keeps the partials of every whole chunk of ``CHUNK_SIZE`` samples
-    already drawn (only a trailing partial chunk is drawn afresh).
-    ``samples``, ``seed`` and ``workers`` must be integers.  ``workers=None``
-    defers to ``PERSPEX_THREADS`` (0 = one per CPU), defaulting to a single
-    worker.
+    Deterministic in ``(seed, samples)``: rerunning never changes a bit of
+    the estimate, and extending the sample budget keeps the partials of
+    every whole chunk of ``CHUNK_SIZE`` samples already drawn (only a
+    trailing partial chunk is drawn afresh).  Blocks run in order on the
+    calling thread.  ``samples`` and ``seed`` must be integers; ``workers``
+    is accepted, must be ``None`` or an integer ``>= 0``, and has no effect.
     """
     samples, seed = _integer("samples", samples), _integer("seed", seed)
-    if workers is not None:
-        workers = _integer("workers", workers)
+    if workers is not None and _integer("workers", workers) < 0:
+        raise DomainError("worker count must be >= 0")
     if samples < MIN_SAMPLES:
         raise DomainError(f"need at least {MIN_SAMPLES} samples, got {samples}")
     if not 0 <= seed < 2**64:
         raise DomainError("seed must fit in an unsigned 64-bit integer")
-    nworkers = _resolve_workers(workers)
 
-    blocks = [
-        (b, min(BLOCK_SIZE, samples - b * BLOCK_SIZE))
+    parts = [
+        _block_hits(body, seed, b, min(BLOCK_SIZE, samples - b * BLOCK_SIZE))
         for b in range((samples + BLOCK_SIZE - 1) // BLOCK_SIZE)
     ]
-    if nworkers == 1 or len(blocks) == 1:
-        parts = [_block_hits(body, seed, b, m) for b, m in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            parts = list(pool.map(lambda bm: _block_hits(body, seed, *bm), blocks))
     hits, _, mean, m2 = reduce(_merge, parts)
 
     box = body.box_volume

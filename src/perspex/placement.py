@@ -32,7 +32,6 @@ from .power import (
     _power_table,
     _stationarity,
     gradient_system,  # re-exported; nothing in this module calls it
-    volume_power_closed_form,
 )
 from .underestimator import Breakpoints, Interval
 
@@ -460,7 +459,9 @@ def sweep_optimal_points(iv: Interval, n: int, p_grid) -> SweepResult:
     if grid.size > 1 and not (np.diff(grid) > 0.0).all():
         raise DomainError("exponent grid must be strictly increasing")
     ps = grid.tolist()
-    PowerFn(ps[0], iv)  # the grid increases: only its first exponent can be out of range
+    # the grid increases: only its end exponents can be out of range
+    PowerFn(ps[0], iv)
+    PowerFn(ps[-1], iv)
     if n < 2:
         raise DomainError(_NEED_INTERIOR)
     tol = [_default_tol(p, iv.upper) for p in ps]
@@ -472,27 +473,3 @@ def sweep_optimal_points(iv: Interval, n: int, p_grid) -> SweepResult:
     if error is not None:
         raise error
     return SweepResult(interval=iv, n=n, p=grid, interior=xi[:, 1:-1].copy())
-
-
-def concave_surrogate(pf: PowerFn, xi1: float) -> tuple[float, float]:
-    """Log-concave surrogate for single-point placement at ``p > 2``.
-
-    Returns ``(value, offset)`` where ``value = offset - volume`` for the
-    three-point breakpoints ``(lower, xi1, upper)``.  The offset makes the
-    surrogate positive on the open interval and strictly log-concave, so
-    maximizing it finds the unique volume minimizer even though the volume
-    itself is only quasiconvex there.
-    """
-    p = pf.p
-    if not p > 2.0:
-        raise DomainError("the surrogate requires p > 2")
-    lo, up = pf.interval.lower, pf.interval.upper
-    if not lo < xi1 < up:
-        raise DomainError("xi1 must lie strictly inside the interval")
-    offset = (
-        ((p - 1.0) * _pow(up, p) + _pow(lo, p) - p * _pow(up, p - 1.0) * lo)
-        * (_pow(up, p) + (p - 1.0) * _pow(lo, p) - p * up * _pow(lo, p - 1.0))
-        / (6.0 * p * (_pow(up, p - 1.0) - _pow(lo, p - 1.0)))
-    )
-    vol = volume_power_closed_form(pf, Breakpoints.from_interior(pf.interval, [xi1]))
-    return offset - vol, offset

@@ -71,7 +71,7 @@ class RelaxationKind(Enum):
 
 @dataclass(frozen=True)
 class PowerFn:
-    """``f(x) = x**p`` on an interval, ``p > 1`` with a safety margin."""
+    """``f(x) = x**p`` on an interval, with a finite ``p > 1`` and a safety margin."""
 
     p: float
     interval: Interval
@@ -79,6 +79,8 @@ class PowerFn:
     def __post_init__(self) -> None:
         if not self.p >= _MIN_P:
             raise DomainError(f"exponent must be at least {_MIN_P}, got {self.p}")
+        if not math.isfinite(self.p):
+            raise DomainError(f"exponent must be finite, got {self.p}")
 
     def __call__(self, x):
         return _pow(x, self.p)
@@ -417,37 +419,3 @@ def refinement_thresholds(iv: Interval, gap: float) -> tuple[int, int, float]:
     n2 = int(math.floor(bound_persp)) + 1
     ratio = math.sqrt(1.5 * (1.0 - iv.lower / up))
     return n1, n2, ratio
-
-
-@dataclass(frozen=True)
-class PowerCurvatureTerms:
-    """Auxiliary scalar terms whose signs certify the curvature analysis.
-
-    Every term vanishes at ``x == 1``.  ``tangent_excess`` and
-    ``envelope_excess`` are positive for ``x != 1``; ``curvature_gap`` and
-    ``slope_mean_gap`` flip sign at ``p == 2``; ``log_weighted_gap`` stays
-    positive.  Consumed by property tests only.
-    """
-
-    tangent_excess: float
-    envelope_excess: float
-    curvature_gap: float
-    slope_mean_gap: float
-    log_weighted_gap: float
-
-
-def power_curvature_terms(p: float, x: float) -> PowerCurvatureTerms:
-    if not p > 1.0:
-        raise DomainError("need p > 1")
-    if not x > 0.0:
-        raise DomainError("need x > 0")
-    xp = x**p
-    xp1 = x ** (p - 1.0)
-    return PowerCurvatureTerms(
-        tangent_excess=xp + (p - 1.0) - p * x,
-        envelope_excess=(p - 1.0) * xp + 1.0 - p * xp1,
-        curvature_gap=(p - 2.0) * (xp - 1.0) - p * (xp1 - x),
-        slope_mean_gap=(xp1 - 1.0) ** 2 - (p - 1.0) ** 2 * x ** (p - 2.0) * (x - 1.0) ** 2,
-        log_weighted_gap=p * (p - 1.0) * (1.0 - x) * xp1 * math.log(x)
-        + (xp1 - 1.0) * (xp - 1.0),
-    )

@@ -249,6 +249,18 @@ class TestOutputContracts:
         code, _, _ = run_cli("frobnicate")
         assert code == 2
 
+    def test_infinite_exponent_exits_two(self):
+        for argv in (
+            ("mc", "--p", "inf", "--l", "0", "--u", "1", "--relax", "pr", "--samples", "20000"),
+            ("mc", "--p", "inf", "--l", "0", "--u", "1", "--relax", "plenr", "--equal", "3",
+             "--samples", "20000"),
+            ("sweep", "--l", "0", "--u", "1", "--n", "3", "--p-grid", "2,inf"),
+            ("optimize", "--p", "inf", "--l", "0", "--u", "1", "--n", "3"),
+        ):
+            code, out, err = run_cli(*argv)
+            assert code == 2 and out == "", argv
+            assert err.startswith("error: DomainError: exponent must be finite"), argv
+
     def test_domain_errors_exit_two(self):
         code, _, err = run_cli("volume", "--p", "2", "--l", "-1", "--u", "1", "--relax", "nr")
         assert code == 2 and err.startswith("error: DomainError")

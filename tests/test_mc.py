@@ -1,4 +1,5 @@
 import functools
+import threading
 import warnings
 
 import numpy as np
@@ -32,8 +33,7 @@ def _bodies(p=2.0, iv=HALF, n=3):
 
 def _fractions(body, ws, zs):
     """The kernel's column fractions of ``body`` on the columns ``(ws, zs)``."""
-    code = mc_mod._KIND_CODE[body.kind]
-    return mc_mod._kernel.column_fraction(code, ws, zs, *body._kernel_args())
+    return mc_mod._kernel.column_fraction(body, ws, zs)
 
 
 def _chunks(body, seed, samples):
@@ -57,6 +57,21 @@ class TestDeterminism:
         serial = mc_volume(body, 300_000, seed=5, workers=1)
         threaded = mc_volume(body, 300_000, seed=5, workers=4)
         assert serial == threaded
+
+    def test_blocks_run_on_the_calling_thread(self, monkeypatch):
+        # workers is accepted and ignored: every block is scored in order on
+        # the caller's thread, however many workers are asked for
+        calls = []
+        block_hits = mc_mod._block_hits
+
+        def recording(body, seed, block, count):
+            calls.append((threading.get_ident(), block))
+            return block_hits(body, seed, block, count)
+
+        monkeypatch.setattr(mc_mod, "_block_hits", recording)
+        body = make_body(RelaxationKind.NR, PowerFn(2.0, UNIT))
+        mc_volume(body, 3 * mc_mod.BLOCK_SIZE + 1, seed=5, workers=2)
+        assert calls == [(threading.get_ident(), b) for b in range(4)]
 
     def test_block_streams_are_pure_functions_of_seed_and_index(self):
         body = make_body(RelaxationKind.PR, PowerFn(2.0, UNIT))
@@ -164,6 +179,11 @@ class TestEstimates:
         assert mc_volume(body, 3 * mc_mod.BLOCK_SIZE, 1, np.int64(2)) == mc_volume(
             body, 3 * mc_mod.BLOCK_SIZE, 1, 1
         )
+
+    def test_workers_must_not_be_negative(self):
+        body = make_body(RelaxationKind.NR, PowerFn(2.0, UNIT))
+        with pytest.raises(DomainError, match="worker count must be >= 0"):
+            mc_volume(body, 50_000, 1, -1)
 
 
 class TestMembership:
@@ -359,10 +379,9 @@ class TestGoldenHits:
     @pytest.mark.parametrize("key", sorted(GOLDEN_KERNEL))
     def test_block_hits(self, key):
         body = _golden_body(*key)
-        code = mc_mod._KIND_CODE[body.kind]
         for seed, want in zip(GOLDEN_SEEDS, GOLDEN_KERNEL[key]):
             parts = [
-                mc_mod._kernel.count_hits(code, *_footprint_block(body, seed, b), *body._kernel_args())
+                mc_mod._kernel.count_hits(body, *_footprint_block(body, seed, b))
                 for b in range(GOLDEN_BLOCKS)
             ]
             assert sum(hits for hits, _, _ in parts) == GOLDEN_BLOCKS * mc_mod.BLOCK_SIZE
@@ -386,8 +405,7 @@ class TestGoldenHits:
             g = _fractions(body, ws, zs)
             assert ((g >= 0.0) & (g <= 1.0)).all()
             assert np.packbits(g > 0.0).tobytes().hex() == GOLDEN_BOUNDARY_COLUMNS[kind, p]
-            code = mc_mod._KIND_CODE[body.kind]
-            hits, mean, m2 = mc_mod._kernel.count_hits(code, ws, zs, *body._kernel_args())
+            hits, mean, m2 = mc_mod._kernel.count_hits(body, ws, zs)
             assert hits == np.count_nonzero(g > 0.0)
             assert mean == pytest.approx(g.mean(), rel=1e-15)
             assert m2 == pytest.approx(((g - g.mean()) ** 2).sum(), rel=1e-12)
@@ -422,10 +440,7 @@ class TestGoldenHits:
             else:
                 ws = np.linspace(lo, hi, 101)
                 zs = np.zeros_like(ws)
-            code = mc_mod._KIND_CODE[body.kind]
-            assert mc_mod._kernel.count_hits(code, ws, zs, *body._kernel_args()) == (0, 0.0, 0.0)
-        with pytest.raises(ValueError, match="unknown body kind code"):
-            mc_mod._kernel.count_hits(5, ws, zs, *body._kernel_args())
+            assert mc_mod._kernel.count_hits(body, ws, zs) == (0, 0.0, 0.0)
 
 
 def _random_bodies(count, seed):
@@ -500,11 +515,10 @@ class TestConeSampler:
         assert est[1] == est[2] == est[4]  # hits, mean and stderr, bit for bit
         # the same estimate from the blocks and the partial block rebuilt chunk by chunk
         gen = mc_mod._block_stream(3, 2)
-        code = mc_mod._KIND_CODE[body.kind]
         chunks = []
         for m in (mc_mod.CHUNK_SIZE, 1234):
             ws, zs = mc_mod._draw_chunk(body, gen, m)
-            hits, mean, m2 = mc_mod._kernel.count_hits(code, ws, zs, *body._kernel_args())
+            hits, mean, m2 = mc_mod._kernel.count_hits(body, ws, zs)
             chunks.append((hits, m, mean, m2))
         # a shorter budget draws the same whole chunk
         assert mc_mod._block_hits(body, 3, 2, mc_mod.CHUNK_SIZE) == chunks[0]
@@ -521,12 +535,11 @@ class TestConeSampler:
         # second chunk's w would start 2 * CHUNK_SIZE draws in, not CHUNK_SIZE
         iv = Interval(0.2, 1.5)
         body = make_body(kind, PowerFn(3.7, iv), Breakpoints.equally_spaced(iv, 6))
-        code = mc_mod._KIND_CODE[body.kind]
         gen = mc_mod._block_stream(5, 1)
         chunks = []
         for _ in range(2):
             (ws,) = mc_mod._to_cone(body, gen.random((1, mc_mod.CHUNK_SIZE)))
-            hits, mean, m2 = mc_mod._kernel.count_hits(code, ws, None, *body._kernel_args())
+            hits, mean, m2 = mc_mod._kernel.count_hits(body, ws, None)
             chunks.append((hits, mc_mod.CHUNK_SIZE, mean, m2))
         assert mc_mod._block_hits(body, 5, 1, 2 * mc_mod.CHUNK_SIZE) == mc_mod._merge(*chunks)
 
@@ -544,22 +557,3 @@ class TestConeSampler:
         est = mc_volume(make_body(kind, pf, bp), 200_000, seed=1)
         assert est.stderr > 0.0
         assert abs(est.mean - closed_form_volume(kind, pf, bp)) <= 4.0 * est.stderr
-
-
-class TestWorkers:
-    def test_env_variable(self, monkeypatch):
-        monkeypatch.setenv("PERSPEX_THREADS", "3")
-        assert mc_mod._resolve_workers(None) == 3
-        monkeypatch.setenv("PERSPEX_THREADS", "0")
-        assert mc_mod._resolve_workers(None) >= 1
-        monkeypatch.setenv("PERSPEX_THREADS", "zebra")
-        with pytest.raises(DomainError):
-            mc_mod._resolve_workers(None)
-
-    def test_argument_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("PERSPEX_THREADS", "7")
-        assert mc_mod._resolve_workers(2) == 2
-
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv("PERSPEX_THREADS", raising=False)
-        assert mc_mod._resolve_workers(None) == 1

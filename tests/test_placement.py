@@ -14,7 +14,6 @@ from perspex import (
     PowerFn,
     SingularJacobian,
     bracket_gap,
-    concave_surrogate,
     gradient_system,
     min_bracket_gap,
     newton_optimize,
@@ -408,6 +407,36 @@ class TestSweep:
             sweep_optimal_points(UNIT, 3, [2.0, 1.5])
         with pytest.raises(DomainError):
             sweep_optimal_points(UNIT, 0, [2.0, 3.0])
+
+    def test_every_exponent_must_be_finite(self):
+        # the grid increases, so only its last exponent can be infinite
+        for grid in ([2.0, math.inf], [math.inf]):
+            with pytest.raises(DomainError, match="exponent must be finite"):
+                sweep_optimal_points(UNIT, 3, grid)
+
+
+def concave_surrogate(pf: PowerFn, xi1: float) -> tuple[float, float]:
+    """Log-concave surrogate for single-point placement at ``p > 2``.
+
+    Returns ``(value, offset)`` where ``value = offset - volume`` for the
+    three-point breakpoints ``(lower, xi1, upper)``.  The offset makes the
+    surrogate positive on the open interval and strictly log-concave, so
+    maximizing it finds the unique volume minimizer even though the volume
+    itself is only quasiconvex there.
+    """
+    p = pf.p
+    if not p > 2.0:
+        raise DomainError("the surrogate requires p > 2")
+    lo, up = pf.interval.lower, pf.interval.upper
+    if not lo < xi1 < up:
+        raise DomainError("xi1 must lie strictly inside the interval")
+    offset = (
+        ((p - 1.0) * up**p + lo**p - p * up ** (p - 1.0) * lo)
+        * (up**p + (p - 1.0) * lo**p - p * up * lo ** (p - 1.0))
+        / (6.0 * p * (up ** (p - 1.0) - lo ** (p - 1.0)))
+    )
+    vol = volume_power_closed_form(pf, Breakpoints.from_interior(pf.interval, [xi1]))
+    return offset - vol, offset
 
 
 class TestConcaveSurrogate:

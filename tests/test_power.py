@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from perspex import (
     build_underestimator,
     gradient_system,
     newton_optimize,
-    power_curvature_terms,
     refinement_thresholds,
     volume_extended_naive_quadratic,
     volume_naive_quadratic,
@@ -40,6 +40,13 @@ VOL_P3_GOLDEN = 0.09107334583345017
 
 def _interior_grad(pf, bp):
     return gradient_system(pf, bp).grad
+
+
+class TestPowerFn:
+    def test_exponent_must_be_finite(self):
+        # x**inf would read 0 below 1 and 1 at 1: not a convex power
+        with pytest.raises(DomainError, match="exponent must be finite"):
+            PowerFn(math.inf, UNIT)
 
 
 class TestQuadraticVolume:
@@ -488,6 +495,40 @@ class TestThresholds:
     def test_rejects_nonpositive_gap(self):
         with pytest.raises(DomainError):
             refinement_thresholds(UNIT, 0.0)
+
+
+@dataclass(frozen=True)
+class PowerCurvatureTerms:
+    """Auxiliary scalar terms whose signs certify the curvature analysis.
+
+    Every term vanishes at ``x == 1``.  ``tangent_excess`` and
+    ``envelope_excess`` are positive for ``x != 1``; ``curvature_gap`` and
+    ``slope_mean_gap`` flip sign at ``p == 2``; ``log_weighted_gap`` stays
+    positive.
+    """
+
+    tangent_excess: float
+    envelope_excess: float
+    curvature_gap: float
+    slope_mean_gap: float
+    log_weighted_gap: float
+
+
+def power_curvature_terms(p: float, x: float) -> PowerCurvatureTerms:
+    if not p > 1.0:
+        raise DomainError("need p > 1")
+    if not x > 0.0:
+        raise DomainError("need x > 0")
+    xp = x**p
+    xp1 = x ** (p - 1.0)
+    return PowerCurvatureTerms(
+        tangent_excess=xp + (p - 1.0) - p * x,
+        envelope_excess=(p - 1.0) * xp + 1.0 - p * xp1,
+        curvature_gap=(p - 2.0) * (xp - 1.0) - p * (xp1 - x),
+        slope_mean_gap=(xp1 - 1.0) ** 2 - (p - 1.0) ** 2 * x ** (p - 2.0) * (x - 1.0) ** 2,
+        log_weighted_gap=p * (p - 1.0) * (1.0 - x) * xp1 * math.log(x)
+        + (xp1 - 1.0) * (xp - 1.0),
+    )
 
 
 class TestCurvatureTerms:
