@@ -25,18 +25,13 @@ from .errors import DomainError, MaxIterExceeded, PerspexError
 from .mc import KERNEL_BACKEND, make_body, mc_volume
 from .placement import newton_optimize, optimize_quadratic, sweep_optimal_points
 from .power import (
-    _QUADRATIC_EPS,
     PowerFn,
     RelaxationKind,
     closed_form_volume,
     gradient_system,
+    is_quadratic,
     refinement_thresholds,
-    volume_extended_naive_quadratic,
-    volume_naive_quadratic,
-    volume_perspective_quadratic,
-    volume_pl_extended_naive,
     volume_power_closed_form,
-    volume_quadratic,
 )
 from .underestimator import Breakpoints, Interval, build_underestimator, fan_triangle_areas
 
@@ -74,7 +69,7 @@ def _resolve_breakpoints(args, pf: PowerFn):
     if args.equal is not None:
         return Breakpoints.equally_spaced(pf.interval, args.equal), None
     if args.optimize is not None:
-        if abs(pf.p - 2.0) < _QUADRATIC_EPS:
+        if is_quadratic(pf.p):
             bp, _ = optimize_quadratic(pf.interval, args.optimize)
             return bp, {"iterations": 0, "direction": "stationary-at-start"}
         bp, trace = newton_optimize(pf, args.optimize)
@@ -84,10 +79,9 @@ def _resolve_breakpoints(args, pf: PowerFn):
 
 def _check_breakpoints(kind: RelaxationKind, bp) -> None:
     """The piecewise-linear relaxations need breakpoints; the others take none."""
-    needs_bp = kind in (RelaxationKind.PL_PR, RelaxationKind.PL_E_NR)
-    if needs_bp and bp is None:
+    if kind.piecewise_linear and bp is None:
         raise DomainError(f"{kind.value} needs breakpoints (--xi, --equal or --optimize)")
-    if not needs_bp and bp is not None:
+    if not kind.piecewise_linear and bp is not None:
         raise DomainError(f"{kind.value} takes no breakpoints")
 
 
@@ -168,7 +162,7 @@ def cmd_volume(args) -> dict:
 
 def cmd_optimize(args) -> dict:
     pf = _power(args)
-    if abs(pf.p - 2.0) < _QUADRATIC_EPS:
+    if is_quadratic(pf.p):
         bp, vol = optimize_quadratic(pf.interval, args.n)
         sys_ = gradient_system(pf, bp) if args.n >= 2 else None
         iterations, direction = 0, "stationary-at-start"
@@ -221,7 +215,7 @@ def cmd_sweep(args):
 
 def cmd_compare(args) -> dict:
     iv = _interval(args)
-    if abs(args.p - 2.0) >= _QUADRATIC_EPS:
+    if not is_quadratic(args.p):
         raise DomainError("compare reports the quadratic table; only p=2 is supported")
     n1, n2, ratio = refinement_thresholds(iv, args.gap)
     n = args.equal
@@ -238,11 +232,8 @@ def cmd_compare(args) -> dict:
         "ratio": ratio,
         "n": n,
         "table": {
-            "pr": volume_perspective_quadratic(iv),
-            "plpr": volume_quadratic(bp),
-            "nr": volume_naive_quadratic(iv),
-            "enr": volume_extended_naive_quadratic(iv),
-            "plenr": volume_pl_extended_naive(pf.oracle(), bp),
+            tag: closed_form_volume(RelaxationKind(tag), pf, bp)
+            for tag in ("pr", "plpr", "nr", "enr", "plenr")
         },
     }
 

@@ -56,8 +56,6 @@ BLOCK_SIZE = 1 << 16
 CHUNK_SIZE = 1 << 13
 MIN_SAMPLES = 10_000
 
-_PL_KINDS = (RelaxationKind.PL_PR, RelaxationKind.PL_E_NR)
-
 
 @dataclass(frozen=True, eq=False)
 class BodySpec:
@@ -107,7 +105,7 @@ def make_body(
             "the Monte-Carlo cone needs a positive finite height"
         )
     estimator = None
-    if kind in _PL_KINDS:
+    if kind.piecewise_linear:
         if breakpoints is None:
             raise DomainError(f"{kind.value} needs breakpoints")
         if breakpoints.interval != iv:

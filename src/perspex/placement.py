@@ -25,13 +25,12 @@ from .errors import (
 )
 from .power import (
     _FLAT_SLOPES,
-    _QUADRATIC_EPS,
     PowerFn,
     _flat_slopes,
-    _pow,
     _power_table,
     _stationarity,
     gradient_system,  # re-exported; nothing in this module calls it
+    is_quadratic,
 )
 from .underestimator import Breakpoints, Interval
 
@@ -171,11 +170,9 @@ def _jacobian_condition(sub, diag, sup) -> float:
 
 
 def _direction_for(p: float) -> str:
-    if p < 2.0 - _QUADRATIC_EPS:
-        return "decreasing"
-    if p > 2.0 + _QUADRATIC_EPS:
-        return "increasing"
-    return "stationary-at-start"
+    if is_quadratic(p):
+        return "stationary-at-start"
+    return "decreasing" if p < 2.0 else "increasing"
 
 
 def _interior_feasible(interior: np.ndarray, lo: float, up: float) -> np.ndarray:
@@ -188,7 +185,7 @@ def _interior_feasible(interior: np.ndarray, lo: float, up: float) -> np.ndarray
 
 
 def _default_tol(p: float, upper: float) -> float:
-    return 1e-12 * _pow(upper, p - 1.0)
+    return 1e-12 * upper ** (p - 1.0)
 
 
 def _newton_rows(iv, p, tol, max_iter, xi, canonical=True, trace=None):
@@ -364,13 +361,11 @@ def single_point_bounds(pf: PowerFn) -> SinglePointBounds:
     lo, up = pf.interval.lower, pf.interval.upper
     p = pf.p
     half = 0.5 * (lo + up)
-    if abs(p - 2.0) < _QUADRATIC_EPS:
+    if is_quadratic(p):
         return SinglePointBounds(lower=half, upper=half, half=half, power_mean=half)
-    ratio_bound = (p - 1.0) * (_pow(up, p) - _pow(lo, p)) / (
-        p * (_pow(up, p - 1.0) - _pow(lo, p - 1.0))
-    )
-    mean_bound = ((_pow(up, p) - _pow(lo, p)) / (p * (up - lo))) ** (1.0 / (p - 1.0))
-    power_mean = (0.5 * (_pow(up, p - 1.0) + _pow(lo, p - 1.0))) ** (1.0 / (p - 1.0))
+    ratio_bound = (p - 1.0) * (up**p - lo**p) / (p * (up ** (p - 1.0) - lo ** (p - 1.0)))
+    mean_bound = ((up**p - lo**p) / (p * (up - lo))) ** (1.0 / (p - 1.0))
+    power_mean = (0.5 * (up ** (p - 1.0) + lo ** (p - 1.0))) ** (1.0 / (p - 1.0))
     return SinglePointBounds(
         lower=min(ratio_bound, mean_bound),
         upper=max(ratio_bound, mean_bound),
@@ -397,10 +392,10 @@ def bracket_gap(p: float, t: float) -> BracketGap:
         raise DomainError("need p > 1")
     if not 0.0 <= t < 1.0:
         raise DomainError("endpoint ratio must lie in [0, 1)")
-    if abs(p - 2.0) < _QUADRATIC_EPS:
+    if is_quadratic(p):
         return BracketGap(p=p, endpoint_ratio=t, value=0.0)
-    tp = _pow(t, p)
-    tp1 = _pow(t, p - 1.0)
+    tp = t**p
+    tp1 = t ** (p - 1.0)
     value = (
         ((1.0 - tp) / (p * (1.0 - t))) ** (1.0 / (p - 1.0))
         - (p - 1.0) * (1.0 - tp) / (p * (1.0 - tp1))

@@ -6,6 +6,9 @@ gradient and tridiagonal Hessian in the interior breakpoints, the
 stationarity residual driving Newton's method, the quadratic special cases,
 and the lighter naive-relaxation variants obtained by extending the
 function linearly down to the origin.
+
+Powers are plain ``**``, whose exponents here are positive, so ``0.0**q``
+is 0 already; :func:`_power_table` is the one home of ``0**q := 0``.
 """
 
 from __future__ import annotations
@@ -31,22 +34,9 @@ _QUADRATIC_EPS = 1e-12
 _MIN_P = 1.0 + 1e-9
 
 
-def _pow(x, q):
-    """``x**q`` with ``0**q := 0`` for q > 0 and ``x**0 := 1``.
-
-    The zero short-circuit is the continuous extension used by every
-    formula in this module when the interval starts at zero.  Callers must
-    not pass ``x == 0`` with ``q < 0``; those limits are handled explicitly
-    where they occur.
-    """
-    if q == 0.0:
-        return np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
-    if isinstance(x, np.ndarray):
-        out = np.zeros_like(x)
-        nz = x != 0.0
-        out[nz] = x[nz] ** q
-        return out
-    return 0.0 if x == 0.0 else x**q
+def is_quadratic(p: float) -> bool:
+    """Is ``p`` close enough to 2 to take the exact quadratic formulas?"""
+    return abs(p - 2.0) < _QUADRATIC_EPS
 
 
 class RelaxationKind(Enum):
@@ -68,6 +58,11 @@ class RelaxationKind(Enum):
                 f"{[k.value for k in cls]}"
             ) from None
 
+    @property
+    def piecewise_linear(self) -> bool:
+        """Built from the tangent under-estimator, so it needs breakpoints."""
+        return self in (RelaxationKind.PL_PR, RelaxationKind.PL_E_NR)
+
 
 @dataclass(frozen=True)
 class PowerFn:
@@ -83,18 +78,14 @@ class PowerFn:
             raise DomainError(f"exponent must be finite, got {self.p}")
 
     def __call__(self, x):
-        return _pow(x, self.p)
+        return x**self.p
 
     def deriv(self, x):
-        return self.p * _pow(x, self.p - 1.0)
+        return self.p * x ** (self.p - 1.0)
 
     def oracle(self) -> ConvexFunction:
         """Black-box view of this function for the under-estimator builder."""
-        return ConvexFunction(
-            fn=lambda t: _pow(t, self.p),
-            deriv=lambda t: self.p * _pow(t, self.p - 1.0),
-            interval=self.interval,
-        )
+        return ConvexFunction(fn=self, deriv=self.deriv, interval=self.interval)
 
 
 def volume_quadratic(bp: Breakpoints) -> float:
@@ -114,7 +105,7 @@ def volume_power_closed_form(pf: PowerFn, bp: Breakpoints) -> float:
     if pf.interval != bp.interval:
         raise DomainError("breakpoints cover a different interval than the function")
     p = pf.p
-    if abs(p - 2.0) < _QUADRATIC_EPS:
+    if is_quadratic(p):
         return volume_quadratic(bp)
     xi = bp.xi
     lo, up = xi[0], xi[-1]
@@ -126,8 +117,8 @@ def volume_power_closed_form(pf: PowerFn, bp: Breakpoints) -> float:
     s = float((am * bm * (b - a) ** 2 / (bm - am)).sum())
     return (
         -((p - 1.0) ** 2) / (6.0 * p) * s
-        + (p - 1.0) / (6.0 * p) * (_pow(up, p + 1.0) - _pow(lo, p + 1.0))
-        - (_pow(up, p) * lo - up * _pow(lo, p)) / 6.0
+        + (p - 1.0) / (6.0 * p) * (up ** (p + 1.0) - lo ** (p + 1.0))
+        - (up**p * lo - up * lo**p) / 6.0
     )
 
 
@@ -135,12 +126,14 @@ def _power_table(xi: np.ndarray, p: np.ndarray) -> np.ndarray:
     """``xi**p``, ``xi**(p-1)`` and ``xi**(p-2)``, one exponent per row of ``xi``.
 
     Returns shape ``(3,) + xi.shape``.  Each entry comes from a power of one
-    contiguous row by a scalar exponent, the operation :func:`_pow` performs.
+    contiguous row by a scalar exponent, as ``x**q`` computes it elsewhere.
     numpy takes exact shortcuts (``x*x``, ``sqrt``) for some scalar
     exponents that a broadcast exponent array skips, so a row's table must
     not depend on the rows batched with it.  Breakpoints increase from
-    ``lower >= 0``, so only column 0 can be zero; it follows ``_pow``'s
-    ``0**q := 0`` convention.
+    ``lower >= 0``, so only column 0 can be zero.  This table is the one
+    home of the ``0**q := 0`` convention, the continuous extension at
+    ``lower == 0`` of each formula that uses it; it matters only for
+    ``x**(p-2)`` at ``p < 2``, since ``0.0**q`` is already 0 for ``q > 0``.
     """
     table = np.empty((3,) + xi.shape)
     exps = p - np.array([[0.0], [1.0], [2.0]])  # p, p - 1, p - 2 per row
@@ -385,19 +378,32 @@ def closed_form_volume(
 
     The piecewise-linear kinds need breakpoints and have closed forms at
     every exponent; ``nr``, ``pr`` and ``enr`` take none and have closed
-    forms at ``p = 2`` only.
+    forms at ``p = 2`` only.  Raises :class:`DomainError`, with no warning,
+    where the closed form overflows floats and so is not finite.
     """
-    if kind is RelaxationKind.PL_PR:
-        return volume_power_closed_form(pf, bp)
-    if kind is RelaxationKind.PL_E_NR:
-        return volume_pl_extended_naive(pf.oracle(), bp)
-    if abs(pf.p - 2.0) >= _QUADRATIC_EPS:
+    if not (kind.piecewise_linear or is_quadratic(pf.p)):
         return None
-    if kind is RelaxationKind.NR:
-        return volume_naive_quadratic(pf.interval)
-    if kind is RelaxationKind.PR:
-        return volume_perspective_quadratic(pf.interval)
-    return volume_extended_naive_quadratic(pf.interval)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below reports them
+            if kind is RelaxationKind.PL_PR:
+                vol = volume_power_closed_form(pf, bp)
+            elif kind is RelaxationKind.PL_E_NR:
+                vol = volume_pl_extended_naive(pf.oracle(), bp)
+            elif kind is RelaxationKind.NR:
+                vol = volume_naive_quadratic(pf.interval)
+            elif kind is RelaxationKind.PR:
+                vol = volume_perspective_quadratic(pf.interval)
+            else:
+                vol = volume_extended_naive_quadratic(pf.interval)
+    except OverflowError:  # Python floats raise where numpy returns inf
+        vol = math.inf
+    if not math.isfinite(vol):
+        iv = pf.interval
+        raise DomainError(
+            f"the closed-form {kind.value} volume of x**{pf.p!r} on "
+            f"[{iv.lower!r}, {iv.upper!r}] overflows floats"
+        )
+    return vol
 
 
 def refinement_thresholds(iv: Interval, gap: float) -> tuple[int, int, float]:
@@ -407,13 +413,22 @@ def refinement_thresholds(iv: Interval, gap: float) -> tuple[int, int, float]:
     equally-spaced quadratic PL+E+NR (resp. PL+PR) volume exceeds its
     n-to-infinity limit by less than ``gap``, and the exact real ratio of
     the two bounds, ``sqrt(1.5 * (1 - lower/upper))``, which never exceeds
-    ``sqrt(1.5)``.
+    ``sqrt(1.5)``.  Raises :class:`DomainError` where a bound is not finite
+    in floats.
     """
     if not gap > 0.0:
         raise DomainError("gap must be positive")
     w, up = iv.width, iv.upper
     bound_naive = w * w / math.sqrt(24.0 * up * gap)
-    bound_persp = math.sqrt(w**3 / gap) / 6.0
+    try:
+        bound_persp = math.sqrt(w**3 / gap) / 6.0
+    except OverflowError:  # Python floats raise where numpy returns inf
+        bound_persp = math.inf
+    if not (math.isfinite(bound_naive) and math.isfinite(bound_persp)):
+        raise DomainError(
+            f"the piece-count bounds on [{iv.lower!r}, {up!r}] at gap {gap!r} "
+            "overflow floats"
+        )
     # least integers strictly above the bounds, exact-integer bounds bump up
     n1 = int(math.floor(bound_naive)) + 1
     n2 = int(math.floor(bound_persp)) + 1

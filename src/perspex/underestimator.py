@@ -15,6 +15,7 @@ fan triangulation rooted at the left endpoint delivers in linear time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -162,12 +163,55 @@ class PLUnderEstimator:
         return float((self.y[-1] - self.y[0]) / (self.x[-1] - self.x[0]))
 
     def __call__(self, w):
-        """Evaluate the piecewise-linear function at ``w`` (scalar or array)."""
-        w = np.asarray(w, dtype=float)
-        k = np.clip(np.searchsorted(self.x, w, side="right") - 1, 0, self.x.size - 2)
-        slope = (self.y[k + 1] - self.y[k]) / (self.x[k + 1] - self.x[k])
-        out = self.y[k] + slope * (w - self.x[k])
-        return float(out) if out.ndim == 0 else out
+        """Evaluate the piecewise-linear function at ``w`` (scalar or array).
+
+        Piece ``k`` holds ``x[k] <= w < x[k+1]``, the end pieces extend
+        outwards, and the value is ``y[k] + slope[k] * (w - x[k])``.  A scalar
+        gives a ``float``.  The Monte-Carlo kernel evaluates here too.
+        """
+        scalar = np.ndim(w) == 0
+        w = np.atleast_1d(np.asarray(w, dtype=float))
+        k = self._piece(w)
+        # a[k] for indices known to be in range; mode="clip" skips the bounds
+        # check that makes plain fancy indexing about 1.5x slower
+        out = w - np.take(self.x, k, mode="clip")
+        out *= np.take(self._slope, k, mode="clip")
+        out += np.take(self.y, k, mode="clip")
+        return float(out[0]) if scalar else out
+
+    @cached_property
+    def _slope(self) -> np.ndarray:
+        return (self.y[1:] - self.y[:-1]) / (self.x[1:] - self.x[:-1])
+
+    @cached_property
+    def _buckets(self) -> tuple:
+        """``(scale, start, upper)``: ``(w - x[0]) * scale`` is ``w``'s bucket
+        of ``4 * x.size`` over ``[x[0], x[-1]]``, ``start`` each bucket's piece
+        one bucket below it (so an off-by-one bucket from rounding cannot
+        overshoot) and ``upper`` each piece's right end, NaN for the last
+        piece, which no ``w``, not even ``inf``, steps past."""
+        x, inner = self.x, self.x[1:-1]
+        nb = 4 * x.size
+        scale = nb / (x[-1] - x[0])
+        start = np.searchsorted(inner, x[0] + np.arange(-1, nb) / scale)
+        return scale, start, np.append(inner, np.nan)
+
+    def _piece(self, w: np.ndarray) -> np.ndarray:
+        """``np.searchsorted(x[1:-1], w, side="right")`` without a branchy
+        binary search per sample: ``w`` starts from its bucket's piece, the
+        buckets clipped to the grid, and steps up while past the next vertex.
+        A NaN ``w`` gets piece 0."""
+        scale, start, upper = self._buckets
+        bucket = w - self.x[0]
+        bucket *= scale
+        # fmax and fmin clip like np.clip but send NaN to 0, a bucket the cast can take
+        np.fmin(np.fmax(bucket, 0.0, out=bucket), 4 * self.x.size, out=bucket)
+        k = np.take(start, bucket.astype(np.intp), mode="clip")
+        while True:
+            step = w >= np.take(upper, k, mode="clip")
+            if not step.any():
+                return k
+            k += step
 
 
 def build_underestimator(f: ConvexFunction, bp: Breakpoints) -> PLUnderEstimator:

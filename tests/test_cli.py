@@ -6,8 +6,9 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from perspex import McEstimate, cli
+from perspex import Breakpoints, Interval, McEstimate, PowerFn, RelaxationKind, cli
 from perspex.cli import main
+from perspex.power import closed_form_volume
 
 GOLDEN = (5.0**0.5 - 1.0) / 2.0
 
@@ -146,10 +147,18 @@ class TestCompare:
         assert report["ratio"] == pytest.approx(1.225, abs=1e-3)
         table = report["table"]
         assert table["pr"] <= table["plpr"] <= table["nr"]
+        # the table is closed_form_volume's, bit for bit, in a fixed key order
+        iv = Interval(0.0, 1.0)
+        bp = Breakpoints.equally_spaced(iv, report["n"])
+        tags = ["pr", "plpr", "nr", "enr", "plenr"]
+        assert list(table) == tags
+        for tag in tags:
+            assert table[tag] == closed_form_volume(RelaxationKind(tag), PowerFn(2.0, iv), bp)
 
     def test_rejects_other_exponents(self):
-        code, _, _ = run_cli("compare", "--p", "3", "--l", "0", "--u", "1", "--gap", "0.001")
-        assert code == 2
+        for p in ("3", "nan"):
+            code, _, _ = run_cli("compare", "--p", p, "--l", "0", "--u", "1", "--gap", "0.001")
+            assert code == 2, p
 
 
 class TestMc:
@@ -287,3 +296,13 @@ class TestOutputContracts:
             code, out, err = run_cli(*argv)
             assert code == 2 and out == "" and err.startswith("error: DomainError")
             assert "Warning" not in err
+        # volumes and piece-count bounds that overflow floats
+        for argv in (
+            ("volume", "--p", "2", "--l", "0", "--u", "1e200", "--relax", "plpr", "--equal", "3"),
+            ("volume", "--p", "3", "--l", "0", "--u", "1e120", "--relax", "plpr", "--equal", "3"),
+            ("volume", "--p", "2", "--l", "0", "--u", "1e120", "--relax", "nr"),
+            ("compare", "--l", "0", "--u", "1e120", "--gap", "1e-3"),
+        ):
+            code, out, err = run_cli(*argv)
+            assert code == 2 and out == "", argv
+            assert err.startswith("error: DomainError") and err.count("\n") == 1, argv

@@ -11,7 +11,6 @@ from perspex import (
     Interval,
     PowerFn,
     RelaxationKind,
-    build_underestimator,
     make_body,
     mc_volume,
     volume_power_closed_form,
@@ -410,24 +409,6 @@ class TestGoldenHits:
             assert mean == pytest.approx(g.mean(), rel=1e-15)
             assert m2 == pytest.approx(((g - g.mean()) ** 2).sum(), rel=1e-12)
 
-    @pytest.mark.parametrize("n", [1, 2, 8, 64])
-    def test_piece_lookup_is_searchsorted(self, n):
-        # the bucketed lookup against the binary search it replaces, on
-        # vertices, their neighbours in floats and points past both ends
-        rng = np.random.default_rng(n)
-        for p, iv in ((3.7, Interval(0.0, 1.0)), (8.0, Interval(0.3, 1.2)),
-                      (2.0, Interval(1000.0, 1000.001))):
-            kx = build_underestimator(
-                PowerFn(p, iv).oracle(), Breakpoints.equally_spaced(iv, n)
-            ).x
-            w = np.concatenate([
-                iv.lower + iv.width * rng.random(4000),
-                kx, np.nextafter(kx, -np.inf), np.nextafter(kx, np.inf),
-                [iv.lower - iv.width, iv.upper + iv.width, 0.0],
-            ])
-            want = np.searchsorted(kx[1:-1], w, side="right")
-            assert (mc_mod._kernel._piece(kx, w) == want).all()
-
     def test_block_with_no_survivors(self):
         # columns of no height: the z = 0 face over the whole footprint; the
         # perspective kinds do not read z, and leave no height where the
@@ -455,7 +436,7 @@ def _random_bodies(count, seed):
         upper = 10.0 ** rng.uniform(-1.0, 2.0)
         lower = 0.0 if i % 2 == 0 else upper * rng.uniform(0.0, 0.9)
         iv = Interval(lower, upper)
-        if kind in (RelaxationKind.PL_PR, RelaxationKind.PL_E_NR):
+        if kind.piecewise_linear:
             pf = PowerFn(rng.uniform(1.1, 8.0), iv)
             bp = Breakpoints.equally_spaced(iv, int(rng.integers(2, 13)))
         else:

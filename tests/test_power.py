@@ -417,8 +417,17 @@ class TestClosedFormDispatch:
             RelaxationKind.PL_E_NR: volume_pl_extended_naive(pf.oracle(), bp),
         }
         for kind, vol in expected.items():
-            plain = kind in (RelaxationKind.NR, RelaxationKind.PR, RelaxationKind.E_NR)
-            assert closed_form_volume(kind, pf, None if plain else bp) == vol
+            assert closed_form_volume(kind, pf, bp if kind.piecewise_linear else None) == vol
+        assert [k.value for k in RelaxationKind if k.piecewise_linear] == ["plpr", "plenr"]
+
+    def test_non_finite_volume_is_a_domain_error(self):
+        # every kind overflows here, through numpy (inf, nan) or Python floats
+        # (OverflowError); numpy warnings are test errors, so none is emitted
+        iv = Interval(0.0, 1e200)
+        pf, bp = PowerFn(2.0, iv), Breakpoints.equally_spaced(iv, 3)
+        for kind in RelaxationKind:
+            with pytest.raises(DomainError, match="overflows floats"):
+                closed_form_volume(kind, pf, bp if kind.piecewise_linear else None)
 
     def test_none_without_a_closed_form(self):
         pf = PowerFn(3.0, self.IV)

@@ -164,6 +164,45 @@ class TestEvaluation:
         assert est(0.25) == pytest.approx(0.0, abs=1e-15)
         assert isinstance(est(0.25), float)
 
+    @staticmethod
+    def _lookup_points(n):
+        # estimators with their vertices, the vertices' neighbours in floats
+        # and points past both ends, infinities included
+        rng = np.random.default_rng(n)
+        for p, iv in ((3.7, Interval(0.0, 1.0)), (8.0, Interval(0.3, 1.2)),
+                      (2.0, Interval(1000.0, 1000.001))):
+            est = build_underestimator(
+                PowerFn(p, iv).oracle(), Breakpoints.equally_spaced(iv, n)
+            )
+            kx = est.x
+            w = np.concatenate([
+                iv.lower + iv.width * rng.random(4000),
+                kx, np.nextafter(kx, -np.inf), np.nextafter(kx, np.inf),
+                [-np.inf, np.inf, iv.lower - iv.width, iv.upper + iv.width, 0.0],
+            ])
+            yield est, w
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 64])
+    def test_piece_lookup_is_searchsorted(self, n):
+        # the bucketed lookup against the binary search it replaces
+        for est, w in self._lookup_points(n):
+            want = np.searchsorted(est.x[1:-1], w, side="right")
+            assert (est._piece(w) == want).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 64])
+    def test_value_is_the_chord_of_the_searched_piece(self, n):
+        for est, w in self._lookup_points(n):
+            x, y = est.x, est.y
+            slope = (y[1:] - y[:-1]) / (x[1:] - x[:-1])
+            k = np.searchsorted(x[1:-1], w, side="right")
+            with np.errstate(invalid="ignore"):  # 0 * inf where an end slope is 0
+                want = y[k] + slope[k] * (w - x[k])
+                assert np.array_equal(est(w), want, equal_nan=True)
+            for i in (0, -3, -2):  # inside, below and above the interval
+                got = est(float(w[i]))
+                assert isinstance(got, float) and got == want[i]
+            assert np.isnan(est(np.nan))
+
 
 class TestVolume:
     def test_single_triangle(self):
