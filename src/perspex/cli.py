@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, MaxIterExceeded, PerspexError
 from .mc import KERNEL_BACKEND, make_body, mc_volume
-from .placement import newton_optimize, optimize_quadratic, sweep_optimal_points
+from .placement import newton_optimize, sweep_optimal_points
 from .power import (
     PowerFn,
     RelaxationKind,
@@ -31,7 +31,6 @@ from .power import (
     gradient_system,
     is_quadratic,
     refinement_thresholds,
-    volume_power_closed_form,
 )
 from .underestimator import Breakpoints, Interval, build_underestimator, fan_triangle_areas
 
@@ -69,9 +68,6 @@ def _resolve_breakpoints(args, pf: PowerFn):
     if args.equal is not None:
         return Breakpoints.equally_spaced(pf.interval, args.equal), None
     if args.optimize is not None:
-        if is_quadratic(pf.p):
-            bp, _ = optimize_quadratic(pf.interval, args.optimize)
-            return bp, {"iterations": 0, "direction": "stationary-at-start"}
         bp, trace = newton_optimize(pf, args.optimize)
         return bp, {"iterations": trace.iterations, "direction": trace.direction}
     return None, None
@@ -162,18 +158,7 @@ def cmd_volume(args) -> dict:
 
 def cmd_optimize(args) -> dict:
     pf = _power(args)
-    if is_quadratic(pf.p):
-        bp, vol = optimize_quadratic(pf.interval, args.n)
-        sys_ = gradient_system(pf, bp) if args.n >= 2 else None
-        iterations, direction = 0, "stationary-at-start"
-        residual = float(np.abs(sys_.residual).max()) if sys_ is not None else 0.0
-        grad_norm = float(np.abs(sys_.grad).max()) if sys_ is not None else 0.0
-    else:
-        bp, trace = newton_optimize(pf, args.n, tol=args.tol, max_iter=args.max_iter)
-        vol = volume_power_closed_form(pf, bp)
-        iterations, direction = trace.iterations, trace.direction
-        residual = trace.residual_norms[-1]
-        grad_norm = float(np.abs(gradient_system(pf, bp).grad).max())
+    bp, trace = newton_optimize(pf, args.n, tol=args.tol, max_iter=args.max_iter)
     return {
         "command": "optimize",
         "p": pf.p,
@@ -181,11 +166,11 @@ def cmd_optimize(args) -> dict:
         "upper": pf.interval.upper,
         "n": args.n,
         "xi": bp.xi.tolist(),
-        "volume": vol,
-        "iterations": iterations,
-        "direction": direction,
-        "residual_norm": residual,
-        "gradient_norm": grad_norm,
+        "volume": closed_form_volume(RelaxationKind.PL_PR, pf, bp),
+        "iterations": trace.iterations,
+        "direction": trace.direction,
+        "residual_norm": trace.residual_norms[-1],
+        "gradient_norm": float(np.abs(gradient_system(pf, bp).grad).max()),
     }
 
 

@@ -1,12 +1,13 @@
 """Optimal placement of linearization points.
 
 For quadratics the volume-minimizing breakpoints are equally spaced in
-closed form.  For every other exponent the unique minimizer is the zero of
-a tridiagonal stationarity system, found by a Newton iteration that is
-provably monotone from the equally-spaced start: coordinates only move
-down for ``1 < p < 2`` and only up for ``p > 2``.  This module also provides
-the analytic bracket for a single interior point, the normalized bracket
-width as a function of the exponent, and exponent sweeps.
+closed form, so Newton stops at that start.  For every other exponent the
+unique minimizer is the zero of a tridiagonal stationarity system, found by
+a Newton iteration that is provably monotone from the equally-spaced start:
+coordinates only move down for ``1 < p < 2`` and only up for ``p > 2``.
+This module also provides the analytic bracket for a single interior point,
+the normalized bracket width as a function of the exponent, and exponent
+sweeps.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .power import (
     _stationarity,
     gradient_system,  # re-exported; nothing in this module calls it
     is_quadratic,
+    volume_quadratic,
 )
 from .underestimator import Breakpoints, Interval
 
@@ -45,15 +47,14 @@ _NEED_TOL = "tolerance must be positive"
 def optimize_quadratic(iv: Interval, n: int) -> tuple[Breakpoints, float]:
     """Unique volume-minimizing breakpoints for ``x**2``: equal spacing.
 
-    Returns the breakpoints and the minimum volume
-    ``width**3/18 + width**3/(36 n**2)``.  ``n = 1`` is allowed and has no
-    interior point.
+    Returns the breakpoints and the minimum volume, ``volume_quadratic`` at
+    them (``width**3/18 + width**3/(36 n**2)`` in exact arithmetic).
+    ``n = 1`` is allowed and has no interior point.
     """
     if n < 1:
         raise DomainError("need n >= 1")
     bp = Breakpoints.equally_spaced(iv, n)
-    w = iv.width
-    return bp, w**3 / 18.0 + w**3 / (36.0 * n * n)
+    return bp, volume_quadratic(bp)
 
 
 def _thomas(sub, diag, sup, rhs) -> tuple[np.ndarray, np.ndarray]:
@@ -133,7 +134,8 @@ class NewtonTrace:
     ``direction`` is the guaranteed movement of every coordinate from the
     equally-spaced start: ``"decreasing"`` for ``1 < p < 2``,
     ``"increasing"`` for ``p > 2``, or ``"stationary-at-start"`` when the
-    start already satisfies the tolerance (always the case at ``p = 2``).
+    start already satisfies the tolerance, or at ``p = 2``, where that start
+    is the closed-form optimum whatever the tolerance.
     ``condition_numbers`` holds the infinity-norm condition of the Jacobian
     at each iterate; since those Jacobians have nonnegative inverses the
     number is exact, at the cost of one extra tridiagonal solve.
@@ -193,15 +195,17 @@ def _newton_rows(iv, p, tol, max_iter, xi, canonical=True, trace=None):
 
     ``xi`` holds one start per row, ``(rows, n + 1)``, and is overwritten
     with each row's last iterate; ``p`` and ``tol`` hold one exponent and
-    one tolerance per row.  Each row stops on its own tolerance and meets
-    the guards of :func:`newton_optimize` on its own.  Returns the error of
-    the lowest-index failing row, or ``None`` when every row converged:
-    rows after a failing one are dropped, since their outcome no longer
-    changes what the caller raises.  ``trace`` records a one-row run.
+    one tolerance per row.  Each row stops on its own tolerance, or at once
+    at ``p = 2`` from a ``canonical`` start, and meets the guards of
+    :func:`newton_optimize` on its own.  Returns the error of the
+    lowest-index failing row, or ``None`` when every row converged: rows
+    after a failing one are dropped, since their outcome no longer changes
+    what the caller raises.  ``trace`` records a one-row run.
     """
     lo, up = iv.lower, iv.upper
     ps = np.asarray(p, dtype=float)
     tols = np.asarray(tol, dtype=float)
+    stop_at_start = canonical & is_quadratic(ps)
     live = np.arange(len(p))  # rows still iterating, ascending
     error = None
     for it in range(max_iter + 1):
@@ -220,7 +224,7 @@ def _newton_rows(iv, p, tol, max_iter, xi, canonical=True, trace=None):
             break
         st = _stationarity(x, pl, table)
         norm = np.abs(st.residual).max(axis=1)
-        go = ~(norm <= tols[live])
+        go = ~(norm <= tols[live]) & ~stop_at_start[live]
         if trace is not None:
             trace.iterates.append(Breakpoints(iv, x[0]))
             trace.residual_norms.append(float(norm[0]))
@@ -304,7 +308,8 @@ def newton_optimize(
     with all iterates strictly interior; a canonical-start iterate moving
     against the guaranteed direction by more than ``1e-12`` raises
     :class:`MonotonicityViolated` since the theory forbids it.  The default
-    tolerance scales with the residual, ``1e-12 * upper**(p-1)``.
+    tolerance scales with the residual, ``1e-12 * upper**(p-1)``.  At
+    ``p = 2`` the start is the optimum, returned at iteration 0 for any ``tol``.
 
     Runs started from ``start`` (a vector of ``n - 1`` interior points)
     carry no direction guarantee; their steps are halved as needed to stay

@@ -34,8 +34,9 @@ _QUADRATIC_EPS = 1e-12
 _MIN_P = 1.0 + 1e-9
 
 
-def is_quadratic(p: float) -> bool:
-    """Is ``p`` close enough to 2 to take the exact quadratic formulas?"""
+def is_quadratic(p):
+    """Is ``p`` close enough to 2 to take the exact quadratic formulas?
+    Elementwise for an array ``p``."""
     return abs(p - 2.0) < _QUADRATIC_EPS
 
 
@@ -89,11 +90,12 @@ class PowerFn:
 
 
 def volume_quadratic(bp: Breakpoints) -> float:
-    """Exact volume of the PL perspective relaxation for ``f(x) = x**2``."""
-    xi = bp.xi
-    lo, up = xi[0], xi[-1]
-    s = float((xi[1:] * xi[:-1] * (xi[:-1] - xi[1:])).sum())
-    return (s + up**3 - 2.0 * up * up * lo + 2.0 * up * lo * lo - lo**3) / 12.0
+    """Exact volume of the PL perspective relaxation for ``f(x) = x**2``.
+
+    A third of the chord-to-parabola area ``w**3/6`` plus, per piece of
+    width ``h``, a third of the parabola-to-tangents area ``h**3/12``: a sum
+    of nonnegative terms, so nothing cancels."""
+    return (bp.interval.width**3 + 0.5 * float((np.diff(bp.xi) ** 3).sum())) / 18.0
 
 
 def volume_power_closed_form(pf: PowerFn, bp: Breakpoints) -> float:
@@ -326,8 +328,8 @@ def bordered_hessian_eigs(pf: PowerFn, bp: Breakpoints) -> np.ndarray:
 
 def volume_naive_quadratic(iv: Interval) -> float:
     """Volume of the naive relaxation of ``x**2`` on the interval."""
-    w = iv.width
-    return w**3 / 18.0 + (iv.upper**3 - iv.lower**3) / 36.0
+    w, lo, up = iv.width, iv.lower, iv.upper
+    return w**3 / 18.0 + w * (up * up + up * lo + lo * lo) / 36.0
 
 
 def volume_perspective_quadratic(iv: Interval) -> float:
@@ -419,7 +421,8 @@ def refinement_thresholds(iv: Interval, gap: float) -> tuple[int, int, float]:
     if not gap > 0.0:
         raise DomainError("gap must be positive")
     w, up = iv.width, iv.upper
-    bound_naive = w * w / math.sqrt(24.0 * up * gap)
+    # w**2 / sqrt(24 up gap), with no product that can underflow to 0
+    bound_naive = w / math.sqrt(24.0) * math.sqrt(w / up) * math.sqrt(w / gap)
     try:
         bound_persp = math.sqrt(w**3 / gap) / 6.0
     except OverflowError:  # Python floats raise where numpy returns inf

@@ -157,11 +157,6 @@ class PLUnderEstimator:
     def interval(self) -> Interval:
         return Interval(float(self.x[0]), float(self.x[-1]))
 
-    @property
-    def secant_slope(self) -> float:
-        """Slope of the chord joining the endpoint vertices."""
-        return float((self.y[-1] - self.y[0]) / (self.x[-1] - self.x[0]))
-
     def __call__(self, w):
         """Evaluate the piecewise-linear function at ``w`` (scalar or array).
 

@@ -104,6 +104,27 @@ class TestOptimize:
         np.testing.assert_allclose(report["xi"], [0.0, 0.2, 0.4, 0.6, 0.8, 1.0], atol=1e-12)
         assert report["iterations"] == 0
 
+    def test_quadratic_volume_matches_the_volume_command(self):
+        domain = ("--p", "2", "--l", "1000", "--u", "1000.001")
+        opt = run_json("optimize", *domain, "--n", "3")
+        vol = run_json("volume", *domain, "--equal", "3", "--relax", "plpr")
+        assert opt["xi"] == vol["xi"]
+        assert opt["volume"] == vol["volume"] > 0.0
+
+    def test_optimization_needs_an_interior_point(self):
+        for p in ("2", "3"):
+            domain = ("--p", p, "--l", "0", "--u", "1")
+            for argv in (
+                ("optimize", *domain, "--n", "1"),
+                ("volume", *domain, "--optimize", "1", "--relax", "plpr"),
+            ):
+                code, out, err = run_cli(*argv)
+                assert code == 2 and out == "", argv
+                assert err.startswith("error: DomainError") and "n >= 2" in err, argv
+        report = run_json("volume", "--p", "2", "--l", "0", "--u", "1", "--equal", "1")
+        assert report["xi"] == [0.0, 1.0]
+        assert report["volume"] == pytest.approx(1.0 / 12.0, rel=1e-14)
+
     def test_subquadratic_bracket(self):
         report = run_json("optimize", "--p", "1.5", "--l", "0", "--u", "1", "--n", "2")
         assert 1.0 / 3.0 < report["xi"][1] < 4.0 / 9.0
@@ -154,6 +175,11 @@ class TestCompare:
         assert list(table) == tags
         for tag in tags:
             assert table[tag] == closed_form_volume(RelaxationKind(tag), PowerFn(2.0, iv), bp)
+
+    def test_thresholds_do_not_underflow(self):
+        # 24 * upper * gap underflows to 0 here; both bounds are far below 1
+        report = run_json("compare", "--l", "0", "--u", "1e-100", "--gap", "1e-300")
+        assert report["n1"] == report["n2"] == 1
 
     def test_rejects_other_exponents(self):
         for p in ("3", "nan"):

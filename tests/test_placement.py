@@ -135,6 +135,26 @@ class TestNewton:
         assert trace.iterations == 0
         assert trace.direction == "stationary-at-start"
 
+    @pytest.mark.parametrize("lower, upper", [(1000.0, 1000.001), (10.0, 10.0001)])
+    @pytest.mark.parametrize("n", [20, 160])
+    def test_quadratic_stops_at_the_closed_form(self, lower, upper, n):
+        # narrow intervals far from zero, where the residual at the start is
+        # rounding noise above the tolerance
+        iv = Interval(lower, upper)
+        equal = np.linspace(lower, upper, n + 1)
+        bp, trace = newton_optimize(PowerFn(2.0, iv), n)
+        assert bp.xi.tobytes() == equal.tobytes()
+        assert trace.iterations == 0 and trace.converged
+        assert trace.direction == "stationary-at-start"
+        assert len(trace.residual_norms) == len(trace.condition_numbers) == 1
+        row = sweep_optimal_points(iv, n, [2.0]).interior
+        assert row.tobytes() == equal[1:-1].tobytes()
+
+    def test_quadratic_from_a_custom_start_iterates(self):
+        bp, trace = newton_optimize(PowerFn(2.0, UNIT), 5, start=[0.1, 0.3, 0.5, 0.9])
+        assert trace.iterations >= 1 and trace.converged
+        np.testing.assert_allclose(bp.interior, [0.2, 0.4, 0.6, 0.8], atol=1e-12)
+
     def test_supercubic_moves_up(self):
         bp, trace = newton_optimize(PowerFn(5.0, UNIT), 5)
         start = np.linspace(0.0, 1.0, 6)[1:-1]

@@ -1,5 +1,6 @@
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -42,6 +43,19 @@ def _interior_grad(pf, bp):
     return gradient_system(pf, bp).grad
 
 
+def _exact_quadratic(bp):
+    """``volume_quadratic`` in exact rationals on its float breakpoints."""
+    xi = [Fraction(float(x)) for x in bp.xi]
+    h3 = sum((b - a) ** 3 for a, b in zip(xi, xi[1:]))
+    return ((xi[-1] - xi[0]) ** 3 + h3 / 2) / 18
+
+
+def _exact_naive_quadratic(iv):
+    """``volume_naive_quadratic`` in exact rationals on its float endpoints."""
+    lo, up = Fraction(iv.lower), Fraction(iv.upper)
+    return (up - lo) ** 3 / 18 + (up**3 - lo**3) / 36
+
+
 class TestPowerFn:
     def test_exponent_must_be_finite(self):
         # x**inf would read 0 below 1 and 1 at 1: not a convex power
@@ -76,6 +90,20 @@ class TestQuadraticVolume:
             assert volume_power_closed_form(pf, bp) == pytest.approx(
                 volume_quadratic(bp), rel=1e-13
             )
+
+    def test_matches_exact_rationals(self):
+        # narrow intervals far from zero, where a difference of cubes cancels
+        rng = np.random.default_rng(41)
+        grids = [
+            Breakpoints.equally_spaced(Interval(1000.0, 1000.001), 3),
+            Breakpoints.equally_spaced(Interval(10.0, 10.0001), 160),
+        ] + [random_power_instance(rng)[1] for _ in range(100)]
+        for bp in grids:
+            for got, exact in (
+                (volume_quadratic(bp), _exact_quadratic(bp)),
+                (volume_naive_quadratic(bp.interval), _exact_naive_quadratic(bp.interval)),
+            ):
+                assert abs(Fraction(got) - exact) <= Fraction(1e-15) * exact, bp.xi
 
     def test_near_two_routing_is_continuous(self):
         bp = Breakpoints(UNIT, [0.0, 0.3, 1.0])
@@ -500,6 +528,11 @@ class TestThresholds:
                 w, u = iv.width, iv.upper
                 assert w**4 / (24.0 * n1 * n1 * u) < gap
                 assert w**3 / (36.0 * n2 * n2) < gap
+
+    def test_tiny_interval_and_gap_do_not_underflow(self):
+        # 24 * upper * gap underflows to 0 here; both bounds are far below 1
+        n1, n2, _ = refinement_thresholds(Interval(0.0, 1e-200), 1e-200)
+        assert (n1, n2) == (1, 1)
 
     def test_rejects_nonpositive_gap(self):
         with pytest.raises(DomainError):
