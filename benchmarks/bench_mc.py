@@ -4,23 +4,25 @@
 Two parts, on a fixed grid of bodies (every relaxation kind x p in
 {1.5, 2, 3.7, 6} x lower in {0, 0.15, 0.5} on upper 1, 8 equal pieces):
 
-* blocks: ``mc._block_hits`` on real 2**16-sample blocks, split into the
-  draw (stream set-up, the uniforms the kind reads and their map into the
-  cone's footprint, chunk by chunk) and the column kernel
-  (``mc._kernel.count_hits``); medians per kind and lower end over exponents
-  and blocks.
+* chunks: one ``mc_volume`` call of ``mc.BLOCK_SIZE`` columns, split into
+  the column kernel (``mc._kernel.count_hits``, timed by a wrapper around
+  it) and the rest of the call (stream set-up, the draws and their strata,
+  the sums); medians per kind and lower end over exponents and repeats,
+  with the relative stderr that one chunk reaches.
 * target: the loop that brings one body to a relative stderr of 3e-3:
-  a one-block pilot, then calls sized from the last estimate's hits as
+  a one-chunk pilot, then calls sized from the last estimate's hits as
   the benchmark's mc-target workload sizes them.  One op per body,
   ``--rounds`` rounds; the digest of every op's ``(hits, samples, mean,
   stderr)`` shows whether two checkouts reached the same estimates.
 
-The process's peak resident set (``ru_maxrss``) is recorded at the end.
+Only ``mc_volume``, ``mc.BLOCK_SIZE`` and the kernel's ``count_hits`` are
+used, so the script times any checkout that has them.  The process's peak
+resident set (``ru_maxrss``) is recorded at the end.
 
     PYTHONPATH=src python3 benchmarks/bench_mc.py [--json PATH]
 
-The oracle's bit generator, ``KERNEL_BACKEND``, nproc and the numpy version
-are recorded beside the numbers.
+``KERNEL_BACKEND``, nproc and the numpy version are recorded beside the
+numbers.
 """
 
 import argparse
@@ -66,58 +68,56 @@ def _cpu_model():
     return platform.processor() or "unknown"
 
 
-def _time_block(body, seed, block):
-    """Draw (with the map into the footprint) and kernel times of one block,
-    in seconds, and its ``(hits, count, mean, M2)``; the same chunks as
-    ``mc._block_hits``."""
-    draw = kernel = 0.0
-    total = None
-    t0 = time.perf_counter()
-    gen = mc._block_stream(seed, block)
-    for _ in range(mc.BLOCK_SIZE // mc.CHUNK_SIZE):
-        ws, zs = mc._draw_chunk(body, gen, mc.CHUNK_SIZE)
-        t1 = time.perf_counter()
-        hits, mean, m2 = mc._kernel.count_hits(body, ws, zs)
-        t2 = time.perf_counter()
-        draw += t1 - t0
-        kernel += t2 - t1
-        t0 = t2
-        part = (hits, mc.CHUNK_SIZE, mean, m2)
-        total = part if total is None else mc._merge(total, part)
-    return draw, kernel, total
+def _time_chunk(body, seed):
+    """Whole-call and kernel times of one ``BLOCK_SIZE`` call, in seconds,
+    and its estimate."""
+    kernel = 0.0
+    count_hits = mc._kernel.count_hits
+
+    def timed(*args):
+        nonlocal kernel
+        t0 = time.perf_counter()
+        try:
+            return count_hits(*args)
+        finally:
+            kernel += time.perf_counter() - t0
+
+    mc._kernel.count_hits = timed
+    try:
+        t0 = time.perf_counter()
+        est = mc_volume(body, mc.BLOCK_SIZE, seed)
+        call = time.perf_counter() - t0
+    finally:
+        mc._kernel.count_hits = count_hits
+    return call, kernel, est
 
 
-def bench_blocks(blocks, seed):
+def bench_chunks(repeats, seed):
     rows = {}
     for kind in RelaxationKind:
         for lower in LOWERS:
-            draw, kernel, whole, hits, frac = [], [], [], 0, []
+            call, kernel, hits, rse = [], [], 0, []
             for body in _bodies(kind, (lower,)):
-                _time_block(body, seed, 0)  # warm-up
-                for b in range(blocks):
-                    d, k, part = _time_block(body, seed, b)
-                    t0 = time.perf_counter()
-                    same = mc._block_hits(body, seed, b, mc.BLOCK_SIZE)
-                    whole.append(time.perf_counter() - t0)
-                    if same != part:
-                        raise RuntimeError(f"split block disagrees with _block_hits for {kind.value}")
-                    draw.append(d)
+                _time_chunk(body, seed)  # warm-up
+                for r in range(repeats):
+                    c, k, est = _time_chunk(body, seed + r)
+                    call.append(c)
                     kernel.append(k)
-                    hits += part[0]
-                    frac.append(part[2])
+                    hits += est.hits
+                    rse.append(est.stderr / est.mean)
             rows[f"{kind.value} l={lower:g}"] = {
-                "draw_ms": statistics.median(draw) * 1e3,
+                "call_ms": statistics.median(call) * 1e3,
                 "kernel_ms": statistics.median(kernel) * 1e3,
-                "block_ms": statistics.median(whole) * 1e3,
-                "hit_frac": hits / (len(whole) * mc.BLOCK_SIZE),
-                "mean_fraction": statistics.fmean(frac),
-                "blocks": len(whole),
+                "other_ms": statistics.median(c - k for c, k in zip(call, kernel)) * 1e3,
+                "hit_frac": hits / (len(call) * mc.BLOCK_SIZE),
+                "median_rse": statistics.median(rse),
+                "calls": len(call),
             }
     return rows
 
 
 def _samples_for(est, rse):
-    """Whole blocks expected to bring the relative stderr under ``rse``, from
+    """Whole chunks expected to bring the relative stderr under ``rse``, from
     the hit fraction, as the benchmark's mc-target workload sizes them."""
     frac = est.hits / est.samples
     if frac == 0.0:
@@ -129,27 +129,31 @@ def _samples_for(est, rse):
 
 def _to_target(body, seed, rse):
     est = mc_volume(body, mc.BLOCK_SIZE, seed)
+    calls = 1
     while not est.stderr <= rse * est.mean:
         est = mc_volume(body, _samples_for(est, rse), seed)
-    return est
+        calls += 1
+    return est, calls
 
 
 def bench_target(rounds, rse, seed):
     bodies = [body for kind in RelaxationKind for body in _bodies(kind)]
-    round_s, op_ms, digest, samples = [], [], hashlib.sha256(), 0
+    round_s, op_ms, digest, samples, calls = [], [], hashlib.sha256(), 0, 0
     for r in range(rounds):
         t_round = time.perf_counter()
         for i, body in enumerate(bodies):
             t0 = time.perf_counter()
-            est = _to_target(body, seed + i, rse)
+            est, n = _to_target(body, seed + i, rse)
             op_ms.append((time.perf_counter() - t0) * 1e3)
             if r == 0:
                 digest.update(f"{est.hits},{est.samples},{est.mean!r},{est.stderr!r};".encode())
                 samples += est.samples
+                calls += n
         round_s.append(time.perf_counter() - t_round)
     return {
         "rse": rse,
         "ops_per_round": len(bodies),
+        "calls_per_round": calls,
         "round_s": round_s,
         "median_round_s": statistics.median(round_s),
         "median_op_ms": statistics.median(op_ms),
@@ -161,7 +165,7 @@ def bench_target(rounds, rse, seed):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--blocks", type=int, default=6, help="timed blocks per body")
+    parser.add_argument("--repeats", type=int, default=6, help="timed calls per body")
     parser.add_argument("--rounds", type=int, default=3, help="rounds of the target loop")
     parser.add_argument("--json", metavar="PATH", help="also write the results here")
     args = parser.parse_args()
@@ -172,28 +176,28 @@ def main():
             "cpu_model": _cpu_model(),
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "bit_generator": type(mc._block_stream(0, 0).bit_generator).__name__,
             "kernel_backend": perspex.KERNEL_BACKEND,
+            "block_size": mc.BLOCK_SIZE,
         },
-        "blocks": bench_blocks(args.blocks, SEED),
+        "chunks": bench_chunks(args.repeats, SEED),
         "target": bench_target(args.rounds, TARGET_RSE, SEED),
     }
     # Linux reports ru_maxrss in KiB
     result["ru_maxrss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
     m = result["machine"]
-    print(f"{m['nproc']} CPUs, numpy {m['numpy']}, {m['bit_generator']} draws, "
-          f"kernel backend {m['kernel_backend']}")
-    print(f"\nper 2**16-sample block, medians over {len(EXPONENTS)} exponents")
-    print(f"{'body':12s} {'draw ms':>8s} {'kernel ms':>10s} {'block ms':>9s} {'hit frac':>9s} "
-          f"{'mean g':>7s}")
-    for name, row in result["blocks"].items():
-        print(f"{name:12s} {row['draw_ms']:8.3f} {row['kernel_ms']:10.3f} "
-              f"{row['block_ms']:9.3f} {row['hit_frac']:9.4f} {row['mean_fraction']:7.4f}")
+    print(f"{m['nproc']} CPUs, numpy {m['numpy']}, kernel backend {m['kernel_backend']}, "
+          f"BLOCK_SIZE {m['block_size']}")
+    print(f"\nper one-chunk call, medians over {len(EXPONENTS)} exponents x {args.repeats} seeds")
+    print(f"{'body':12s} {'call ms':>8s} {'kernel ms':>10s} {'other ms':>9s} {'hit frac':>9s} "
+          f"{'rse':>8s}")
+    for name, row in result["chunks"].items():
+        print(f"{name:12s} {row['call_ms']:8.3f} {row['kernel_ms']:10.3f} "
+              f"{row['other_ms']:9.3f} {row['hit_frac']:9.4f} {row['median_rse']:8.1e}")
     t = result["target"]
-    print(f"\n{t['ops_per_round']} ops to relative stderr {t['rse']:g}: "
-          f"round {t['median_round_s']:.3f} s (median of {len(t['round_s'])}), "
-          f"op {t['median_op_ms']:.1f} ms, {t['msamples_per_s']:.1f} Msample/s, "
+    print(f"\n{t['ops_per_round']} ops to relative stderr {t['rse']:g} in {t['calls_per_round']} "
+          f"calls: round {t['median_round_s']:.3f} s (median of {len(t['round_s'])}), "
+          f"op {t['median_op_ms']:.2f} ms, {t['msamples_per_s']:.1f} Msample/s, "
           f"digest {t['digest']}; peak RSS {result['ru_maxrss_mb']:.1f} MB")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:

@@ -1,4 +1,4 @@
-"""Seeded conditional Monte-Carlo volumes for the relaxation bodies.
+"""Seeded stratified Monte-Carlo volumes for the relaxation bodies.
 
 Ground truth for every closed form in the package, kept deliberately
 independent of them: each body's lower bound is evaluated straight from its
@@ -10,37 +10,36 @@ Every body lies in one cone, cut out by ``lower*z <= x <= upper*z``,
 trapezoid ``{lower <= w <= upper, 0 <= v <= chord(w)}`` at ``z = 1``, of
 volume ``box_volume = (upper - lower) * (f(lower) + f(upper)) / 6``.
 
-The oracle draws no ``y``: it draws columns ``(w, z)``, distributed as the
-footprint coordinates ``(x / z, z)`` of a point uniform in the cone, and
-integrates ``y`` exactly over each column ``0 <= y <= z * chord(w)``.  The
-column's share ``g`` in the body is ``(S - L) / S``, clipped to ``[0, 1]``,
-with ``S`` the secant plane and ``L`` the body's lower bound at ``(x = z*w,
-z)``.  The volume is ``box_volume * E[g]``, estimated by the sample mean of
-``g`` with the sample standard error; ``hits`` counts the columns that meet
-the body (``g > 0``).
+The oracle draws no ``y``: it draws columns ``(w, z)`` on the footprint
+rectangle ``[lower, upper] x [0, 1]`` (``w = x / z``) and integrates ``y``
+exactly over each column ``0 <= y <= z * chord(w)``.  With ``g`` the
+column's share in the body (see ``_mc_fallback``) and ``dx = z dw``, the
+volume is ``width * E[z**2 * chord(w) * g]`` for ``(w, z)`` uniform on the
+rectangle.  For the perspective kinds (pr and plpr) ``g`` does not depend
+on ``z``, so ``z**2`` integrates to a third: ``width * E[chord(w) * g] /
+3`` over ``w`` alone.  The kernel returns these column lengths ``h``;
+``hits`` counts the columns that meet the body (``h > 0``).
 
-For the perspective kinds (pr and plpr) ``z`` cancels from ``g``, and since
-``w`` and ``z`` are independent in the footprint, ``E[g]`` is the mean of
-``g(w)`` under ``w``'s own marginal: these kinds draw one uniform per sample,
-``w``, and the others two, ``(w, z)``.
-
-Sampling is a pure function of ``(seed, sample index)``: samples are
-partitioned into fixed blocks of ``2**16`` and block ``b`` draws from its own
-keyed stream, ``PCG64(SeedSequence(seed, spawn_key=(b,)))``, numpy's
-``SeedSequence(seed).spawn`` child ``b``.  A block is drawn, mapped into the
-footprint and scored in chunks of ``2**13`` samples, which keeps every
-temporary cache-sized; each chunk yields a ``(count, mean, M2)``
-partial (``M2`` the sum of squared deviations from the chunk mean).  Blocks
-run in order on the calling thread and their partials are merged in block
-order.  The numpy kernel in ``_mc_fallback`` scores the chunks.
+Sampling is stratified with two points per stratum.  ``samples // 2`` equal
+strata tile the footprint: intervals of ``w`` for the perspective kinds,
+and cells of the most nearly square ``w x z`` grid for the others.  Each
+stratum takes its two points (one uniform per coordinate each) from
+consecutive draws of one stream, ``PCG64(SeedSequence(seed))``, in stratum
+order.  The estimate is ``width`` times the mean of ``h``, and its standard
+error comes from each stratum's pair difference, ``width * sqrt(sum((h1 -
+h2)**2) / 4) / strata``; both are plain sums, of lengths taken relative to
+``f(upper)``, the longest a column can be, so that no square over- or
+underflows.  Columns are scored in chunks
+of ``BLOCK_SIZE``, which keeps every temporary cache-sized, and the chunks'
+sums are added in stratum order on the calling thread.  The numpy kernel in
+``_mc_fallback`` scores the chunks.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import reduce
-from math import inf, isfinite, sqrt
+from math import inf, isfinite, isqrt, sqrt
 
 import numpy as np
 
@@ -52,9 +51,11 @@ from . import _mc_fallback as _kernel
 
 KERNEL_BACKEND = "numpy"
 
-BLOCK_SIZE = 1 << 16
-CHUNK_SIZE = 1 << 13
-MIN_SAMPLES = 10_000
+BLOCK_SIZE = 1 << 13  # columns per kernel call
+# 2048 strata: the stderr rests on 2048 independent pair differences, so
+# where the strata contribute alike it is itself good to about
+# 1/sqrt(2 * 2048) = 1.6%, and a 4-sigma bound to about 0.06 sigma
+MIN_SAMPLES = 1 << 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,14 +63,15 @@ class BodySpec:
     """One relaxation body reduced to the data its column kernel needs.
 
     ``box_volume`` and ``box_height`` keep their names from the bounding box
-    the oracle once sampled; the sampled region is now the cone every body
-    lies in (see the module docstring).
+    the oracle once sampled; they describe the cone every body lies in,
+    whose footprint rectangle is sampled now (see the module docstring).
     """
 
     kind: RelaxationKind
     interval: Interval
     p: float
     estimator: PLUnderEstimator | None
+    tangent_x: np.ndarray | None  # the breakpoints: piece k's tangency point is tangent_x[k]
     secant_z: float  # z coefficient of the shared upper bound plane
     secant_x: float  # x coefficient of the shared upper bound plane
     extension_slope: float  # chord slope from the origin, 0 when lower == 0
@@ -117,6 +119,7 @@ def make_body(
         interval=iv,
         p=power.p,
         estimator=estimator,
+        tangent_x=None if breakpoints is None else breakpoints.xi,
         secant_z=f_lo - slope * lo,
         secant_x=slope,
         extension_slope=f_lo / lo if lo > 0.0 else 0.0,
@@ -132,13 +135,14 @@ def make_body(
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Conditional Monte-Carlo volume estimate with its standard error.
+    """Stratified Monte-Carlo volume estimate with its standard error.
 
-    ``mean = box_volume * mean(g)`` over the samples' column fractions ``g``
-    and ``stderr = box_volume * sqrt(M2 / (samples - 1) / samples)``, the
-    sample standard error, where ``box_volume`` is the volume of the sampled
-    cone (``BodySpec.box_volume``).  ``hits`` counts the sampled columns that
-    meet the body (``g > 0``).
+    ``mean = width * mean(h)`` over the ``samples`` column lengths ``h``, and
+    ``stderr = width * sqrt(sum((h1 - h2)**2) / 4) / strata`` over the
+    strata's pairs (see the module docstring).  ``hits`` counts the sampled
+    columns that meet the body (``h > 0``).  ``box_volume`` is the volume of
+    the cone every body lies in (``BodySpec.box_volume``), reported for
+    reference; it does not scale the estimate.
     """
 
     mean: float
@@ -147,84 +151,6 @@ class McEstimate:
     seed: int
     hits: int
     box_volume: float
-
-
-def _to_cone(body: BodySpec, r: np.ndarray) -> np.ndarray:
-    """Map uniforms ``r`` of shape ``(1, m)`` or ``(2, m)`` in place to
-    columns uniform in the footprint of the body's cone, and return ``r``.
-
-    Row 0 becomes ``w``, which follows the trapezoid's linear density on
-    ``[lower, upper]``, by its inverse CDF.  Row 1, if present, becomes ``z =
-    cbrt(U)``, with density ``3 z**2``: together, the density of ``(x / z,
-    z)`` for a point ``(x, y, z)`` uniform in the cone.
-    """
-    lo, up = body.interval.lower, body.interval.upper
-    ws = r[0]
-    # t = (w - lo) / (up - lo) has density proportional to ratio + (1 - ratio) t,
-    # so F(t) = U solves (1 - ratio) t**2 + 2 ratio t = (1 + ratio) U.  The root
-    # is written in ratio = f(lo) / f(up) <= 1, so no power of f is squared,
-    # and without cancellation; at ratio == 0 it is sqrt(U), which the general
-    # form would reach as 0/0 at U = 0.
-    ratio = body.lower_height / body.box_height
-    if ratio == 0.0:
-        np.sqrt(ws, out=ws)
-    else:
-        root = ws * (1.0 - ratio * ratio)
-        root += ratio * ratio
-        np.sqrt(root, out=root)
-        root += ratio
-        ws *= 1.0 + ratio
-        ws /= root
-    ws *= up - lo
-    ws += lo
-    np.minimum(ws, up, out=ws)  # rounding must not step past the upper plane
-    if len(r) > 1:
-        np.cbrt(r[1], out=r[1])
-    return r
-
-
-def _block_stream(seed: int, block: int) -> np.random.Generator:
-    """The generator block ``block`` of ``seed`` draws from, a pure function
-    of the pair."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(block,))))
-
-
-def _draw_chunk(body: BodySpec, gen: np.random.Generator, m: int) -> tuple:
-    """The next ``m`` columns ``(w, z)`` of ``gen`` in the body's footprint;
-    ``z`` is ``None`` for the kinds whose kernel does not read it."""
-    if body.kind in _kernel.W_ONLY_KINDS:
-        return _to_cone(body, gen.random((1, m)))[0], None
-    ws, zs = _to_cone(body, gen.random((2, m)))
-    return ws, zs
-
-
-def _merge(a: tuple, b: tuple) -> tuple:
-    """Merge two ``(hits, count, mean, M2)`` partials by Chan et al.'s
-    pairwise update."""
-    hits_a, n_a, mean_a, m2_a = a
-    hits_b, n_b, mean_b, m2_b = b
-    n = n_a + n_b
-    delta = mean_b - mean_a
-    return (
-        hits_a + hits_b,
-        n,
-        mean_a + delta * (n_b / n),
-        m2_a + m2_b + delta * delta * (n_a * (n_b / n)),
-    )
-
-
-def _block_hits(body: BodySpec, seed: int, block: int, count: int) -> tuple:
-    """``(hits, count, mean, M2)`` of one block's column fractions, merged
-    chunk by chunk in draw order."""
-    gen = _block_stream(seed, block)
-    total = None
-    for start in range(0, count, CHUNK_SIZE):
-        m = min(CHUNK_SIZE, count - start)
-        ws, zs = _draw_chunk(body, gen, m)
-        hits, mean, m2 = _kernel.count_hits(body, ws, zs)
-        part = (hits, m, mean, m2)
-        total = part if total is None else _merge(total, part)
-    return total
 
 
 def _integer(name: str, value) -> int:
@@ -236,21 +162,28 @@ def _integer(name: str, value) -> int:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _grid(strata: int) -> tuple[int, int]:
+    """``(nw, nz)``: the most nearly square grid of ``strata`` cells, with
+    ``nz <= nw`` rows in ``z``."""
+    nz = isqrt(strata)
+    while strata % nz:
+        nz -= 1
+    return strata // nz, nz
+
+
 def mc_volume(
     body: BodySpec, samples: int, seed: int, workers: int | None = None
 ) -> McEstimate:
-    """Estimate the body volume from ``samples`` columns drawn uniformly in
-    the footprint of its cone.
+    """Estimate the body volume from ``samples`` columns, two in each of
+    ``samples // 2`` equal strata of the footprint rectangle.
 
-    ``mean = box_volume * mean(g)`` over the column fractions ``g``, and
-    ``stderr = box_volume * sqrt(M2 / (samples - 1) / samples)``, both from
-    per-chunk ``(count, mean, M2)`` partials merged in block order.
-    Deterministic in ``(seed, samples)``: rerunning never changes a bit of
-    the estimate, and extending the sample budget keeps the partials of
-    every whole chunk of ``CHUNK_SIZE`` samples already drawn (only a
-    trailing partial chunk is drawn afresh).  Blocks run in order on the
-    calling thread.  ``samples`` and ``seed`` must be integers; ``workers``
-    is accepted, must be ``None`` or an integer ``>= 0``, and has no effect.
+    An odd ``samples`` scores one column fewer; the estimate reports the
+    count it scored.  Deterministic in ``(seed, samples)``: rerunning never
+    changes a bit of the estimate, and scoring in chunks gives the bits of
+    one pass over the same draws.  A different ``samples`` moves every
+    stratum, so it redraws every column.  ``samples`` and ``seed`` must be
+    integers; ``workers`` is accepted, must be ``None`` or an integer ``>=
+    0``, and has no effect.
     """
     samples, seed = _integer("samples", samples), _integer("seed", seed)
     if workers is not None and _integer("workers", workers) < 0:
@@ -260,18 +193,43 @@ def mc_volume(
     if not 0 <= seed < 2**64:
         raise DomainError("seed must fit in an unsigned 64-bit integer")
 
-    parts = [
-        _block_hits(body, seed, b, min(BLOCK_SIZE, samples - b * BLOCK_SIZE))
-        for b in range((samples + BLOCK_SIZE - 1) // BLOCK_SIZE)
-    ]
-    hits, _, mean, m2 = reduce(_merge, parts)
+    strata = samples // 2
+    w_only = body.kind in _kernel.W_ONLY_KINDS
+    nw, nz = (strata, 1) if w_only else _grid(strata)
+    lo, up, width = body.interval.lower, body.interval.upper, body.interval.width
+    step = width / nw
+    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    hits, total, spread = 0, 0.0, 0.0
+    for start in range(0, strata, BLOCK_SIZE // 2):
+        cell = np.arange(start, min(start + BLOCK_SIZE // 2, strata))
+        # the draws run stratum by stratum; each coordinate is laid out as
+        # (point, stratum), so that every row below is contiguous
+        if w_only:  # per stratum: the w offsets of its two points
+            w = np.ascontiguousarray(gen.random((cell.size, 2)).T)
+            w += cell
+            z = None
+        else:  # per stratum and point: the (w, z) offsets
+            w, z = np.ascontiguousarray(gen.random((cell.size, 2, 2)).transpose(2, 1, 0))
+            w += cell // nz
+            z += cell % nz
+            z /= nz
+            z = z.ravel()
+        w *= step
+        w += lo
+        np.minimum(w, up, out=w)  # rounding must not step past the upper plane
+        count, h = _kernel.count_hits(body, w.ravel(), z)
+        h /= body.box_height  # f(upper) bounds every column: no square overflows
+        d = h[: cell.size] - h[cell.size :]
+        hits += count
+        total += float(h.sum())
+        spread += float(np.einsum("i,i", d, d))
 
-    box = body.box_volume
+    scale = width * body.box_height
     return McEstimate(
-        mean=box * mean,
-        stderr=box * sqrt(m2 / (samples - 1) / samples),
-        samples=samples,
+        mean=scale * total / (2 * strata),
+        stderr=scale * sqrt(spread / 4.0) / strata,
+        samples=2 * strata,
         seed=seed,
         hits=hits,
-        box_volume=box,
+        box_volume=body.box_volume,
     )

@@ -1,6 +1,7 @@
 """Closed-form volume analytics for power functions ``x**p`` with ``p > 1``.
 
-Everything here evaluates in O(n) for n linearization pieces: the exact
+Everything here evaluates in O(n) for n linearization pieces (the PL volume
+in O(n + log(upper/lower)) quadrature spans): the exact
 volume of the perspective relaxation of the tangent under-estimator, its
 gradient and tridiagonal Hessian in the interior breakpoints, the
 stationarity residual driving Newton's method, the quadratic special cases,
@@ -101,7 +102,16 @@ def volume_quadratic(bp: Breakpoints) -> float:
 def volume_power_closed_form(pf: PowerFn, bp: Breakpoints) -> float:
     """Exact volume of the PL perspective relaxation for ``x**p``.
 
-    Agrees with the fan-triangulation volume of the corresponding
+    A third of the area between the chord and the tangent under-estimator,
+    written as a sum of nonnegative integrals of ``f'' = p (p-1) s**(p-2)``:
+    the chord-to-``f`` area ``∫ (s - l)(u - s) f''/2`` over ``[l, u]``, and
+    for each piece ``[a, b]`` with tangent intersection ``t`` the
+    ``f``-to-tangent areas ``∫ (t - s)**2 f''/2`` over ``[a, t]`` and
+    ``∫ (s - t)**2 f''/2`` over ``[t, b]``.  ``t`` is taken in ratio form
+    (:func:`_tangent_cuts`), and the integrals by :func:`_span_integrals`.
+    Nothing cancels, so the volume keeps its relative accuracy on narrow
+    intervals far from zero, and no intermediate grows faster than the
+    volume.  Agrees with the fan-triangulation volume of the corresponding
     under-estimator; this form never constructs the tangent vertices.
     """
     if pf.interval != bp.interval:
@@ -110,18 +120,95 @@ def volume_power_closed_form(pf: PowerFn, bp: Breakpoints) -> float:
     if is_quadratic(p):
         return volume_quadratic(bp)
     xi = bp.xi
-    lo, up = xi[0], xi[-1]
-    a, b = xi[:-1], xi[1:]
-    table = _power_table(xi[None, :], np.array([p]))
-    if _flat_slopes(table)[0]:
+    if _flat_slopes(_power_table(xi[None, :], np.array([p])))[0]:
         raise DegenerateTangents(_FLAT_SLOPES)
-    am, bm = table[1, 0, :-1], table[1, 0, 1:]
-    s = float((am * bm * (b - a) ** 2 / (bm - am)).sum())
-    return (
-        -((p - 1.0) ** 2) / (6.0 * p) * s
-        + (p - 1.0) / (6.0 * p) * (up ** (p + 1.0) - lo ** (p + 1.0))
-        - (up**p * lo - up * lo**p) / 6.0
-    )
+    a, b = xi[:-1], xi[1:]
+    t = _tangent_cuts(a, b, p)
+    lo, up = xi[:1], xi[-1:]
+    starts = np.concatenate((lo, a, t))
+    ends = np.concatenate((up, t, b))
+    # powers of (s - start) and (end - s) in each integrand
+    left = np.repeat([1, 0, 2], [1, a.size, a.size])
+    right = np.repeat([1, 2, 0], [1, a.size, a.size])
+    return p * (p - 1.0) / 6.0 * float(_span_integrals(starts, ends, left, right, p).sum())
+
+
+def _tangent_cuts(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
+    """Where the tangents of ``x**p`` at ``a < b`` meet, in ratio form.
+
+    ``t = a (p-1)/p * expm1(p L) / expm1((p-1) L)`` with ``L =
+    log1p((b - a)/a)``, written as ``b (p-1)/p * expm1(-p L) /
+    expm1(-(p-1) L)`` so that no term overflows however large ``b/a`` is,
+    and ``a = 0`` (``L = inf``) gives ``b (p-1)/p``.  No difference of
+    powers, so ``t`` keeps its relative accuracy however close ``b/a`` is
+    to 1.  Clipped to ``[a, b]`` against rounding.
+    """
+    q = p - 1.0
+    with np.errstate(divide="ignore"):  # a = 0
+        ratio = np.log1p((b - a) / a)
+    t = b * (q / p) * (np.expm1(-p * ratio) / np.expm1(-q * ratio))
+    return np.clip(t, a, b)
+
+
+# The 16-point Gauss-Legendre rule on [0, 1], each node and weight rounded
+# once from a 50-digit evaluation: its moments are within 1e-16 of 1/(k+1)
+# for k <= 30, where numpy.polynomial's leggauss, mapped, is off by 1.5e-15
+# (and importing numpy.polynomial costs every CLI process 7 ms)
+_GL_NODES = np.array([
+    0.005299532504175033, 0.02771248846338371, 0.06718439880608412, 0.12229779582249849,
+    0.19106187779867811, 0.2709916111713863, 0.35919822461037054, 0.4524937450811813,
+    0.5475062549188188, 0.6408017753896295, 0.7290083888286137, 0.8089381222013219,
+    0.8777022041775016, 0.9328156011939158, 0.9722875115366163, 0.994700467495825,
+])
+_GL_WEIGHTS = np.array([
+    0.013576229705877048, 0.031126761969323947, 0.04757925584124639, 0.06231448562776694,
+    0.07479799440828837, 0.08457825969750127, 0.09130170752246179, 0.09472530522753425,
+])
+_GL_WEIGHTS = np.concatenate((_GL_WEIGHTS, _GL_WEIGHTS[::-1]))  # symmetric about 1/2
+
+
+def _span_integrals(a, b, left, right, p: float) -> np.ndarray:
+    """``∫_a^b (s - a)**left * (b - s)**right * s**(p-2) ds`` per span.
+
+    ``left + right = 2`` and ``0 <= a < b``.  A span from 0 takes the Beta
+    closed form ``b**(p+1) * B(p - 1 + left, right + 1)``.  The others are
+    split at geometric points into sub-spans whose end ratio is at most 2,
+    where ``s**(p-2)`` is analytic well beyond the sub-span, and each
+    sub-span takes the 16-point Gauss-Legendre rule; its relative error is
+    below 1e-16 for ``p`` up to about 50.  Both distances ``s - a`` and ``b
+    - s`` are sums of nonnegative terms, so they keep their relative
+    accuracy near the span's ends.
+    """
+    out = np.empty(a.shape)
+    zero = a == 0.0
+    if zero.any():
+        # B(x, k + 1) = k! / (x (x + 1) ... (x + k)) with x = p - 1 + left
+        x = p - 1.0 + left[zero]
+        k = right[zero]
+        beta = np.where(k == 0, 1.0 / x, np.where(k == 1, 1.0 / (x * (x + 1.0)),
+                                                  2.0 / (x * (x + 1.0) * (x + 2.0))))
+        out[zero] = b[zero] ** p * b[zero] * beta  # p + 1 would round the exponent
+    live = ~zero
+    if live.any():
+        a, b, left, right = a[live], b[live], left[live], right[live]
+        parts = np.maximum(np.ceil(np.log2(b / a)), 1.0).astype(np.intp)
+        span = np.repeat(np.arange(a.size), parts)
+        # index of each sub-span within its span, and the span's sub-span count
+        k = np.arange(span.size) - np.repeat(np.cumsum(parts) - parts, parts)
+        m = parts[span]
+        sa, sb = a[span], b[span]
+        lo = np.where(k == 0, sa, sa * (sb / sa) ** (k / m))
+        hi = np.where(k == m - 1, sb, sa * (sb / sa) ** ((k + 1) / m))
+        h = (hi - lo)[:, None]
+        s = lo[:, None] + h * _GL_NODES
+        from_a = (lo - sa)[:, None] + h * _GL_NODES
+        to_b = (sb - hi)[:, None] + h * (1.0 - _GL_NODES)
+        f = s ** (p - 2.0)
+        f *= from_a ** left[span, None]
+        f *= to_b ** right[span, None]
+        sub = (f @ _GL_WEIGHTS) * h[:, 0]
+        out[live] = np.bincount(span, weights=sub, minlength=a.size)
+    return out
 
 
 def _power_table(xi: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -1,6 +1,6 @@
-import functools
 import threading
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,13 +35,35 @@ def _fractions(body, ws, zs):
     return mc_mod._kernel.column_fraction(body, ws, zs)
 
 
-def _chunks(body, seed, samples):
-    """The columns ``mc_volume`` draws for ``samples``, chunk by chunk."""
-    for start in range(0, samples, mc_mod.BLOCK_SIZE):
-        gen = mc_mod._block_stream(seed, start // mc_mod.BLOCK_SIZE)
-        count = min(mc_mod.BLOCK_SIZE, samples - start)
-        for offset in range(0, count, mc_mod.CHUNK_SIZE):
-            yield mc_mod._draw_chunk(body, gen, min(mc_mod.CHUNK_SIZE, count - offset))
+def _one_pass(body, seed, samples):
+    """The columns ``mc_volume`` scores for ``samples``, drawn in one pass:
+    ``(w, z)`` of shape ``(strata, 2)``, a stratum's two points per row, and
+    ``z`` ``None`` for the kinds that do not read it.  Stratum ``i`` is
+    ``w``-interval ``i`` for those kinds, and otherwise cell ``(i // nz, i %
+    nz)`` of the ``nw x nz`` grid; each stratum takes its uniforms from
+    consecutive draws of ``PCG64(SeedSequence(seed))``."""
+    strata = samples // 2
+    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    cell = np.arange(strata)[:, None]
+    if body.kind in W_ONLY:
+        nw, nz = strata, 1
+        w, z = gen.random((strata, 2)) + cell, None
+    else:
+        nw, nz = mc_mod._grid(strata)
+        u = gen.random((strata, 2, 2))
+        w = u[:, :, 0] + cell // nz
+        z = (u[:, :, 1] + cell % nz) / nz
+    w = np.minimum(w * (body.interval.width / nw) + body.interval.lower, body.interval.upper)
+    return w, z
+
+
+def _lengths(body, w, z):
+    """Column lengths per unit footprint width, from the column fractions:
+    ``chord * g / 3`` for the kinds that do not read ``z``, else ``z**2 *
+    chord * g``."""
+    chord = body.secant_x * w + body.secant_z
+    g = _fractions(body, w, z)
+    return chord * g / 3.0 if z is None else z * z * chord * g
 
 
 class TestDeterminism:
@@ -58,32 +80,60 @@ class TestDeterminism:
         assert serial == threaded
 
     def test_blocks_run_on_the_calling_thread(self, monkeypatch):
-        # workers is accepted and ignored: every block is scored in order on
-        # the caller's thread, however many workers are asked for
+        # workers is accepted and ignored: every chunk of BLOCK_SIZE columns
+        # is scored in order on the caller's thread, however many workers
+        # are asked for, in one kernel call that gets w as its second argument
         calls = []
-        block_hits = mc_mod._block_hits
+        count_hits = mc_mod._kernel.count_hits
 
-        def recording(body, seed, block, count):
-            calls.append((threading.get_ident(), block))
-            return block_hits(body, seed, block, count)
+        def recording(body, w, z):
+            calls.append((threading.get_ident(), w.size))
+            return count_hits(body, w, z)
 
-        monkeypatch.setattr(mc_mod, "_block_hits", recording)
+        monkeypatch.setattr(mc_mod._kernel, "count_hits", recording)
         body = make_body(RelaxationKind.NR, PowerFn(2.0, UNIT))
-        mc_volume(body, 3 * mc_mod.BLOCK_SIZE + 1, seed=5, workers=2)
-        assert calls == [(threading.get_ident(), b) for b in range(4)]
+        est = mc_volume(body, 3 * mc_mod.BLOCK_SIZE + 3, seed=5, workers=2)
+        sizes = [mc_mod.BLOCK_SIZE] * 3 + [2]  # an odd budget scores one column fewer
+        assert calls == [(threading.get_ident(), m) for m in sizes]
+        assert est.samples == 3 * mc_mod.BLOCK_SIZE + 2
 
-    def test_block_streams_are_pure_functions_of_seed_and_index(self):
+    def test_estimates_are_pure_functions_of_seed_and_samples(self):
         body = make_body(RelaxationKind.PR, PowerFn(2.0, UNIT))
-        direct = mc_mod._block_hits(body, seed=9, block=3, count=1000)
-        again = mc_mod._block_hits(body, seed=9, block=3, count=1000)
-        assert direct == again
+        assert mc_volume(body, 20_000, seed=9) == mc_volume(body, 20_000, seed=9)
+        # a different budget moves every stratum, so it is a different estimate
+        assert mc_volume(body, 20_002, seed=9).mean != mc_volume(body, 20_000, seed=9).mean
+
+    def test_block_streams_are_pure_functions_of_seed_and_index(self, monkeypatch):
+        # the uniforms behind chunk b are the stream's draws for strata b *
+        # BLOCK_SIZE / 2 onwards, whatever the budget: a larger budget moves
+        # the strata, not the draws of the chunks they share
+        seen = []
+        count_hits = mc_mod._kernel.count_hits
+
+        def recording(body, w, z):
+            seen.append(w.copy())
+            return count_hits(body, w, z)
+
+        monkeypatch.setattr(mc_mod._kernel, "count_hits", recording)
+        body = make_body(RelaxationKind.PR, PowerFn(2.0, UNIT))
+        offsets = {}
+        for blocks in (2, 3):
+            seen.clear()
+            strata = blocks * mc_mod.BLOCK_SIZE // 2
+            mc_volume(body, 2 * strata, seed=9)
+            cell = np.tile(np.arange(mc_mod.BLOCK_SIZE // 2), 2)  # (point, stratum)
+            offsets[blocks] = [
+                w * strata - (cell + b * mc_mod.BLOCK_SIZE // 2) for b, w in enumerate(seen)
+            ]
+        for b in range(2):
+            assert ((offsets[3][b] >= -1e-9) & (offsets[3][b] <= 1.0 + 1e-9)).all()
+            assert offsets[3][b] == pytest.approx(offsets[2][b], rel=0.0, abs=1e-9)
 
     def test_block_keys_do_not_alias(self):
-        # a seed past 2**32 spans two 32-bit words; block 0 of seed 2**32 must
-        # not replay block 1 of seed 0
-        a = mc_mod._block_stream(2**32, 0).random(4)
-        b = mc_mod._block_stream(0, 1).random(4)
-        assert not (a == b).any()
+        # a seed past 2**32 spans two 32-bit words of the seed sequence
+        body = make_body(RelaxationKind.NR, PowerFn(2.0, UNIT))
+        means = {mc_volume(body, 20_000, seed=s).mean for s in (0, 1, 2**32, 2**32 + 1, 2**64 - 1)}
+        assert len(means) == 5
 
     def test_different_seeds_differ(self):
         # every sampled column meets this body, so the hits alone agree
@@ -93,19 +143,21 @@ class TestDeterminism:
 
 class TestEstimates:
     def test_stderr_is_the_sample_standard_error(self):
-        # recompute every column fraction chunk by chunk, as the oracle draws them
+        # recompute every column from its fraction in one pass: the mean of
+        # the lengths, and the stderr from each stratum's pair difference
         iv = Interval(0.2, 1.5)
-        samples = mc_mod.BLOCK_SIZE + 3 * mc_mod.CHUNK_SIZE + 77
+        samples = 2 * 12480 + 1  # a 120 x 104 grid: three whole chunks, a partial one, an odd budget
         for kind in RelaxationKind:
             body = make_body(kind, PowerFn(3.7, iv), Breakpoints.equally_spaced(iv, 6))
             est = mc_volume(body, samples, seed=11)
-            g = np.concatenate([_fractions(body, ws, zs) for ws, zs in _chunks(body, 11, samples)])
-            assert g.size == samples
-            assert est.hits == np.count_nonzero(g > 0.0)
-            assert est.mean == pytest.approx(est.box_volume * g.mean(), rel=1e-13)
-            assert est.stderr == pytest.approx(
-                est.box_volume * g.std(ddof=1) / np.sqrt(samples), rel=1e-10
-            )
+            w, z = _one_pass(body, 11, samples)
+            h = _lengths(body, w.ravel(), None if z is None else z.ravel()).reshape(-1, 2)
+            strata = h.shape[0]
+            assert est.samples == 2 * strata == samples - 1
+            assert est.hits == np.count_nonzero(h > 0.0)
+            assert est.mean == pytest.approx(iv.width * h.mean(), rel=1e-13)
+            spread = ((h[:, 0] - h[:, 1]) ** 2).sum()
+            assert est.stderr == pytest.approx(iv.width * np.sqrt(spread / 4.0) / strata, rel=1e-10)
 
     @pytest.mark.parametrize(
         "kind,expected",
@@ -140,22 +192,40 @@ class TestEstimates:
         assert pr.mean <= plpr_vol + 4.0 * pr.stderr
 
     def test_general_exponent_perspective_matches_refinement_limit(self):
-        # away from p=2 the exact perspective volume is approximated from
-        # above by many-piece PL volumes; with 2000 equal pieces the gap is
-        # far below the Monte-Carlo resolution
+        # away from p=2 the exact perspective volume, ((u - l)(f(l) + f(u))/2
+        # - integral of f) / 3, is approximated from above by many-piece PL
+        # volumes.  With 2000 equal pieces the gap is 1.25e-7 of the volume,
+        # which the stratified oracle resolves at about 16 sigma, so the
+        # estimate is checked against the exact volume
         pf = PowerFn(3.0, HALF)
+        lo, up = Fraction(1, 2), Fraction(1)
+        exact = float(((up - lo) * (lo**3 + up**3) / 2 - (up**4 - lo**4) / 4) / 3)
         limit = volume_power_closed_form(pf, Breakpoints.equally_spaced(HALF, 2000))
+        assert 1.2e-7 < (limit - exact) / exact < 1.3e-7
         est = mc_volume(make_body(RelaxationKind.PR, pf), 1_000_000, seed=77)
-        assert abs(est.mean - limit) <= 4.0 * est.stderr
+        assert abs(est.mean - exact) <= 4.0 * est.stderr
+
+    @pytest.mark.parametrize("kind", ["nr", "pr"])
+    def test_stderr_survives_large_scales(self, kind):
+        # on [0, 1e100] a column is up to f(upper) = 1e200 long, whose
+        # square overflows: the pair differences are taken relative to it
+        iv = Interval(0.0, 1e100)
+        pf = PowerFn(2.0, iv)
+        est = mc_volume(make_body(RelaxationKind(kind), pf), 20_000, seed=3)
+        assert 0.0 < est.stderr < np.inf
+        assert abs(est.mean - closed_form_volume(RelaxationKind(kind), pf, None)) <= 4.0 * est.stderr
 
     def test_validation(self):
         body = make_body(RelaxationKind.NR, PowerFn(2.0, UNIT))
+        # the pilot of one chunk must be a valid budget
+        assert mc_mod.MIN_SAMPLES <= mc_mod.BLOCK_SIZE
+        with pytest.raises(DomainError, match=f"need at least {mc_mod.MIN_SAMPLES} samples"):
+            mc_volume(body, mc_mod.MIN_SAMPLES - 1, seed=0)
+        assert mc_volume(body, mc_mod.MIN_SAMPLES, seed=0).samples == mc_mod.MIN_SAMPLES
         with pytest.raises(DomainError):
-            mc_volume(body, 9_999, seed=0)
+            mc_volume(body, mc_mod.MIN_SAMPLES, seed=-1)
         with pytest.raises(DomainError):
-            mc_volume(body, 10_000, seed=-1)
-        with pytest.raises(DomainError):
-            mc_volume(body, 10_000, seed=2**64)
+            mc_volume(body, mc_mod.MIN_SAMPLES, seed=2**64)
         with pytest.raises(DomainError):
             make_body(RelaxationKind.PL_PR, PowerFn(2.0, UNIT))
 
@@ -191,7 +261,8 @@ class TestMembership:
     def test_nesting_on_sampled_points(self):
         bodies = _bodies()
         gen = np.random.Generator(np.random.Philox(key=77))
-        ws, zs = mc_mod._to_cone(bodies[RelaxationKind.NR], gen.random((2, 20_000)))
+        ws, zs = gen.random((2, 20_000))
+        ws = HALF.lower + HALF.width * ws
         share = {kind: _fractions(body, ws, zs) for kind, body in bodies.items()}
         pairs = [
             (RelaxationKind.PR, RelaxationKind.PL_PR),
@@ -267,11 +338,11 @@ class TestMembership:
         assert g_enr < g_nr
 
 
-# Mean column fraction of mc._kernel.count_hits, summed over blocks 0-2, on
-# columns drawn uniformly on the footprint's bounding rectangle (not through
-# the cone map): body (kind, lower, p) on [lower, 2] with 5 equal pieces for
-# the PL kinds, one entry per seed in GOLDEN_SEEDS.  Every column of these
-# blocks meets its body, so the hits are all 3 * BLOCK_SIZE.
+# Mean column fraction of the kernel, summed over blocks 0-2 of _footprint_block,
+# columns drawn uniformly on the footprint rectangle: body (kind, lower, p) on
+# [lower, 2] with 5 equal pieces for the PL kinds, one entry per seed in
+# GOLDEN_SEEDS.  Every column of these blocks meets its body, so the hits are
+# all 3 * 2**16.
 GOLDEN_UPPER = 2.0
 GOLDEN_SEEDS = (7, 8, 9)
 GOLDEN_BLOCKS = 3
@@ -298,28 +369,109 @@ GOLDEN_KERNEL = {
     ('pr', 0.3, 3.7): (1.9622099689173236, 1.9600792158377454, 1.9599475810938285),
 }
 
-# The same sums over mc._block_hits, which draws through the cone map.
-GOLDEN_CONE_HITS = {
-    ('enr', 0.0, 2.0): (1.5014757590332093, 1.501152741179674, 1.4976398957035162),
-    ('enr', 0.0, 3.7): (2.3299298328244236, 2.329623246427648, 2.3256517363424933),
-    ('enr', 0.3, 2.0): (1.2761083967226434, 1.2757735571294246, 1.2730940367815813),
-    ('enr', 0.3, 3.7): (2.211825581042034, 2.2113604464172956, 2.2075154296793054),
-    ('nr', 0.0, 2.0): (1.5014757590332093, 1.501152741179674, 1.4976398957035162),
-    ('nr', 0.0, 3.7): (2.3299298328244236, 2.329623246427648, 2.3256517363424933),
-    ('nr', 0.3, 2.0): (1.2809137372281398, 1.2807562189018191, 1.2780763518178289),
-    ('nr', 0.3, 3.7): (2.212190205010047, 2.2117442355232746, 2.207903438471738),
-    ('plenr', 0.0, 2.0): (1.5315334955136397, 1.5311444699324355, 1.5275872431488733),
-    ('plenr', 0.0, 3.7): (2.358738075067035, 2.3585023324144707, 2.354556835254353),
-    ('plenr', 0.3, 2.0): (1.2941097687219703, 1.2938280202048709, 1.2911379058537045),
-    ('plenr', 0.3, 3.7): (2.236309846007697, 2.235931117597762, 2.2320823875371127),
-    ('plpr', 0.0, 2.0): (1.0189359216858263, 1.0190056371596077, 1.0182301074730782),
-    ('plpr', 0.0, 3.7): (1.7583264057626993, 1.758837390865369, 1.7561698093432598),
-    ('plpr', 0.3, 2.0): (0.7202145747960397, 0.7201429089195694, 0.7192443129631838),
-    ('plpr', 0.3, 3.7): (1.5293659905728152, 1.5297225284323617, 1.5275617434004412),
-    ('pr', 0.0, 2.0): (0.998939493508822, 0.9990833662492793, 0.9982357427131201),
-    ('pr', 0.0, 3.7): (1.7223411517777634, 1.7228046472886587, 1.720210903236692),
-    ('pr', 0.3, 2.0): (0.7061106345920662, 0.7060619961722877, 0.7051498097519391),
-    ('pr', 0.3, 3.7): (1.4986502737533822, 1.4989840562138323, 1.4968833675432025),
+# The oracle's (mean, stderr) over GOLDEN_BLOCKS chunks of its own stream, for
+# the same bodies and seeds.
+GOLDEN_ESTIMATES = {
+    ('enr', 0.0, 2.0): (
+        (0.6667576942402625, 4.549322221055714e-05),
+        (0.6667158881854712, 4.477633220235716e-05),
+        (0.6666001892233574, 4.5293937391387855e-05),
+    ),
+    ('enr', 0.0, 3.7): (
+        (3.362251352761634, 0.0002561670782202757),
+        (3.362139804720128, 0.00025293536373814906),
+        (3.3615310895342816, 0.0002547913003976679),
+    ),
+    ('enr', 0.3, 2.0): (
+        (0.49255981339388205, 3.2175964692024556e-05),
+        (0.4925457227681534, 3.1716519541270735e-05),
+        (0.4924523174774374, 3.1713223805945435e-05),
+    ),
+    ('enr', 0.3, 3.7): (
+        (2.7152906178131686, 0.00020137465366277672),
+        (2.7152557980628647, 0.00019903402495832507),
+        (2.71469645258238, 0.0001989399841082813),
+    ),
+    ('nr', 0.0, 2.0): (
+        (0.6667576942402625, 4.549322221055714e-05),
+        (0.6667158881854712, 4.477633220235716e-05),
+        (0.6666001892233574, 4.5293937391387855e-05),
+    ),
+    ('nr', 0.0, 3.7): (
+        (3.362251352761634, 0.0002561670782202757),
+        (3.362139804720128, 0.00025293536373814906),
+        (3.3615310895342816, 0.0002547913003976679),
+    ),
+    ('nr', 0.3, 2.0): (
+        (0.4944725227198183, 3.193360952089857e-05),
+        (0.4944596696626768, 3.149587533403308e-05),
+        (0.4943642903105046, 3.1495967615628575e-05),
+    ),
+    ('nr', 0.3, 3.7): (
+        (2.715758769747636, 0.00020133222667254502),
+        (2.7157242519265576, 0.0001989962673338793),
+        (2.7151642660040483, 0.00019890315429558635),
+    ),
+    ('plenr', 0.0, 2.0): (
+        (0.6801013282303273, 4.672782486630348e-05),
+        (0.6800509012755506, 4.616445391249839e-05),
+        (0.6799367633430203, 4.664997159549862e-05),
+    ),
+    ('plenr', 0.0, 3.7): (
+        (3.403894089274688, 0.00026349645196616995),
+        (3.403816888369939, 0.0002620068250401459),
+        (3.403137063995596, 0.00026480925394493015),
+    ),
+    ('plenr', 0.3, 2.0): (
+        (0.4995262746941324, 3.306535542612853e-05),
+        (0.4995064863291518, 3.259482172879051e-05),
+        (0.49942148812046216, 3.263284843744728e-05),
+    ),
+    ('plenr', 0.3, 3.7): (
+        (2.745461708784059, 0.00020624549784840622),
+        (2.7454235124597273, 0.00020503323388366065),
+        (2.7448810851364502, 0.00020419726165576537),
+    ),
+    ('plpr', 0.0, 2.0): (
+        (0.4533332036010818, 2.3929839970470986e-07),
+        (0.453333535570506, 2.3652710670331038e-07),
+        (0.4533333638254515, 2.405709814288332e-07),
+    ),
+    ('plpr', 0.0, 3.7): (
+        (2.5405862960275867, 1.456472453209946e-06),
+        (2.5405878928175896, 1.4727445367104547e-06),
+        (2.5405868882666565, 1.4854652601979764e-06),
+    ),
+    ('plpr', 0.3, 2.0): (
+        (0.2784032536615143, 1.469591297186648e-07),
+        (0.2784034575322369, 1.452572094041816e-07),
+        (0.2784033520593053, 1.4774065396998336e-07),
+    ),
+    ('plpr', 0.3, 3.7): (
+        (1.8800881872005595, 1.043419216796216e-06),
+        (1.8800895506765365, 1.050213860862184e-06),
+        (1.8800887658919008, 1.0614396061098574e-06),
+    ),
+    ('pr', 0.0, 2.0): (
+        (0.4444443001987845, 2.30885036336067e-07),
+        (0.4444446665028574, 2.275472148346906e-07),
+        (0.4444445974477234, 2.3193555260666446e-07),
+    ),
+    ('pr', 0.0, 3.7): (
+        (2.488602581109149, 1.3687825803432369e-06),
+        (2.4886042026232116, 1.3795656371950258e-06),
+        (2.4886036707687245, 1.3991185825594495e-06),
+    ),
+    ('pr', 0.3, 2.0): (
+        (0.2729443558595784, 1.4179227293989652e-07),
+        (0.2729445808160672, 1.397424333103692e-07),
+        (0.272944538407583, 1.4243742124456646e-07),
+    ),
+    ('pr', 0.3, 3.7): (
+        (1.8423414744304683, 9.900886813747532e-07),
+        (1.842342767710958, 9.931838395489945e-07),
+        (1.842342371446767, 1.0082132442621392e-06),
+    ),
 }
 
 # Packed masks of the columns that meet each body among _boundary_columns.
@@ -327,9 +479,9 @@ BOUNDARY_BODIES = ((3.7, Interval(0.3, 1.2), 4), (2.0, UNIT, 3))
 GOLDEN_BOUNDARY_COLUMNS = {
     ('nr', 3.7): 'fff1e0',
     ('nr', 2.0): '2db0',
-    ('pr', 3.7): 'ffffe0',
+    ('pr', 3.7): '2493e0',
     ('pr', 2.0): '2492',
-    ('plpr', 3.7): 'fffffffe',
+    ('plpr', 3.7): '2493ef3c',
     ('plpr', 2.0): '2492e700',
     ('enr', 3.7): 'fff1e0',
     ('enr', 2.0): '2db0',
@@ -344,11 +496,11 @@ def _golden_body(kind, lower, p):
 
 
 def _footprint_block(body, seed, block):
-    """Block ``block`` of ``Philox(seed)`` as columns uniform on the footprint's
-    bounding rectangle ``[lower, upper] x [0, 1]``: a fixed input that pins the
-    kernel apart from the oracle's own stream and ``_to_cone``."""
+    """Block ``block`` of ``Philox(seed)`` as ``2**16`` columns uniform on the
+    footprint rectangle ``[lower, upper] x [0, 1]``: a fixed input that pins
+    the kernel apart from the oracle's own stream and strata."""
     gen = np.random.Generator(np.random.Philox(key=seed).jumped(block))
-    ws, zs = gen.random((2, mc_mod.BLOCK_SIZE))
+    ws, zs = gen.random((2, 1 << 16))
     ws *= body.interval.width
     ws += body.interval.lower
     return ws, zs
@@ -379,22 +531,20 @@ class TestGoldenHits:
     def test_block_hits(self, key):
         body = _golden_body(*key)
         for seed, want in zip(GOLDEN_SEEDS, GOLDEN_KERNEL[key]):
-            parts = [
-                mc_mod._kernel.count_hits(body, *_footprint_block(body, seed, b))
-                for b in range(GOLDEN_BLOCKS)
-            ]
-            assert sum(hits for hits, _, _ in parts) == GOLDEN_BLOCKS * mc_mod.BLOCK_SIZE
-            assert sum(mean for _, mean, _ in parts) == pytest.approx(want, rel=1e-12), seed
+            blocks = [_footprint_block(body, seed, b) for b in range(GOLDEN_BLOCKS)]
+            hits = sum(mc_mod._kernel.count_hits(body, ws, zs)[0] for ws, zs in blocks)
+            assert hits == GOLDEN_BLOCKS * (1 << 16)
+            means = sum(_fractions(body, ws, zs).mean() for ws, zs in blocks)
+            assert means == pytest.approx(want, rel=1e-12), seed
 
-    @pytest.mark.parametrize("key", sorted(GOLDEN_CONE_HITS))
+    @pytest.mark.parametrize("key", sorted(GOLDEN_ESTIMATES))
     def test_cone_block_hits(self, key):
+        # the oracle's own stream, strata and sums, over three chunks
         body = _golden_body(*key)
-        for seed, want in zip(GOLDEN_SEEDS, GOLDEN_CONE_HITS[key]):
-            parts = [
-                mc_mod._block_hits(body, seed, b, mc_mod.BLOCK_SIZE) for b in range(GOLDEN_BLOCKS)
-            ]
-            assert sum(part[0] for part in parts) == GOLDEN_BLOCKS * mc_mod.BLOCK_SIZE
-            assert sum(part[2] for part in parts) == pytest.approx(want, rel=1e-12), seed
+        for seed, want in zip(GOLDEN_SEEDS, GOLDEN_ESTIMATES[key]):
+            est = mc_volume(body, GOLDEN_BLOCKS * mc_mod.BLOCK_SIZE, seed)
+            assert est.hits == GOLDEN_BLOCKS * mc_mod.BLOCK_SIZE
+            assert (est.mean, est.stderr) == pytest.approx(want, rel=1e-12), seed
 
     @pytest.mark.parametrize("kind", [k.value for k in RelaxationKind])
     def test_boundary_points(self, kind):
@@ -404,10 +554,10 @@ class TestGoldenHits:
             g = _fractions(body, ws, zs)
             assert ((g >= 0.0) & (g <= 1.0)).all()
             assert np.packbits(g > 0.0).tobytes().hex() == GOLDEN_BOUNDARY_COLUMNS[kind, p]
-            hits, mean, m2 = mc_mod._kernel.count_hits(body, ws, zs)
-            assert hits == np.count_nonzero(g > 0.0)
-            assert mean == pytest.approx(g.mean(), rel=1e-15)
-            assert m2 == pytest.approx(((g - g.mean()) ** 2).sum(), rel=1e-12)
+            hits, h = mc_mod._kernel.count_hits(body, ws, zs)
+            assert hits == np.count_nonzero(g > 0.0)  # h itself underflows next to z = 0
+            zs_read = None if body.kind in W_ONLY else zs
+            assert h == pytest.approx(_lengths(body, ws, zs_read), rel=1e-14, abs=0.0)
 
     def test_block_with_no_survivors(self):
         # columns of no height: the z = 0 face over the whole footprint; the
@@ -421,7 +571,8 @@ class TestGoldenHits:
             else:
                 ws = np.linspace(lo, hi, 101)
                 zs = np.zeros_like(ws)
-            assert mc_mod._kernel.count_hits(body, ws, zs) == (0, 0.0, 0.0)
+            hits, h = mc_mod._kernel.count_hits(body, ws, zs)
+            assert hits == 0 and not h.any()
 
 
 def _random_bodies(count, seed):
@@ -445,8 +596,26 @@ def _random_bodies(count, seed):
     return out
 
 
+def _kinked_bodies(count, seed):
+    """Seeded plpr and plenr bodies, whose column lengths kink at every
+    vertex of the estimator: upper in [0.1, 100], l/u 0 or up to 0.9, p in
+    [1.1, 8] and 2 to 32 equal pieces."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        kind = (RelaxationKind.PL_PR, RelaxationKind.PL_E_NR)[i % 2]
+        upper = 10.0 ** rng.uniform(-1.0, 2.0)
+        lower = 0.0 if i % 4 < 2 else upper * rng.uniform(0.0, 0.9)
+        iv = Interval(lower, upper)
+        pf = PowerFn(rng.uniform(1.1, 8.0), iv)
+        bp = Breakpoints.equally_spaced(iv, int(rng.integers(2, 33)))
+        out.append((make_body(kind, pf, bp), closed_form_volume(kind, pf, bp)))
+    return out
+
+
 class TestConeSampler:
-    """The oracle draws uniformly in the cone every body lies in."""
+    """The oracle draws stratified pairs of columns on the footprint of the
+    cone every body lies in."""
 
     def test_estimates_match_closed_forms(self):
         bodies = _random_bodies(60, seed=2718)
@@ -458,20 +627,40 @@ class TestConeSampler:
         assert np.abs(zs).max() <= 5.0, zs
         assert abs(zs.mean()) <= 4.0 / np.sqrt(zs.size), zs.mean()
 
+    def test_stderr_is_calibrated_on_kinked_bodies(self):
+        # at the one-chunk pilot, the estimates' distances from the closed
+        # forms in their own stderrs behave as normal ones: none beyond 5, and
+        # the share beyond 2 (4.55% for a normal) within three binomial sds
+        zs = []
+        for i, (body, exact) in enumerate(_kinked_bodies(300, seed=0)):
+            est = mc_volume(body, mc_mod.BLOCK_SIZE, seed=i)
+            zs.append((est.mean - exact) / est.stderr)
+        zs = np.abs(zs)
+        assert zs.max() <= 5.0, zs.max()
+        share, n = 0.0455, zs.size
+        assert abs((zs > 2.0).sum() - share * n) <= 3.0 * np.sqrt(n * share * (1.0 - share))
+
     def test_chunk_points_lie_in_the_shared_cone(self):
         # columns (w, z) lie in the cone's footprint: x = z * w is between the
-        # planes lower * z and upper * z
+        # planes lower * z and upper * z; and each pair lies in its stratum
         bodies = [body for body, _ in _random_bodies(20, seed=31)]
         bodies.append(_golden_body("plpr", 0.3, 3.7))
         bodies.append(make_body(RelaxationKind.PR, PowerFn(3.0, Interval(1000.0, 1000.001))))
         for i, body in enumerate(bodies):
-            ws, zs = mc_mod._draw_chunk(body, mc_mod._block_stream(i, 0), mc_mod.CHUNK_SIZE)
+            ws, zs = _one_pass(body, i, mc_mod.BLOCK_SIZE)
             lo, hi = body.interval.lower, body.interval.upper
             assert ((ws >= lo) & (ws <= hi)).all()
+            strata = ws.shape[0]
+            nw, nz = (strata, 1) if zs is None else mc_mod._grid(strata)
+            cell = np.arange(strata)[:, None]
+            tw = (ws - lo) / (hi - lo) * nw - cell // nz  # offset in the w-stratum
+            assert ((tw > -1e-6) & (tw < 1.0 + 1e-6)).all()
             if body.kind in W_ONLY:
                 assert zs is None
             else:
                 assert ((zs >= 0.0) & (zs <= 1.0)).all()
+                tz = zs * nz - cell % nz
+                assert ((tz > -1e-9) & (tz < 1.0 + 1e-9)).all()
 
     def test_box_volume_is_the_cone_volume(self):
         for body, _ in _random_bodies(20, seed=5):
@@ -479,50 +668,105 @@ class TestConeSampler:
             pf = PowerFn(body.p, body.interval)
             assert body.box_volume == (up - lo) * (pf(lo) + pf(up)) / 6.0
 
-    def test_zero_uniforms_map_to_the_apex(self):
+    def test_zero_uniforms_map_to_the_apex(self, monkeypatch):
+        # with every uniform zero, each point sits at its stratum's lower
+        # corner: stratum 0's two points at (lower, 0), x = z * w = 0, the apex
+        class Zeros:
+            def __init__(self, bit_generator):
+                pass
+
+            def random(self, shape):
+                return np.zeros(shape)
+
+        seen = []
+        count_hits = mc_mod._kernel.count_hits
+
+        def recording(body, w, z):
+            seen.append((w.copy(), None if z is None else z.copy()))
+            return count_hits(body, w, z)
+
+        monkeypatch.setattr(mc_mod.np.random, "Generator", Zeros)
+        monkeypatch.setattr(mc_mod._kernel, "count_hits", recording)
+        strata = mc_mod.MIN_SAMPLES // 2
         for iv in (UNIT, HALF):
-            body = make_body(RelaxationKind.PR, PowerFn(3.0, iv))
-            with warnings.catch_warnings(), np.errstate(all="raise"):
-                warnings.simplefilter("error")
-                (w,), (z,) = mc_mod._to_cone(body, np.zeros((2, 1)))
-            assert (w, z) == (iv.lower, 0.0)  # x = z * w = 0: the apex
+            for body in _bodies(p=3.0, iv=iv).values():
+                seen.clear()
+                with warnings.catch_warnings(), np.errstate(all="raise"):
+                    warnings.simplefilter("error")
+                    mc_volume(body, mc_mod.MIN_SAMPLES, seed=0)
+                ((w, z),) = seen
+                assert w[0] == w[strata] == iv.lower
+                nw, nz = (strata, 1) if body.kind in W_ONLY else mc_mod._grid(strata)
+                cell = np.tile(np.arange(strata), 2)  # (point, stratum)
+                assert w == pytest.approx(iv.lower + cell // nz * (iv.width / nw), rel=1e-15)
+                if body.kind in W_ONLY:
+                    assert z is None
+                else:
+                    assert z[0] == z[strata] == 0.0
+                    assert (z == cell % nz / nz).all()
 
     @pytest.mark.parametrize("kind", [k.value for k in RelaxationKind])
     def test_hits_do_not_depend_on_workers_or_chunking(self, kind):
         iv = Interval(0.2, 1.5)
         body = make_body(RelaxationKind(kind), PowerFn(3.7, iv), Breakpoints.equally_spaced(iv, 6))
-        samples = 2 * mc_mod.BLOCK_SIZE + mc_mod.CHUNK_SIZE + 1234  # not a multiple of a chunk
+        samples = 2 * mc_mod.BLOCK_SIZE + 1234  # not a multiple of a chunk
         est = {w: mc_volume(body, samples, seed=3, workers=w) for w in (1, 2, 4)}
         assert est[1] == est[2] == est[4]  # hits, mean and stderr, bit for bit
-        # the same estimate from the blocks and the partial block rebuilt chunk by chunk
-        gen = mc_mod._block_stream(3, 2)
-        chunks = []
-        for m in (mc_mod.CHUNK_SIZE, 1234):
-            ws, zs = mc_mod._draw_chunk(body, gen, m)
-            hits, mean, m2 = mc_mod._kernel.count_hits(body, ws, zs)
-            chunks.append((hits, m, mean, m2))
-        # a shorter budget draws the same whole chunk
-        assert mc_mod._block_hits(body, 3, 2, mc_mod.CHUNK_SIZE) == chunks[0]
-        blocks = [mc_mod._block_hits(body, 3, b, mc_mod.BLOCK_SIZE) for b in range(2)]
-        blocks.append(mc_mod._merge(*chunks))
-        hits, n, mean, m2 = functools.reduce(mc_mod._merge, blocks)
-        assert n == samples and hits == est[1].hits
-        assert est[1].mean == body.box_volume * mean
-        assert est[1].stderr == body.box_volume * np.sqrt(m2 / (n - 1) / n)
+        # one kernel call over the columns drawn in one pass scores each
+        # column as the chunks do, and the chunks' sums rebuild the estimate:
+        # a chunk lays its columns out as (point, stratum)
+        w, z = _one_pass(body, 3, samples)
+        hits, h = mc_mod._kernel.count_hits(body, w.ravel(), None if z is None else z.ravel())
+        assert hits == est[1].hits
+        total = spread = 0.0
+        for start in range(0, h.size, mc_mod.BLOCK_SIZE):
+            pair = np.ascontiguousarray(h[start:start + mc_mod.BLOCK_SIZE].reshape(-1, 2).T)
+            pair /= body.box_height  # lengths relative to f(upper)
+            d = pair[0] - pair[1]
+            total += float(pair.sum())
+            spread += float(np.einsum("i,i", d, d))
+        strata = h.size // 2
+        scale = iv.width * body.box_height
+        assert est[1].mean == scale * total / (2 * strata)
+        assert est[1].stderr == scale * np.sqrt(spread / 4.0) / strata
 
     @pytest.mark.parametrize("kind", W_ONLY, ids=lambda k: k.value)
-    def test_perspective_kinds_draw_only_w(self, kind):
-        # two chunks of a block: had the first drawn a z row as well, the
-        # second chunk's w would start 2 * CHUNK_SIZE draws in, not CHUNK_SIZE
+    def test_perspective_kinds_draw_only_w(self, kind, monkeypatch):
+        # the w of stratum i's two points are draws 2i and 2i + 1 of the
+        # stream: had the kind drawn z as well, they would be 4i and 4i + 2.
+        # Each chunk passes its first points, then its second points
         iv = Interval(0.2, 1.5)
         body = make_body(kind, PowerFn(3.7, iv), Breakpoints.equally_spaced(iv, 6))
-        gen = mc_mod._block_stream(5, 1)
-        chunks = []
-        for _ in range(2):
-            (ws,) = mc_mod._to_cone(body, gen.random((1, mc_mod.CHUNK_SIZE)))
-            hits, mean, m2 = mc_mod._kernel.count_hits(body, ws, None)
-            chunks.append((hits, mc_mod.CHUNK_SIZE, mean, m2))
-        assert mc_mod._block_hits(body, 5, 1, 2 * mc_mod.CHUNK_SIZE) == mc_mod._merge(*chunks)
+        seen = []
+        count_hits = mc_mod._kernel.count_hits
+
+        def recording(body, w, z):
+            seen.append((w.copy(), z))
+            return count_hits(body, w, z)
+
+        monkeypatch.setattr(mc_mod._kernel, "count_hits", recording)
+        samples = 2 * mc_mod.BLOCK_SIZE
+        mc_volume(body, samples, seed=5)
+        assert all(z is None for _, z in seen)
+        u = np.random.Generator(np.random.PCG64(np.random.SeedSequence(5))).random(samples)
+        strata = samples // 2
+        want = np.minimum((u + np.arange(samples) // 2) * (iv.width / strata) + iv.lower, iv.upper)
+        chunks = want.reshape(-1, mc_mod.BLOCK_SIZE // 2, 2).transpose(0, 2, 1)
+        assert (np.concatenate([w for w, _ in seen]) == chunks.ravel()).all()
+
+    @pytest.mark.parametrize("kind", W_ONLY, ids=lambda k: k.value)
+    def test_huge_ratio_bodies_match_closed_forms(self, kind):
+        # (upper / lower)**p overflows, so the perspective gaps fall back
+        # from their ratio forms to the direct ones, without a warning
+        iv = Interval(1e-10, 1.0)
+        pf = PowerFn(40.0, iv)
+        bp = Breakpoints.equally_spaced(iv, 5)
+        if kind is RelaxationKind.PR:  # (w (f(l) + f(u)) / 2 - integral of f) / 3, f(l) = 0
+            exact = (iv.width / 2.0 - (1.0 - iv.lower**41) / 41.0) / 3.0
+        else:
+            exact = closed_form_volume(kind, pf, bp)
+        est = mc_volume(make_body(kind, pf, bp), 200_000, seed=1)
+        assert abs(est.mean - exact) <= 4.0 * est.stderr
 
     @pytest.mark.parametrize(
         "kind,p,iv,n",
