@@ -8,7 +8,7 @@ above its own lower bound ``L(x, z)``, so the column's share in the body
 is exactly ``g = clip((S - L) / S, 0, 1)``, and ``g = 0`` where ``S <= 0``.
 ``L`` is a power, or for the piecewise-linear kinds the body's tangent
 under-estimator: plenr evaluates it by the estimator's own bucketed lookup
-(``PLUnderEstimator.__call__``), plpr from the tangents themselves (below).
+(``PLUnderEstimator.__call__``), plpr by the tangent of that piece (below).
 For the perspective kinds ``L = z * f(w)``, so ``z`` cancels and is not
 read: the sampler passes ``None``.  The kernel
 does not test the footprint: the sampler draws inside it.  It reads the
@@ -20,9 +20,9 @@ written in ratios to ``lower``, ``lower**p * ((s/width) * expm1(p*L) -
 expm1(p * log1p(s/lower)))`` with ``s = w - lower`` and ``L =
 log1p(width/lower)``: it never subtracts two values of size ``lower**p``,
 which on a narrow interval far from zero would leave only rounding.  plpr
-adds the gap between ``f`` and its tangent under-estimator, the lesser of
-the gaps to the tangents at the two tangency points around ``w``, each
-``x_k**p * (expm1(p * log1p(r)) - p*r)`` with ``r = w/x_k - 1``.
+adds the gap ``x_k**p * (expm1(p * log1p(r)) - p*r)``, ``r = w/x_k - 1``,
+to the tangent at ``x_k`` of ``w``'s piece ``k``, whose ends are the
+ratio-form cuts (``power._tangent_cuts``).
 """
 
 from __future__ import annotations
@@ -62,31 +62,17 @@ def _perspective_gap(body, w):
 
 
 def _tangent_gap(body, w):
-    """``f(w)`` minus the tangent under-estimator.  Between neighbouring
-    tangency points ``x_j <= w <= x_{j+1}`` the estimator is the greater of
-    the two tangents there, so the gap is the lesser of their gaps, and no
-    value of the estimator, which cancels on a narrow interval far from
-    zero, is formed."""
-    xk, p = body.tangent_x, body.p
-    heights = xk**p
-    # the estimator's piece k is the tangent at x_k; its lookup, from
-    # intersections that may be off by some 1e-4 of the width there, only
-    # errs next to an intersection, which lies strictly between x_k and a
-    # neighbour, so comparing w with x_k still finds w's pair
-    j = body.estimator._piece(w)
-    j -= w < np.take(xk, j)
-    np.clip(j, 0, xk.size - 2, out=j)
-    gap = _bregman(p, w, xk, heights, j)
-    j += 1
-    return np.minimum(gap, _bregman(p, w, xk, heights, j), out=gap)
+    """``f(w)`` minus the tangent under-estimator, with no value of the
+    estimator formed: it cancels on a narrow interval far from zero."""
+    return _bregman(body.p, w, body.tangent_x, body.estimator._piece(w))
 
 
-def _bregman(p, w, xk, heights, k):
+def _bregman(p, w, xk, k):
     """``f(w) - f(x) - f'(x) (w - x)`` for ``f = x**p`` at the tangency
-    points ``x = xk[k]``, with ``heights = xk**p``: ``f(x) * (expm1(p *
-    log1p(r)) - p*r)`` with ``r = w/x - 1``, and the direct form where
-    ``f(x)`` is 0 or ``(w / x)**p`` overflows, far from any narrow
-    interval.  One buffer holds ``x``, ``r`` and ``f(x)`` in turn."""
+    points ``x = xk[k]``: ``f(x) * (expm1(p * log1p(r)) - p*r)`` with ``r
+    = w/x - 1``, and the direct form where ``f(x)`` is 0 or ``(w / x)**p``
+    overflows, far from any narrow interval.  One buffer holds ``x``, ``r``
+    and ``f(x)`` in turn."""
     r = np.take(xk, k)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # replaced below
         np.divide(w, r, out=r)
@@ -96,7 +82,7 @@ def _bregman(p, w, xk, heights, k):
         np.expm1(gap, out=gap)
         r *= p
         gap -= r
-        fx = np.take(heights, k, out=r)
+        fx = np.take(xk**p, k, out=r)
         gap *= fx
     far = ~np.isfinite(gap) | (fx == 0.0)
     if far.any():

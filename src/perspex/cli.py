@@ -258,7 +258,7 @@ def cmd_mc(args) -> dict:
         "mean": est.mean,
         "stderr": est.stderr,
         "hits": est.hits,
-        "box_volume": est.box_volume,  # volume of the sampled cone
+        "cone_volume": est.cone_volume,  # volume of the sampled cone
     }
     if args.check:
         ref = closed_form_volume(kind, pf, bp)

@@ -8,7 +8,7 @@ Every body lies in one cone, cut out by ``lower*z <= x <= upper*z``,
 ``y >= 0`` and the secant plane through ``(lower, f(lower), 1)`` and
 ``(upper, f(upper), 1)``: the cone with apex at the origin over the
 trapezoid ``{lower <= w <= upper, 0 <= v <= chord(w)}`` at ``z = 1``, of
-volume ``box_volume = (upper - lower) * (f(lower) + f(upper)) / 6``.
+volume ``cone_volume = (upper - lower) * (f(lower) + f(upper)) / 6``.
 
 The oracle draws no ``y``: it draws columns ``(w, z)`` on the footprint
 rectangle ``[lower, upper] x [0, 1]`` (``w = x / z``) and integrates ``y``
@@ -62,9 +62,8 @@ MIN_SAMPLES = 1 << 12
 class BodySpec:
     """One relaxation body reduced to the data its column kernel needs.
 
-    ``box_volume`` and ``box_height`` keep their names from the bounding box
-    the oracle once sampled; they describe the cone every body lies in,
-    whose footprint rectangle is sampled now (see the module docstring).
+    ``cone_volume``, ``upper_height`` and ``lower_height`` describe the cone
+    every body lies in (see the module docstring).
     """
 
     kind: RelaxationKind
@@ -75,13 +74,13 @@ class BodySpec:
     secant_z: float  # z coefficient of the shared upper bound plane
     secant_x: float  # x coefficient of the shared upper bound plane
     extension_slope: float  # chord slope from the origin, 0 when lower == 0
-    box_height: float  # f(upper): the cone's height at x = upper, z = 1
+    upper_height: float  # f(upper): the cone's height at x = upper, z = 1
     lower_height: float  # f(lower): the cone's height at x = lower, z = 1
 
     @property
-    def box_volume(self) -> float:
+    def cone_volume(self) -> float:
         """Volume of the sampled cone, ``(upper - lower) * (f(lower) + f(upper)) / 6``."""
-        return self.interval.width * (self.lower_height + self.box_height) / 6.0
+        return self.interval.width * (self.lower_height + self.upper_height) / 6.0
 
 
 def make_body(
@@ -123,10 +122,10 @@ def make_body(
         secant_z=f_lo - slope * lo,
         secant_x=slope,
         extension_slope=f_lo / lo if lo > 0.0 else 0.0,
-        box_height=f_up,
+        upper_height=f_up,
         lower_height=f_lo,
     )
-    if not (0.0 < body.box_volume < inf and isfinite(body.secant_x) and isfinite(body.secant_z)):
+    if not (0.0 < body.cone_volume < inf and isfinite(body.secant_x) and isfinite(body.secant_z)):
         raise DomainError(
             f"the Monte-Carlo cone of x**{power.p!r} on [{lo!r}, {up!r}] overflows floats"
         )
@@ -140,8 +139,8 @@ class McEstimate:
     ``mean = width * mean(h)`` over the ``samples`` column lengths ``h``, and
     ``stderr = width * sqrt(sum((h1 - h2)**2) / 4) / strata`` over the
     strata's pairs (see the module docstring).  ``hits`` counts the sampled
-    columns that meet the body (``h > 0``).  ``box_volume`` is the volume of
-    the cone every body lies in (``BodySpec.box_volume``), reported for
+    columns that meet the body (``h > 0``).  ``cone_volume`` is the volume of
+    the cone every body lies in (``BodySpec.cone_volume``), reported for
     reference; it does not scale the estimate.
     """
 
@@ -150,7 +149,7 @@ class McEstimate:
     samples: int
     seed: int
     hits: int
-    box_volume: float
+    cone_volume: float
 
 
 def _integer(name: str, value) -> int:
@@ -218,18 +217,18 @@ def mc_volume(
         w += lo
         np.minimum(w, up, out=w)  # rounding must not step past the upper plane
         count, h = _kernel.count_hits(body, w.ravel(), z)
-        h /= body.box_height  # f(upper) bounds every column: no square overflows
+        h /= body.upper_height  # f(upper) bounds every column: no square overflows
         d = h[: cell.size] - h[cell.size :]
         hits += count
         total += float(h.sum())
         spread += float(np.einsum("i,i", d, d))
 
-    scale = width * body.box_height
+    scale = width * body.upper_height
     return McEstimate(
         mean=scale * total / (2 * strata),
         stderr=scale * sqrt(spread / 4.0) / strata,
         samples=2 * strata,
         seed=seed,
         hits=hits,
-        box_volume=body.box_volume,
+        cone_volume=body.cone_volume,
     )

@@ -86,8 +86,18 @@ class PowerFn:
         return self.p * x ** (self.p - 1.0)
 
     def oracle(self) -> ConvexFunction:
-        """Black-box view of this function for the under-estimator builder."""
-        return ConvexFunction(fn=self, deriv=self.deriv, interval=self.interval)
+        """This function as a :class:`ConvexFunction` for the under-estimator."""
+        return _PowerOracle(fn=self, deriv=self.deriv, interval=self.interval)
+
+
+class _PowerOracle(ConvexFunction):
+    """``PowerFn.oracle()``: cuts in ratio form, and no positivity probe."""
+
+    def __post_init__(self) -> None:  # x**p is positive by construction
+        pass
+
+    def _cuts(self, xi, fx, dfx):
+        return _tangent_cuts(xi[:-1], xi[1:], self.fn.p)
 
 
 def volume_quadratic(bp: Breakpoints) -> float:
@@ -133,8 +143,9 @@ def volume_power_closed_form(pf: PowerFn, bp: Breakpoints) -> float:
     return p * (p - 1.0) / 6.0 * float(_span_integrals(starts, ends, left, right, p).sum())
 
 
-def _tangent_cuts(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
-    """Where the tangents of ``x**p`` at ``a < b`` meet, in ratio form.
+def _tangent_cuts(a: np.ndarray, b: np.ndarray, p) -> np.ndarray:
+    """Where the tangents of ``x**p`` at ``a < b`` meet: the one rule, in
+    ratio form.  ``p`` may hold one exponent per row of ``a``.
 
     ``t = a (p-1)/p * expm1(p L) / expm1((p-1) L)`` with ``L =
     log1p((b - a)/a)``, written as ``b (p-1)/p * expm1(-p L) /
@@ -263,10 +274,12 @@ def _stationarity(xi: np.ndarray, p: np.ndarray, table: np.ndarray) -> _Stationa
 
     ``xi`` holds one set of at least three breakpoints per row, ``p`` one
     exponent per row and ``table`` their :func:`_power_table`, whose rows
-    :func:`_flat_slopes` must have passed.  Entry k of each band belongs to
-    interior point k; the Newton Jacobian's sub- and super-diagonal are
-    ``d_lo[:, 1:]`` and ``d_hi[:, :-1]``.  Every entry is elementwise in its
-    row, so a batched row equals the row alone.
+    :func:`_flat_slopes` must have passed.  The residual ``t_dn - t_up`` is
+    ``2p`` times ``x_k`` minus the midpoint of its ratio-form cuts, to a few
+    ``eps * p * upper``.  Entry k of each band belongs to interior point k;
+    the Newton Jacobian's sub- and super-diagonal are ``d_lo[:, 1:]`` and
+    ``d_hi[:, :-1]``.  Every entry is elementwise in its row, so a batched
+    row equals the row alone.
     """
     pc = p[:, None]
     q = pc - 1.0
@@ -276,9 +289,10 @@ def _stationarity(xi: np.ndarray, p: np.ndarray, table: np.ndarray) -> _Stationa
     lo_p1, mid_p1, hi_p1 = xp1[:, :-2], xp1[:, 1:-1], xp1[:, 2:]
     lo_p2, hi_p2 = xp2[:, :-2], xp2[:, 2:]
 
-    # positive factors tied to the tangent pairs (mid, hi) and (lo, mid)
-    t_up = (mid_p + q * hi_p - pc * mid * hi_p1) / (hi_p1 - mid_p1)
-    t_dn = (mid_p + q * lo_p - pc * mid * lo_p1) / (mid_p1 - lo_p1)
+    # p times mid's distances to the tangent cuts above and below it
+    cut = _tangent_cuts(xi[:, :-1], xi[:, 1:], pc)
+    t_up = pc * (cut[:, 1:] - mid)
+    t_dn = pc * (mid - cut[:, :-1])
     residual = t_dn - t_up
 
     # derivatives of the residual at mid w.r.t. each neighbor; s_lo is lo
@@ -344,9 +358,9 @@ class GradientSystem:
 def gradient_system(pf: PowerFn, bp: Breakpoints) -> GradientSystem:
     """Assemble residual, gradient, Hessian and Newton Jacobian at ``bp``.
 
-    Needs at least one interior breakpoint.  All entries are evaluated with
-    the ``0**q := 0`` convention so intervals starting at zero work for
-    every ``p > 1``.
+    Needs at least one interior breakpoint.  ``residual`` is ``2p`` times
+    each ``x_k`` minus the midpoint of its ratio-form cuts; the other entries
+    take ``0**q := 0``, so intervals starting at zero work for every ``p > 1``.
     """
     if pf.interval != bp.interval:
         raise DomainError("breakpoints cover a different interval than the function")
@@ -426,8 +440,8 @@ def volume_perspective_quadratic(iv: Interval) -> float:
 
 def volume_extended_naive_quadratic(iv: Interval) -> float:
     """Naive-relaxation volume of ``x**2`` linearly extended to the origin."""
-    lo, up = iv.lower, iv.upper
-    return (up - lo) ** 2 * (up * up + lo * lo) / (12.0 * up)
+    w, lo, up = iv.width, iv.lower, iv.upper  # no intermediate outgrows the volume
+    return w * w * (up + lo * (lo / up)) / 12.0
 
 
 def volume_pl_extended_naive(f: ConvexFunction, bp: Breakpoints) -> float:

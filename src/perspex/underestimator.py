@@ -4,7 +4,7 @@ Given a positive convex ``f`` on ``[lower, upper]`` and breakpoints
 ``xi_0 = lower < xi_1 < ... < xi_n = upper``, the tangent lines of ``f`` at
 the breakpoints envelope a convex piecewise-linear under-estimator ``g``.
 The vertices of the graph of ``g`` are the interval endpoints together with
-the intersection points of adjacent tangents.
+the meeting points of adjacent tangents, by :meth:`ConvexFunction._cuts`.
 
 The perspective relaxation built from ``g`` is a pyramid with apex at the
 origin and base equal to the region between ``g`` and the secant of ``f``
@@ -105,7 +105,7 @@ class ConvexFunction:
 
     Positivity is spot-checked at 64 interior Chebyshev nodes at
     construction time; convexity itself is the caller's contract and is
-    only probed through increasing derivatives at the breakpoints in use.
+    only probed by :meth:`_cuts`.  ``PowerFn.oracle()`` subclasses it.
     """
 
     fn: Callable[[float], float]
@@ -121,6 +121,21 @@ class ConvexFunction:
         for x in mid + half * np.cos(theta):
             if not float(self.fn(float(x))) > 0.0:
                 raise DomainError(f"function must be positive on the interval, f({x}) <= 0")
+
+    def _cuts(self, xi: np.ndarray, fx: np.ndarray, dfx: np.ndarray) -> np.ndarray:
+        """Where the tangents at adjacent ``xi`` meet, from ``fx = f(xi)`` and
+        ``dfx = f'(xi)``: the intercepts' difference over the slopes'.  Raises
+        DegenerateTangents on (nearly) equal slopes, DomainError on falling ones."""
+        gaps = np.diff(dfx)
+        # relative to the slope itself, so the guard is invariant under x -> c x;
+        # ``<=`` keeps two slopes that both underflow to 0 degenerate
+        tol = _SLOPE_GAP_RTOL * np.abs(dfx[1:])
+        if (np.abs(gaps) <= tol).any():
+            raise DegenerateTangents("adjacent tangent slopes coincide within tolerance")
+        if (gaps <= 0.0).any():
+            raise DomainError("derivative must be strictly increasing at the breakpoints")
+        intercept = fx - dfx * xi
+        return (intercept[1:] - intercept[:-1]) / (dfx[:-1] - dfx[1:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,34 +225,20 @@ class PLUnderEstimator:
 
 
 def build_underestimator(f: ConvexFunction, bp: Breakpoints) -> PLUnderEstimator:
-    """Intersect adjacent tangents of ``f`` taken at the breakpoints.
-
-    Each interior vertex sits where tangent ``i-1`` meets tangent ``i``;
-    its abscissa always lies strictly between the two tangency points.
-    Raises :class:`DegenerateTangents` when adjacent derivative values
-    (nearly) coincide and :class:`DomainError` when the derivative fails to
-    increase across the breakpoints or the intervals disagree.
-    """
+    """Intersect adjacent tangents of ``f`` at the breakpoints by ``f``'s rule
+    (:meth:`ConvexFunction._cuts`).  Raises :class:`DegenerateTangents` unless
+    each vertex lies strictly between its two tangency points, and
+    :class:`DomainError` when the intervals disagree."""
     if f.interval != bp.interval:
         raise DomainError("function and breakpoints cover different intervals")
     xi = bp.xi
     fx = np.array([float(f.fn(float(t))) for t in xi])
     dfx = np.array([float(f.deriv(float(t))) for t in xi])
-    gaps = np.diff(dfx)
-    # relative to the slope itself, so the guard is invariant under x -> c x;
-    # ``<=`` keeps two slopes that both underflow to 0 degenerate
-    tol = _SLOPE_GAP_RTOL * np.abs(dfx[1:])
-    if (np.abs(gaps) <= tol).any():
-        raise DegenerateTangents("adjacent tangent slopes coincide within tolerance")
-    if (gaps <= 0.0).any():
-        raise DomainError("derivative must be strictly increasing at the breakpoints")
-
-    intercept = fx - dfx * xi
-    cuts = (intercept[1:] - intercept[:-1]) / (dfx[:-1] - dfx[1:])
-    x = np.concatenate(([xi[0]], cuts, [xi[-1]]))
-    y = np.concatenate(([fx[0]], fx[1:] + dfx[1:] * (cuts - xi[1:]), [fx[-1]]))
+    cuts = f._cuts(xi, fx, dfx)
     if not ((xi[:-1] < cuts) & (cuts < xi[1:])).all():
         raise DegenerateTangents("tangent intersections escaped their breakpoint brackets")
+    x = np.concatenate(([xi[0]], cuts, [xi[-1]]))
+    y = np.concatenate(([fx[0]], fx[1:] + dfx[1:] * (cuts - xi[1:]), [fx[-1]]))
     return PLUnderEstimator(x, y)
 
 

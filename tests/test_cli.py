@@ -180,6 +180,8 @@ class TestCompare:
         # 24 * upper * gap underflows to 0 here; both bounds are far below 1
         report = run_json("compare", "--l", "0", "--u", "1e-100", "--gap", "1e-300")
         assert report["n1"] == report["n2"] == 1
+        # and the enr volume u**3 / 12 does not underflow on the way
+        assert 0.0 < report["table"]["enr"] == pytest.approx(1e-300 / 12.0, rel=1e-15)
 
     def test_rejects_other_exponents(self):
         for p in ("3", "nan"):
@@ -225,7 +227,7 @@ class TestMc:
         # closed form unless it equals it
         def no_spread(body, samples, seed, workers=None):
             mean = 1.0 / 18.0 if agrees else 0.0
-            return McEstimate(mean, 0.0, samples, seed, 0, body.box_volume)
+            return McEstimate(mean, 0.0, samples, seed, 0, body.cone_volume)
 
         monkeypatch.setattr(cli, "mc_volume", no_spread)
         common = ("--p", "2", "--l", "0", "--u", "1", "--relax", "pr", "--check",

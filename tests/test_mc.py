@@ -183,12 +183,12 @@ class TestEstimates:
 
     def test_general_exponent_estimate_is_sane(self):
         # no closed perspective form away from p=2; the estimate itself
-        # must stay inside the box and near the tighter PL+PR volume
+        # must stay inside the cone and near the tighter PL+PR volume
         pf = PowerFn(3.0, HALF)
         bp = Breakpoints.equally_spaced(HALF, 4)
         pr = mc_volume(make_body(RelaxationKind.PR, pf, bp), 200_000, seed=17)
         plpr_vol = volume_power_closed_form(pf, bp)
-        assert 0.0 < pr.mean < pr.box_volume
+        assert 0.0 < pr.mean < pr.cone_volume
         assert pr.mean <= plpr_vol + 4.0 * pr.stderr
 
     def test_general_exponent_perspective_matches_refinement_limit(self):
@@ -205,7 +205,7 @@ class TestEstimates:
         est = mc_volume(make_body(RelaxationKind.PR, pf), 1_000_000, seed=77)
         assert abs(est.mean - exact) <= 4.0 * est.stderr
 
-    @pytest.mark.parametrize("kind", ["nr", "pr"])
+    @pytest.mark.parametrize("kind", ["nr", "pr", "enr"])
     def test_stderr_survives_large_scales(self, kind):
         # on [0, 1e100] a column is up to f(upper) = 1e200 long, whose
         # square overflows: the pair differences are taken relative to it
@@ -282,6 +282,39 @@ class TestMembership:
         nr = mc_volume(make_body(RelaxationKind.NR, pf), 100_000, seed=5)
         enr = mc_volume(make_body(RelaxationKind.E_NR, pf), 100_000, seed=5)
         assert nr.hits == enr.hits and nr.mean == enr.mean
+
+    @pytest.mark.parametrize(
+        "p,lower,upper,n",
+        [(3.7, 0.0, 1.0, 8), (1.5, 0.2, 3.0, 6), (8.0, 0.3, 1.2, 64), (40.0, 0.0, 2.0, 9),
+         (3.0, 1000.0, 1000.001, 4), (1.2, 10.0, 10.0001, 30), (1.001, 6.63392, 6.633921, 5)],
+    )
+    def test_tangent_gap_is_the_least_tangent_gap(self, p, lower, upper, n):
+        # plpr's gap to the estimator is the gap to the tangent of w's piece;
+        # as the estimator is the greatest tangent, that is the least gap
+        # over all tangents, up to the rounding of the ratio form and of the
+        # vertex where two tangents' gaps cross
+        iv = Interval(lower, upper)
+        bp = Breakpoints.equally_spaced(iv, n)
+        body = make_body(RelaxationKind.PL_PR, PowerFn(p, iv), bp)
+        vx = body.estimator.x
+        rng = np.random.default_rng(n)
+        w = np.concatenate([lower + iv.width * rng.random(5000),
+                            vx, np.nextafter(vx, -np.inf), np.nextafter(vx, np.inf)])
+        w = np.clip(w, lower, upper)
+        got = mc_mod._kernel._tangent_gap(body, w)
+        xk = bp.xi
+        gaps = [mc_mod._kernel._bregman(p, w, xk, np.full(w.size, k))
+                for k in range(xk.size)]
+        k = body.estimator._piece(w)
+        x = xk[k]
+        slope = p * xk ** (p - 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):  # x = 0 takes w**p
+            r = w / x - 1.0
+            terms = np.where(x > 0.0, x**p * (np.abs(np.expm1(p * np.log1p(r))) + p * np.abs(r)),
+                             w**p)
+        crossing = (slope[np.minimum(k + 1, n)] - slope[np.maximum(k - 1, 0)]) * w
+        tol = 4.0 * np.finfo(float).eps * (terms + crossing)
+        assert (np.abs(got - np.min(gaps, axis=0)) <= tol).all()
 
     def test_scalar_membership(self):
         # one column by hand: x**2 on [0.5, 1] has chord 1.5 w - 0.5
@@ -662,11 +695,11 @@ class TestConeSampler:
                 tz = zs * nz - cell % nz
                 assert ((tz > -1e-9) & (tz < 1.0 + 1e-9)).all()
 
-    def test_box_volume_is_the_cone_volume(self):
+    def test_cone_volume_formula(self):
         for body, _ in _random_bodies(20, seed=5):
             lo, up = body.interval.lower, body.interval.upper
             pf = PowerFn(body.p, body.interval)
-            assert body.box_volume == (up - lo) * (pf(lo) + pf(up)) / 6.0
+            assert body.cone_volume == (up - lo) * (pf(lo) + pf(up)) / 6.0
 
     def test_zero_uniforms_map_to_the_apex(self, monkeypatch):
         # with every uniform zero, each point sits at its stratum's lower
@@ -721,12 +754,12 @@ class TestConeSampler:
         total = spread = 0.0
         for start in range(0, h.size, mc_mod.BLOCK_SIZE):
             pair = np.ascontiguousarray(h[start:start + mc_mod.BLOCK_SIZE].reshape(-1, 2).T)
-            pair /= body.box_height  # lengths relative to f(upper)
+            pair /= body.upper_height  # lengths relative to f(upper)
             d = pair[0] - pair[1]
             total += float(pair.sum())
             spread += float(np.einsum("i,i", d, d))
         strata = h.size // 2
-        scale = iv.width * body.box_height
+        scale = iv.width * body.upper_height
         assert est[1].mean == scale * total / (2 * strata)
         assert est[1].stderr == scale * np.sqrt(spread / 4.0) / strata
 

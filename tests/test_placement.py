@@ -170,6 +170,16 @@ class TestNewton:
         assert trace.direction == "decreasing"
         assert (bp.interior < np.linspace(0.25, 1.0, 7)[1:-1]).all()
 
+    @pytest.mark.parametrize("n,p", [(300, 1.05), (1000, 5.0), (2000, 3.0), (10_000, 3.0)])
+    def test_large_n_moves_in_the_guaranteed_direction(self, n, p):
+        # the residual's rounding, once up to 6e-13 of the width here,
+        # stalled these runs near 1e-12 and then stepped against the direction
+        bp, trace = newton_optimize(PowerFn(p, UNIT), n)
+        assert trace.converged and trace.iterations <= 8
+        assert trace.direction == ("decreasing" if p < 2.0 else "increasing")
+        steps = np.diff([it.interior for it in trace.iterates], axis=0)
+        assert ((steps <= 0.0) if p < 2.0 else (steps >= 0.0)).all()
+
     def test_residuals_strictly_decrease(self):
         for p in (1.3, 3.0, 7.0):
             _, trace = newton_optimize(PowerFn(p, UNIT), 6)

@@ -254,6 +254,28 @@ class TestGradient:
         with pytest.raises(DomainError):
             gradient_system(PowerFn(3.0, UNIT), Breakpoints(UNIT, [0.0, 1.0]))
 
+    @pytest.mark.parametrize(
+        "p,lower,upper,n",
+        [(1.001, 6.63392, 6.633921, 5), (3.0, 1000.0, 1000.001, 4), (1.2, 10.0, 10.0001, 30),
+         (1.05, 0.0, 1.0, 300), (5.0, 0.0, 1.0, 1000), (3.0, 0.0, 1.0, 2000),
+         (3.0, 0.0, 1.0, 10_000)],
+    )
+    def test_residual_matches_high_precision_reference(self, p, lower, upper, n):
+        # the residual is 2p (x_k - (t_{k-1} + t_k) / 2); differences of
+        # powers put it off by 2e10 and 4e3 times 2p eps upper on the first
+        # and fourth grids, which made Newton step the wrong way
+        mpmath = pytest.importorskip("mpmath")
+        iv = Interval(lower, upper)
+        bp = Breakpoints.equally_spaced(iv, n)
+        got = gradient_system(PowerFn(p, iv), bp).residual
+        with mpmath.workdps(60):
+            q = mpmath.mpf(p)
+            x = [mpmath.mpf(v) for v in bp.xi.tolist()]
+            t = [(q - 1) * (b**q - a**q) / (q * (b ** (q - 1) - a ** (q - 1)))
+                 for a, b in zip(x[:-1], x[1:])]
+            want = np.array([float(q * (2 * x[k] - t[k - 1] - t[k])) for k in range(1, n)])
+        assert np.abs(got - want).max() <= 4.0 * 2.0 * p * np.finfo(float).eps * upper
+
 
 class TestHessian:
     def test_known_two_by_two(self):
@@ -514,6 +536,20 @@ class TestExtendedNaive:
         assert volume_extended_naive_quadratic(Interval(0.5, 1.0)) == pytest.approx(
             0.3125 / 12.0, rel=1e-14
         )
+
+    def test_quadratic_limit_is_exact_at_every_scale(self):
+        # (u - l)**2 (u**2 + l**2) / (12 u) over- and underflowed long before
+        # the volume does: [0, 1e100] raised, [0, 1e-100] gave 0
+        assert volume_extended_naive_quadratic(Interval(0.0, 1e100)) == 8.333333333333334e298
+        assert volume_extended_naive_quadratic(Interval(0.0, 1e-100)) == 8.333333333333334e-302
+        rng = np.random.default_rng(43)
+        for _ in range(500):
+            lo, up = np.sort(10.0 ** rng.uniform(-100, 100, 2))
+            lo *= rng.integers(0, 2)
+            u, l = Fraction(up), Fraction(lo)
+            exact = (u - l) ** 2 * (u * u + l * l) / (12 * u)
+            got = volume_extended_naive_quadratic(Interval(lo, up))
+            assert abs(Fraction(got) - exact) <= 1e-15 * exact
 
     @pytest.mark.parametrize("lower,upper,n", [(0.5, 1.0, 2), (0.5, 1.0, 7), (0.25, 2.0, 3), (0.0, 1.0, 4)])
     def test_pl_matches_equal_spacing_formula(self, lower, upper, n):

@@ -14,6 +14,7 @@ from perspex import (
     volume_pl_perspective,
     volume_power_closed_form,
 )
+from perspex.power import _tangent_cuts
 
 
 def _quadratic(iv):
@@ -67,6 +68,44 @@ class TestConvexFunction:
     def test_power_at_zero_lower_is_fine(self):
         # Chebyshev nodes are interior, so x**2 passes even on [0, 1]
         _quadratic(Interval(0.0, 1.0))
+
+
+class TestPowerOracle:
+    """``PowerFn.oracle()`` places its vertices by the ratio form, the one
+    rule for where two tangents of ``x**p`` meet."""
+
+    def test_vertices_are_the_ratio_form_cuts(self):
+        rng = np.random.default_rng(19)
+        for _ in range(100):
+            pf, bp = random_power_instance(rng, n_min=2)
+            est = build_underestimator(pf.oracle(), bp)
+            cuts = _tangent_cuts(bp.xi[:-1], bp.xi[1:], pf.p)
+            assert np.array_equal(est.x[1:-1], cuts)
+
+    def test_vertices_match_high_precision_far_from_zero(self):
+        # the intercept rule subtracts intercepts of size (p-1) x**p and was
+        # off by 1.9e-4 of the width here, 8.6e5 eps * upper
+        mpmath = pytest.importorskip("mpmath")
+        iv = Interval(1000.0, 1000.001)
+        bp = Breakpoints.equally_spaced(iv, 4)
+        est = build_underestimator(PowerFn(3.0, iv).oracle(), bp)
+        with mpmath.workdps(60):
+            x = [mpmath.mpf(v) for v in bp.xi.tolist()]
+            want = np.array([float(2 * (b**3 - a**3) / (3 * (b**2 - a**2)))
+                             for a, b in zip(x[:-1], x[1:])])
+        assert np.abs(est.x[1:-1] - want).max() <= 4.0 * np.finfo(float).eps * iv.upper
+
+    def test_construction_never_calls_the_function(self, monkeypatch):
+        calls = []
+
+        def counted(self, x):
+            calls.append(x)
+            return x**self.p
+
+        monkeypatch.setattr(PowerFn, "__call__", counted)
+        oracle = PowerFn(3.0, Interval(0.0, 1.0)).oracle()
+        assert calls == []
+        assert oracle.fn(0.5) == 0.125 and calls == [0.5]
 
 
 class TestBuild:
