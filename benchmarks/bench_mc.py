@@ -6,12 +6,12 @@ Two parts, on a fixed grid of bodies (every relaxation kind x p in
 
 * chunks: one ``mc_volume`` call of ``mc.BLOCK_SIZE`` columns, split into
   the column kernel (``mc._kernel.count_hits``, timed by a wrapper around
-  it) and the rest of the call (stream set-up, the draws and their strata,
+  it) and the rest of the call (stream set-up, the offsets of the strata,
   the sums); medians per kind and lower end over exponents and repeats,
   with the relative stderr that one chunk reaches.
 * target: the loop that brings one body to a relative stderr of 3e-3:
-  a one-chunk pilot, then calls sized from the last estimate's hits as
-  the benchmark's mc-target workload sizes them.  One op per body,
+  a one-chunk pilot, then calls sized from the last estimate's relative
+  stderr, since the variance falls as one over the samples.  One op per body,
   ``--rounds`` rounds; the digest of every op's ``(hits, samples, mean,
   stderr)`` shows whether two checkouts reached the same estimates.
 
@@ -117,12 +117,11 @@ def bench_chunks(repeats, seed):
 
 
 def _samples_for(est, rse):
-    """Whole chunks expected to bring the relative stderr under ``rse``, from
-    the hit fraction, as the benchmark's mc-target workload sizes them."""
-    frac = est.hits / est.samples
-    if frac == 0.0:
+    """Whole chunks expected to bring the relative stderr under ``rse``:
+    ``samples * (stderr / (rse * mean))**2``, at least one chunk more."""
+    if not est.mean > 0.0:
         return 16 * est.samples
-    need = 1.05 * (1.0 - frac) / (frac * rse**2)
+    need = est.samples * (est.stderr / (rse * est.mean)) ** 2
     blocks = math.ceil(need / mc.BLOCK_SIZE)
     return max(blocks * mc.BLOCK_SIZE, est.samples + mc.BLOCK_SIZE)
 

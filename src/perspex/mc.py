@@ -10,36 +10,34 @@ Every body lies in one cone, cut out by ``lower*z <= x <= upper*z``,
 trapezoid ``{lower <= w <= upper, 0 <= v <= chord(w)}`` at ``z = 1``, of
 volume ``cone_volume = (upper - lower) * (f(lower) + f(upper)) / 6``.
 
-The oracle draws no ``y``: it draws columns ``(w, z)`` on the footprint
-rectangle ``[lower, upper] x [0, 1]`` (``w = x / z``) and integrates ``y``
-exactly over each column ``0 <= y <= z * chord(w)``.  With ``g`` the
-column's share in the body (see ``_mc_fallback``) and ``dx = z dw``, the
-volume is ``width * E[z**2 * chord(w) * g]`` for ``(w, z)`` uniform on the
-rectangle.  For the perspective kinds (pr and plpr) ``g`` does not depend
-on ``z``, so ``z**2`` integrates to a third: ``width * E[chord(w) * g] /
-3`` over ``w`` alone.  The kernel returns these column lengths ``h``;
-``hits`` counts the columns that meet the body (``h > 0``).
+The oracle draws neither ``y`` nor ``z``: it draws points ``w`` of
+``[lower, upper]`` (``w = x / z``) and integrates exactly over each column,
+the part of the cone over ``w``.  With ``dx = z dw`` and ``L`` the body's
+lower bound, the column's length in the body is ``h(w) = ∫₀¹ z (z chord(w)
+- L(z w)) dz``, and the volume is ``width * E[h(w)]`` for ``w`` uniform on
+``[lower, upper]``.  The kernel (see ``_mc_fallback``) evaluates ``h`` in
+closed form for every kind; ``hits`` counts the columns that meet the body
+(``h > 0``).
 
-Sampling is stratified with two points per stratum.  ``samples // 2`` equal
-strata tile the footprint: intervals of ``w`` for the perspective kinds,
-and cells of the most nearly square ``w x z`` grid for the others.  Each
-stratum takes its two points (one uniform per coordinate each) from
-consecutive draws of one stream, ``PCG64(SeedSequence(seed))``, in stratum
-order.  The estimate is ``width`` times the mean of ``h``, and its standard
-error comes from each stratum's pair difference, ``width * sqrt(sum((h1 -
-h2)**2) / 4) / strata``; both are plain sums, of lengths taken relative to
-``f(upper)``, the longest a column can be, so that no square over- or
-underflows.  Columns are scored in chunks
-of ``BLOCK_SIZE``, which keeps every temporary cache-sized, and the chunks'
-sums are added in stratum order on the calling thread.  The numpy kernel in
-``_mc_fallback`` scores the chunks.
+Sampling is stratified with two columns per stratum.  ``samples // 2``
+equal intervals of ``w`` tile ``[lower, upper]``, and each takes its two
+offsets ``t = (w - lower) / width`` from consecutive draws of one stream,
+``PCG64(SeedSequence(seed))``, in stratum order.  The estimate is
+``width`` times the mean of ``h``, and its standard error comes from each
+stratum's pair difference, ``width * sqrt(sum((h1 - h2)**2) / 4) /
+strata``; both are plain sums of the kernel's lengths, which it returns in
+a unit of the body's (``_mc_fallback.column_unit``) so that no square over-
+or underflows, and ``width``, the unit and the kernel's factor 3 scale the
+sums once.  Columns are scored in chunks of ``BLOCK_SIZE``, which keeps
+every temporary cache-sized, and the chunks' sums are added in stratum
+order on the calling thread.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from math import inf, isfinite, isqrt, sqrt
+from math import inf, sqrt
 
 import numpy as np
 
@@ -57,6 +55,10 @@ BLOCK_SIZE = 1 << 13  # columns per kernel call
 # 1/sqrt(2 * 2048) = 1.6%, and a 4-sigma bound to about 0.06 sigma
 MIN_SAMPLES = 1 << 12
 
+# stratum index of each column of a chunk, laid out as the draws: a stratum per row
+_CELLS = np.repeat(np.arange(BLOCK_SIZE // 2, dtype=float), 2).reshape(-1, 2)
+_CELLS.setflags(write=False)
+
 
 @dataclass(frozen=True, eq=False)
 class BodySpec:
@@ -71,9 +73,6 @@ class BodySpec:
     p: float
     estimator: PLUnderEstimator | None
     tangent_x: np.ndarray | None  # the breakpoints: piece k's tangency point is tangent_x[k]
-    secant_z: float  # z coefficient of the shared upper bound plane
-    secant_x: float  # x coefficient of the shared upper bound plane
-    extension_slope: float  # chord slope from the origin, 0 when lower == 0
     upper_height: float  # f(upper): the cone's height at x = upper, z = 1
     lower_height: float  # f(lower): the cone's height at x = lower, z = 1
 
@@ -91,8 +90,7 @@ def make_body(
     The piecewise-linear kinds need breakpoints to build the tangent
     under-estimator from; the others ignore them.  Raises ``DomainError``
     when the sampled cone is not representable in floats: ``f(upper)``
-    overflows or underflows to zero, or the cone's volume or secant plane
-    does not fit.
+    overflows or underflows to zero, or the cone's volume does not fit.
     """
     iv = power.interval
     lo, up = iv.lower, iv.upper
@@ -112,20 +110,16 @@ def make_body(
         if breakpoints.interval != iv:
             raise DomainError("breakpoints cover a different interval than the function")
         estimator = build_underestimator(power.oracle(), breakpoints)
-    slope = (f_up - f_lo) / (up - lo)
     body = BodySpec(
         kind=kind,
         interval=iv,
         p=power.p,
         estimator=estimator,
         tangent_x=None if breakpoints is None else breakpoints.xi,
-        secant_z=f_lo - slope * lo,
-        secant_x=slope,
-        extension_slope=f_lo / lo if lo > 0.0 else 0.0,
         upper_height=f_up,
         lower_height=f_lo,
     )
-    if not (0.0 < body.cone_volume < inf and isfinite(body.secant_x) and isfinite(body.secant_z)):
+    if not 0.0 < body.cone_volume < inf:
         raise DomainError(
             f"the Monte-Carlo cone of x**{power.p!r} on [{lo!r}, {up!r}] overflows floats"
         )
@@ -161,20 +155,11 @@ def _integer(name: str, value) -> int:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _grid(strata: int) -> tuple[int, int]:
-    """``(nw, nz)``: the most nearly square grid of ``strata`` cells, with
-    ``nz <= nw`` rows in ``z``."""
-    nz = isqrt(strata)
-    while strata % nz:
-        nz -= 1
-    return strata // nz, nz
-
-
 def mc_volume(
     body: BodySpec, samples: int, seed: int, workers: int | None = None
 ) -> McEstimate:
     """Estimate the body volume from ``samples`` columns, two in each of
-    ``samples // 2`` equal strata of the footprint rectangle.
+    ``samples // 2`` equal intervals of ``[lower, upper]``.
 
     An odd ``samples`` scores one column fewer; the estimate reports the
     count it scored.  Deterministic in ``(seed, samples)``: rerunning never
@@ -193,37 +178,22 @@ def mc_volume(
         raise DomainError("seed must fit in an unsigned 64-bit integer")
 
     strata = samples // 2
-    w_only = body.kind in _kernel.W_ONLY_KINDS
-    nw, nz = (strata, 1) if w_only else _grid(strata)
-    lo, up, width = body.interval.lower, body.interval.upper, body.interval.width
-    step = width / nw
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     hits, total, spread = 0, 0.0, 0.0
     for start in range(0, strata, BLOCK_SIZE // 2):
-        cell = np.arange(start, min(start + BLOCK_SIZE // 2, strata))
-        # the draws run stratum by stratum; each coordinate is laid out as
-        # (point, stratum), so that every row below is contiguous
-        if w_only:  # per stratum: the w offsets of its two points
-            w = np.ascontiguousarray(gen.random((cell.size, 2)).T)
-            w += cell
-            z = None
-        else:  # per stratum and point: the (w, z) offsets
-            w, z = np.ascontiguousarray(gen.random((cell.size, 2, 2)).transpose(2, 1, 0))
-            w += cell // nz
-            z += cell % nz
-            z /= nz
-            z = z.ravel()
-        w *= step
-        w += lo
-        np.minimum(w, up, out=w)  # rounding must not step past the upper plane
-        count, h = _kernel.count_hits(body, w.ravel(), z)
-        h /= body.upper_height  # f(upper) bounds every column: no square overflows
-        d = h[: cell.size] - h[cell.size :]
+        stop = min(start + BLOCK_SIZE // 2, strata)
+        # per stratum, one row: the offsets (w - lower) / width of its two columns
+        t = gen.random((stop - start, 2))
+        cells = _CELLS[: stop - start]
+        t += (cells + start) if start else cells  # exact integers: one rounding
+        t /= strata  # a quotient of at most strata by strata: never past upper
+        count, h = _kernel.count_hits(body, t)
+        d = h[:, 0] - h[:, 1]
         hits += count
         total += float(h.sum())
-        spread += float(np.einsum("i,i", d, d))
+        spread += float(np.dot(d, d))
 
-    scale = width * body.upper_height
+    scale = body.interval.width * _kernel.column_unit(body) / 3.0
     return McEstimate(
         mean=scale * total / (2 * strata),
         stderr=scale * sqrt(spread / 4.0) / strata,

@@ -30,6 +30,7 @@ from .power import (
     _flat_slopes,
     _power_table,
     _stationarity,
+    _tangent_cuts,
     gradient_system,  # re-exported; nothing in this module calls it
     is_quadratic,
     volume_quadratic,
@@ -362,18 +363,39 @@ class SinglePointBounds:
     power_mean: float
 
 
+def _bracket_ends(lo: float, up: float, p: float) -> tuple[float, float]:
+    """``(cut, mean)``: where the tangents at ``lo`` and ``up`` meet
+    (:func:`power._tangent_cuts`) and the ``(p-1)``-th root of the mean of
+    ``f'`` over ``[lo, up]``, ``((up**p - lo**p) / (p (up - lo)))**(1/(p-1))``.
+
+    The mean is taken as ``lo (expm1(p L) / (p r))**(1/(p-1))`` with ``r =
+    (up - lo)/lo`` and ``L = log1p(r)``, which subtracts no two powers, and
+    as ``up p**(-1/(p-1))`` at ``lo = 0``.  Where ``(up/lo)**p`` overflows,
+    ``lo/up`` is far below 1, and the mean is taken in ratios to ``up``."""
+    cut = float(_tangent_cuts(np.array([lo]), np.array([up]), p)[0])
+    q = p - 1.0
+    if lo == 0.0:
+        return cut, up * p ** (-1.0 / q)
+    r = (up - lo) / lo
+    try:
+        ratio = math.expm1(p * math.log1p(r)) / (p * r)
+    except OverflowError:
+        rho = lo / up
+        return cut, up * (-math.expm1(p * math.log(rho)) / (p * (1.0 - rho))) ** (1.0 / q)
+    return cut, lo * ratio ** (1.0 / q)
+
+
 def single_point_bounds(pf: PowerFn) -> SinglePointBounds:
     lo, up = pf.interval.lower, pf.interval.upper
     p = pf.p
     half = 0.5 * (lo + up)
     if is_quadratic(p):
         return SinglePointBounds(lower=half, upper=half, half=half, power_mean=half)
-    ratio_bound = (p - 1.0) * (up**p - lo**p) / (p * (up ** (p - 1.0) - lo ** (p - 1.0)))
-    mean_bound = ((up**p - lo**p) / (p * (up - lo))) ** (1.0 / (p - 1.0))
+    cut, mean = _bracket_ends(lo, up, p)
     power_mean = (0.5 * (up ** (p - 1.0) + lo ** (p - 1.0))) ** (1.0 / (p - 1.0))
     return SinglePointBounds(
-        lower=min(ratio_bound, mean_bound),
-        upper=max(ratio_bound, mean_bound),
+        lower=min(cut, mean),
+        upper=max(cut, mean),
         half=half,
         power_mean=power_mean,
     )
@@ -399,13 +421,8 @@ def bracket_gap(p: float, t: float) -> BracketGap:
         raise DomainError("endpoint ratio must lie in [0, 1)")
     if is_quadratic(p):
         return BracketGap(p=p, endpoint_ratio=t, value=0.0)
-    tp = t**p
-    tp1 = t ** (p - 1.0)
-    value = (
-        ((1.0 - tp) / (p * (1.0 - t))) ** (1.0 / (p - 1.0))
-        - (p - 1.0) * (1.0 - tp) / (p * (1.0 - tp1))
-    ) / (1.0 - t)
-    return BracketGap(p=p, endpoint_ratio=t, value=value)
+    cut, mean = _bracket_ends(t, 1.0, p)
+    return BracketGap(p=p, endpoint_ratio=t, value=(mean - cut) / (1.0 - t))
 
 
 def min_bracket_gap() -> tuple[float, float]:

@@ -91,10 +91,20 @@ class PowerFn:
 
 
 class _PowerOracle(ConvexFunction):
-    """``PowerFn.oracle()``: cuts in ratio form, and no positivity probe."""
+    """``PowerFn.oracle()``: values in two array powers, cuts in ratio form,
+    and no positivity probe."""
 
     def __post_init__(self) -> None:  # x**p is positive by construction
         pass
+
+    def _values(self, xi):
+        p = self.fn.p
+        with np.errstate(over="ignore"):  # raised below, as the scalar powers raise
+            fx, dfx = xi**p, p * xi ** (p - 1.0)
+        # breakpoints increase from lower >= 0, so the last values are the largest
+        if not (math.isfinite(fx[-1]) and math.isfinite(dfx[-1])):
+            raise OverflowError(f"x**{p!r} overflows floats at x = {float(xi[-1])!r}")
+        return fx, dfx
 
     def _cuts(self, xi, fx, dfx):
         return _tangent_cuts(xi[:-1], xi[1:], self.fn.p)
@@ -456,7 +466,7 @@ def volume_pl_extended_naive(f: ConvexFunction, bp: Breakpoints) -> float:
     xi = bp.xi
     lo, up = float(xi[0]), float(xi[-1])
     f_lo, f_up = float(f.fn(lo)), float(f.fn(up))
-    d = np.array([float(f.deriv(float(t))) for t in xi])
+    d = f._values(xi)[1]
     if d[0] < -1e-12:
         raise HypothesisViolated("function must be increasing on the interval")
     if lo > 0.0 and d[0] < f_lo / lo - 1e-12:

@@ -122,6 +122,12 @@ class ConvexFunction:
             if not float(self.fn(float(x))) > 0.0:
                 raise DomainError(f"function must be positive on the interval, f({x}) <= 0")
 
+    def _values(self, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(f(xi), f'(xi))``, one call of ``fn`` and ``deriv`` per point."""
+        fx = np.array([float(self.fn(float(t))) for t in xi])
+        dfx = np.array([float(self.deriv(float(t))) for t in xi])
+        return fx, dfx
+
     def _cuts(self, xi: np.ndarray, fx: np.ndarray, dfx: np.ndarray) -> np.ndarray:
         """Where the tangents at adjacent ``xi`` meet, from ``fx = f(xi)`` and
         ``dfx = f'(xi)``: the intercepts' difference over the slopes'.  Raises
@@ -195,23 +201,26 @@ class PLUnderEstimator:
 
     @cached_property
     def _buckets(self) -> tuple:
-        """``(scale, start, upper)``: ``(w - x[0]) * scale`` is ``w``'s bucket
-        of ``4 * x.size`` over ``[x[0], x[-1]]``, ``start`` each bucket's piece
-        one bucket below it (so an off-by-one bucket from rounding cannot
-        overshoot) and ``upper`` each piece's right end, NaN for the last
-        piece, which no ``w``, not even ``inf``, steps past."""
+        """``(scale, start, upper, one_step)``: ``(w - x[0]) * scale`` is
+        ``w``'s bucket of ``4 * x.size`` over ``[x[0], x[-1]]``, ``start``
+        each bucket's piece one bucket below it (so an off-by-one bucket from
+        rounding cannot overshoot) and ``upper`` each piece's right end, NaN
+        for the last piece, which no ``w``, not even ``inf``, steps past.
+        ``one_step`` holds where no three neighbouring buckets share two
+        vertices, so that one step from ``start`` always lands."""
         x, inner = self.x, self.x[1:-1]
         nb = 4 * x.size
         scale = nb / (x[-1] - x[0])
-        start = np.searchsorted(inner, x[0] + np.arange(-1, nb) / scale)
-        return scale, start, np.append(inner, np.nan)
+        start = np.searchsorted(inner, x[0] + np.arange(-1, nb + 3) / scale)
+        one_step = bool((start[3:] - start[:-3]).max() <= 1)
+        return scale, start[: nb + 1], np.append(inner, np.nan), one_step
 
     def _piece(self, w: np.ndarray) -> np.ndarray:
         """``np.searchsorted(x[1:-1], w, side="right")`` without a branchy
         binary search per sample: ``w`` starts from its bucket's piece, the
         buckets clipped to the grid, and steps up while past the next vertex.
         A NaN ``w`` gets piece 0."""
-        scale, start, upper = self._buckets
+        scale, start, upper, one_step = self._buckets
         bucket = w - self.x[0]
         bucket *= scale
         # fmax and fmin clip like np.clip but send NaN to 0, a bucket the cast can take
@@ -219,6 +228,9 @@ class PLUnderEstimator:
         k = np.take(start, bucket.astype(np.intp), mode="clip")
         while True:
             step = w >= np.take(upper, k, mode="clip")
+            if one_step:
+                k += step
+                return k
             if not step.any():
                 return k
             k += step
@@ -232,8 +244,7 @@ def build_underestimator(f: ConvexFunction, bp: Breakpoints) -> PLUnderEstimator
     if f.interval != bp.interval:
         raise DomainError("function and breakpoints cover different intervals")
     xi = bp.xi
-    fx = np.array([float(f.fn(float(t))) for t in xi])
-    dfx = np.array([float(f.deriv(float(t))) for t in xi])
+    fx, dfx = f._values(xi)
     cuts = f._cuts(xi, fx, dfx)
     if not ((xi[:-1] < cuts) & (cuts < xi[1:])).all():
         raise DegenerateTangents("tangent intersections escaped their breakpoint brackets")

@@ -20,8 +20,7 @@ from perspex import mc as mc_mod
 
 UNIT = Interval(0.0, 1.0)
 HALF = Interval(0.5, 1.0)
-W_ONLY = (RelaxationKind.PR, RelaxationKind.PL_PR)  # kinds whose fractions do not read z
-TINY_Z = 1e-301  # a column next to the z = 0 face, far below any sampled z
+PERSPECTIVE = (RelaxationKind.PR, RelaxationKind.PL_PR)  # L = z f(w): z integrates to a third
 
 
 def _bodies(p=2.0, iv=HALF, n=3):
@@ -30,40 +29,21 @@ def _bodies(p=2.0, iv=HALF, n=3):
     return {kind: make_body(kind, pf, bp) for kind in RelaxationKind}
 
 
-def _fractions(body, ws, zs):
-    """The kernel's column fractions of ``body`` on the columns ``(ws, zs)``."""
-    return mc_mod._kernel.column_fraction(body, ws, zs)
+def _lengths(body, t):
+    """The kernel's column lengths ``h(w)`` of ``body`` at the offsets ``t =
+    (w - lower) / width``, per unit of width."""
+    return mc_mod._kernel.count_hits(body, np.array(t, dtype=float))[1] * (
+        mc_mod._kernel.column_unit(body) / 3.0)
 
 
-def _one_pass(body, seed, samples):
-    """The columns ``mc_volume`` scores for ``samples``, drawn in one pass:
-    ``(w, z)`` of shape ``(strata, 2)``, a stratum's two points per row, and
-    ``z`` ``None`` for the kinds that do not read it.  Stratum ``i`` is
-    ``w``-interval ``i`` for those kinds, and otherwise cell ``(i // nz, i %
-    nz)`` of the ``nw x nz`` grid; each stratum takes its uniforms from
-    consecutive draws of ``PCG64(SeedSequence(seed))``."""
+def _one_pass(seed, samples):
+    """The offsets ``mc_volume`` scores for ``samples``, drawn in one pass,
+    of shape ``(strata, 2)``: row ``i`` holds stratum ``i``'s two offsets,
+    ``(u + i) / strata`` for draws ``2i`` and ``2i + 1`` of
+    ``PCG64(SeedSequence(seed))``."""
     strata = samples // 2
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    cell = np.arange(strata)[:, None]
-    if body.kind in W_ONLY:
-        nw, nz = strata, 1
-        w, z = gen.random((strata, 2)) + cell, None
-    else:
-        nw, nz = mc_mod._grid(strata)
-        u = gen.random((strata, 2, 2))
-        w = u[:, :, 0] + cell // nz
-        z = (u[:, :, 1] + cell % nz) / nz
-    w = np.minimum(w * (body.interval.width / nw) + body.interval.lower, body.interval.upper)
-    return w, z
-
-
-def _lengths(body, w, z):
-    """Column lengths per unit footprint width, from the column fractions:
-    ``chord * g / 3`` for the kinds that do not read ``z``, else ``z**2 *
-    chord * g``."""
-    chord = body.secant_x * w + body.secant_z
-    g = _fractions(body, w, z)
-    return chord * g / 3.0 if z is None else z * z * chord * g
+    return (gen.random((strata, 2)) + np.arange(strata)[:, None]) / strata
 
 
 class TestDeterminism:
@@ -82,13 +62,13 @@ class TestDeterminism:
     def test_blocks_run_on_the_calling_thread(self, monkeypatch):
         # workers is accepted and ignored: every chunk of BLOCK_SIZE columns
         # is scored in order on the caller's thread, however many workers
-        # are asked for, in one kernel call that gets w as its second argument
+        # are asked for, in one kernel call that gets the offsets second
         calls = []
         count_hits = mc_mod._kernel.count_hits
 
-        def recording(body, w, z):
-            calls.append((threading.get_ident(), w.size))
-            return count_hits(body, w, z)
+        def recording(body, t):
+            calls.append((threading.get_ident(), t.size))
+            return count_hits(body, t)
 
         monkeypatch.setattr(mc_mod._kernel, "count_hits", recording)
         body = make_body(RelaxationKind.NR, PowerFn(2.0, UNIT))
@@ -110,20 +90,20 @@ class TestDeterminism:
         seen = []
         count_hits = mc_mod._kernel.count_hits
 
-        def recording(body, w, z):
-            seen.append(w.copy())
-            return count_hits(body, w, z)
+        def recording(body, t):
+            seen.append(t.copy())
+            return count_hits(body, t)
 
         monkeypatch.setattr(mc_mod._kernel, "count_hits", recording)
-        body = make_body(RelaxationKind.PR, PowerFn(2.0, UNIT))
+        body = make_body(RelaxationKind.NR, PowerFn(2.0, UNIT))
         offsets = {}
         for blocks in (2, 3):
             seen.clear()
             strata = blocks * mc_mod.BLOCK_SIZE // 2
             mc_volume(body, 2 * strata, seed=9)
-            cell = np.tile(np.arange(mc_mod.BLOCK_SIZE // 2), 2)  # (point, stratum)
+            cell = np.arange(mc_mod.BLOCK_SIZE // 2)[:, None]  # a stratum per row
             offsets[blocks] = [
-                w * strata - (cell + b * mc_mod.BLOCK_SIZE // 2) for b, w in enumerate(seen)
+                t * strata - (cell + b * mc_mod.BLOCK_SIZE // 2) for b, t in enumerate(seen)
             ]
         for b in range(2):
             assert ((offsets[3][b] >= -1e-9) & (offsets[3][b] <= 1.0 + 1e-9)).all()
@@ -143,21 +123,35 @@ class TestDeterminism:
 
 class TestEstimates:
     def test_stderr_is_the_sample_standard_error(self):
-        # recompute every column from its fraction in one pass: the mean of
+        # recompute every column from its length in one pass: the mean of
         # the lengths, and the stderr from each stratum's pair difference
         iv = Interval(0.2, 1.5)
-        samples = 2 * 12480 + 1  # a 120 x 104 grid: three whole chunks, a partial one, an odd budget
+        samples = 2 * 12480 + 1  # three whole chunks, a partial one, an odd budget
         for kind in RelaxationKind:
             body = make_body(kind, PowerFn(3.7, iv), Breakpoints.equally_spaced(iv, 6))
             est = mc_volume(body, samples, seed=11)
-            w, z = _one_pass(body, 11, samples)
-            h = _lengths(body, w.ravel(), None if z is None else z.ravel()).reshape(-1, 2)
+            h = _lengths(body, _one_pass(11, samples))
             strata = h.shape[0]
             assert est.samples == 2 * strata == samples - 1
             assert est.hits == np.count_nonzero(h > 0.0)
             assert est.mean == pytest.approx(iv.width * h.mean(), rel=1e-13)
             spread = ((h[:, 0] - h[:, 1]) ** 2).sum()
             assert est.stderr == pytest.approx(iv.width * np.sqrt(spread / 4.0) / strata, rel=1e-10)
+
+    def test_one_chunk_stderr_is_at_most_the_perspective_one(self):
+        # every kind scores the exact integral over z of its column, so a
+        # one-chunk pilot of nr, enr or plenr is no noisier, relative to its
+        # mean, than pr's, whose column was always exact in z
+        for p in (1.5, 2.0, 3.7, 6.0):
+            for lower in (0.0, 0.15, 0.5):
+                iv = Interval(lower, 1.0)
+                bp = Breakpoints.equally_spaced(iv, 8)
+                rse = {}
+                for kind in RelaxationKind:
+                    est = mc_volume(make_body(kind, PowerFn(p, iv), bp), mc_mod.BLOCK_SIZE, seed=1)
+                    rse[kind] = est.stderr / est.mean
+                for kind in (RelaxationKind.NR, RelaxationKind.E_NR, RelaxationKind.PL_E_NR):
+                    assert rse[kind] <= rse[RelaxationKind.PR], (p, lower, kind)
 
     @pytest.mark.parametrize(
         "kind,expected",
@@ -256,14 +250,12 @@ class TestEstimates:
 
 
 class TestMembership:
-    """Column fractions: the share of each sampled column inside the body."""
+    """Column lengths: the measure of each sampled column inside the body."""
 
     def test_nesting_on_sampled_points(self):
         bodies = _bodies()
-        gen = np.random.Generator(np.random.Philox(key=77))
-        ws, zs = gen.random((2, 20_000))
-        ws = HALF.lower + HALF.width * ws
-        share = {kind: _fractions(body, ws, zs) for kind, body in bodies.items()}
+        t = np.random.Generator(np.random.Philox(key=77)).random(20_000)
+        length = {kind: _lengths(body, t) for kind, body in bodies.items()}
         pairs = [
             (RelaxationKind.PR, RelaxationKind.PL_PR),
             (RelaxationKind.PR, RelaxationKind.E_NR),
@@ -272,9 +264,9 @@ class TestMembership:
             (RelaxationKind.PL_PR, RelaxationKind.PL_E_NR),
         ]
         for small, large in pairs:
-            assert (share[small] <= share[large]).all(), f"{small} not inside {large}"
+            assert (length[small] <= length[large]).all(), f"{small} not inside {large}"
         # and the chain is strict somewhere on this sample
-        assert share[RelaxationKind.PR].sum() < share[RelaxationKind.PL_PR].sum()
+        assert length[RelaxationKind.PR].sum() < length[RelaxationKind.PL_PR].sum()
 
     def test_extension_degenerates_at_zero_lower(self):
         # with lower == 0 there is nothing to extend: E+NR and NR coincide
@@ -289,181 +281,266 @@ class TestMembership:
          (3.0, 1000.0, 1000.001, 4), (1.2, 10.0, 10.0001, 30), (1.001, 6.63392, 6.633921, 5)],
     )
     def test_tangent_gap_is_the_least_tangent_gap(self, p, lower, upper, n):
-        # plpr's gap to the estimator is the gap to the tangent of w's piece;
-        # as the estimator is the greatest tangent, that is the least gap
-        # over all tangents, up to the rounding of the ratio form and of the
-        # vertex where two tangents' gaps cross
+        # plpr's column is a third of chord - T for the tangent T of w's
+        # piece, which is affine in the offset t: (1 - t) D(lower) + t
+        # D(upper) with D the Bregman gaps of the tangent at the interval's
+        # ends.  As the estimator is the greatest tangent, that is the least
+        # such column over all tangents, up to rounding: a Bregman gap is
+        # within a few eps of the terms it cancels, |f(a) - f(x)| + f'(x) |a
+        # - x|, both sides round a few times more, and the vertex where two
+        # tangents' columns cross is off by a few eps * upper, where the
+        # columns part at the slopes' jump
         iv = Interval(lower, upper)
         bp = Breakpoints.equally_spaced(iv, n)
         body = make_body(RelaxationKind.PL_PR, PowerFn(p, iv), bp)
+        unit = mc_mod._kernel.column_unit(body)
         vx = body.estimator.x
         rng = np.random.default_rng(n)
         w = np.concatenate([lower + iv.width * rng.random(5000),
                             vx, np.nextafter(vx, -np.inf), np.nextafter(vx, np.inf)])
-        w = np.clip(w, lower, upper)
-        got = mc_mod._kernel._tangent_gap(body, w)
+        t = np.clip((w - lower) / iv.width, 0.0, 1.0)
+        got = mc_mod._kernel.count_hits(body, t)[1] * unit
         xk = bp.xi
-        gaps = [mc_mod._kernel._bregman(p, w, xk, np.full(w.size, k))
-                for k in range(xk.size)]
-        k = body.estimator._piece(w)
-        x = xk[k]
+        ratio = mc_mod._kernel._rise(body) is not None
+        at_lo = mc_mod._kernel._bregman(p, lower, xk, ratio)
+        at_up = mc_mod._kernel._bregman(p, upper, xk, ratio)
+        columns = (1.0 - t[:, None]) * at_lo + t[:, None] * at_up
+        k = body.estimator._piece(lower + t * iv.width)
         slope = p * xk ** (p - 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):  # x = 0 takes w**p
-            r = w / x - 1.0
-            terms = np.where(x > 0.0, x**p * (np.abs(np.expm1(p * np.log1p(r))) + p * np.abs(r)),
-                             w**p)
-        crossing = (slope[np.minimum(k + 1, n)] - slope[np.maximum(k - 1, 0)]) * w
-        tol = 4.0 * np.finfo(float).eps * (terms + crossing)
-        assert (np.abs(got - np.min(gaps, axis=0)) <= tol).all()
+
+        def terms(a):
+            return np.abs(a**p - xk**p) + slope * np.abs(a - xk)
+
+        least = columns.argmin(axis=1)
+        crossing = (slope[np.minimum(k + 1, n)] - slope[np.maximum(k - 1, 0)]) * upper
+        eps = np.finfo(float).eps
+        rounding = terms(lower) + terms(upper)
+        tol = 8.0 * eps * (rounding[k] + rounding[least]) + 4.0 * eps * crossing
+        assert (np.abs(got - columns[np.arange(t.size), least]) <= tol).all()
 
     def test_scalar_membership(self):
-        # one column by hand: x**2 on [0.5, 1] has chord 1.5 w - 0.5
+        # one column by hand: x**2 on [0.5, 1] has chord 1.5 w - 0.5, and the
+        # nr column integrates z (z chord - (z w)**2) over z
         body = _bodies()[RelaxationKind.NR]
-        w, z = 0.9, 0.95
-        top = z * (1.5 * w - 0.5)
-        (g,) = _fractions(body, np.array([w]), np.array([z]))
-        assert g == pytest.approx((top - (z * w) ** 2) / top, rel=1e-14)
-        assert 0.0 < g < 1.0
+        w = 0.9
+        (h,) = _lengths(body, [(w - 0.5) / 0.5])
+        assert h == pytest.approx((1.5 * w - 0.5) / 3.0 - w * w / 4.0, rel=1e-14)
+        assert 0.0 < h < (1.5 * w - 0.5) / 3.0
 
     def test_points_outside_the_planes_are_out_without_warnings(self):
-        # where the shared planes leave a column no height, g = 0: z = 0 for
-        # the kinds that read z, and w = 0 at lower 0 for every kind; w = 0
-        # makes x**p 0**p and the column 0 / 0 if divided.  The perspective
-        # kinds do not read z, so next to and on the z = 0 face they score
-        # the column of the same w at z = 1
+        # columns of no length: at both ends of the footprint the chord meets
+        # f, which leaves the perspective kinds none, and at lower 0 the
+        # column at w = 0 is the apex for every kind; w = 0 makes x**p 0**p
+        # and plenr's column 0 / 0 before it is clipped
         for iv in (UNIT, Interval(0.3, 1.2)):
-            lo = iv.lower
-            ws = np.array([lo, 0.5, lo, 0.5, 1.0])
-            zs = np.array([0.0, 0.0, TINY_Z, TINY_Z, 0.0])
             for body in _bodies(p=3.7, iv=iv).values():
-                with warnings.catch_warnings(), np.errstate(divide="raise", invalid="raise"):
+                with warnings.catch_warnings(), np.errstate(all="raise"):
                     warnings.simplefilter("error")
-                    g = _fractions(body, ws, zs)
-                if body.kind in W_ONLY:
-                    assert (g == _fractions(body, ws, np.ones_like(zs))).all(), body.kind
-                    assert not g[ws == 0.0].any(), body.kind
-                else:
-                    assert not g[(zs == 0.0) | (ws == 0.0)].any(), body.kind
+                    h = _lengths(body, [0.0, 1.0, 0.5])
+                assert h[2] > 0.0, body.kind
+                if body.kind in PERSPECTIVE or iv.lower == 0.0:
+                    assert h[0] == 0.0, body.kind
+                if body.kind in PERSPECTIVE:
+                    assert h[1] == 0.0, body.kind
 
-    @pytest.mark.parametrize("kind", W_ONLY, ids=lambda k: k.value)
+    @pytest.mark.parametrize("kind", PERSPECTIVE, ids=lambda k: k.value)
     def test_perspective_fractions_do_not_read_z(self, kind):
+        # L = z L(w) for the perspective kinds, so the column's integrand is
+        # z**2 (chord(w) - L(w)) and its integral over z a third of the gap
         for iv in (UNIT, Interval(0.3, 1.2)):
             body = _bodies(p=3.7, iv=iv)[kind]
-            ws = iv.lower + iv.width * np.linspace(0.0, 1.0, 41)
+            t = np.linspace(0.0, 1.0, 41)
+            w = iv.lower + iv.width * t
+            lower = w**3.7 if body.estimator is None else body.estimator(w)
+            chord = body.lower_height + (body.upper_height - body.lower_height) * t
+            gap = chord - lower
             with warnings.catch_warnings(), np.errstate(all="raise"):
                 warnings.simplefilter("error")
-                want = _fractions(body, ws, None)
-                for z in (0.0, 1e-310, 0.3, 1.0):
-                    assert (_fractions(body, ws, np.full_like(ws, z)) == want).all(), z
-            assert want.any()
+                h = _lengths(body, t)
+            # chord, L and the kernel's column each round within an eps of f(upper)
+            tol = 4.0 * np.finfo(float).eps * body.upper_height
+            assert h == pytest.approx(np.maximum(gap, 0.0) / 3.0, rel=0.0, abs=tol)
+            assert h.any()
 
     def test_extension_below_lower_end(self):
-        # with lower > 0, the chord from the origin bounds columns left of it
+        # with lower > 0, the chord from the origin bounds the part of a
+        # column below lower (z < lower / w): the enr column is the nr one
+        # less kappa f(lower) (lower / w)**2 / 3, kappa = (p - 1) / (p + 2)
         bodies = _bodies()
-        x, z = 0.25, 0.4  # below lower, reachable since z can be small
-        w = x / z
-        top = z * (1.5 * w - 0.5)
-        (g_enr,) = _fractions(bodies[RelaxationKind.E_NR], np.array([w]), np.array([z]))
-        (g_nr,) = _fractions(bodies[RelaxationKind.NR], np.array([w]), np.array([z]))
-        chord = bodies[RelaxationKind.E_NR].extension_slope * x
-        assert g_enr == pytest.approx((top - chord) / top, rel=1e-14)
-        assert g_nr == pytest.approx((top - x * x) / top, rel=1e-14)
-        assert g_enr < g_nr
+        t = np.array([0.2, 0.6, 1.0])
+        w = 0.5 + 0.5 * t
+        enr = _lengths(bodies[RelaxationKind.E_NR], t)
+        nr = _lengths(bodies[RelaxationKind.NR], t)
+        assert nr == pytest.approx((1.5 * w - 0.5) / 3.0 - w * w / 4.0, rel=1e-14)
+        assert enr == pytest.approx(nr - 0.25 * 0.25 * 0.25 / w**2 / 3.0, rel=1e-14)
+        assert (enr < nr).all()
 
 
-# Mean column fraction of the kernel, summed over blocks 0-2 of _footprint_block,
-# columns drawn uniformly on the footprint rectangle: body (kind, lower, p) on
-# [lower, 2] with 5 equal pieces for the PL kinds, one entry per seed in
-# GOLDEN_SEEDS.  Every column of these blocks meets its body, so the hits are
-# all 3 * 2**16.
+def _mp_column(mpmath, kind, p, lower, upper, xi, t):
+    """``∫₀¹ z (z chord(w) - L(z w)) dz`` at ``w = lower + t (upper -
+    lower)`` in the working precision, split at the integrand's kinks ``z =
+    lower / w`` and ``z = c / w`` for the cuts ``c`` of adjacent tangents;
+    the estimator is the greatest tangent at the breakpoints."""
+    mp = mpmath.mpf
+    p, lo, up = mp(p), mp(lower), mp(upper)
+    w = lo + mp(float(t)) * (up - lo)
+    f_lo, f_up = lo**p, up**p
+    chord = f_lo + (f_up - f_lo) * (w - lo) / (up - lo)
+    tangents = [(x**p, p * x ** (p - 1), x) for x in (mp(float(v)) for v in xi)]
+
+    def est(x):
+        return max(fx + dx * (x - x0) for fx, dx, x0 in tangents)
+
+    def lower_bound(z):
+        x = z * w
+        if kind is RelaxationKind.PR:
+            return z * w**p
+        if kind is RelaxationKind.PL_PR:
+            return z * est(w)
+        if kind is RelaxationKind.NR or x >= lo:
+            return x**p if kind is not RelaxationKind.PL_E_NR else est(x)
+        return f_lo * x / lo
+
+    kinks = [lo / w]
+    for (fa, da, a), (fb, db, b) in zip(tangents[:-1], tangents[1:]):
+        kinks.append(((fb - db * b) - (fa - da * a)) / (da - db) / w)
+    points = [mp(0)] + sorted(z for z in kinks if 0 < z < 1) + [mp(1)]
+    return mpmath.quad(lambda z: z * (z * chord - lower_bound(z)), points)
+
+
+class TestColumns:
+    """Each kind's column against a high-precision quadrature over z of the
+    column's integrand, the old two-dimensional column length."""
+
+    @pytest.mark.parametrize("kind", list(RelaxationKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize(
+        "p,lower,upper,n",
+        [(3.7, 0.0, 1.0, 8), (1.5, 0.2, 3.0, 6), (8.0, 0.3, 1.2, 16), (2.0, 0.5, 1.0, 3),
+         (1.2, 0.7, 1.0, 5), (3.0, 1.0, 1.5, 4)],
+    )
+    def test_columns_match_high_precision_reference(self, kind, p, lower, upper, n):
+        mpmath = pytest.importorskip("mpmath")
+        iv = Interval(lower, upper)
+        bp = Breakpoints.equally_spaced(iv, n)
+        body = make_body(kind, PowerFn(p, iv), bp)
+        t = np.linspace(0.01, 0.99, 15)
+        got = _lengths(body, t)
+        with mpmath.workdps(40):
+            want = np.array([float(_mp_column(mpmath, kind, p, lower, upper, bp.xi, ti))
+                             for ti in t])
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("kind", [RelaxationKind.E_NR, RelaxationKind.PL_E_NR],
+                             ids=lambda k: k.value)
+    @pytest.mark.parametrize("p,lower,upper,n", [(3.0, 1000.0, 1000.001, 4), (3.0, 1.0, 1.001, 4)])
+    def test_naive_columns_keep_their_accuracy_on_narrow_intervals(self, kind, p, lower, upper, n):
+        # no two values of size f(lower) are subtracted: the columns stay
+        # within a few eps of the reference where they are a millionth of
+        # f(lower); the two-dimensional kernel was off by up to 3e-8 here
+        mpmath = pytest.importorskip("mpmath")
+        iv = Interval(lower, upper)
+        bp = Breakpoints.equally_spaced(iv, n)
+        body = make_body(kind, PowerFn(p, iv), bp)
+        t = np.linspace(0.003, 0.997, 9)
+        got = _lengths(body, t)
+        with mpmath.workdps(40):
+            want = np.array([float(_mp_column(mpmath, kind, p, lower, upper, bp.xi, ti))
+                             for ti in t])
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+# Mean column length of the kernel, summed over blocks 0-2 of _footprint_block,
+# offsets drawn uniformly on [0, 1]: body (kind, lower, p) on [lower, 2] with 5
+# equal pieces for the PL kinds, one entry per seed in GOLDEN_SEEDS.  Every
+# column of these blocks meets its body, so the hits are all 3 * 2**16.
 GOLDEN_UPPER = 2.0
 GOLDEN_SEEDS = (7, 8, 9)
 GOLDEN_BLOCKS = 3
 GOLDEN_KERNEL = {
-    ('enr', 0.0, 2.0): (2.2505083219021715, 2.2518903655612994, 2.250059356689026),
-    ('enr', 0.0, 3.7): (2.781346529238159, 2.780990788336411, 2.7809563878376746),
-    ('enr', 0.3, 2.0): (1.84925898973691, 1.8505873442573555, 1.8499599082007028),
-    ('enr', 0.3, 3.7): (2.705349031929468, 2.7051548168181507, 2.704866518352692),
-    ('nr', 0.0, 2.0): (2.2505083219021715, 2.2518903655612994, 2.250059356689026),
-    ('nr', 0.0, 3.7): (2.781346529238159, 2.780990788336411, 2.7809563878376746),
-    ('nr', 0.3, 2.0): (1.9806495674534028, 1.982705553713041, 1.9810684299083094),
-    ('nr', 0.3, 3.7): (2.7191742589779246, 2.719093776318517, 2.7187872268132742),
-    ('plenr', 0.0, 2.0): (2.3221132366015493, 2.3236401057894405, 2.3217299175070387),
-    ('plenr', 0.0, 3.7): (2.7956377628940867, 2.7952792429858118, 2.7952357907201333),
-    ('plenr', 0.3, 2.0): (1.866969109090113, 1.8682699725632992, 1.867672027380649),
-    ('plenr', 0.3, 3.7): (2.718758644749056, 2.718547029183174, 2.7182986124537614),
-    ('plpr', 0.0, 2.0): (1.5421365818140673, 1.5401858809201425, 1.5389707322047346),
-    ('plpr', 0.0, 3.7): (2.219628502714229, 2.217267618418429, 2.2176144057405693),
-    ('plpr', 0.3, 2.0): (0.9874279192528439, 0.9859297506522233, 0.9856809444615435),
-    ('plpr', 0.3, 3.7): (1.9914137811082604, 1.9891251785719657, 1.9890254524121875),
-    ('pr', 0.0, 2.0): (1.5029834039341803, 1.5012476431378574, 1.5001194612908488),
-    ('pr', 0.0, 3.7): (2.19197653798939, 2.189748060457523, 2.190025706390011),
-    ('pr', 0.3, 2.0): (0.9632229585948855, 0.9618618885764834, 0.9616532444669523),
-    ('pr', 0.3, 3.7): (1.9622099689173236, 1.9600792158377454, 1.9599475810938285),
+    ('enr', 0.0, 2.0): (0.9990270029624757, 0.9991575458575885, 1.000425851296412),
+    ('enr', 0.0, 3.7): (5.0353637335904144, 5.037922706434805, 5.0446592732709465),
+    ('enr', 0.3, 2.0): (0.8681571539377274, 0.8684005409791811, 0.8694237565079331),
+    ('enr', 0.3, 3.7): (4.784160654593196, 4.7866982023156925, 4.792703772267449),
+    ('nr', 0.0, 2.0): (0.9990270029624757, 0.9991575458575885, 1.000425851296412),
+    ('nr', 0.0, 3.7): (5.0353637335904144, 5.037922706434805, 5.0446592732709465),
+    ('nr', 0.3, 2.0): (0.8715434203059835, 0.8717852772153899, 0.8727975233519356),
+    ('nr', 0.3, 3.7): (4.784989314162911, 4.787526487443936, 4.793529373055231),
+    ('plenr', 0.0, 2.0): (1.01901581089761, 1.0191514112188165, 1.020407867613135),
+    ('plenr', 0.0, 3.7): (5.097592489953219, 5.100284618457001, 5.107015553617936),
+    ('plenr', 0.3, 2.0): (0.8804295095247905, 0.880676833958145, 0.8817033129893842),
+    ('plenr', 0.3, 3.7): (4.837196969071665, 4.839824921643534, 4.845834960302506),
+    ('plpr', 0.0, 2.0): (0.6800438479295794, 0.6793646951887274, 0.6805870074994499),
+    ('plpr', 0.0, 3.7): (3.8085565713060614, 3.806334000256863, 3.8149307464499747),
+    ('plpr', 0.3, 2.0): (0.4913316801291209, 0.49084099227385547, 0.4917241129183524),
+    ('plpr', 0.3, 3.7): (3.31626514232354, 3.314009714141683, 3.321202142384326),
+    ('pr', 0.0, 2.0): (0.6666952945873812, 0.6660979025380547, 0.66728756230226),
+    ('pr', 0.0, 3.7): (3.730605569632106, 3.72870021387814, 3.7371011225047677),
+    ('pr', 0.3, 2.0): (0.48168735033938287, 0.4812557345837446, 0.48211526376338293),
+    ('pr', 0.3, 3.7): (3.249653052974314, 3.247712330898014, 3.2547231793301328),
 }
 
 # The oracle's (mean, stderr) over GOLDEN_BLOCKS chunks of its own stream, for
 # the same bodies and seeds.
 GOLDEN_ESTIMATES = {
     ('enr', 0.0, 2.0): (
-        (0.6667576942402625, 4.549322221055714e-05),
-        (0.6667158881854712, 4.477633220235716e-05),
-        (0.6666001892233574, 4.5293937391387855e-05),
+        (0.6666666873992232, 2.0112389539418845e-07),
+        (0.6666669390389658, 1.9402149257120342e-07),
+        (0.6666666214570416, 2.0053203579551355e-07),
     ),
     ('enr', 0.0, 3.7): (
-        (3.362251352761634, 0.0002561670782202757),
-        (3.362139804720128, 0.00025293536373814906),
-        (3.3615310895342816, 0.0002547913003976679),
+        (3.3617976797294777, 9.583096351008915e-07),
+        (3.361798391025862, 9.341941312748375e-07),
+        (3.361796474890848, 9.592063459169486e-07),
     ),
     ('enr', 0.3, 2.0): (
-        (0.49255981339388205, 3.2175964692024556e-05),
-        (0.4925457227681534, 3.1716519541270735e-05),
-        (0.4924523174774374, 3.1713223805945435e-05),
+        (0.49250420765891184, 1.39043779599247e-07),
+        (0.49250435702555834, 1.336643944034452e-07),
+        (0.4925041045628295, 1.38349741420231e-07),
     ),
     ('enr', 0.3, 3.7): (
-        (2.7152906178131686, 0.00020137465366277672),
-        (2.7152557980628647, 0.00019903402495832507),
-        (2.71469645258238, 0.0001989399841082813),
+        (2.714951254213524, 7.470789821740008e-07),
+        (2.714951814142342, 7.246399447422511e-07),
+        (2.7149502160909424, 7.453503549631283e-07),
     ),
     ('nr', 0.0, 2.0): (
-        (0.6667576942402625, 4.549322221055714e-05),
-        (0.6667158881854712, 4.477633220235716e-05),
-        (0.6666001892233574, 4.5293937391387855e-05),
+        (0.6666666873992232, 2.0112389539418845e-07),
+        (0.6666669390389658, 1.9402149257120342e-07),
+        (0.6666666214570416, 2.0053203579551355e-07),
     ),
     ('nr', 0.0, 3.7): (
-        (3.362251352761634, 0.0002561670782202757),
-        (3.362139804720128, 0.00025293536373814906),
-        (3.3615310895342816, 0.0002547913003976679),
+        (3.3617976797294777, 9.583096351008915e-07),
+        (3.361798391025862, 9.341941312748375e-07),
+        (3.361796474890848, 9.592063459169486e-07),
     ),
     ('nr', 0.3, 2.0): (
-        (0.4944725227198183, 3.193360952089857e-05),
-        (0.4944596696626768, 3.149587533403308e-05),
-        (0.4943642903105046, 3.1495967615628575e-05),
+        (0.49441670734176485, 1.35937395906915e-07),
+        (0.4944168568756299, 1.3077394589124313e-07),
+        (0.4944166042305238, 1.3529612610544904e-07),
     ),
     ('nr', 0.3, 3.7): (
-        (2.715758769747636, 0.00020133222667254502),
-        (2.7157242519265576, 0.0001989962673338793),
-        (2.7151642660040483, 0.00019890315429558635),
+        (2.715419265584139, 7.464433238364082e-07),
+        (2.715419825553877, 7.24050781435627e-07),
+        (2.715418227457848, 7.447266497359932e-07),
     ),
     ('plenr', 0.0, 2.0): (
-        (0.6801013282303273, 4.672782486630348e-05),
-        (0.6800509012755506, 4.616445391249839e-05),
-        (0.6799367633430203, 4.664997159549862e-05),
+        (0.6800000490219015, 2.0557745133486893e-07),
+        (0.6800002671956221, 1.9828626617865655e-07),
+        (0.679999960342518, 2.046144269594309e-07),
     ),
     ('plenr', 0.0, 3.7): (
-        (3.403894089274688, 0.00026349645196616995),
-        (3.403816888369939, 0.0002620068250401459),
-        (3.403137063995596, 0.00026480925394493015),
+        (3.4033994893751216, 9.656237532744133e-07),
+        (3.403400181207379, 9.406034146450874e-07),
+        (3.403398272631455, 9.664000363090003e-07),
     ),
     ('plenr', 0.3, 2.0): (
-        (0.4995262746941324, 3.306535542612853e-05),
-        (0.4995064863291518, 3.259482172879051e-05),
-        (0.49942148812046216, 3.263284843744728e-05),
+        (0.4994642987835301, 1.4108503664885558e-07),
+        (0.499464441646734, 1.3561425151037718e-07),
+        (0.49946419009230386, 1.402847196971857e-07),
     ),
     ('plenr', 0.3, 3.7): (
-        (2.745461708784059, 0.00020624549784840622),
-        (2.7454235124597273, 0.00020503323388366065),
-        (2.7448810851364502, 0.00020419726165576537),
+        (2.7450755108561586, 7.534315472125256e-07),
+        (2.7450760581563323, 7.304275048488843e-07),
+        (2.7450744618685072, 7.515518729162343e-07),
     ),
     ('plpr', 0.0, 2.0): (
         (0.4533332036010818, 2.3929839970470986e-07),
@@ -510,16 +587,16 @@ GOLDEN_ESTIMATES = {
 # Packed masks of the columns that meet each body among _boundary_columns.
 BOUNDARY_BODIES = ((3.7, Interval(0.3, 1.2), 4), (2.0, UNIT, 3))
 GOLDEN_BOUNDARY_COLUMNS = {
-    ('nr', 3.7): 'fff1e0',
-    ('nr', 2.0): '2db0',
-    ('pr', 3.7): '2493e0',
-    ('pr', 2.0): '2492',
-    ('plpr', 3.7): '2493ef3c',
-    ('plpr', 2.0): '2492e700',
-    ('enr', 3.7): 'fff1e0',
-    ('enr', 2.0): '2db0',
-    ('plenr', 3.7): 'fff1fffe',
-    ('plenr', 2.0): '2db0e780',
+    ('nr', 3.7): 'f8',
+    ('nr', 2.0): '78',
+    ('pr', 3.7): '28',
+    ('pr', 2.0): '38',
+    ('plpr', 3.7): '3bcffc',
+    ('plpr', 2.0): '3b9fe0',
+    ('enr', 3.7): '68',
+    ('enr', 2.0): '78',
+    ('plenr', 3.7): '7beffe',
+    ('plenr', 2.0): '6bdef0',
 }
 
 
@@ -528,34 +605,25 @@ def _golden_body(kind, lower, p):
     return make_body(RelaxationKind(kind), PowerFn(p, iv), Breakpoints.equally_spaced(iv, 5))
 
 
-def _footprint_block(body, seed, block):
-    """Block ``block`` of ``Philox(seed)`` as ``2**16`` columns uniform on the
-    footprint rectangle ``[lower, upper] x [0, 1]``: a fixed input that pins
-    the kernel apart from the oracle's own stream and strata."""
-    gen = np.random.Generator(np.random.Philox(key=seed).jumped(block))
-    ws, zs = gen.random((2, 1 << 16))
-    ws *= body.interval.width
-    ws += body.interval.lower
-    return ws, zs
+def _footprint_block(seed, block):
+    """Block ``block`` of ``Philox(seed)`` as ``2**16`` offsets uniform on
+    ``[0, 1]``: a fixed input that pins the kernel apart from the oracle's
+    own stream and strata."""
+    return np.random.Generator(np.random.Philox(key=seed).jumped(block)).random(1 << 16)
 
 
 def _boundary_columns(body):
-    """Columns at both ends and the middle of the footprint, on and next to
-    the z = 0 face, on every PL vertex, and at and left of the lower end for
-    the extended kinds."""
-    lo, hi = body.interval.lower, body.interval.upper
-    cols = [(w, z) for z in (1.0, 0.5, 0.25, TINY_Z, 0.0) for w in (lo, hi, 0.5 * (lo + hi))]
-    if lo > 0.0:
-        for z in (0.5, 0.8):
-            cols += [(lo / z, z), (0.9 * lo / z, z)]  # x = lo and x = 0.9 lo
+    """Offsets at both ends and the middle of the footprint and next to its
+    ends, and at and next to every vertex of the estimator."""
+    t = [0.0, 1.0, 0.5, 1e-300, 1.0 - 2.0**-53]
     if body.estimator is not None:
-        for z in (1.0, 0.5):
-            cols += [(kx, z) for kx in body.estimator.x]
-    return tuple(np.array(c) for c in zip(*cols))
+        vx = (body.estimator.x - body.interval.lower) / body.interval.width
+        t += [*vx, *np.nextafter(vx, -np.inf), *np.nextafter(vx, np.inf)]
+    return np.clip(t, 0.0, 1.0)
 
 
 class TestGoldenHits:
-    """The kernel's column fractions are pinned, not just their statistics.
+    """The kernel's column lengths are pinned, not just their statistics.
 
     Means are compared to 1e-12 relative: ``np.power`` may differ in the last
     place between numpy builds, and nothing else in them should move."""
@@ -564,10 +632,10 @@ class TestGoldenHits:
     def test_block_hits(self, key):
         body = _golden_body(*key)
         for seed, want in zip(GOLDEN_SEEDS, GOLDEN_KERNEL[key]):
-            blocks = [_footprint_block(body, seed, b) for b in range(GOLDEN_BLOCKS)]
-            hits = sum(mc_mod._kernel.count_hits(body, ws, zs)[0] for ws, zs in blocks)
+            blocks = [_footprint_block(seed, b) for b in range(GOLDEN_BLOCKS)]
+            hits = sum(mc_mod._kernel.count_hits(body, t)[0] for t in blocks)
             assert hits == GOLDEN_BLOCKS * (1 << 16)
-            means = sum(_fractions(body, ws, zs).mean() for ws, zs in blocks)
+            means = sum(_lengths(body, t).mean() for t in blocks)
             assert means == pytest.approx(want, rel=1e-12), seed
 
     @pytest.mark.parametrize("key", sorted(GOLDEN_ESTIMATES))
@@ -583,29 +651,29 @@ class TestGoldenHits:
     def test_boundary_points(self, kind):
         for p, iv, n in BOUNDARY_BODIES:
             body = make_body(RelaxationKind(kind), PowerFn(p, iv), Breakpoints.equally_spaced(iv, n))
-            ws, zs = _boundary_columns(body)
-            g = _fractions(body, ws, zs)
-            assert ((g >= 0.0) & (g <= 1.0)).all()
-            assert np.packbits(g > 0.0).tobytes().hex() == GOLDEN_BOUNDARY_COLUMNS[kind, p]
-            hits, h = mc_mod._kernel.count_hits(body, ws, zs)
-            assert hits == np.count_nonzero(g > 0.0)  # h itself underflows next to z = 0
-            zs_read = None if body.kind in W_ONLY else zs
-            assert h == pytest.approx(_lengths(body, ws, zs_read), rel=1e-14, abs=0.0)
+            t = _boundary_columns(body)
+            with warnings.catch_warnings(), np.errstate(divide="raise", invalid="raise",
+                                                         over="raise"):
+                warnings.simplefilter("error")
+                hits, h = mc_mod._kernel.count_hits(body, t)
+            assert (h >= 0.0).all() and np.isfinite(h).all()
+            assert hits == np.count_nonzero(h)
+            assert np.packbits(h > 0.0).tobytes().hex() == GOLDEN_BOUNDARY_COLUMNS[kind, p]
 
     def test_block_with_no_survivors(self):
-        # columns of no height: the z = 0 face over the whole footprint; the
-        # perspective kinds do not read z, and leave no height where the
-        # chord meets f, over both ends of the footprint at any z
-        for body in _bodies(p=3.7).values():
-            lo, hi = body.interval.lower, body.interval.upper
-            if body.kind in W_ONLY:
-                ws = np.resize([lo, hi], 101)
-                zs = np.linspace(0.0, 1.0, 101)
-            else:
-                ws = np.linspace(lo, hi, 101)
-                zs = np.zeros_like(ws)
-            hits, h = mc_mod._kernel.count_hits(body, ws, zs)
-            assert hits == 0 and not h.any()
+        # columns of no length: the perspective kinds leave none where the
+        # chord meets f, over both ends of the footprint; on lower 0 every
+        # kind leaves none at w = 0, the apex
+        for iv in (HALF, UNIT):
+            for body in _bodies(p=3.7, iv=iv).values():
+                if body.kind in PERSPECTIVE:
+                    t = np.resize([0.0, 1.0], 101)
+                elif iv.lower == 0.0:
+                    t = np.zeros(101)
+                else:
+                    continue
+                hits, h = mc_mod._kernel.count_hits(body, t)
+                assert hits == 0 and not h.any()
 
 
 def _random_bodies(count, seed):
@@ -673,27 +741,51 @@ class TestConeSampler:
         share, n = 0.0455, zs.size
         assert abs((zs > 2.0).sum() - share * n) <= 3.0 * np.sqrt(n * share * (1.0 - share))
 
+    def test_stderr_is_calibrated_on_every_kind(self):
+        # the same at the one-chunk pilot over seeded bodies of every kind
+        # with a closed form, where nr, enr and plenr now reach the relative
+        # stderr of pr: none beyond 5 sigma, and the share beyond 2 within
+        # three binomial sds of a normal's
+        zs = []
+        for i, (body, exact) in enumerate(_random_bodies(300, seed=1)):
+            est = mc_volume(body, mc_mod.BLOCK_SIZE, seed=i)
+            zs.append((est.mean - exact) / est.stderr)
+        zs = np.abs(zs)
+        assert zs.max() <= 5.0, zs.max()
+        share, n = 0.0455, zs.size
+        assert abs((zs > 2.0).sum() - share * n) <= 3.0 * np.sqrt(n * share * (1.0 - share))
+
+    def test_narrow_plenr_matches_high_precision_volume(self):
+        # on [1000, 1000.001] the float closed form cancels (ROADMAP item 2);
+        # the oracle, whose column subtracts no two values of size f(lower),
+        # agrees with the closed form's formula evaluated in 60 digits
+        mpmath = pytest.importorskip("mpmath")
+        iv = Interval(1000.0, 1000.001)
+        bp = Breakpoints.equally_spaced(iv, 4)
+        est = mc_volume(make_body(RelaxationKind.PL_E_NR, PowerFn(3.0, iv), bp), 200_000, seed=1)
+        with mpmath.workdps(60):
+            p, lo, up = mpmath.mpf(3), mpmath.mpf(iv.lower), mpmath.mpf(iv.upper)
+            xi = [mpmath.mpf(float(x)) for x in bp.xi]
+            d = [p * x ** (p - 1) for x in xi]
+            t = [lo] + [(x1 * d1 - x0 * d0 - (x1**p - x0**p)) / (d1 - d0)
+                        for x0, x1, d0, d1 in zip(xi, xi[1:], d, d[1:])] + [up]
+            vol = sum(((b**2 - a**2) / 2 - (b**3 - a**3) / (6 * up)) * dk
+                      for a, b, dk in zip(t, t[1:], d))
+            vol -= (up + 2 * lo) / 6 * (up**p - lo**p) + (up - lo) / (6 * up) * (up**(p + 1) - lo**(p + 1))
+            exact = float(vol)
+        assert est.stderr < 1e-7 * exact
+        assert abs(est.mean - exact) <= 4.0 * est.stderr
+
     def test_chunk_points_lie_in_the_shared_cone(self):
-        # columns (w, z) lie in the cone's footprint: x = z * w is between the
-        # planes lower * z and upper * z; and each pair lies in its stratum
-        bodies = [body for body, _ in _random_bodies(20, seed=31)]
-        bodies.append(_golden_body("plpr", 0.3, 3.7))
-        bodies.append(make_body(RelaxationKind.PR, PowerFn(3.0, Interval(1000.0, 1000.001))))
-        for i, body in enumerate(bodies):
-            ws, zs = _one_pass(body, i, mc_mod.BLOCK_SIZE)
-            lo, hi = body.interval.lower, body.interval.upper
-            assert ((ws >= lo) & (ws <= hi)).all()
-            strata = ws.shape[0]
-            nw, nz = (strata, 1) if zs is None else mc_mod._grid(strata)
-            cell = np.arange(strata)[:, None]
-            tw = (ws - lo) / (hi - lo) * nw - cell // nz  # offset in the w-stratum
-            assert ((tw > -1e-6) & (tw < 1.0 + 1e-6)).all()
-            if body.kind in W_ONLY:
-                assert zs is None
-            else:
-                assert ((zs >= 0.0) & (zs <= 1.0)).all()
-                tz = zs * nz - cell % nz
-                assert ((tz > -1e-9) & (tz < 1.0 + 1e-9)).all()
+        # every offset lies in [0, 1], so w = lower + t * width lies in the
+        # cone's footprint, and each pair lies in its stratum
+        for i in range(4):
+            samples = mc_mod.BLOCK_SIZE + 2 * i
+            t = _one_pass(i, samples)
+            assert ((t >= 0.0) & (t <= 1.0)).all()
+            strata = t.shape[0]
+            offset = t * strata - np.arange(strata)[:, None]
+            assert ((offset > -1e-9) & (offset < 1.0 + 1e-9)).all()
 
     def test_cone_volume_formula(self):
         for body, _ in _random_bodies(20, seed=5):
@@ -702,8 +794,9 @@ class TestConeSampler:
             assert body.cone_volume == (up - lo) * (pf(lo) + pf(up)) / 6.0
 
     def test_zero_uniforms_map_to_the_apex(self, monkeypatch):
-        # with every uniform zero, each point sits at its stratum's lower
-        # corner: stratum 0's two points at (lower, 0), x = z * w = 0, the apex
+        # with every uniform zero, each column sits at its stratum's lower
+        # end: stratum 0's two at w = lower, on lower 0 the apex, whose
+        # column every kind scores 0 without a warning
         class Zeros:
             def __init__(self, bit_generator):
                 pass
@@ -714,9 +807,11 @@ class TestConeSampler:
         seen = []
         count_hits = mc_mod._kernel.count_hits
 
-        def recording(body, w, z):
-            seen.append((w.copy(), None if z is None else z.copy()))
-            return count_hits(body, w, z)
+        def recording(body, t):
+            seen.append(t.copy())
+            hits, h = count_hits(body, t)
+            seen.append(h.copy())
+            return hits, h
 
         monkeypatch.setattr(mc_mod.np.random, "Generator", Zeros)
         monkeypatch.setattr(mc_mod._kernel, "count_hits", recording)
@@ -727,16 +822,11 @@ class TestConeSampler:
                 with warnings.catch_warnings(), np.errstate(all="raise"):
                     warnings.simplefilter("error")
                     mc_volume(body, mc_mod.MIN_SAMPLES, seed=0)
-                ((w, z),) = seen
-                assert w[0] == w[strata] == iv.lower
-                nw, nz = (strata, 1) if body.kind in W_ONLY else mc_mod._grid(strata)
-                cell = np.tile(np.arange(strata), 2)  # (point, stratum)
-                assert w == pytest.approx(iv.lower + cell // nz * (iv.width / nw), rel=1e-15)
-                if body.kind in W_ONLY:
-                    assert z is None
-                else:
-                    assert z[0] == z[strata] == 0.0
-                    assert (z == cell % nz / nz).all()
+                t, h = seen
+                assert (t[0] == 0.0).all()
+                assert (t == np.arange(strata)[:, None] / strata).all()
+                if iv.lower == 0.0 or body.kind in PERSPECTIVE:
+                    assert (h[0] == 0.0).all(), body.kind
 
     @pytest.mark.parametrize("kind", [k.value for k in RelaxationKind])
     def test_hits_do_not_depend_on_workers_or_chunking(self, kind):
@@ -745,49 +835,43 @@ class TestConeSampler:
         samples = 2 * mc_mod.BLOCK_SIZE + 1234  # not a multiple of a chunk
         est = {w: mc_volume(body, samples, seed=3, workers=w) for w in (1, 2, 4)}
         assert est[1] == est[2] == est[4]  # hits, mean and stderr, bit for bit
-        # one kernel call over the columns drawn in one pass scores each
-        # column as the chunks do, and the chunks' sums rebuild the estimate:
-        # a chunk lays its columns out as (point, stratum)
-        w, z = _one_pass(body, 3, samples)
-        hits, h = mc_mod._kernel.count_hits(body, w.ravel(), None if z is None else z.ravel())
+        # one kernel call over the offsets drawn in one pass scores each
+        # column as the chunks do, and the chunks' sums rebuild the estimate
+        hits, h = mc_mod._kernel.count_hits(body, _one_pass(3, samples))
         assert hits == est[1].hits
         total = spread = 0.0
-        for start in range(0, h.size, mc_mod.BLOCK_SIZE):
-            pair = np.ascontiguousarray(h[start:start + mc_mod.BLOCK_SIZE].reshape(-1, 2).T)
-            pair /= body.upper_height  # lengths relative to f(upper)
-            d = pair[0] - pair[1]
+        for start in range(0, h.shape[0], mc_mod.BLOCK_SIZE // 2):
+            pair = h[start:start + mc_mod.BLOCK_SIZE // 2]
+            d = pair[:, 0] - pair[:, 1]
             total += float(pair.sum())
-            spread += float(np.einsum("i,i", d, d))
-        strata = h.size // 2
-        scale = iv.width * body.upper_height
+            spread += float(np.dot(d, d))
+        strata = h.shape[0]
+        scale = iv.width * mc_mod._kernel.column_unit(body) / 3.0
         assert est[1].mean == scale * total / (2 * strata)
         assert est[1].stderr == scale * np.sqrt(spread / 4.0) / strata
 
-    @pytest.mark.parametrize("kind", W_ONLY, ids=lambda k: k.value)
+    @pytest.mark.parametrize("kind", list(RelaxationKind), ids=lambda k: k.value)
     def test_perspective_kinds_draw_only_w(self, kind, monkeypatch):
-        # the w of stratum i's two points are draws 2i and 2i + 1 of the
-        # stream: had the kind drawn z as well, they would be 4i and 4i + 2.
-        # Each chunk passes its first points, then its second points
+        # every kind draws one uniform per column: the offsets of stratum
+        # i's two columns are draws 2i and 2i + 1 of the stream, the rows of
+        # each chunk's (stratum, column) array
         iv = Interval(0.2, 1.5)
         body = make_body(kind, PowerFn(3.7, iv), Breakpoints.equally_spaced(iv, 6))
         seen = []
         count_hits = mc_mod._kernel.count_hits
 
-        def recording(body, w, z):
-            seen.append((w.copy(), z))
-            return count_hits(body, w, z)
+        def recording(body, t):
+            seen.append(t.copy())
+            return count_hits(body, t)
 
         monkeypatch.setattr(mc_mod._kernel, "count_hits", recording)
         samples = 2 * mc_mod.BLOCK_SIZE
         mc_volume(body, samples, seed=5)
-        assert all(z is None for _, z in seen)
         u = np.random.Generator(np.random.PCG64(np.random.SeedSequence(5))).random(samples)
-        strata = samples // 2
-        want = np.minimum((u + np.arange(samples) // 2) * (iv.width / strata) + iv.lower, iv.upper)
-        chunks = want.reshape(-1, mc_mod.BLOCK_SIZE // 2, 2).transpose(0, 2, 1)
-        assert (np.concatenate([w for w, _ in seen]) == chunks.ravel()).all()
+        want = (u + np.arange(samples) // 2) / (samples // 2)
+        assert (np.concatenate([t.ravel() for t in seen]) == want).all()
 
-    @pytest.mark.parametrize("kind", W_ONLY, ids=lambda k: k.value)
+    @pytest.mark.parametrize("kind", PERSPECTIVE, ids=lambda k: k.value)
     def test_huge_ratio_bodies_match_closed_forms(self, kind):
         # (upper / lower)**p overflows, so the perspective gaps fall back
         # from their ratio forms to the direct ones, without a warning

@@ -288,6 +288,31 @@ class TestSinglePointBounds:
         assert b.upper == pytest.approx(4.0 / 9.0, rel=1e-14)
         assert b.power_mean < b.lower and b.upper < b.half
 
+    @pytest.mark.parametrize(
+        "p,lower,upper",
+        [(1.001, 6.63392, 6.633921), (3.0, 1000.0, 1000.001), (1.2, 10.0, 10.0001),
+         (1.5, 0.0, 1.0), (3.0, 0.2, 1.0), (8.0, 1.0, 1.5), (40.0, 1e-10, 1.0)],
+    )
+    def test_bracket_matches_high_precision_reference(self, p, lower, upper):
+        # both ends within the interval and near their 60-digit values: the
+        # tangents' cut within 4 eps * upper (the ratio form's bound), the
+        # mean within (4 / (p - 1) + 4) eps * upper, as the (p - 1)-th root
+        # multiplies the quotient's few ulps of rounding by 1 / (p - 1)
+        mpmath = pytest.importorskip("mpmath")
+        b = single_point_bounds(PowerFn(p, Interval(lower, upper)))
+        with mpmath.workdps(60):
+            q, lo, up = mpmath.mpf(p), mpmath.mpf(lower), mpmath.mpf(upper)
+            cut = (q - 1) * (up**q - lo**q) / (q * (up ** (q - 1) - lo ** (q - 1)))
+            mean = ((up**q - lo**q) / (q * (up - lo))) ** (1 / (q - 1))
+            cut, mean = float(cut), float(mean)
+        eps = np.finfo(float).eps
+        assert lower <= b.lower <= b.upper <= upper
+        # the two ends may lie closer than the mean's rounding, so either may
+        # be the lower one
+        tol_cut, tol_mean = 4.0 * eps * upper, (4.0 / (p - 1.0) + 4.0) * eps * upper
+        assert any(abs(c - cut) <= tol_cut and abs(m - mean) <= tol_mean
+                   for c, m in ((b.lower, b.upper), (b.upper, b.lower)))
+
     def test_minimizer_contained_across_grid(self):
         for p in np.geomspace(1.05, 12.0, 8):
             if abs(p - 2.0) < 1e-9:

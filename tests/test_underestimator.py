@@ -14,7 +14,7 @@ from perspex import (
     volume_pl_perspective,
     volume_power_closed_form,
 )
-from perspex.power import _tangent_cuts
+from perspex.power import _PowerOracle, _tangent_cuts
 
 
 def _quadratic(iv):
@@ -94,6 +94,46 @@ class TestPowerOracle:
             want = np.array([float(2 * (b**3 - a**3) / (3 * (b**2 - a**2)))
                              for a, b in zip(x[:-1], x[1:])])
         assert np.abs(est.x[1:-1] - want).max() <= 4.0 * np.finfo(float).eps * iv.upper
+
+    def test_values_match_the_pointwise_loop(self):
+        # two array powers in place of one call of fn and deriv per
+        # breakpoint: the vertices are the same bits, and the values differ
+        # by at most the two ulps that numpy's vectorized pow and the scalar
+        # one can part by; an ordinate f(x) + f'(x) (t - x) by two ulps of
+        # each of its terms
+        class PointwiseOracle(_PowerOracle):
+            _values = ConvexFunction._values
+
+        rng = np.random.default_rng(23)
+        grids = [random_power_instance(rng, n_min=2) for _ in range(100)]
+        for p, iv in ((3.7, Interval(0.0, 1.0)), (3.0, Interval(1000.0, 1000.001)),
+                      (1.001, Interval(6.63392, 6.633921)), (8.0, Interval(0.3, 1.2))):
+            grids.append((PowerFn(p, iv), Breakpoints.equally_spaced(iv, 64)))
+        for pf, bp in grids:
+            oracle = pf.oracle()
+            loop = PointwiseOracle(fn=pf, deriv=pf.deriv, interval=pf.interval)
+            fx, dfx = loop._values(bp.xi)
+            for got, want in zip(oracle._values(bp.xi), (fx, dfx)):
+                assert (np.abs(got - want) <= 2.0 * np.spacing(np.abs(want))).all()
+            est, ref = build_underestimator(oracle, bp), build_underestimator(loop, bp)
+            assert est.x.tobytes() == ref.x.tobytes()
+            terms = fx[1:] + np.abs(dfx[1:] * (ref.x[1:-1] - bp.xi[1:]))
+            eps = np.finfo(float).eps
+            assert (np.abs(est.y[1:-1] - ref.y[1:-1]) <= 4.0 * eps * terms).all()
+            ends = [0, -1]
+            assert (np.abs(est.y[ends] - ref.y[ends]) <= 2.0 * np.spacing(ref.y[ends])).all()
+
+    def test_overflowing_values_raise_as_the_scalar_powers_do(self):
+        # numpy returns inf with a warning where Python's float power raises:
+        # the power oracle raises the per-point loop's OverflowError, which
+        # the closed forms turn into their overflow DomainError
+        iv = Interval(0.5, 10.0)
+        oracle = PowerFn(400.0, iv).oracle()
+        xi = Breakpoints.equally_spaced(iv, 3).xi
+        with pytest.raises(OverflowError):
+            oracle._values(xi)
+        with pytest.raises(OverflowError):
+            ConvexFunction._values(oracle, xi)
 
     def test_construction_never_calls_the_function(self, monkeypatch):
         calls = []
@@ -227,6 +267,18 @@ class TestEvaluation:
         for est, w in self._lookup_points(n):
             want = np.searchsorted(est.x[1:-1], w, side="right")
             assert (est._piece(w) == want).all()
+
+    def test_piece_lookup_steps_past_clustered_vertices(self):
+        # two vertices within a bucket: one step from the bucket's start no
+        # longer always lands, and the lookup steps until it does
+        iv = Interval(0.0, 1.0)
+        bp = Breakpoints(iv, [0.0, 0.5, 0.5 + 1e-7, 0.5 + 2e-7, 1.0])
+        est = build_underestimator(PowerFn(3.0, iv).oracle(), bp)
+        assert not est._buckets[3]
+        kx = est.x
+        w = np.concatenate([np.random.default_rng(5).random(4000), 0.5 + 3e-7 * np.linspace(0, 1, 301),
+                            kx, np.nextafter(kx, -np.inf), np.nextafter(kx, np.inf), [-np.inf, np.inf]])
+        assert (est._piece(w) == np.searchsorted(kx[1:-1], w, side="right")).all()
 
     @pytest.mark.parametrize("n", [1, 2, 8, 64])
     def test_value_is_the_chord_of_the_searched_piece(self, n):
