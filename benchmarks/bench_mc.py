@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Time the Monte-Carlo oracle the way ``mc_volume`` runs it.
 
-Two parts, on a fixed grid of bodies (every relaxation kind x p in
-{1.5, 2, 3.7, 6} x lower in {0, 0.15, 0.5} on upper 1, 8 equal pieces):
+Three parts.  The first two run on a fixed grid of bodies (every relaxation
+kind x p in {1.5, 2, 3.7, 6} x lower in {0, 0.15, 0.5} on upper 1, 8 equal
+pieces):
 
 * chunks: one ``mc_volume`` call of ``mc.BLOCK_SIZE`` columns, split into
   the column kernel (``mc._kernel.count_hits``, timed by a wrapper around
@@ -15,9 +16,19 @@ Two parts, on a fixed grid of bodies (every relaxation kind x p in
   ``--rounds`` rounds; the digest of every op's ``(hits, samples, mean,
   stderr)`` shows whether two checkouts reached the same estimates.
 
-Only ``mc_volume``, ``mc.BLOCK_SIZE`` and the kernel's ``count_hits`` are
-used, so the script times any checkout that has them.  The process's peak
-resident set (``ru_maxrss``) is recorded at the end.
+* cold: one op as perfbench's mc-target workload runs it, on seeded bodies
+  drawn as its pool draws them (p log-uniform on [1.25, 8] or exactly 2,
+  upper log-uniform on [1, 100], lower 0 or 0.15 of upper, 2 to 64 equal
+  pieces).  Before each op a numpy task evicts the caches, as the
+  workload's reference task does between ops; then the inputs
+  (``PowerFn``, ``Breakpoints.equally_spaced``), ``make_body`` and one
+  ``mc.BLOCK_SIZE`` call of ``mc_volume`` are timed separately.  Medians
+  over ``COLD_OPS`` ops per kind, in microseconds, and the digest of the
+  ops' estimates.
+
+Only ``make_body``, ``mc_volume``, ``mc.BLOCK_SIZE`` and the kernel's
+``count_hits`` are used, so the script times any checkout that has them.
+The process's peak resident set (``ru_maxrss``) is recorded at the end.
 
     PYTHONPATH=src python3 benchmarks/bench_mc.py [--json PATH]
 
@@ -46,6 +57,7 @@ LOWERS = (0.0, 0.15, 0.5)
 PIECES = 8
 TARGET_RSE = 3e-3
 SEED = 1
+COLD_OPS = 200  # cold ops per kind
 
 
 def _bodies(kind, lowers=LOWERS):
@@ -162,6 +174,55 @@ def bench_target(rounds, rse, seed):
     }
 
 
+def _evict():
+    """Philox draws and elementwise powers on a 4 x 3 x 64k block, the
+    size of perfbench's numpy reference task: it leaves the caches cold."""
+    rng = np.random.Generator(np.random.Philox(key=12345))
+    for _ in range(4):
+        u = rng.random((3, 65536))
+        np.count_nonzero(u[0] ** 2.5 + u[1] ** 1.7 <= u[2])
+
+
+def _cold_inputs(kind, count, seed):
+    rng = np.random.default_rng([seed, list(RelaxationKind).index(kind)])
+    out = []
+    for i in range(count):
+        p = 2.0 if i % 5 == 4 else math.exp(rng.uniform(math.log(1.25), math.log(8.0)))
+        upper = 10.0 ** rng.uniform(0.0, 2.0)
+        lower = 0.0 if i % 2 == 0 else 0.15 * upper
+        out.append((p, lower, upper, int(rng.integers(2, 65)), int(rng.integers(2**63))))
+    return out
+
+
+def bench_cold(count, seed):
+    rows, digest = {}, hashlib.sha256()
+    for kind in RelaxationKind:
+        inputs, body_us, call_us = [], [], []
+        for p, lower, upper, n, op_seed in _cold_inputs(kind, count, seed):
+            _evict()
+            t0 = time.perf_counter()
+            iv = Interval(lower, upper)
+            pf = PowerFn(p, iv)
+            bp = Breakpoints.equally_spaced(iv, n) if kind.piecewise_linear else None
+            t1 = time.perf_counter()
+            body = make_body(kind, pf, bp)
+            t2 = time.perf_counter()
+            est = mc_volume(body, mc.BLOCK_SIZE, op_seed)
+            t3 = time.perf_counter()
+            inputs.append((t1 - t0) * 1e6)
+            body_us.append((t2 - t1) * 1e6)
+            call_us.append((t3 - t2) * 1e6)
+            digest.update(f"{est.hits},{est.samples},{est.mean!r},{est.stderr!r};".encode())
+        rows[kind.value] = {
+            "inputs_us": statistics.median(inputs),
+            "make_body_us": statistics.median(body_us),
+            "mc_volume_us": statistics.median(call_us),
+            "op_us": statistics.median(a + b + c for a, b, c in zip(inputs, body_us, call_us)),
+            "ops": count,
+        }
+    return {"kinds": rows, "digest": digest.hexdigest()[:16]}
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=6, help="timed calls per body")
@@ -180,6 +241,7 @@ def main():
         },
         "chunks": bench_chunks(args.repeats, SEED),
         "target": bench_target(args.rounds, TARGET_RSE, SEED),
+        "cold": bench_cold(COLD_OPS, SEED),
     }
     # Linux reports ru_maxrss in KiB
     result["ru_maxrss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
@@ -197,7 +259,14 @@ def main():
     print(f"\n{t['ops_per_round']} ops to relative stderr {t['rse']:g} in {t['calls_per_round']} "
           f"calls: round {t['median_round_s']:.3f} s (median of {len(t['round_s'])}), "
           f"op {t['median_op_ms']:.2f} ms, {t['msamples_per_s']:.1f} Msample/s, "
-          f"digest {t['digest']}; peak RSS {result['ru_maxrss_mb']:.1f} MB")
+          f"digest {t['digest']}")
+    c = result["cold"]
+    print(f"\ncold ops after a cache-evicting task, medians over {COLD_OPS} per kind, us")
+    print(f"{'kind':6s} {'inputs':>8s} {'make_body':>10s} {'mc_volume':>10s} {'op':>8s}")
+    for name, row in c["kinds"].items():
+        print(f"{name:6s} {row['inputs_us']:8.1f} {row['make_body_us']:10.1f} "
+              f"{row['mc_volume_us']:10.1f} {row['op_us']:8.1f}")
+    print(f"digest {c['digest']}; peak RSS {result['ru_maxrss_mb']:.1f} MB")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(result, fh, indent=1)

@@ -15,9 +15,12 @@ The oracle draws neither ``y`` nor ``z``: it draws points ``w`` of
 the part of the cone over ``w``.  With ``dx = z dw`` and ``L`` the body's
 lower bound, the column's length in the body is ``h(w) = ∫₀¹ z (z chord(w)
 - L(z w)) dz``, and the volume is ``width * E[h(w)]`` for ``w`` uniform on
-``[lower, upper]``.  The kernel (see ``_mc_fallback``) evaluates ``h`` in
+``[lower, upper]``.  The kernel (see ``_columns``) evaluates ``h`` in
 closed form for every kind; ``hits`` counts the columns that meet the body
-(``h > 0``).
+(``h > 0``).  :func:`make_body` computes once per body what the kernel
+reads: its scale, and for the piecewise-linear kinds the offsets of the
+cuts of adjacent tangents and each piece's column coefficients.  It builds
+no tangent under-estimator.
 
 Sampling is stratified with two columns per stratum.  ``samples // 2``
 equal intervals of ``w`` tile ``[lower, upper]``, and each takes its two
@@ -26,8 +29,8 @@ offsets ``t = (w - lower) / width`` from consecutive draws of one stream,
 ``width`` times the mean of ``h``, and its standard error comes from each
 stratum's pair difference, ``width * sqrt(sum((h1 - h2)**2) / 4) /
 strata``; both are plain sums of the kernel's lengths, which it returns in
-a unit of the body's (``_mc_fallback.column_unit``) so that no square over-
-or underflows, and ``width``, the unit and the kernel's factor 3 scale the
+a unit of the body's (``BodySpec.unit``) so that no square over- or
+underflows, and ``width``, the unit and the kernel's factor 3 scale the
 sums once.  Columns are scored in chunks of ``BLOCK_SIZE``, which keeps
 every temporary cache-sized, and the chunks' sums are added in stratum
 order on the calling thread.
@@ -42,10 +45,10 @@ from math import inf, sqrt
 import numpy as np
 
 from .errors import DomainError
-from .power import PowerFn, RelaxationKind
-from .underestimator import Breakpoints, Interval, PLUnderEstimator, build_underestimator
+from .power import PowerFn, RelaxationKind, _tangent_cuts
+from .underestimator import Breakpoints, Interval, _check_brackets
 
-from . import _mc_fallback as _kernel
+from . import _columns as _kernel
 
 KERNEL_BACKEND = "numpy"
 
@@ -62,19 +65,28 @@ _CELLS.setflags(write=False)
 
 @dataclass(frozen=True, eq=False)
 class BodySpec:
-    """One relaxation body reduced to the data its column kernel needs.
+    """One relaxation body reduced to the data its column kernel reads.
 
     ``cone_volume``, ``upper_height`` and ``lower_height`` describe the cone
-    every body lies in (see the module docstring).
+    every body lies in (see the module docstring).  ``rise`` and ``unit``
+    are the kernel's scale (``_columns.column_scale``).  The
+    piecewise-linear kinds also carry ``cuts``, the offsets ``(cut - lower)
+    / width`` of the points where adjacent tangents meet, increasing, so
+    that piece ``k`` holds the offsets from ``cuts[k - 1]`` up to
+    ``cuts[k]``; and ``columns``, one row per coefficient and one column per
+    piece (``_columns.tangent_columns`` for plpr, ``_columns.moments`` for
+    plenr).  The smooth kinds carry neither.
     """
 
     kind: RelaxationKind
     interval: Interval
     p: float
-    estimator: PLUnderEstimator | None
-    tangent_x: np.ndarray | None  # the breakpoints: piece k's tangency point is tangent_x[k]
     upper_height: float  # f(upper): the cone's height at x = upper, z = 1
     lower_height: float  # f(lower): the cone's height at x = lower, z = 1
+    rise: float | None  # f(upper) / f(lower) - 1 where at most 1, else None
+    unit: float  # the unit of the kernel's columns: f(lower) where rise is set, else f(upper)
+    cuts: np.ndarray | None
+    columns: np.ndarray | None
 
     @property
     def cone_volume(self) -> float:
@@ -87,41 +99,60 @@ def make_body(
 ) -> BodySpec:
     """Assemble the kernel data of one relaxation body.
 
-    The piecewise-linear kinds need breakpoints to build the tangent
-    under-estimator from; the others ignore them.  Raises ``DomainError``
-    when the sampled cone is not representable in floats: ``f(upper)``
-    overflows or underflows to zero, or the cone's volume does not fit.
+    The piecewise-linear kinds need breakpoints, the tangency points; the
+    others ignore them.  Their cuts come from ``power._tangent_cuts``, and
+    raise ``DegenerateTangents`` unless each lies strictly between its two
+    tangency points.  Raises ``DomainError`` when the sampled cone is not
+    representable in floats: ``f(upper)`` overflows or underflows to zero,
+    or the cone's volume does not fit; and when a piece coefficient
+    overflows.
     """
     iv = power.interval
-    lo, up = iv.lower, iv.upper
+    lo, up, p = iv.lower, iv.upper, power.p
     try:
         f_lo, f_up = float(power(float(lo))), float(power(float(up)))
     except OverflowError:
         f_up = inf
     if not 0.0 < f_up < inf:
         raise DomainError(
-            f"f(upper) = {up!r}**{power.p!r} rounds to {f_up!r}; "
+            f"f(upper) = {up!r}**{p!r} rounds to {f_up!r}; "
             "the Monte-Carlo cone needs a positive finite height"
         )
-    estimator = None
+    rise, unit = _kernel.column_scale(p, iv, f_lo, f_up)
+    cuts = columns = None
     if kind.piecewise_linear:
         if breakpoints is None:
             raise DomainError(f"{kind.value} needs breakpoints")
         if breakpoints.interval != iv:
             raise DomainError("breakpoints cover a different interval than the function")
-        estimator = build_underestimator(power.oracle(), breakpoints)
+        xi = breakpoints.xi
+        cuts = _tangent_cuts(xi[:-1], xi[1:], p)
+        _check_brackets(xi, cuts)
+        cuts -= lo
+        cuts /= iv.width
+        with np.errstate(over="ignore", invalid="ignore"):  # raised below
+            if kind is RelaxationKind.PL_PR:
+                columns = _kernel.tangent_columns(p, iv, xi, rise, unit)
+            else:
+                columns = _kernel.moments(p, iv, f_lo, xi, cuts, unit)
+        if not np.isfinite(columns).all():
+            raise DomainError(
+                f"the {kind.value} columns of x**{p!r} on [{lo!r}, {up!r}] overflow floats"
+            )
     body = BodySpec(
         kind=kind,
         interval=iv,
-        p=power.p,
-        estimator=estimator,
-        tangent_x=None if breakpoints is None else breakpoints.xi,
+        p=p,
         upper_height=f_up,
         lower_height=f_lo,
+        rise=rise,
+        unit=unit,
+        cuts=cuts,
+        columns=columns,
     )
     if not 0.0 < body.cone_volume < inf:
         raise DomainError(
-            f"the Monte-Carlo cone of x**{power.p!r} on [{lo!r}, {up!r}] overflows floats"
+            f"the Monte-Carlo cone of x**{p!r} on [{lo!r}, {up!r}] overflows floats"
         )
     return body
 
@@ -193,7 +224,7 @@ def mc_volume(
         total += float(h.sum())
         spread += float(np.dot(d, d))
 
-    scale = body.interval.width * _kernel.column_unit(body) / 3.0
+    scale = body.interval.width * body.unit / 3.0
     return McEstimate(
         mean=scale * total / (2 * strata),
         stderr=scale * sqrt(spread / 4.0) / strata,

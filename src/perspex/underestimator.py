@@ -14,6 +14,7 @@ fan triangulation rooted at the left endpoint delivers in linear time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -37,7 +38,7 @@ class Interval:
     upper: float
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.lower) and np.isfinite(self.upper)):
+        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
             raise DomainError("interval endpoints must be finite")
         if not 0.0 <= self.lower < self.upper:
             raise DomainError(
@@ -181,13 +182,13 @@ class PLUnderEstimator:
     def __call__(self, w):
         """Evaluate the piecewise-linear function at ``w`` (scalar or array).
 
-        Piece ``k`` holds ``x[k] <= w < x[k+1]``, the end pieces extend
-        outwards, and the value is ``y[k] + slope[k] * (w - x[k])``.  A scalar
-        gives a ``float``.  The Monte-Carlo kernel evaluates here too.
+        Piece ``k = np.searchsorted(x[1:-1], w, side="right")`` holds ``x[k]
+        <= w < x[k+1]``, the end pieces extend outwards, and the value is
+        ``y[k] + slope[k] * (w - x[k])``.  A scalar gives a ``float``.
         """
         scalar = np.ndim(w) == 0
         w = np.atleast_1d(np.asarray(w, dtype=float))
-        k = self._piece(w)
+        k = np.searchsorted(self.x[1:-1], w, side="right")
         # a[k] for indices known to be in range; mode="clip" skips the bounds
         # check that makes plain fancy indexing about 1.5x slower
         out = w - np.take(self.x, k, mode="clip")
@@ -199,41 +200,12 @@ class PLUnderEstimator:
     def _slope(self) -> np.ndarray:
         return (self.y[1:] - self.y[:-1]) / (self.x[1:] - self.x[:-1])
 
-    @cached_property
-    def _buckets(self) -> tuple:
-        """``(scale, start, upper, one_step)``: ``(w - x[0]) * scale`` is
-        ``w``'s bucket of ``4 * x.size`` over ``[x[0], x[-1]]``, ``start``
-        each bucket's piece one bucket below it (so an off-by-one bucket from
-        rounding cannot overshoot) and ``upper`` each piece's right end, NaN
-        for the last piece, which no ``w``, not even ``inf``, steps past.
-        ``one_step`` holds where no three neighbouring buckets share two
-        vertices, so that one step from ``start`` always lands."""
-        x, inner = self.x, self.x[1:-1]
-        nb = 4 * x.size
-        scale = nb / (x[-1] - x[0])
-        start = np.searchsorted(inner, x[0] + np.arange(-1, nb + 3) / scale)
-        one_step = bool((start[3:] - start[:-3]).max() <= 1)
-        return scale, start[: nb + 1], np.append(inner, np.nan), one_step
 
-    def _piece(self, w: np.ndarray) -> np.ndarray:
-        """``np.searchsorted(x[1:-1], w, side="right")`` without a branchy
-        binary search per sample: ``w`` starts from its bucket's piece, the
-        buckets clipped to the grid, and steps up while past the next vertex.
-        A NaN ``w`` gets piece 0."""
-        scale, start, upper, one_step = self._buckets
-        bucket = w - self.x[0]
-        bucket *= scale
-        # fmax and fmin clip like np.clip but send NaN to 0, a bucket the cast can take
-        np.fmin(np.fmax(bucket, 0.0, out=bucket), 4 * self.x.size, out=bucket)
-        k = np.take(start, bucket.astype(np.intp), mode="clip")
-        while True:
-            step = w >= np.take(upper, k, mode="clip")
-            if one_step:
-                k += step
-                return k
-            if not step.any():
-                return k
-            k += step
+def _check_brackets(xi: np.ndarray, cuts: np.ndarray) -> None:
+    """Raise :class:`DegenerateTangents` unless each cut lies strictly
+    between its two tangency points, ``xi[k] < cuts[k] < xi[k+1]``."""
+    if not ((xi[:-1] < cuts) & (cuts < xi[1:])).all():
+        raise DegenerateTangents("tangent intersections escaped their breakpoint brackets")
 
 
 def build_underestimator(f: ConvexFunction, bp: Breakpoints) -> PLUnderEstimator:
@@ -246,8 +218,7 @@ def build_underestimator(f: ConvexFunction, bp: Breakpoints) -> PLUnderEstimator
     xi = bp.xi
     fx, dfx = f._values(xi)
     cuts = f._cuts(xi, fx, dfx)
-    if not ((xi[:-1] < cuts) & (cuts < xi[1:])).all():
-        raise DegenerateTangents("tangent intersections escaped their breakpoint brackets")
+    _check_brackets(xi, cuts)
     x = np.concatenate(([xi[0]], cuts, [xi[-1]]))
     y = np.concatenate(([fx[0]], fx[1:] + dfx[1:] * (cuts - xi[1:]), [fx[-1]]))
     return PLUnderEstimator(x, y)

@@ -1,6 +1,6 @@
 import numpy as np
 
-from perspex import Breakpoints, Interval, PowerFn
+from perspex import Breakpoints, Interval, PowerFn, RelaxationKind
 
 
 def random_power_instance(
@@ -27,3 +27,22 @@ def random_power_instance(
             break
     xi = np.concatenate(([iv.lower], iv.lower + width * cuts, [iv.upper]))
     return PowerFn(p, iv), Breakpoints(iv, xi)
+
+
+def column_on_piece(body, t, k):
+    """A piecewise-linear body's kernel column ``3 h / unit`` at the offsets
+    ``t``, each taken on the piece ``k`` given for it, from the body's piece
+    coefficients and in the kernel's order of operations, clipped at 0: on
+    the kernel's own piece it is the kernel's column bit for bit."""
+    if body.kind is RelaxationKind.PL_PR:
+        at_lo, slope = body.columns
+        h = slope[k] * t + at_lo[k]
+    else:
+        a, n3, n2, n1, n0 = body.columns
+        iv = body.interval
+        g = body.rise if body.rise is not None else 1.0 - body.lower_height / body.unit
+        d = t - a[k]
+        v = t + iv.lower / iv.width
+        with np.errstate(invalid="ignore"):  # 0/0 at the apex
+            h = t * g - (((n3[k] * d + n2[k]) * d + n1[k]) * d + n0[k]) / (v * v)
+    return np.fmax(h, 0.0)

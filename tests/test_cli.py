@@ -334,3 +334,11 @@ class TestOutputContracts:
             code, out, err = run_cli(*argv)
             assert code == 2 and out == "", argv
             assert err.startswith("error: DomainError") and err.count("\n") == 1, argv
+        # f(upper) fits but f'(upper) and p f(upper) overflow: plpr's piece
+        # columns, and plenr's cone, are not finite
+        for kind in ("plpr", "plenr"):
+            argv = ("mc", "--p", "200", "--l", "0", "--u", "34.6", "--relax", kind,
+                    "--equal", "4", "--samples", "8192")
+            code, out, err = run_cli(*argv)
+            assert code == 2 and out == "", argv
+            assert err.startswith("error: DomainError") and err.count("\n") == 1, argv

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import column_on_piece
 
 from perspex import (
     Breakpoints,
@@ -11,6 +12,7 @@ from perspex import (
     Interval,
     PowerFn,
     RelaxationKind,
+    build_underestimator,
     make_body,
     mc_volume,
     volume_power_closed_form,
@@ -33,7 +35,7 @@ def _lengths(body, t):
     """The kernel's column lengths ``h(w)`` of ``body`` at the offsets ``t =
     (w - lower) / width``, per unit of width."""
     return mc_mod._kernel.count_hits(body, np.array(t, dtype=float))[1] * (
-        mc_mod._kernel.column_unit(body) / 3.0)
+        body.unit / 3.0)
 
 
 def _one_pass(seed, samples):
@@ -293,19 +295,19 @@ class TestMembership:
         iv = Interval(lower, upper)
         bp = Breakpoints.equally_spaced(iv, n)
         body = make_body(RelaxationKind.PL_PR, PowerFn(p, iv), bp)
-        unit = mc_mod._kernel.column_unit(body)
-        vx = body.estimator.x
+        unit = body.unit
+        vx = build_underestimator(PowerFn(p, iv).oracle(), bp).x
         rng = np.random.default_rng(n)
         w = np.concatenate([lower + iv.width * rng.random(5000),
                             vx, np.nextafter(vx, -np.inf), np.nextafter(vx, np.inf)])
         t = np.clip((w - lower) / iv.width, 0.0, 1.0)
         got = mc_mod._kernel.count_hits(body, t)[1] * unit
         xk = bp.xi
-        ratio = mc_mod._kernel._rise(body) is not None
+        ratio = body.rise is not None
         at_lo = mc_mod._kernel._bregman(p, lower, xk, ratio)
         at_up = mc_mod._kernel._bregman(p, upper, xk, ratio)
         columns = (1.0 - t[:, None]) * at_lo + t[:, None] * at_up
-        k = body.estimator._piece(lower + t * iv.width)
+        k = np.searchsorted(body.cuts, t, side="right")  # the kernel's piece
         slope = p * xk ** (p - 1.0)
 
         def terms(a):
@@ -351,7 +353,11 @@ class TestMembership:
             body = _bodies(p=3.7, iv=iv)[kind]
             t = np.linspace(0.0, 1.0, 41)
             w = iv.lower + iv.width * t
-            lower = w**3.7 if body.estimator is None else body.estimator(w)
+            if body.cuts is None:
+                lower = w**3.7
+            else:
+                bp = Breakpoints.equally_spaced(iv, 3)
+                lower = build_underestimator(PowerFn(3.7, iv).oracle(), bp)(w)
             chord = body.lower_height + (body.upper_height - body.lower_height) * t
             gap = chord - lower
             with warnings.catch_warnings(), np.errstate(all="raise"):
@@ -447,6 +453,110 @@ class TestColumns:
             want = np.array([float(_mp_column(mpmath, kind, p, lower, upper, bp.xi, ti))
                              for ti in t])
         assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "p,lower,upper",
+        [(3.0, 1000.0, 1000.001), (2.0, 1.0, 1.001), (1.001, 6.63392, 6.633921), (1.2, 0.7, 1.0),
+         (40.0, 1.0, 1.017), (2.0, 1.0, 1.008), (8.0, 1.0, 1.002), (1.0001, 1.0, 1.2)],
+    )
+    def test_perspective_columns_keep_their_accuracy_near_the_ends(self, p, lower, upper):
+        # where f(upper) <= 2 f(lower), pr's column is (1 - t) D(lower; w) + t
+        # D(upper; w) in Bregman gaps to the tangent at w, with no cancelling
+        # term: near t = 1 the column is first order in 1 - t, and a
+        # difference chord - f(w) of two first-order terms cancelled to
+        # 7.9e-8 at t = 0.997 on [1000, 1000.001].  The gaps are series up
+        # to p log(upper / lower) = 2**-6 and a closed form above it; the
+        # last three bodies sit just above that switch, or have p near 1
+        mpmath = pytest.importorskip("mpmath")
+        iv = Interval(lower, upper)
+        body = make_body(RelaxationKind.PR, PowerFn(p, iv))
+        assert body.rise is not None
+        t = np.array([1e-9, 0.003, 0.5, 0.9, 0.99, 0.997, 0.9999, 1.0 - 1e-9])
+        got = _lengths(body, t)
+        with mpmath.workdps(40):
+            want = np.array([float(_mp_column(mpmath, RelaxationKind.PR, p, lower, upper,
+                                              [lower, upper], ti)) for ti in t])
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "p,lower,upper,n",
+        [(3.0, 1000.0, 1000.001, 4), (1.2, 10.0, 10.0001, 30), (1.001, 6.63392, 6.633921, 5),
+         (2.0, 1.0, 1.4, 8), (1.25, 1.0, 1.7, 6)],
+    )
+    def test_tangent_columns_keep_their_accuracy_on_narrow_intervals(self, p, lower, upper, n):
+        # where f(upper) <= 2 f(lower), plpr's coefficients are the Bregman
+        # gaps D(lower; x_k) and D(upper; x_k) in the same cancellation-free
+        # form as pr's columns; the ratio form expm1(p log1p(r)) - p r with r
+        # = a / x_k - 1 left 1e-10 on [1000, 1000.001] and 6e-6 at p = 1.001.
+        # Checked at the quarter points of each piece, away from the cuts,
+        # against (chord - est(w)) / 3, the integral over z of z**2 (chord -
+        # est(w)), with est the greatest tangent
+        mpmath = pytest.importorskip("mpmath")
+        iv = Interval(lower, upper)
+        bp = Breakpoints.equally_spaced(iv, n)
+        body = make_body(RelaxationKind.PL_PR, PowerFn(p, iv), bp)
+        assert body.rise is not None
+        ends = np.concatenate(([0.0], body.cuts, [1.0]))
+        t = (ends[:-1, None] + np.outer(np.diff(ends), [0.25, 0.5, 0.75])).ravel()
+        got = _lengths(body, t)
+        with mpmath.workdps(40):
+            mp = mpmath.mpf
+            q, lo, up = mp(p), mp(lower), mp(upper)
+            xk = [mp(float(x)) for x in bp.xi]
+            want = []
+            for ti in t:
+                w = lo + mp(float(ti)) * (up - lo)
+                chord = lo**q + (up**q - lo**q) * (w - lo) / (up - lo)
+                est = max(x**q + q * x ** (q - 1) * (w - x) for x in xk)
+                want.append(float((chord - est) / 3))
+        assert got == pytest.approx(np.array(want), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("kind", [RelaxationKind.PL_PR, RelaxationKind.PL_E_NR],
+                             ids=lambda k: k.value)
+    @pytest.mark.parametrize(
+        "p,lower,upper,n",
+        [(3.7, 0.0, 1.0, 8), (8.0, 0.3, 1.2, 64), (3.0, 1000.0, 1000.001, 4), (1.5, 0.2, 3.0, 200)],
+    )
+    def test_columns_take_the_searched_piece(self, kind, p, lower, upper, n):
+        # the kernel's column at each cut offset, at both of its float
+        # neighbours and at the ends is the column of the piece that
+        # np.searchsorted finds among the cut offsets, bit for bit; so is
+        # every column of a chunk of three strata, fewer than the cuts
+        iv = Interval(lower, upper)
+        body = make_body(kind, PowerFn(p, iv), Breakpoints.equally_spaced(iv, n))
+        cuts = body.cuts
+        assert cuts.size == n
+        t = np.clip(np.concatenate([cuts, np.nextafter(cuts, -np.inf), np.nextafter(cuts, np.inf),
+                                    [0.0, 1.0]]), 0.0, 1.0)
+        pair = np.random.default_rng(n).random((3, 2))
+        pair += np.arange(3)[:, None]
+        pair /= 3.0
+        for t in (t, pair):
+            got = mc_mod._kernel.count_hits(body, t)[1]
+            k = np.searchsorted(cuts, t, side="right")
+            assert got.shape == t.shape
+            assert np.array_equal(got, column_on_piece(body, t, k))
+        # the cut offsets are those of the under-estimator's inner vertices
+        est = build_underestimator(PowerFn(p, iv).oracle(), Breakpoints.equally_spaced(iv, n))
+        assert np.array_equal(cuts, (est.x[1:-1] - lower) / iv.width)
+
+    @pytest.mark.parametrize("kind", [RelaxationKind.PL_PR, RelaxationKind.PL_E_NR],
+                             ids=lambda k: k.value)
+    def test_overflowing_piece_columns_raise_domain_error(self, kind):
+        # f(upper) and the cone fit, but p f(upper), a term of plpr's Bregman
+        # gap at the lower end, overflows: plpr's table is not finite and
+        # make_body says so without a warning, where the under-estimator's
+        # f'(upper) used to raise OverflowError; plenr's slopes stay finite
+        iv = Interval(0.0, 33.9)
+        pf = PowerFn(200.0, iv)
+        bp = Breakpoints.equally_spaced(iv, 4)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            if kind is RelaxationKind.PL_PR:
+                with pytest.raises(DomainError, match="plpr columns .* overflow floats"):
+                    make_body(kind, pf, bp)
+            else:
+                assert np.isfinite(make_body(kind, pf, bp).columns).all()
 
 
 # Mean column length of the kernel, summed over blocks 0-2 of _footprint_block,
@@ -616,8 +726,8 @@ def _boundary_columns(body):
     """Offsets at both ends and the middle of the footprint and next to its
     ends, and at and next to every vertex of the estimator."""
     t = [0.0, 1.0, 0.5, 1e-300, 1.0 - 2.0**-53]
-    if body.estimator is not None:
-        vx = (body.estimator.x - body.interval.lower) / body.interval.width
+    if body.cuts is not None:
+        vx = np.concatenate(([0.0], body.cuts, [1.0]))
         t += [*vx, *np.nextafter(vx, -np.inf), *np.nextafter(vx, np.inf)]
     return np.clip(t, 0.0, 1.0)
 
@@ -846,7 +956,7 @@ class TestConeSampler:
             total += float(pair.sum())
             spread += float(np.dot(d, d))
         strata = h.shape[0]
-        scale = iv.width * mc_mod._kernel.column_unit(body) / 3.0
+        scale = iv.width * body.unit / 3.0
         assert est[1].mean == scale * total / (2 * strata)
         assert est[1].stderr == scale * np.sqrt(spread / 4.0) / strata
 

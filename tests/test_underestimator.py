@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import random_power_instance
+from conftest import column_on_piece, random_power_instance
 
 from perspex import (
     Breakpoints,
@@ -9,11 +9,14 @@ from perspex import (
     DomainError,
     Interval,
     PowerFn,
+    RelaxationKind,
     build_underestimator,
     fan_triangle_areas,
+    make_body,
     volume_pl_perspective,
     volume_power_closed_form,
 )
+from perspex.mc import _kernel as mc_kernel
 from perspex.power import _PowerOracle, _tangent_cuts
 
 
@@ -245,44 +248,63 @@ class TestEvaluation:
 
     @staticmethod
     def _lookup_points(n):
-        # estimators with their vertices, the vertices' neighbours in floats
-        # and points past both ends, infinities included
+        # functions and breakpoints with points of the interval, the
+        # estimator's vertices, their neighbours in floats and points past
+        # both ends, infinities included
         rng = np.random.default_rng(n)
         for p, iv in ((3.7, Interval(0.0, 1.0)), (8.0, Interval(0.3, 1.2)),
                       (2.0, Interval(1000.0, 1000.001))):
-            est = build_underestimator(
-                PowerFn(p, iv).oracle(), Breakpoints.equally_spaced(iv, n)
-            )
-            kx = est.x
+            pf, bp = PowerFn(p, iv), Breakpoints.equally_spaced(iv, n)
+            kx = build_underestimator(pf.oracle(), bp).x
             w = np.concatenate([
                 iv.lower + iv.width * rng.random(4000),
                 kx, np.nextafter(kx, -np.inf), np.nextafter(kx, np.inf),
                 [-np.inf, np.inf, iv.lower - iv.width, iv.upper + iv.width, 0.0],
             ])
-            yield est, w
+            yield pf, bp, w
+
+    @staticmethod
+    def _assert_pieces_are_searched(pf, bp, w):
+        # est(w) is the chord of the piece np.searchsorted finds among the
+        # inner vertices, and each piecewise-linear body's kernel column at
+        # the offset of w is the column of the piece np.searchsorted finds
+        # among its cut offsets, bit for bit, at every w of the interval
+        est = build_underestimator(pf.oracle(), bp)
+        x, y = est.x, est.y
+        k = np.searchsorted(x[1:-1], w, side="right")
+        with np.errstate(invalid="ignore"):  # 0 * inf where an end slope is 0
+            want = y[k] + (y[1:] - y[:-1])[k] / (x[1:] - x[:-1])[k] * (w - x[k])
+            assert np.array_equal(est(w), want, equal_nan=True)
+        iv = pf.interval
+        inside = w[(w >= iv.lower) & (w <= iv.upper)]
+        t = np.clip((inside - iv.lower) / iv.width, 0.0, 1.0)
+        for kind in (RelaxationKind.PL_PR, RelaxationKind.PL_E_NR):
+            body = make_body(kind, pf, bp)
+            assert np.array_equal(body.cuts, (x[1:-1] - iv.lower) / iv.width)
+            got = mc_kernel.count_hits(body, t)[1]
+            k = np.searchsorted(body.cuts, t, side="right")
+            assert np.array_equal(got, column_on_piece(body, t, k))
 
     @pytest.mark.parametrize("n", [1, 2, 8, 64])
     def test_piece_lookup_is_searchsorted(self, n):
-        # the bucketed lookup against the binary search it replaces
-        for est, w in self._lookup_points(n):
-            want = np.searchsorted(est.x[1:-1], w, side="right")
-            assert (est._piece(w) == want).all()
+        for pf, bp, w in self._lookup_points(n):
+            self._assert_pieces_are_searched(pf, bp, w)
 
     def test_piece_lookup_steps_past_clustered_vertices(self):
-        # two vertices within a bucket: one step from the bucket's start no
-        # longer always lands, and the lookup steps until it does
+        # three vertices within 2e-7 of each other: the lookup still finds
+        # the searched piece on either side of each of them
         iv = Interval(0.0, 1.0)
         bp = Breakpoints(iv, [0.0, 0.5, 0.5 + 1e-7, 0.5 + 2e-7, 1.0])
-        est = build_underestimator(PowerFn(3.0, iv).oracle(), bp)
-        assert not est._buckets[3]
-        kx = est.x
+        pf = PowerFn(3.0, iv)
+        kx = build_underestimator(pf.oracle(), bp).x
         w = np.concatenate([np.random.default_rng(5).random(4000), 0.5 + 3e-7 * np.linspace(0, 1, 301),
                             kx, np.nextafter(kx, -np.inf), np.nextafter(kx, np.inf), [-np.inf, np.inf]])
-        assert (est._piece(w) == np.searchsorted(kx[1:-1], w, side="right")).all()
+        self._assert_pieces_are_searched(pf, bp, w)
 
     @pytest.mark.parametrize("n", [1, 2, 8, 64])
     def test_value_is_the_chord_of_the_searched_piece(self, n):
-        for est, w in self._lookup_points(n):
+        for pf, bp, w in self._lookup_points(n):
+            est = build_underestimator(pf.oracle(), bp)
             x, y = est.x, est.y
             slope = (y[1:] - y[:-1]) / (x[1:] - x[:-1])
             k = np.searchsorted(x[1:-1], w, side="right")
