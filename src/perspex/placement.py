@@ -18,17 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    DegenerateTangents,
     DomainError,
     MaxIterExceeded,
     MonotonicityViolated,
     SingularJacobian,
 )
 from .power import (
-    _FLAT_SLOPES,
     PowerFn,
-    _flat_slopes,
-    _power_table,
     _stationarity,
     _tangent_cuts,
     gradient_system,  # re-exported; nothing in this module calls it
@@ -211,19 +207,14 @@ def _newton_rows(iv, p, tol, max_iter, xi, canonical=True, trace=None):
     error = None
     for it in range(max_iter + 1):
         x, pl = xi[live], ps[live]
-        table = _power_table(x, pl)
         ordered = (np.diff(x, axis=1) > 0.0).all(axis=1)  # what Breakpoints asks
-        failed = ~ordered | _flat_slopes(table)
-        if failed.any():
-            j = int(np.argmax(failed))
-            if not ordered[j]:
-                error = DomainError("breakpoints must be strictly increasing")
-            else:
-                error = DegenerateTangents(f"{_FLAT_SLOPES} (p={p[live[j]]})")
-            live, x, pl, table = live[:j], x[:j], pl[:j], table[:, :j]
+        if not ordered.all():
+            j = int(np.argmin(ordered))
+            error = DomainError("breakpoints must be strictly increasing")
+            live, x, pl = live[:j], x[:j], pl[:j]
         if not live.size:
             break
-        st = _stationarity(x, pl, table)
+        st = _stationarity(x, pl)
         norm = np.abs(st.residual).max(axis=1)
         go = ~(norm <= tols[live]) & ~stop_at_start[live]
         if trace is not None:
@@ -245,7 +236,7 @@ def _newton_rows(iv, p, tol, max_iter, xi, canonical=True, trace=None):
                 trace.direction = _direction_for(p[k])
             error = MaxIterExceeded(
                 f"no convergence to {float(tols[k]):g} within {max_iter} iterations "
-                f"(last residual {float(norm[0]):g})",
+                f"(p={p[k]}, last residual {float(norm[0]):g})",
                 trace,
             )
             break
@@ -314,8 +305,7 @@ def newton_optimize(
 
     Runs started from ``start`` (a vector of ``n - 1`` interior points)
     carry no direction guarantee; their steps are halved as needed to stay
-    strictly interior and ordered.  An iterate at which ``x**(p-1)`` rounds
-    equal at neighbouring breakpoints raises :class:`DegenerateTangents`.
+    strictly interior and ordered.
     """
     if n < 2:
         raise DomainError(_NEED_INTERIOR)

@@ -9,7 +9,9 @@ and the lighter naive-relaxation variants obtained by extending the
 function linearly down to the origin.
 
 Powers are plain ``**``, whose exponents here are positive, so ``0.0**q``
-is 0 already; :func:`_power_table` is the one home of ``0**q := 0``.
+is 0 already.  The Newton terms read only the ratio-form tangent cuts and
+``x**(p-2)`` at interior points, which are positive; only the boundary
+coupling ``b0`` takes a limit at ``lower == 0``.
 """
 
 from __future__ import annotations
@@ -21,11 +23,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateTangents, DomainError, HypothesisViolated
+from .errors import DomainError, HypothesisViolated
 from .underestimator import (
     Breakpoints,
     ConvexFunction,
     Interval,
+    _check_brackets,
     build_underestimator,
 )
 
@@ -140,10 +143,9 @@ def volume_power_closed_form(pf: PowerFn, bp: Breakpoints) -> float:
     if is_quadratic(p):
         return volume_quadratic(bp)
     xi = bp.xi
-    if _flat_slopes(_power_table(xi[None, :], np.array([p])))[0]:
-        raise DegenerateTangents(_FLAT_SLOPES)
     a, b = xi[:-1], xi[1:]
     t = _tangent_cuts(a, b, p)
+    _check_brackets(xi, t)
     lo, up = xi[:1], xi[-1:]
     starts = np.concatenate((lo, a, t))
     ends = np.concatenate((up, t, b))
@@ -155,20 +157,29 @@ def volume_power_closed_form(pf: PowerFn, bp: Breakpoints) -> float:
 
 def _tangent_cuts(a: np.ndarray, b: np.ndarray, p) -> np.ndarray:
     """Where the tangents of ``x**p`` at ``a < b`` meet: the one rule, in
-    ratio form.  ``p`` may hold one exponent per row of ``a``.
+    ratio form (:func:`_cut_terms`).  ``p`` may hold one exponent per row of
+    ``a``."""
+    return _cut_terms(a, b, p)[0]
+
+
+def _cut_terms(a: np.ndarray, b: np.ndarray, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(t, L, g)`` per pair ``a < b``: the tangent cut ``t``, ``L =
+    log(b/a)`` and ``g = 1 - (a/b)**(p-1)``, which lies in ``(0, 1]``.
 
     ``t = a (p-1)/p * expm1(p L) / expm1((p-1) L)`` with ``L =
-    log1p((b - a)/a)``, written as ``b (p-1)/p * expm1(-p L) /
-    expm1(-(p-1) L)`` so that no term overflows however large ``b/a`` is,
-    and ``a = 0`` (``L = inf``) gives ``b (p-1)/p``.  No difference of
-    powers, so ``t`` keeps its relative accuracy however close ``b/a`` is
-    to 1.  Clipped to ``[a, b]`` against rounding.
+    log1p((b - a)/a)``, written as ``b (p-1)/p * expm1(-p L) / -g`` with
+    ``g = -expm1(-(p-1) L)`` so that no term overflows however large ``b/a``
+    is, and ``a = 0`` (``L = inf``, ``g = 1``) gives ``b (p-1)/p``.  No
+    difference of powers, so ``t`` and ``g`` keep their relative accuracy
+    however close ``b/a`` is to 1.  ``t`` is clipped to ``[a, b]`` against
+    rounding.
     """
     q = p - 1.0
     with np.errstate(divide="ignore"):  # a = 0
         ratio = np.log1p((b - a) / a)
-    t = b * (q / p) * (np.expm1(-p * ratio) / np.expm1(-q * ratio))
-    return np.clip(t, a, b)
+    gap = -np.expm1(-q * ratio)
+    t = b * (q / p) * (np.expm1(-p * ratio) / -gap)
+    return np.clip(t, a, b), ratio, gap
 
 
 # The 16-point Gauss-Legendre rule on [0, 1], each node and weight rounded
@@ -232,43 +243,6 @@ def _span_integrals(a, b, left, right, p: float) -> np.ndarray:
     return out
 
 
-def _power_table(xi: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """``xi**p``, ``xi**(p-1)`` and ``xi**(p-2)``, one exponent per row of ``xi``.
-
-    Returns shape ``(3,) + xi.shape``.  Each entry comes from a power of one
-    contiguous row by a scalar exponent, as ``x**q`` computes it elsewhere.
-    numpy takes exact shortcuts (``x*x``, ``sqrt``) for some scalar
-    exponents that a broadcast exponent array skips, so a row's table must
-    not depend on the rows batched with it.  Breakpoints increase from
-    ``lower >= 0``, so only column 0 can be zero.  This table is the one
-    home of the ``0**q := 0`` convention, the continuous extension at
-    ``lower == 0`` of each formula that uses it; it matters only for
-    ``x**(p-2)`` at ``p < 2``, since ``0.0**q`` is already 0 for ``q > 0``.
-    """
-    table = np.empty((3,) + xi.shape)
-    exps = p - np.array([[0.0], [1.0], [2.0]])  # p, p - 1, p - 2 per row
-    with np.errstate(divide="ignore"):  # 0**q for q < 0, replaced below
-        for j, row_exps in enumerate(exps.tolist()):
-            for k, q in enumerate(row_exps):
-                np.power(xi[k], q, out=table[j, k])
-    table[:, :, 0][(xi[:, 0] == 0.0) & (exps != 0.0)] = 0.0
-    return table
-
-
-_FLAT_SLOPES = "adjacent tangent slopes coincide: x**(p-1) rounds equal at neighbouring breakpoints"
-
-
-def _flat_slopes(table: np.ndarray) -> np.ndarray:
-    """Per row of a :func:`_power_table`: does ``x**(p-1)`` fail to increase
-    between some pair of neighbouring breakpoints?
-
-    The two tangents of such a pair have equal slopes in float64, so every
-    tangent-pair formula here would divide by zero on that row.
-    """
-    xp1 = table[1]
-    return (xp1[:, 1:] <= xp1[:, :-1]).any(axis=1)
-
-
 class _Stationarity(NamedTuple):
     residual: np.ndarray
     t_up: np.ndarray
@@ -279,40 +253,43 @@ class _Stationarity(NamedTuple):
     jac_diag: np.ndarray
 
 
-def _stationarity(xi: np.ndarray, p: np.ndarray, table: np.ndarray) -> _Stationarity:
+def _stationarity(xi: np.ndarray, p: np.ndarray) -> _Stationarity:
     """Stationarity residual and the terms of its derivatives, row by row.
 
-    ``xi`` holds one set of at least three breakpoints per row, ``p`` one
-    exponent per row and ``table`` their :func:`_power_table`, whose rows
-    :func:`_flat_slopes` must have passed.  The residual ``t_dn - t_up`` is
-    ``2p`` times ``x_k`` minus the midpoint of its ratio-form cuts, to a few
-    ``eps * p * upper``.  Entry k of each band belongs to interior point k;
-    the Newton Jacobian's sub- and super-diagonal are ``d_lo[:, 1:]`` and
-    ``d_hi[:, :-1]``.  Every entry is elementwise in its row, so a batched
-    row equals the row alone.
+    ``xi`` holds one set of at least three breakpoints per row and ``p`` one
+    exponent per row.  The residual ``t_dn - t_up`` is ``2p`` times ``x_k``
+    minus the midpoint of its ratio-form cuts, to a few ``eps * p * upper``.
+    Entry k of each band belongs to interior point k; the Newton Jacobian's
+    sub- and super-diagonal are ``d_lo[:, 1:]`` and ``d_hi[:, :-1]``.
+
+    The bands differentiate the cuts: for a pair ``(a, b)`` with cut ``t``,
+    ``dt/db = (p-1) (b - t) / (b g)`` and ``dt/da = (p-1) (t - a)
+    (a/b)**(p-2) / (b g)``, with ``L`` and ``g`` from :func:`_cut_terms` and
+    the powers of ``a/b`` as ``exp`` of multiples of ``-L``.  Nothing
+    subtracts two powers.  Every entry is elementwise in its row, so a
+    batched row equals the row alone.
     """
     pc = p[:, None]
     q = pc - 1.0
+    pq = pc * q
     lo, mid, hi = xi[:, :-2], xi[:, 1:-1], xi[:, 2:]
-    xp, xp1, xp2 = table
-    lo_p, mid_p, hi_p = xp[:, :-2], xp[:, 1:-1], xp[:, 2:]
-    lo_p1, mid_p1, hi_p1 = xp1[:, :-2], xp1[:, 1:-1], xp1[:, 2:]
-    lo_p2, hi_p2 = xp2[:, :-2], xp2[:, 2:]
 
     # p times mid's distances to the tangent cuts above and below it
-    cut = _tangent_cuts(xi[:, :-1], xi[:, 1:], pc)
+    cut, ratio, gap = _cut_terms(xi[:, :-1], xi[:, 1:], pc)
     t_up = pc * (cut[:, 1:] - mid)
     t_dn = pc * (mid - cut[:, :-1])
     residual = t_dn - t_up
 
     # derivatives of the residual at mid w.r.t. each neighbor; s_lo is lo
     # times the one at lo, which stays finite at lo == 0
-    num_hi = q * mid_p + hi_p - pc * mid_p1 * hi
-    d_hi = -q * hi_p2 * num_hi / (mid_p1 - hi_p1) ** 2
-    num_lo = q * mid_p + lo_p - pc * mid_p1 * lo
-    den_lo = (mid_p1 - lo_p1) ** 2
-    d_lo = -q * lo_p2 * num_lo / den_lo
-    s_lo = -q * lo_p1 * num_lo / den_lo
+    d_hi = -pq * (hi - cut[:, 1:]) / (hi * gap[:, 1:])
+    from_lo, ratio_lo, gap_lo = -pq * (cut[:, :-1] - lo), ratio[:, :-1], gap[:, :-1]
+    s_lo = from_lo * np.exp(-q * ratio_lo) / gap_lo
+    # at lo == 0 (ratio inf) the factor (lo/mid)**(p-2) is inf below p = 2
+    # and 0 above; at p == 2 it is 1, where (1 - q) * ratio would be 0 * inf
+    with np.errstate(invalid="ignore"):
+        d_lo = from_lo * np.exp(np.where(q == 1.0, 0.0, (1.0 - q) * ratio_lo)) / (mid * gap_lo)
+    # the residual is homogeneous of degree 1 in the breakpoints (Euler)
     jac_diag = (residual - s_lo - hi * d_hi) / mid
     return _Stationarity(residual, t_up, t_dn, d_lo, d_hi, s_lo, jac_diag)
 
@@ -369,8 +346,10 @@ def gradient_system(pf: PowerFn, bp: Breakpoints) -> GradientSystem:
     """Assemble residual, gradient, Hessian and Newton Jacobian at ``bp``.
 
     Needs at least one interior breakpoint.  ``residual`` is ``2p`` times
-    each ``x_k`` minus the midpoint of its ratio-form cuts; the other entries
-    take ``0**q := 0``, so intervals starting at zero work for every ``p > 1``.
+    each ``x_k`` minus the midpoint of its ratio-form cuts, and every other
+    entry is built from the same cuts (:func:`_stationarity`), so intervals
+    starting at zero work for every ``p > 1``.  There the boundary coupling
+    ``b0`` is its ``lower -> 0`` limit: ``inf`` below ``p = 2``, 0 above.
     """
     if pf.interval != bp.interval:
         raise DomainError("breakpoints cover a different interval than the function")
@@ -380,23 +359,19 @@ def gradient_system(pf: PowerFn, bp: Breakpoints) -> GradientSystem:
     xi = bp.xi
     mid, hi = xi[1:-1], xi[2:]
 
-    batch, ps = xi[None, :], np.array([p])
-    table = _power_table(batch, ps)
-    if _flat_slopes(table)[0]:
-        raise DegenerateTangents(_FLAT_SLOPES)
-    st = _stationarity(batch, ps, table)
+    st = _stationarity(xi[None, :], np.array([p]))
     residual, t_up, t_dn = st.residual[0], st.t_up[0], st.t_dn[0]
-    grad = -(p - 1.0) * table[2, 0, 1:-1] / (6.0 * p) * (t_up**2 - t_dn**2)
+    mid_p2 = mid ** (p - 2.0)
+    grad = -(p - 1.0) * mid_p2 / (6.0 * p) * (t_up**2 - t_dn**2)
 
     # The Hessian coupling of a tangent pair, n1 * n2 / den up to a factor,
     # is w times a product of stationarity terms at an interior point k:
     # t_dn * -d_lo for the pair left of k, t_up * -d_hi at the last k for the
     # last pair.  (x_{k-1}/x_k) times the left coupling is w * t_dn * -s_lo
-    # / x_k, which stays finite at lower == 0.
-    w = (p - 1.0) / (3.0 * p) * table[2, 0, 1:-1]
+    # / x_k, which stays finite at lower == 0, where the left coupling of
+    # the first point diverges below p = 2; only its scaled product is used.
+    w = (p - 1.0) / (3.0 * p) * mid_p2
     coupling = np.append(w * t_dn * -st.d_lo[0], w[-1] * t_up[-1] * -st.d_hi[0, -1])
-    if xi[0] == 0.0 and p < 2.0:
-        coupling[0] = math.inf  # the lo -> 0 limit diverges; only its scaled product is used
     prev_scaled = w * t_dn * -st.s_lo[0] / mid
     hess_diag = (p / mid) * grad + prev_scaled + (hi / mid) * coupling[1:]
     hess_offdiag = coupling[1:-1].copy()

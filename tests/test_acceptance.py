@@ -9,7 +9,8 @@ import math
 import time
 
 import numpy as np
-from conftest import random_power_instance
+import pytest
+from conftest import BAND_ULPS, NARROW_GRIDS, band_excess, random_power_instance
 
 from perspex import (
     Breakpoints,
@@ -237,3 +238,17 @@ def test_criterion_10_exponent_sweep():
     steps = np.diff(result.interior, axis=0)
     ok = bool((steps > 1e-9).all())
     _report(10, ok, f"min coordinate step {float(steps.min()):.3e}")
+
+
+def test_criterion_11_jacobian_bands_on_narrow_intervals():
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    for p, lower, upper, n in NARROW_GRIDS:
+        iv = Interval(lower, upper)
+        worst = max(worst, band_excess(mpmath, PowerFn(p, iv), Breakpoints.equally_spaced(iv, n)))
+    _report(
+        11,
+        worst <= 1.0,
+        f"Jacobian bands on {len(NARROW_GRIDS)} narrow grids vs 60 digits: worst error "
+        f"{worst:.2f} of its bound {BAND_ULPS:g} eps b / min(t - a, b - t)",
+    )

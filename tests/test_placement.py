@@ -6,7 +6,6 @@ from conftest import random_power_instance
 
 from perspex import (
     Breakpoints,
-    DegenerateTangents,
     DomainError,
     Interval,
     MaxIterExceeded,
@@ -256,9 +255,20 @@ class TestNewton:
 
     def test_underflowing_slopes_raise(self):
         # x**149 underflows to 0 at the first breakpoints of [0, 0.01]; the
-        # guard fires before any NaN is formed (warnings fail the suite)
-        with pytest.raises(DegenerateTangents):
+        # ratio-form terms do not, and the residual stops at its rounding
+        # floor, about 2p eps upper = 6.7e-16, far above the default
+        # tolerance of 1e-12 * upper**(p-1) (warnings fail the suite)
+        with pytest.raises(MaxIterExceeded, match=r"no convergence to 1e-310 "):
             newton_optimize(PowerFn(150.0, Interval(0.0, 0.01)), 5)
+
+    def test_huge_interval_raises_no_warning(self):
+        # the power table squared x**(p-1) and overflowed here (warnings
+        # fail the suite); the ratio-form terms stay finite, and p = 2
+        # stops at its equally spaced start
+        iv = Interval(0.0, 1e200)
+        bp, trace = newton_optimize(PowerFn(2.0, iv), 3)
+        assert (bp.xi == Breakpoints.equally_spaced(iv, 3).xi).all()
+        assert trace.converged and math.isfinite(trace.residual_norms[0])
 
     def test_input_validation(self):
         with pytest.raises(DomainError):
@@ -447,10 +457,12 @@ class TestSweep:
             assert str(got.value) == str(err)
 
     def test_underflowing_slopes_raise_for_their_row(self):
+        # the residual floor lies above the default tolerance at p = 150
+        # (TestNewton); the error names the row that ran out of iterations
         iv = Interval(0.0, 0.01)
         assert sweep_optimal_points(iv, 5, [3.0]).interior.shape == (1, 4)
         for grid in ([150.0], [3.0, 150.0]):
-            with pytest.raises(DegenerateTangents, match=r"p=150\.0"):
+            with pytest.raises(MaxIterExceeded, match=r"to 1e-310 .*\(p=150\.0, "):
                 sweep_optimal_points(iv, 5, grid)
 
     def test_grid_validation(self):

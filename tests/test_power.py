@@ -4,12 +4,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import random_power_instance
+from conftest import (
+    BAND_ULPS,
+    NARROW_GRIDS,
+    band_excess,
+    cut_slack,
+    high_precision_cuts,
+    random_power_instance,
+)
 
 from perspex import (
     Breakpoints,
     ConvexFunction,
-    DegenerateTangents,
     DomainError,
     HypothesisViolated,
     Interval,
@@ -187,16 +193,22 @@ class TestClosedForm:
             want = self._reference(mpmath, pf.p, bp.xi)
             assert abs(volume_power_closed_form(pf, bp) - want) <= 2e-15 * want
 
-    def test_underflowing_slopes_raise(self):
+    def test_underflowing_slopes_scale_from_the_unit_interval(self):
         # on [0, 0.01] at p = 150, x**(p-1) underflows to 0 at the first
-        # breakpoints, so every tangent-pair formula would divide by zero;
-        # both raise before forming a NaN (warnings fail the suite)
-        pf = PowerFn(150.0, Interval(0.0, 0.01))
+        # breakpoints; the ratio-form cuts divide by nothing that underflows,
+        # so the volume is 0.01**151 times the [0, 1] one (each within 2e-15
+        # of mpmath, the random-grid bound above) and the residual, a length
+        # times 2p, 0.01 times it (each within 4 * 2p eps upper)
+        p = 150.0
+        pf = PowerFn(p, Interval(0.0, 0.01))
         bp = Breakpoints.equally_spaced(pf.interval, 5)
-        with pytest.raises(DegenerateTangents):
-            volume_power_closed_form(pf, bp)
-        with pytest.raises(DegenerateTangents):
-            gradient_system(pf, bp)
+        unit = PowerFn(p, UNIT)
+        unit_bp = Breakpoints.equally_spaced(UNIT, 5)
+        want = 0.01**151 * volume_power_closed_form(unit, unit_bp)
+        assert volume_power_closed_form(pf, bp) == pytest.approx(want, rel=4e-15, abs=0)
+        got = gradient_system(pf, bp).residual
+        want = 0.01 * gradient_system(unit, unit_bp).residual
+        assert np.abs(got - want).max() <= 2.0 * 4.0 * 2.0 * p * np.finfo(float).eps * 0.01
 
     def test_interval_mismatch(self):
         with pytest.raises(DomainError):
@@ -367,8 +379,11 @@ class TestHessian:
 
     @staticmethod
     def _reference(mpmath, p, xi):
-        """Couplings and Hessian diagonal from their defining formulas, 60 digits."""
+        """Couplings and Hessian diagonal from their defining formulas, 60
+        digits, with the diagonal's sum of term magnitudes and the pairs'
+        :func:`conftest.cut_slack`."""
         with mpmath.workdps(60):
+            slack = cut_slack(xi, high_precision_cuts(mpmath, p, xi))
             p = mpmath.mpf(p)
             q = p - 1
             x = [mpmath.mpf(v) for v in xi.tolist()]
@@ -382,26 +397,46 @@ class TestHessian:
                 return (mid**p + q * nb**p - p * mid * nb**q) / abs(nb**q - mid**q)
 
             c = [coupling(lo, hi) for lo, hi in zip(x[:-1], x[1:])]
-            diag = []
+            diag, scale = [], []
             for k in range(1, len(x) - 1):
                 lo, mid, hi = x[k - 1 : k + 2]
-                grad = -q / (6 * p) * mid ** (p - 2) * (tangent(mid, hi) ** 2 - tangent(mid, lo) ** 2)
-                diag.append(p / mid * grad + lo / mid * c[k - 1] + hi / mid * c[k])
-            return np.array([float(v) for v in c]), np.array([float(v) for v in diag])
+                w = q / (6 * p) * mid ** (p - 2)
+                up, dn = tangent(mid, hi) ** 2, tangent(mid, lo) ** 2
+                couple = lo / mid * c[k - 1] + hi / mid * c[k]
+                diag.append(-p / mid * w * (up - dn) + couple)
+                scale.append(p / mid * w * (up + dn) + couple)
+            return *(np.array([float(v) for v in z]) for z in (c, diag, scale)), slack
 
     def test_matches_high_precision_couplings(self):
-        # float64 couplings lose accuracy to the cancelling numerators n1
-        # and n2: at worst 3.4e-9 on this grid, 2.9e-7 over 5800 grids
-        # drawn the same way
+        # a coupling is w times two cut distances of its pair, b - t and
+        # t - a, times factors of a few roundings, so its relative error is
+        # at most twice a band's (conftest.BAND_ULPS); each term of
+        # hess_diag holds two such distances (grad's, squared)
         mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(211)
         for _ in range(100):
             pf, bp = random_power_instance(rng, n_min=2, n_max=30, positive_lower=True)
             sys = gradient_system(pf, bp)
-            coupling, diag = self._reference(mpmath, pf.p, bp.xi)
-            np.testing.assert_allclose(sys.coupling, coupling, rtol=1e-6, atol=0)
-            np.testing.assert_allclose(sys.hess_offdiag, coupling[1:-1], rtol=1e-6, atol=0)
-            np.testing.assert_allclose(sys.hess_diag, diag, rtol=1e-6, atol=0)
+            coupling, diag, scale, slack = self._reference(mpmath, pf.p, bp.xi)
+            bound = 2.0 * BAND_ULPS * slack
+            assert (np.abs(sys.coupling - coupling) <= bound * coupling).all()
+            assert (np.abs(sys.hess_offdiag - coupling[1:-1]) <= (bound * coupling)[1:-1]).all()
+            diag_bound = np.maximum(bound[:-1], bound[1:]) * scale
+            assert (np.abs(sys.hess_diag - diag) <= diag_bound).all()
+
+    def test_jacobian_bands_match_high_precision(self):
+        # each band is a cut distance, b - t or t - a, times factors of a
+        # few roundings (conftest.BAND_ULPS); the bands that divided
+        # differences of powers were off by a relative 0.27 on [1000,
+        # 1000.001] at n = 40 and by 293 at p = 1.001
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(212)
+        grids = [random_power_instance(rng, n_min=2, n_max=30) for _ in range(400)]
+        for p, lower, upper, n in NARROW_GRIDS:
+            iv = Interval(lower, upper)
+            grids.append((PowerFn(p, iv), Breakpoints.equally_spaced(iv, n)))
+        for pf, bp in grids:
+            assert band_excess(mpmath, pf, bp) <= 1.0, (pf, bp.n)
 
     def test_couplings_positive(self):
         rng = np.random.default_rng(26)
