@@ -21,9 +21,9 @@ import sys
 
 import numpy as np
 
+# every command reads these; placement and mc are imported by the commands
+# that run them, so a process compiles only what its command needs
 from .errors import DomainError, MaxIterExceeded, PerspexError
-from .mc import KERNEL_BACKEND, make_body, mc_volume
-from .placement import newton_optimize, sweep_optimal_points
 from .power import (
     PowerFn,
     RelaxationKind,
@@ -68,7 +68,9 @@ def _resolve_breakpoints(args, pf: PowerFn):
     if args.equal is not None:
         return Breakpoints.equally_spaced(pf.interval, args.equal), None
     if args.optimize is not None:
-        bp, trace = newton_optimize(pf, args.optimize)
+        from . import placement
+
+        bp, trace = placement.newton_optimize(pf, args.optimize)
         return bp, {"iterations": trace.iterations, "direction": trace.direction}
     return None, None
 
@@ -143,8 +145,10 @@ def cmd_volume(args) -> dict:
     if kind is RelaxationKind.PL_PR and bp.n >= 2:
         report["gradient_norm"] = float(np.abs(gradient_system(pf, bp).grad).max())
     if args.check:
-        est = mc_volume(
-            make_body(kind, pf, bp), args.samples, args.seed, args.workers
+        from . import mc
+
+        est = mc.mc_volume(
+            mc.make_body(kind, pf, bp), args.samples, args.seed, args.workers
         )
         report["mc_check"] = {
             "samples": est.samples,
@@ -157,8 +161,10 @@ def cmd_volume(args) -> dict:
 
 
 def cmd_optimize(args) -> dict:
+    from . import placement
+
     pf = _power(args)
-    bp, trace = newton_optimize(pf, args.n, tol=args.tol, max_iter=args.max_iter)
+    bp, trace = placement.newton_optimize(pf, args.n, tol=args.tol, max_iter=args.max_iter)
     return {
         "command": "optimize",
         "p": pf.p,
@@ -175,12 +181,14 @@ def cmd_optimize(args) -> dict:
 
 
 def cmd_sweep(args):
+    from . import placement
+
     iv = _interval(args)
     try:
         grid = [float(tok) for tok in args.p_grid.split(",") if tok.strip()]
     except ValueError:
         raise DomainError(f"could not parse --p-grid value {args.p_grid!r}") from None
-    result = sweep_optimal_points(iv, args.n, grid)
+    result = placement.sweep_optimal_points(iv, args.n, grid)
     if args.format == "json":
         return {
             "command": "sweep",
@@ -239,12 +247,14 @@ def _sigma_distance(ref: float, est) -> dict:
 
 
 def cmd_mc(args) -> dict:
+    from . import mc
+
     pf = _power(args)
     kind = RelaxationKind.from_tag(args.relax)
     bp, _ = _resolve_breakpoints(args, pf)
     _check_breakpoints(kind, bp)
-    body = make_body(kind, pf, bp)
-    est = mc_volume(body, args.samples, args.seed, args.workers)
+    body = mc.make_body(kind, pf, bp)
+    est = mc.mc_volume(body, args.samples, args.seed, args.workers)
     report = {
         "command": "mc",
         "p": pf.p,
@@ -254,7 +264,7 @@ def cmd_mc(args) -> dict:
         "xi": None if bp is None else bp.xi.tolist(),
         "samples": est.samples,
         "seed": est.seed,
-        "backend": KERNEL_BACKEND,
+        "backend": mc.KERNEL_BACKEND,
         "mean": est.mean,
         "stderr": est.stderr,
         "hits": est.hits,

@@ -40,7 +40,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from math import inf, sqrt
+from math import inf, isfinite, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,8 +64,7 @@ _CELLS = np.repeat(np.arange(BLOCK_SIZE // 2, dtype=float), 2).reshape(-1, 2)
 _CELLS.setflags(write=False)
 
 
-@dataclass(frozen=True, eq=False)
-class BodySpec:
+class BodySpec(NamedTuple):
     """One relaxation body reduced to the data its column kernel reads.
 
     ``cone_volume``, ``upper_height`` and ``lower_height`` describe the cone
@@ -75,7 +75,7 @@ class BodySpec:
     that piece ``k`` holds the offsets from ``cuts[k - 1]`` up to
     ``cuts[k]``; and ``columns``, one row per coefficient and one column per
     piece (``_columns.tangent_columns`` for plpr, ``_columns.moments`` for
-    plenr).  The smooth kinds carry neither.
+    plenr).  The smooth kinds carry neither.  Equal only to itself.
     """
 
     kind: RelaxationKind
@@ -87,6 +87,8 @@ class BodySpec:
     unit: float  # the unit of the kernel's columns: f(lower) where rise is set, else f(upper)
     cuts: np.ndarray | None
     columns: np.ndarray | None
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     @property
     def cone_volume(self) -> float:
@@ -198,7 +200,8 @@ def mc_volume(
     one pass over the same draws.  A different ``samples`` moves every
     stratum, so it redraws every column.  ``samples`` and ``seed`` must be
     integers; ``workers`` is accepted, must be ``None`` or an integer ``>=
-    0``, and has no effect.
+    0``, and has no effect.  Raises :class:`DomainError` when the mean or
+    its standard error overflows floats.
     """
     samples, seed = _integer("samples", samples), _integer("seed", seed)
     if workers is not None and _integer("workers", workers) < 0:
@@ -225,9 +228,15 @@ def mc_volume(
         spread += float(np.dot(d, d))
 
     scale = body.interval.width * body.unit / 3.0
+    mean, stderr = scale * total / (2 * strata), scale * sqrt(spread / 4.0) / strata
+    if not (isfinite(mean) and isfinite(stderr)):
+        raise DomainError(
+            f"the {body.kind.value} estimate of x**{body.p!r} on "
+            f"[{body.interval.lower!r}, {body.interval.upper!r}] overflows floats"
+        )
     return McEstimate(
-        mean=scale * total / (2 * strata),
-        stderr=scale * sqrt(spread / 4.0) / strata,
+        mean=mean,
+        stderr=stderr,
         samples=2 * strata,
         seed=seed,
         hits=hits,

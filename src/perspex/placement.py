@@ -13,7 +13,7 @@ sweeps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -124,7 +124,6 @@ def solve_tridiagonal(sub, diag, sup, rhs) -> np.ndarray:
     return x if lead else x[0]
 
 
-@dataclass(eq=False)
 class NewtonTrace:
     """Record of one Newton run.
 
@@ -138,11 +137,12 @@ class NewtonTrace:
     number is exact, at the cost of one extra tridiagonal solve.
     """
 
-    iterates: list[Breakpoints] = field(default_factory=list)
-    residual_norms: list[float] = field(default_factory=list)
-    condition_numbers: list[float] = field(default_factory=list)
-    direction: str = "stationary-at-start"
-    converged: bool = False
+    def __init__(self) -> None:
+        self.iterates: list[Breakpoints] = []
+        self.residual_norms: list[float] = []
+        self.condition_numbers: list[float] = []
+        self.direction = "stationary-at-start"
+        self.converged = False
 
     @property
     def iterations(self) -> int:
@@ -336,8 +336,7 @@ def newton_optimize(
     return trace.iterates[-1], trace
 
 
-@dataclass(frozen=True)
-class SinglePointBounds:
+class SinglePointBounds(NamedTuple):
     """Analytic bracket for the optimal single interior breakpoint.
 
     ``lower < xi_1 < upper`` always holds for the minimizer; at ``p = 2``
@@ -391,8 +390,7 @@ def single_point_bounds(pf: PowerFn) -> SinglePointBounds:
     )
 
 
-@dataclass(frozen=True)
-class BracketGap:
+class BracketGap(NamedTuple):
     """Normalized single-point bracket width at endpoint ratio ``t = lower/upper``.
 
     Positive for ``1 < p < 2``, exactly zero at ``p = 2``, negative for
@@ -438,14 +436,16 @@ def min_bracket_gap() -> tuple[float, float]:
     return p0, bracket_gap(p0, 0.0).value
 
 
-@dataclass(frozen=True, eq=False)
-class SweepResult:
-    """Optimal interior breakpoints per exponent, one row per grid entry."""
+class SweepResult(NamedTuple):
+    """Optimal interior breakpoints per exponent, one row per grid entry.
+    Equal only to itself."""
 
     interval: Interval
     n: int
     p: np.ndarray
     interior: np.ndarray  # shape (len(p), n - 1)
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
 def sweep_optimal_points(iv: Interval, n: int, p_grid) -> SweepResult:

@@ -17,7 +17,6 @@ coupling ``b0`` takes a limit at ``lower == 0``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -69,18 +68,17 @@ class RelaxationKind(Enum):
         return self in (RelaxationKind.PL_PR, RelaxationKind.PL_E_NR)
 
 
-@dataclass(frozen=True)
-class PowerFn:
+class PowerFn(NamedTuple("PowerFn", [("p", float), ("interval", Interval)])):
     """``f(x) = x**p`` on an interval, with a finite ``p > 1`` and a safety margin."""
 
-    p: float
-    interval: Interval
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.p >= _MIN_P:
-            raise DomainError(f"exponent must be at least {_MIN_P}, got {self.p}")
-        if not math.isfinite(self.p):
-            raise DomainError(f"exponent must be finite, got {self.p}")
+    def __new__(cls, p: float, interval: Interval):
+        if not p >= _MIN_P:
+            raise DomainError(f"exponent must be at least {_MIN_P}, got {p}")
+        if not math.isfinite(p):
+            raise DomainError(f"exponent must be finite, got {p}")
+        return super().__new__(cls, p, interval)
 
     def __call__(self, x):
         return x**self.p
@@ -97,8 +95,10 @@ class _PowerOracle(ConvexFunction):
     """``PowerFn.oracle()``: values in two array powers, cuts in ratio form,
     and no positivity probe."""
 
-    def __post_init__(self) -> None:  # x**p is positive by construction
-        pass
+    __slots__ = ()
+
+    def __new__(cls, fn, deriv, interval):  # x**p is positive by construction
+        return super(ConvexFunction, cls).__new__(cls, fn, deriv, interval)
 
     def _values(self, xi):
         p = self.fn.p
@@ -294,8 +294,7 @@ def _stationarity(xi: np.ndarray, p: np.ndarray) -> _Stationarity:
     return _Stationarity(residual, t_up, t_dn, d_lo, d_hi, s_lo, jac_diag)
 
 
-@dataclass(frozen=True, eq=False)
-class GradientSystem:
+class GradientSystem(NamedTuple):
     """First- and second-order data of the volume at fixed breakpoints.
 
     ``residual`` is the rescaled stationarity system whose unique zero is
@@ -304,6 +303,7 @@ class GradientSystem:
     tridiagonal matrix with diagonal ``hess_diag`` and off-diagonal
     ``-hess_offdiag``; the Newton Jacobian of ``residual`` is the separate
     (non-symmetric) tridiagonal held in ``jac_sub/jac_diag/jac_sup``.
+    Equal only to itself.
     """
 
     p: float
@@ -316,6 +316,8 @@ class GradientSystem:
     jac_sub: np.ndarray
     jac_diag: np.ndarray
     jac_sup: np.ndarray
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     @property
     def b0(self) -> float:
@@ -350,6 +352,7 @@ def gradient_system(pf: PowerFn, bp: Breakpoints) -> GradientSystem:
     entry is built from the same cuts (:func:`_stationarity`), so intervals
     starting at zero work for every ``p > 1``.  There the boundary coupling
     ``b0`` is its ``lower -> 0`` limit: ``inf`` below ``p = 2``, 0 above.
+    Raises :class:`DomainError` when the gradient overflows floats.
     """
     if pf.interval != bp.interval:
         raise DomainError("breakpoints cover a different interval than the function")
@@ -362,7 +365,13 @@ def gradient_system(pf: PowerFn, bp: Breakpoints) -> GradientSystem:
     st = _stationarity(xi[None, :], np.array([p]))
     residual, t_up, t_dn = st.residual[0], st.t_up[0], st.t_dn[0]
     mid_p2 = mid ** (p - 2.0)
-    grad = -(p - 1.0) * mid_p2 / (6.0 * p) * (t_up**2 - t_dn**2)
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        grad = -(p - 1.0) * mid_p2 / (6.0 * p) * (t_up**2 - t_dn**2)
+    if not np.isfinite(grad).all():
+        iv = pf.interval
+        raise DomainError(
+            f"the volume gradient of x**{p!r} on [{iv.lower!r}, {iv.upper!r}] overflows floats"
+        )
 
     # The Hessian coupling of a tangent pair, n1 * n2 / den up to a factor,
     # is w times a product of stationarity terms at an interior point k:

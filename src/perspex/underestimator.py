@@ -15,9 +15,8 @@ fan triangulation rooted at the left endpoint delivers in linear time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,47 +29,44 @@ _SLOPE_GAP_RTOL = 1e-12
 _CHEBYSHEV_NODES = 64
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple("Interval", [("lower", float), ("upper", float)])):
     """Operating range ``[lower, upper]`` with ``0 <= lower < upper``."""
 
-    lower: float
-    upper: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+    def __new__(cls, lower: float, upper: float):
+        if not (math.isfinite(lower) and math.isfinite(upper)):
             raise DomainError("interval endpoints must be finite")
-        if not 0.0 <= self.lower < self.upper:
-            raise DomainError(
-                f"need 0 <= lower < upper, got [{self.lower}, {self.upper}]"
-            )
+        if not 0.0 <= lower < upper:
+            raise DomainError(f"need 0 <= lower < upper, got [{lower}, {upper}]")
+        return super().__new__(cls, lower, upper)
 
     @property
     def width(self) -> float:
         return self.upper - self.lower
 
 
-@dataclass(frozen=True, eq=False)
-class Breakpoints:
+class Breakpoints(NamedTuple("Breakpoints", [("interval", Interval), ("xi", np.ndarray)])):
     """Linearization abscissae pinned to the interval endpoints.
 
     ``xi`` has length ``n + 1``, starts at ``interval.lower``, ends at
     ``interval.upper`` and is strictly increasing.  ``n >= 1`` linear pieces.
+    ``xi`` is a read-only copy.  Equal only to itself.
     """
 
-    interval: Interval
-    xi: np.ndarray
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-    def __post_init__(self) -> None:
-        xi = np.array(self.xi, dtype=float)
+    def __new__(cls, interval: Interval, xi):
+        xi = np.array(xi, dtype=float)
         xi.setflags(write=False)
-        object.__setattr__(self, "xi", xi)
         if xi.ndim != 1 or xi.size < 2:
             raise DomainError("need at least two breakpoints")
-        if xi[0] != self.interval.lower or xi[-1] != self.interval.upper:
+        if xi[0] != interval.lower or xi[-1] != interval.upper:
             raise DomainError("first/last breakpoint must equal the interval endpoints")
         if not (np.diff(xi) > 0.0).all():
             raise DomainError("breakpoints must be strictly increasing")
+        return super().__new__(cls, interval, xi)
 
     @property
     def n(self) -> int:
@@ -100,28 +96,38 @@ class Breakpoints:
         return Breakpoints(self.interval, np.sort(np.append(self.xi, float(x))))
 
 
-@dataclass(frozen=True, eq=False)
-class ConvexFunction:
+class ConvexFunction(
+    NamedTuple(
+        "ConvexFunction",
+        [
+            ("fn", Callable[[float], float]),
+            ("deriv", Callable[[float], float]),
+            ("interval", Interval),
+        ],
+    )
+):
     """Black-box convex function with derivative access on an interval.
 
     Positivity is spot-checked at 64 interior Chebyshev nodes at
     construction time; convexity itself is the caller's contract and is
     only probed by :meth:`_cuts`.  ``PowerFn.oracle()`` subclasses it.
+    Equal only to itself.
     """
 
-    fn: Callable[[float], float]
-    deriv: Callable[[float], float]
-    interval: Interval
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-    def __post_init__(self) -> None:
-        mid = 0.5 * (self.interval.lower + self.interval.upper)
-        half = 0.5 * self.interval.width
+    def __new__(cls, fn: Callable[[float], float], deriv: Callable[[float], float],
+                interval: Interval):
+        mid = 0.5 * (interval.lower + interval.upper)
+        half = 0.5 * interval.width
         theta = (2.0 * np.arange(1, _CHEBYSHEV_NODES + 1) - 1.0) * (
             np.pi / (2.0 * _CHEBYSHEV_NODES)
         )
         for x in mid + half * np.cos(theta):
-            if not float(self.fn(float(x))) > 0.0:
+            if not float(fn(float(x))) > 0.0:
                 raise DomainError(f"function must be positive on the interval, f({x}) <= 0")
+        return super().__new__(cls, fn, deriv, interval)
 
     def _values(self, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(f(xi), f'(xi))``, one call of ``fn`` and ``deriv`` per point."""
@@ -145,30 +151,28 @@ class ConvexFunction:
         return (intercept[1:] - intercept[:-1]) / (dfx[:-1] - dfx[1:])
 
 
-@dataclass(frozen=True, eq=False)
-class PLUnderEstimator:
+class PLUnderEstimator(NamedTuple("PLUnderEstimator", [("x", np.ndarray), ("y", np.ndarray)])):
     """Graph vertices of the piecewise-linear under-estimator.
 
     ``x`` has length ``n + 2``: the interval endpoints plus the ``n``
     tangent-intersection abscissae, strictly increasing.  ``y`` holds the
     matching ordinates; between consecutive vertices the function is the
-    connecting chord.
+    connecting chord.  Both are read-only copies.  Equal only to itself.
     """
 
-    x: np.ndarray
-    y: np.ndarray
+    # no __slots__: the cached slopes live in the instance __dict__
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-    def __post_init__(self) -> None:
-        x = np.array(self.x, dtype=float)
-        y = np.array(self.y, dtype=float)
+    def __new__(cls, x, y):
+        x = np.array(x, dtype=float)
+        y = np.array(y, dtype=float)
         x.setflags(write=False)
         y.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
         if x.ndim != 1 or x.size < 3 or x.shape != y.shape:
             raise DomainError("need matching vertex vectors of length >= 3")
         if not (np.diff(x) > 0.0).all():
             raise DomainError("vertex abscissae must be strictly increasing")
+        return super().__new__(cls, x, y)
 
     @property
     def n(self) -> int:

@@ -6,7 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from perspex import Breakpoints, Interval, McEstimate, PowerFn, RelaxationKind, cli
+from perspex import Breakpoints, Interval, McEstimate, PowerFn, RelaxationKind
 from perspex.cli import main
 from perspex.power import closed_form_volume, volume_power_closed_form
 
@@ -229,7 +229,8 @@ class TestMc:
             mean = 1.0 / 18.0 if agrees else 0.0
             return McEstimate(mean, 0.0, samples, seed, 0, body.cone_volume)
 
-        monkeypatch.setattr(cli, "mc_volume", no_spread)
+        # the CLI reads mc_volume from its module at call time
+        monkeypatch.setattr("perspex.mc.mc_volume", no_spread)
         common = ("--p", "2", "--l", "0", "--u", "1", "--relax", "pr", "--check",
                   "--samples", "20000", "--seed", "1")
         mc_report = run_json("mc", *common)
@@ -334,10 +335,12 @@ class TestOutputContracts:
             code, out, err = run_cli(*argv)
             assert code == 2 and out == "" and err.startswith("error: DomainError")
             assert "Warning" not in err
-        # volumes and piece-count bounds that overflow floats; optimize's
-        # solver terms do not, so its one line is the volume's (warnings fail
-        # the suite)
+        # volumes, estimates and piece-count bounds that overflow floats;
+        # optimize's solver terms do not, so its one line is the volume's
+        # (warnings fail the suite)
         for argv in (
+            ("mc", "--p", "200", "--l", "0", "--u", "33.9", "--relax", "plenr",
+             "--equal", "4", "--samples", "65536", "--seed", "1"),
             ("volume", "--p", "2", "--l", "0", "--u", "1e200", "--relax", "plpr", "--equal", "3"),
             ("optimize", "--p", "2", "--l", "0", "--u", "1e200", "--n", "3"),
             ("volume", "--p", "3", "--l", "0", "--u", "1e120", "--relax", "plpr", "--equal", "3"),

@@ -211,6 +211,17 @@ class TestEstimates:
         assert 0.0 < est.stderr < np.inf
         assert abs(est.mean - closed_form_volume(RelaxationKind(kind), pf, None)) <= 4.0 * est.stderr
 
+    def test_overflowing_estimate_raises_domain_error(self):
+        # the body fits (its closed form is 6.19e306) but the scaled sum of
+        # its column lengths does not: no inf estimate, and no warning
+        iv = Interval(0.0, 33.9)
+        body = make_body(RelaxationKind.PL_E_NR, PowerFn(200.0, iv),
+                         Breakpoints.equally_spaced(iv, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"plenr estimate .* overflows floats"):
+                mc_volume(body, 65_536, seed=1)
+
     def test_validation(self):
         body = make_body(RelaxationKind.NR, PowerFn(2.0, UNIT))
         # the pilot of one chunk must be a valid budget

@@ -266,6 +266,13 @@ class TestGradient:
         with pytest.raises(DomainError):
             gradient_system(PowerFn(3.0, UNIT), Breakpoints(UNIT, [0.0, 1.0]))
 
+    def test_overflowing_gradient_raises(self):
+        # the true gradient is about 1e400: a typed error, not NaN after
+        # overflow warnings (warnings fail the suite)
+        iv = Interval(0.0, 1e200)
+        with pytest.raises(DomainError, match="volume gradient .* overflows floats"):
+            gradient_system(PowerFn(2.0, iv), Breakpoints.equally_spaced(iv, 3))
+
     @pytest.mark.parametrize(
         "p,lower,upper,n",
         [(1.001, 6.63392, 6.633921, 5), (3.0, 1000.0, 1000.001, 4), (1.2, 10.0, 10.0001, 30),
