@@ -21,8 +21,9 @@ pieces):
   upper log-uniform on [1, 100], lower 0 or 0.15 of upper, 2 to 64 equal
   pieces).  Before each op a numpy task evicts the caches, as the
   workload's reference task does between ops; then the inputs
-  (``PowerFn``, ``Breakpoints.equally_spaced``), ``make_body`` and one
-  ``mc.BLOCK_SIZE`` call of ``mc_volume`` are timed separately.  Medians
+  (``Interval``, ``PowerFn``), the breakpoints (``Breakpoints.equally_spaced``,
+  piecewise-linear kinds only), ``make_body`` and one ``mc.BLOCK_SIZE``
+  call of ``mc_volume`` are timed separately.  Medians
   over ``COLD_OPS`` ops per kind, in microseconds, and the digest of the
   ops' estimates.
 
@@ -197,27 +198,28 @@ def _cold_inputs(kind, count, seed):
 def bench_cold(count, seed):
     rows, digest = {}, hashlib.sha256()
     for kind in RelaxationKind:
-        inputs, body_us, call_us = [], [], []
+        steps = []  # per op: inputs, breakpoints, make_body, mc_volume
         for p, lower, upper, n, op_seed in _cold_inputs(kind, count, seed):
             _evict()
             t0 = time.perf_counter()
             iv = Interval(lower, upper)
             pf = PowerFn(p, iv)
-            bp = Breakpoints.equally_spaced(iv, n) if kind.piecewise_linear else None
             t1 = time.perf_counter()
-            body = make_body(kind, pf, bp)
+            bp = Breakpoints.equally_spaced(iv, n) if kind.piecewise_linear else None
             t2 = time.perf_counter()
-            est = mc_volume(body, mc.BLOCK_SIZE, op_seed)
+            body = make_body(kind, pf, bp)
             t3 = time.perf_counter()
-            inputs.append((t1 - t0) * 1e6)
-            body_us.append((t2 - t1) * 1e6)
-            call_us.append((t3 - t2) * 1e6)
+            est = mc_volume(body, mc.BLOCK_SIZE, op_seed)
+            t4 = time.perf_counter()
+            steps.append([(b - a) * 1e6 for a, b in ((t0, t1), (t1, t2), (t2, t3), (t3, t4))])
             digest.update(f"{est.hits},{est.samples},{est.mean!r},{est.stderr!r};".encode())
+        inputs, breakpoints, body_us, call_us = zip(*steps)
         rows[kind.value] = {
             "inputs_us": statistics.median(inputs),
+            "breakpoints_us": statistics.median(breakpoints),
             "make_body_us": statistics.median(body_us),
             "mc_volume_us": statistics.median(call_us),
-            "op_us": statistics.median(a + b + c for a, b, c in zip(inputs, body_us, call_us)),
+            "op_us": statistics.median(map(sum, steps)),
             "ops": count,
         }
     return {"kinds": rows, "digest": digest.hexdigest()[:16]}
@@ -262,10 +264,11 @@ def main():
           f"digest {t['digest']}")
     c = result["cold"]
     print(f"\ncold ops after a cache-evicting task, medians over {COLD_OPS} per kind, us")
-    print(f"{'kind':6s} {'inputs':>8s} {'make_body':>10s} {'mc_volume':>10s} {'op':>8s}")
+    print(f"{'kind':6s} {'inputs':>8s} {'breakpoints':>12s} {'make_body':>10s} "
+          f"{'mc_volume':>10s} {'op':>8s}")
     for name, row in c["kinds"].items():
-        print(f"{name:6s} {row['inputs_us']:8.1f} {row['make_body_us']:10.1f} "
-              f"{row['mc_volume_us']:10.1f} {row['op_us']:8.1f}")
+        print(f"{name:6s} {row['inputs_us']:8.1f} {row['breakpoints_us']:12.1f} "
+              f"{row['make_body_us']:10.1f} {row['mc_volume_us']:10.1f} {row['op_us']:8.1f}")
     print(f"digest {c['digest']}; peak RSS {result['ru_maxrss_mb']:.1f} MB")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:

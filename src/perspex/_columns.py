@@ -295,7 +295,9 @@ def count_hits(body, t):
     """``(hits, h)`` of one chunk of columns at the offsets ``t = (w -
     lower) / width``: the number of columns that meet the body, and each
     column's length ``h(w)`` in it as ``3 h / body.unit``, clipped at 0
-    against rounding, in the shape of ``t``.
+    against rounding, in the shape of ``t``.  ``t`` may have any shape and
+    order; the piecewise-linear kinds' piece lookup runs fastest on rows
+    of increasing offsets, the layout ``mc.mc_volume`` draws.
 
     The body's volume is ``width`` times the mean of ``h(w)`` over ``w``
     uniform on ``[lower, upper]``.

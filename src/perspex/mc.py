@@ -24,14 +24,18 @@ no tangent under-estimator.
 
 Sampling is stratified with two columns per stratum.  ``samples // 2``
 equal intervals of ``w`` tile ``[lower, upper]``, and each takes its two
-offsets ``t = (w - lower) / width`` from consecutive draws of one stream,
-``PCG64(SeedSequence(seed))``, in stratum order.  The estimate is
-``width`` times the mean of ``h``, and its standard error comes from each
-stratum's pair difference, ``width * sqrt(sum((h1 - h2)**2) / 4) /
-strata``; both are plain sums of the kernel's lengths, which it returns in
-a unit of the body's (``BodySpec.unit``) so that no square over- or
-underflows, and ``width``, the unit and the kernel's factor 3 scale the
-sums once.  Columns are scored in chunks of ``BLOCK_SIZE``, which keeps
+offsets ``t = (w - lower) / width`` from one stream,
+``PCG64(SeedSequence(seed))``, chunk by chunk.  A chunk of ``rows`` strata
+draws ``2 rows`` uniforms as two rows of ``rows``: row ``j`` holds column
+``j`` of every stratum, so the chunk's stratum ``i`` takes its draws ``i``
+and ``rows + i``.  Each row then lists its offsets stratum by stratum, in
+increasing order, and the kernel's piece lookup searches sorted keys.
+The estimate is ``width`` times the mean of ``h``, and its standard error
+comes from each stratum's pair difference, ``width * sqrt(sum((h1 -
+h2)**2) / 4) / strata``; both are plain sums of the kernel's lengths,
+which it returns in a unit of the body's (``BodySpec.unit``) so that no
+square over- or underflows, and ``width``, the unit and the kernel's
+factor 3 scale the sums once.  Columns are scored in chunks of ``BLOCK_SIZE``, which keeps
 every temporary cache-sized, and the chunks' sums are added in stratum
 order on the calling thread.
 """
@@ -59,8 +63,8 @@ BLOCK_SIZE = 1 << 13  # columns per kernel call
 # 1/sqrt(2 * 2048) = 1.6%, and a 4-sigma bound to about 0.06 sigma
 MIN_SAMPLES = 1 << 12
 
-# stratum index of each column of a chunk, laid out as the draws: a stratum per row
-_CELLS = np.repeat(np.arange(BLOCK_SIZE // 2, dtype=float), 2).reshape(-1, 2)
+# stratum index of each column of a chunk, laid out as the draws: a stratum per column
+_CELLS = np.tile(np.arange(BLOCK_SIZE // 2, dtype=float), (2, 1))
 _CELLS.setflags(write=False)
 
 
@@ -198,10 +202,13 @@ def mc_volume(
     count it scored.  Deterministic in ``(seed, samples)``: rerunning never
     changes a bit of the estimate, and scoring in chunks gives the bits of
     one pass over the same draws.  A different ``samples`` moves every
-    stratum, so it redraws every column.  ``samples`` and ``seed`` must be
-    integers; ``workers`` is accepted, must be ``None`` or an integer ``>=
-    0``, and has no effect.  Raises :class:`DomainError` when the mean or
-    its standard error overflows floats.
+    stratum, so it redraws every column.  Each chunk of ``rows`` strata
+    draws its uniforms as two rows, so its stratum ``i`` takes draws ``i``
+    and ``rows + i`` of the chunk, and the kernel gets two runs of offsets,
+    each increasing.  ``samples`` and ``seed`` must be integers;
+    ``workers`` is accepted, must be ``None`` or an integer ``>= 0``, and
+    has no effect.  Raises :class:`DomainError` when the mean or its
+    standard error overflows floats.
     """
     samples, seed = _integer("samples", samples), _integer("seed", seed)
     if workers is not None and _integer("workers", workers) < 0:
@@ -216,13 +223,14 @@ def mc_volume(
     hits, total, spread = 0, 0.0, 0.0
     for start in range(0, strata, BLOCK_SIZE // 2):
         stop = min(start + BLOCK_SIZE // 2, strata)
-        # per stratum, one row: the offsets (w - lower) / width of its two columns
-        t = gen.random((stop - start, 2))
-        cells = _CELLS[: stop - start]
+        # per column of the strata, one row: the offsets (w - lower) / width,
+        # increasing along each row
+        t = gen.random((2, stop - start))
+        cells = _CELLS[:, : stop - start]
         t += (cells + start) if start else cells  # exact integers: one rounding
         t /= strata  # a quotient of at most strata by strata: never past upper
         count, h = _kernel.count_hits(body, t)
-        d = h[:, 0] - h[:, 1]
+        d = h[0] - h[1]
         hits += count
         total += float(h.sum())
         spread += float(np.dot(d, d))

@@ -31,7 +31,7 @@ from .power import (
     is_quadratic,
     volume_quadratic,
 )
-from .underestimator import Breakpoints, Interval
+from .underestimator import Breakpoints, Interval, _equal_spacing
 
 # Slack for the per-coordinate direction guard on canonical-start runs.
 _MONOTONE_SLACK = 1e-12
@@ -320,7 +320,7 @@ def newton_optimize(
 
     canonical = start is None
     if canonical:
-        xi = np.linspace(lo, up, n + 1)
+        xi = _equal_spacing(iv, n)
     else:
         interior = np.asarray(start, dtype=float).ravel()
         if interior.size != n - 1:
@@ -473,7 +473,7 @@ def sweep_optimal_points(iv: Interval, n: int, p_grid) -> SweepResult:
         raise DomainError(_NEED_INTERIOR)
     tol = [_default_tol(p, iv.upper) for p in ps]
     rows = next((k for k, t in enumerate(tol) if not t > 0.0), len(ps))
-    xi = np.tile(np.linspace(iv.lower, iv.upper, n + 1), (rows, 1))
+    xi = np.tile(_equal_spacing(iv, n), (rows, 1))
     error = _newton_rows(iv, ps[:rows], tol[:rows], _MAX_ITER, xi)
     if error is None and rows < len(ps):
         error = DomainError(_NEED_TOL)

@@ -28,6 +28,7 @@ from .underestimator import (
     ConvexFunction,
     Interval,
     _check_brackets,
+    _validated_make,
     build_underestimator,
 )
 
@@ -79,6 +80,8 @@ class PowerFn(NamedTuple("PowerFn", [("p", float), ("interval", Interval)])):
         if not math.isfinite(p):
             raise DomainError(f"exponent must be finite, got {p}")
         return super().__new__(cls, p, interval)
+
+    _make = classmethod(_validated_make)
 
     def __call__(self, x):
         return x**self.p
@@ -179,7 +182,9 @@ def _cut_terms(a: np.ndarray, b: np.ndarray, p) -> tuple[np.ndarray, np.ndarray,
         ratio = np.log1p((b - a) / a)
     gap = -np.expm1(-q * ratio)
     t = b * (q / p) * (np.expm1(-p * ratio) / -gap)
-    return np.clip(t, a, b), ratio, gap
+    np.maximum(t, a, out=t)
+    np.minimum(t, b, out=t)
+    return t, ratio, gap
 
 
 # The 16-point Gauss-Legendre rule on [0, 1], each node and weight rounded

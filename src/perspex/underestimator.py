@@ -29,6 +29,24 @@ _SLOPE_GAP_RTOL = 1e-12
 _CHEBYSHEV_NODES = 64
 
 
+def _validated_make(cls, iterable):
+    """namedtuple's ``_make`` through the validating ``__new__``, so that
+    ``_make`` and ``_replace`` check what the constructor checks."""
+    return cls(*iterable)
+
+
+def _equal_spacing(interval: Interval, n: int) -> np.ndarray:
+    """``np.linspace(lower, upper, n + 1)`` by its own arithmetic, ``i *
+    (width / n) + lower`` with ``upper`` last, so bit for bit the same
+    wherever the step ``width / n`` does not underflow to 0 (and there
+    neither is strictly increasing).  A fresh writable array."""
+    xi = np.arange(n + 1.0)
+    xi *= interval.width / n
+    xi += interval.lower
+    xi[-1] = interval.upper
+    return xi
+
+
 class Interval(NamedTuple("Interval", [("lower", float), ("upper", float)])):
     """Operating range ``[lower, upper]`` with ``0 <= lower < upper``."""
 
@@ -40,6 +58,8 @@ class Interval(NamedTuple("Interval", [("lower", float), ("upper", float)])):
         if not 0.0 <= lower < upper:
             raise DomainError(f"need 0 <= lower < upper, got [{lower}, {upper}]")
         return super().__new__(cls, lower, upper)
+
+    _make = classmethod(_validated_make)
 
     @property
     def width(self) -> float:
@@ -64,9 +84,11 @@ class Breakpoints(NamedTuple("Breakpoints", [("interval", Interval), ("xi", np.n
             raise DomainError("need at least two breakpoints")
         if xi[0] != interval.lower or xi[-1] != interval.upper:
             raise DomainError("first/last breakpoint must equal the interval endpoints")
-        if not (np.diff(xi) > 0.0).all():
+        if not (xi[1:] > xi[:-1]).all():
             raise DomainError("breakpoints must be strictly increasing")
         return super().__new__(cls, interval, xi)
+
+    _make = classmethod(_validated_make)
 
     @property
     def n(self) -> int:
@@ -81,7 +103,7 @@ class Breakpoints(NamedTuple("Breakpoints", [("interval", Interval), ("xi", np.n
     def equally_spaced(cls, interval: Interval, n: int) -> "Breakpoints":
         if n < 1:
             raise DomainError("need n >= 1 pieces")
-        return cls(interval, np.linspace(interval.lower, interval.upper, n + 1))
+        return cls(interval, _equal_spacing(interval, n))
 
     @classmethod
     def from_interior(cls, interval: Interval, interior) -> "Breakpoints":
@@ -129,6 +151,8 @@ class ConvexFunction(
                 raise DomainError(f"function must be positive on the interval, f({x}) <= 0")
         return super().__new__(cls, fn, deriv, interval)
 
+    _make = classmethod(_validated_make)
+
     def _values(self, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(f(xi), f'(xi))``, one call of ``fn`` and ``deriv`` per point."""
         fx = np.array([float(self.fn(float(t))) for t in xi])
@@ -173,6 +197,8 @@ class PLUnderEstimator(NamedTuple("PLUnderEstimator", [("x", np.ndarray), ("y", 
         if not (np.diff(x) > 0.0).all():
             raise DomainError("vertex abscissae must be strictly increasing")
         return super().__new__(cls, x, y)
+
+    _make = classmethod(_validated_make)
 
     @property
     def n(self) -> int:

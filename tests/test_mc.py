@@ -38,14 +38,25 @@ def _lengths(body, t):
         body.unit / 3.0)
 
 
-def _one_pass(seed, samples):
-    """The offsets ``mc_volume`` scores for ``samples``, drawn in one pass,
-    of shape ``(strata, 2)``: row ``i`` holds stratum ``i``'s two offsets,
-    ``(u + i) / strata`` for draws ``2i`` and ``2i + 1`` of
-    ``PCG64(SeedSequence(seed))``."""
+def _draws(seed, samples):
+    """The uniforms ``mc_volume`` draws for ``samples``, laid out as its
+    chunks use them, of shape ``(2, strata)``: a chunk of ``rows`` strata
+    takes the stream's next ``2 rows`` draws of ``PCG64(SeedSequence(seed))``
+    as two rows of ``rows``, so its stratum ``i`` takes its draws ``i`` and
+    ``rows + i``."""
     strata = samples // 2
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    return (gen.random((strata, 2)) + np.arange(strata)[:, None]) / strata
+    half = mc_mod.BLOCK_SIZE // 2
+    return np.concatenate(
+        [gen.random((2, min(half, strata - start))) for start in range(0, strata, half)], axis=1)
+
+
+def _one_pass(seed, samples):
+    """The offsets ``mc_volume`` scores for ``samples``, drawn in one pass,
+    of shape ``(2, strata)``: column ``i`` holds stratum ``i``'s two
+    offsets, ``(u + i) / strata`` for its two draws (:func:`_draws`)."""
+    strata = samples // 2
+    return (_draws(seed, samples) + np.arange(strata)) / strata
 
 
 class TestDeterminism:
@@ -86,9 +97,9 @@ class TestDeterminism:
         assert mc_volume(body, 20_002, seed=9).mean != mc_volume(body, 20_000, seed=9).mean
 
     def test_block_streams_are_pure_functions_of_seed_and_index(self, monkeypatch):
-        # the uniforms behind chunk b are the stream's draws for strata b *
-        # BLOCK_SIZE / 2 onwards, whatever the budget: a larger budget moves
-        # the strata, not the draws of the chunks they share
+        # the uniforms behind chunk b are the stream's draws b * BLOCK_SIZE
+        # onwards, two rows of BLOCK_SIZE / 2, whatever the budget: a larger
+        # budget moves the strata, not the draws of the chunks they share
         seen = []
         count_hits = mc_mod._kernel.count_hits
 
@@ -98,15 +109,20 @@ class TestDeterminism:
 
         monkeypatch.setattr(mc_mod._kernel, "count_hits", recording)
         body = make_body(RelaxationKind.NR, PowerFn(2.0, UNIT))
+        half = mc_mod.BLOCK_SIZE // 2
+        u = np.random.Generator(np.random.PCG64(np.random.SeedSequence(9))).random(
+            3 * mc_mod.BLOCK_SIZE)
         offsets = {}
         for blocks in (2, 3):
             seen.clear()
-            strata = blocks * mc_mod.BLOCK_SIZE // 2
+            strata = blocks * half
             mc_volume(body, 2 * strata, seed=9)
-            cell = np.arange(mc_mod.BLOCK_SIZE // 2)[:, None]  # a stratum per row
-            offsets[blocks] = [
-                t * strata - (cell + b * mc_mod.BLOCK_SIZE // 2) for b, t in enumerate(seen)
-            ]
+            assert len(seen) == blocks
+            cell = np.arange(half)  # a stratum per entry of each row
+            for b, t in enumerate(seen):
+                draws = u[b * mc_mod.BLOCK_SIZE:(b + 1) * mc_mod.BLOCK_SIZE].reshape(2, half)
+                assert (t == (draws + (cell + b * half)) / strata).all(), (blocks, b)
+            offsets[blocks] = [t * strata - (cell + b * half) for b, t in enumerate(seen)]
         for b in range(2):
             assert ((offsets[3][b] >= -1e-9) & (offsets[3][b] <= 1.0 + 1e-9)).all()
             assert offsets[3][b] == pytest.approx(offsets[2][b], rel=0.0, abs=1e-9)
@@ -133,11 +149,11 @@ class TestEstimates:
             body = make_body(kind, PowerFn(3.7, iv), Breakpoints.equally_spaced(iv, 6))
             est = mc_volume(body, samples, seed=11)
             h = _lengths(body, _one_pass(11, samples))
-            strata = h.shape[0]
+            strata = h.shape[1]
             assert est.samples == 2 * strata == samples - 1
             assert est.hits == np.count_nonzero(h > 0.0)
             assert est.mean == pytest.approx(iv.width * h.mean(), rel=1e-13)
-            spread = ((h[:, 0] - h[:, 1]) ** 2).sum()
+            spread = ((h[0] - h[1]) ** 2).sum()
             assert est.stderr == pytest.approx(iv.width * np.sqrt(spread / 4.0) / strata, rel=1e-10)
 
     def test_one_chunk_stderr_is_at_most_the_perspective_one(self):
@@ -604,104 +620,104 @@ GOLDEN_KERNEL = {
 # the same bodies and seeds.
 GOLDEN_ESTIMATES = {
     ('enr', 0.0, 2.0): (
-        (0.6666666873992232, 2.0112389539418845e-07),
-        (0.6666669390389658, 1.9402149257120342e-07),
-        (0.6666666214570416, 2.0053203579551355e-07),
+        (0.6666666478464168, 2.011625517361343e-07),
+        (0.6666670574105839, 1.9723190215085357e-07),
+        (0.6666666441001823, 2.002262208971177e-07),
     ),
     ('enr', 0.0, 3.7): (
-        (3.3617976797294777, 9.583096351008915e-07),
-        (3.361798391025862, 9.341941312748375e-07),
-        (3.361796474890848, 9.592063459169486e-07),
+        (3.36179737720172, 9.6249239146777e-07),
+        (3.3617991560025673, 9.456791882201777e-07),
+        (3.3617966398650343, 9.55311216542277e-07),
     ),
     ('enr', 0.3, 2.0): (
-        (0.49250420765891184, 1.39043779599247e-07),
-        (0.49250435702555834, 1.336643944034452e-07),
-        (0.4925041045628295, 1.38349741420231e-07),
+        (0.4925041785835989, 1.3875595067768698e-07),
+        (0.49250443302980923, 1.3593300929000503e-07),
+        (0.492504116508016, 1.3811525115673037e-07),
     ),
     ('enr', 0.3, 3.7): (
-        (2.714951254213524, 7.470789821740008e-07),
-        (2.714951814142342, 7.246399447422511e-07),
-        (2.7149502160909424, 7.453503549631283e-07),
+        (2.71495106463868, 7.477992986599547e-07),
+        (2.714952326024376, 7.341481482488432e-07),
+        (2.7149503309832395, 7.423005558335389e-07),
     ),
     ('nr', 0.0, 2.0): (
-        (0.6666666873992232, 2.0112389539418845e-07),
-        (0.6666669390389658, 1.9402149257120342e-07),
-        (0.6666666214570416, 2.0053203579551355e-07),
+        (0.6666666478464168, 2.011625517361343e-07),
+        (0.6666670574105839, 1.9723190215085357e-07),
+        (0.6666666441001823, 2.002262208971177e-07),
     ),
     ('nr', 0.0, 3.7): (
-        (3.3617976797294777, 9.583096351008915e-07),
-        (3.361798391025862, 9.341941312748375e-07),
-        (3.361796474890848, 9.592063459169486e-07),
+        (3.36179737720172, 9.6249239146777e-07),
+        (3.3617991560025673, 9.456791882201777e-07),
+        (3.3617966398650343, 9.55311216542277e-07),
     ),
     ('nr', 0.3, 2.0): (
-        (0.49441670734176485, 1.35937395906915e-07),
-        (0.4944168568756299, 1.3077394589124313e-07),
-        (0.4944166042305238, 1.3529612610544904e-07),
+        (0.49441668305139747, 1.3572942677569442e-07),
+        (0.49441692957059985, 1.3293575963869918e-07),
+        (0.4944166181362426, 1.3502819491695155e-07),
     ),
     ('nr', 0.3, 3.7): (
-        (2.715419265584139, 7.464433238364082e-07),
-        (2.715419825553877, 7.24050781435627e-07),
-        (2.715418227457848, 7.447266497359932e-07),
+        (2.715419077180228, 7.471796191737796e-07),
+        (2.715420336626091, 7.33537128025933e-07),
+        (2.7154183428299095, 7.416695646484904e-07),
     ),
     ('plenr', 0.0, 2.0): (
-        (0.6800000490219015, 2.0557745133486893e-07),
-        (0.6800002671956221, 1.9828626617865655e-07),
-        (0.679999960342518, 2.046144269594309e-07),
+        (0.6799999639476368, 2.0588618647087693e-07),
+        (0.6800003780718974, 2.0166738955420686e-07),
+        (0.6799999741822633, 2.0502020522568756e-07),
     ),
     ('plenr', 0.0, 3.7): (
-        (3.4033994893751216, 9.656237532744133e-07),
-        (3.403400181207379, 9.406034146450874e-07),
-        (3.403398272631455, 9.664000363090003e-07),
+        (3.4033991462317954, 9.69681988856058e-07),
+        (3.403400961125612, 9.526096993982944e-07),
+        (3.4033983383632163, 9.627068199822115e-07),
     ),
     ('plenr', 0.3, 2.0): (
-        (0.4994642987835301, 1.4108503664885558e-07),
-        (0.499464441646734, 1.3561425151037718e-07),
-        (0.49946419009230386, 1.402847196971857e-07),
+        (0.4994642570054795, 1.4091120247718536e-07),
+        (0.4994645147964955, 1.3792193479529338e-07),
+        (0.4994641963956567, 1.4021385570221429e-07),
     ),
     ('plenr', 0.3, 3.7): (
-        (2.7450755108561586, 7.534315472125256e-07),
-        (2.7450760581563323, 7.304275048488843e-07),
-        (2.7450744618685072, 7.515518729162343e-07),
+        (2.745075288453353, 7.541278297438693e-07),
+        (2.745076571914202, 7.402400381375041e-07),
+        (2.7450745211718686, 7.486339840408495e-07),
     ),
     ('plpr', 0.0, 2.0): (
-        (0.4533332036010818, 2.3929839970470986e-07),
-        (0.453333535570506, 2.3652710670331038e-07),
-        (0.4533333638254515, 2.405709814288332e-07),
+        (0.4533331972967331, 2.4138448998546003e-07),
+        (0.4533336997175253, 2.3885438071719095e-07),
+        (0.4533335665479535, 2.4188158817064033e-07),
     ),
     ('plpr', 0.0, 3.7): (
-        (2.5405862960275867, 1.456472453209946e-06),
-        (2.5405878928175896, 1.4727445367104547e-06),
-        (2.5405868882666565, 1.4854652601979764e-06),
+        (2.540585654784646, 1.4927231005829898e-06),
+        (2.5405890147860526, 1.4720606036368605e-06),
+        (2.540587941782471, 1.4917010165161841e-06),
     ),
     ('plpr', 0.3, 2.0): (
-        (0.2784032536615143, 1.469591297186648e-07),
-        (0.2784034575322369, 1.452572094041816e-07),
-        (0.2784033520593053, 1.4774065396998336e-07),
+        (0.2784032497898562, 1.4824024991231922e-07),
+        (0.27840355833902525, 1.4668644655794817e-07),
+        (0.27840347655626185, 1.4854553033529582e-07),
     ),
     ('plpr', 0.3, 3.7): (
-        (1.8800881872005595, 1.043419216796216e-06),
-        (1.8800895506765365, 1.050213860862184e-06),
-        (1.8800887658919008, 1.0614396061098574e-06),
+        (1.8800880068042327, 1.0665483406091714e-06),
+        (1.8800903366547648, 1.0542935503349438e-06),
+        (1.8800895217423204, 1.0664173491678578e-06),
     ),
     ('pr', 0.0, 2.0): (
-        (0.4444443001987845, 2.30885036336067e-07),
-        (0.4444446665028574, 2.275472148346906e-07),
-        (0.4444445974477234, 2.3193555260666446e-07),
+        (0.44444424746170896, 2.3249160145568186e-07),
+        (0.4444448243316816, 2.3056874958287418e-07),
+        (0.44444462763857767, 2.3184482729725282e-07),
     ),
     ('pr', 0.0, 3.7): (
-        (2.488602581109149, 1.3687825803432369e-06),
-        (2.4886042026232116, 1.3795656371950258e-06),
-        (2.4886036707687245, 1.3991185825594495e-06),
+        (2.4886020063064085, 1.403611917831961e-06),
+        (2.488605656078953, 1.392926594159118e-06),
+        (2.4886039842196768, 1.3962422383747398e-06),
     ),
     ('pr', 0.3, 2.0): (
-        (0.2729443558595784, 1.4179227293989652e-07),
-        (0.2729445808160672, 1.397424333103692e-07),
-        (0.272944538407583, 1.4243742124456646e-07),
+        (0.2729443234724221, 1.427789047439699e-07),
+        (0.272944677742694, 1.4159803333757003e-07),
+        (0.27294455694854153, 1.423817045639216e-07),
     ),
     ('pr', 0.3, 3.7): (
-        (1.8423414744304683, 9.900886813747532e-07),
-        (1.842342767710958, 9.931838395489945e-07),
-        (1.842342371446767, 1.0082132442621392e-06),
+        (1.8423411164630388, 1.0111986205721178e-06),
+        (1.8423437387481654, 1.0035034224661622e-06),
+        (1.8423425906536852, 1.0060883604077611e-06),
     ),
 }
 
@@ -897,6 +913,48 @@ class TestConeSampler:
         assert est.stderr < 1e-7 * exact
         assert abs(est.mean - exact) <= 4.0 * est.stderr
 
+    @pytest.mark.parametrize("kind", [RelaxationKind.NR, RelaxationKind.PL_PR],
+                             ids=lambda k: k.value)
+    def test_chunks_are_two_sorted_runs(self, kind, monkeypatch):
+        # every chunk reaches the kernel as two rows of offsets, one per
+        # column of its strata, each nondecreasing: the piece lookup's fast path
+        iv = Interval(0.2, 1.5)
+        body = make_body(kind, PowerFn(3.7, iv), Breakpoints.equally_spaced(iv, 6))
+        seen = []
+        count_hits = mc_mod._kernel.count_hits
+
+        def recording(body, t):
+            seen.append(t.copy())
+            return count_hits(body, t)
+
+        monkeypatch.setattr(mc_mod._kernel, "count_hits", recording)
+        half = mc_mod.BLOCK_SIZE // 2
+        for seed, samples in enumerate((mc_mod.MIN_SAMPLES, 2 * mc_mod.BLOCK_SIZE + 1234,
+                                        3 * mc_mod.BLOCK_SIZE + 3)):
+            seen.clear()
+            mc_volume(body, samples, seed=seed)
+            strata = samples // 2
+            rows = [min(half, strata - start) for start in range(0, strata, half)]
+            assert [t.shape for t in seen] == [(2, r) for r in rows]
+            for t in seen:
+                assert (t[:, 1:] >= t[:, :-1]).all()
+            # and the runs continue from chunk to chunk
+            assert (np.concatenate(seen, axis=1) == _one_pass(seed, samples)).all()
+
+    @pytest.mark.parametrize("kind", list(RelaxationKind), ids=lambda k: k.value)
+    def test_columns_do_not_depend_on_the_order_of_the_offsets(self, kind):
+        # count_hits takes offsets of any order and shape: a permuted copy
+        # gives the same columns, permuted the same way
+        iv = Interval(0.2, 1.5)
+        body = make_body(kind, PowerFn(3.7, iv), Breakpoints.equally_spaced(iv, 6))
+        t = _one_pass(4, mc_mod.BLOCK_SIZE)
+        hits, h = mc_mod._kernel.count_hits(body, t)
+        perm = np.random.default_rng(4).permutation(t.size)
+        moved_hits, moved = mc_mod._kernel.count_hits(body, t.ravel()[perm])
+        assert moved_hits == hits and (moved == h.ravel()[perm]).all()
+        pairs_hits, pairs = mc_mod._kernel.count_hits(body, t.T.copy())  # a stratum per row
+        assert pairs_hits == hits and (pairs == h.T).all()
+
     def test_chunk_points_lie_in_the_shared_cone(self):
         # every offset lies in [0, 1], so w = lower + t * width lies in the
         # cone's footprint, and each pair lies in its stratum
@@ -904,8 +962,8 @@ class TestConeSampler:
             samples = mc_mod.BLOCK_SIZE + 2 * i
             t = _one_pass(i, samples)
             assert ((t >= 0.0) & (t <= 1.0)).all()
-            strata = t.shape[0]
-            offset = t * strata - np.arange(strata)[:, None]
+            strata = t.shape[1]
+            offset = t * strata - np.arange(strata)
             assert ((offset > -1e-9) & (offset < 1.0 + 1e-9)).all()
 
     def test_cone_volume_formula(self):
@@ -916,8 +974,9 @@ class TestConeSampler:
 
     def test_zero_uniforms_map_to_the_apex(self, monkeypatch):
         # with every uniform zero, each column sits at its stratum's lower
-        # end: stratum 0's two at w = lower, on lower 0 the apex, whose
-        # column every kind scores 0 without a warning
+        # end: stratum 0's two, the first entry of both rows, at w = lower,
+        # on lower 0 the apex, whose column every kind scores 0 without a
+        # warning
         class Zeros:
             def __init__(self, bit_generator):
                 pass
@@ -944,10 +1003,11 @@ class TestConeSampler:
                     warnings.simplefilter("error")
                     mc_volume(body, mc_mod.MIN_SAMPLES, seed=0)
                 t, h = seen
-                assert (t[0] == 0.0).all()
-                assert (t == np.arange(strata)[:, None] / strata).all()
+                assert t.shape == (2, strata)
+                assert (t[:, 0] == 0.0).all()
+                assert (t == np.arange(strata) / strata).all()
                 if iv.lower == 0.0 or body.kind in PERSPECTIVE:
-                    assert (h[0] == 0.0).all(), body.kind
+                    assert (h[:, 0] == 0.0).all(), body.kind
 
     @pytest.mark.parametrize("kind", [k.value for k in RelaxationKind])
     def test_hits_do_not_depend_on_workers_or_chunking(self, kind):
@@ -961,21 +1021,23 @@ class TestConeSampler:
         hits, h = mc_mod._kernel.count_hits(body, _one_pass(3, samples))
         assert hits == est[1].hits
         total = spread = 0.0
-        for start in range(0, h.shape[0], mc_mod.BLOCK_SIZE // 2):
-            pair = h[start:start + mc_mod.BLOCK_SIZE // 2]
-            d = pair[:, 0] - pair[:, 1]
+        for start in range(0, h.shape[1], mc_mod.BLOCK_SIZE // 2):
+            # a contiguous copy, summed in the chunk's own order
+            pair = h[:, start:start + mc_mod.BLOCK_SIZE // 2].copy()
+            d = pair[0] - pair[1]
             total += float(pair.sum())
             spread += float(np.dot(d, d))
-        strata = h.shape[0]
+        strata = h.shape[1]
         scale = iv.width * body.unit / 3.0
         assert est[1].mean == scale * total / (2 * strata)
         assert est[1].stderr == scale * np.sqrt(spread / 4.0) / strata
 
     @pytest.mark.parametrize("kind", list(RelaxationKind), ids=lambda k: k.value)
     def test_perspective_kinds_draw_only_w(self, kind, monkeypatch):
-        # every kind draws one uniform per column: the offsets of stratum
-        # i's two columns are draws 2i and 2i + 1 of the stream, the rows of
-        # each chunk's (stratum, column) array
+        # every kind draws one uniform per column: chunk c's (column,
+        # stratum) array holds the stream's next BLOCK_SIZE draws in order,
+        # so draw k = c BLOCK_SIZE + j half + i of the stream, with half =
+        # BLOCK_SIZE / 2 and i < half, is column j of stratum c half + i
         iv = Interval(0.2, 1.5)
         body = make_body(kind, PowerFn(3.7, iv), Breakpoints.equally_spaced(iv, 6))
         seen = []
@@ -989,7 +1051,9 @@ class TestConeSampler:
         samples = 2 * mc_mod.BLOCK_SIZE
         mc_volume(body, samples, seed=5)
         u = np.random.Generator(np.random.PCG64(np.random.SeedSequence(5))).random(samples)
-        want = (u + np.arange(samples) // 2) / (samples // 2)
+        k, half = np.arange(samples), mc_mod.BLOCK_SIZE // 2
+        want = (u + (k // mc_mod.BLOCK_SIZE * half + k % half)) / (samples // 2)
+        assert [t.shape for t in seen] == [(2, half)] * 2
         assert (np.concatenate([t.ravel() for t in seen]) == want).all()
 
     @pytest.mark.parametrize("kind", PERSPECTIVE, ids=lambda k: k.value)

@@ -14,6 +14,7 @@ import perspex
 from perspex import (
     Breakpoints,
     ConvexFunction,
+    DomainError,
     Interval,
     PowerFn,
     RelaxationKind,
@@ -188,6 +189,33 @@ class TestClassSemantics:
                     setattr(obj, field, getattr(obj, field))
             with pytest.raises(AttributeError):
                 obj.extra = 1
+
+    def test_replace_and_make_validate(self):
+        # namedtuple's _make and _replace build through the validating __new__
+        with pytest.raises(DomainError):
+            Interval(0.0, 1.0)._replace(lower=2.0)
+        with pytest.raises(DomainError):
+            Interval._make([3.0, 1.0])
+        with pytest.raises(DomainError):
+            PowerFn(3.0, UNIT)._replace(p=0.5)
+        with pytest.raises(DomainError):
+            _BP._replace(xi=[5.0, 1.0])
+        with pytest.raises(DomainError):
+            ConvexFunction(fn=_PF, deriv=_PF.deriv, interval=UNIT)._replace(
+                fn=lambda x: -1.0)
+        est = build_underestimator(_PF.oracle(), _BP)
+        with pytest.raises(DomainError):
+            est._replace(x=est.x[::-1])
+        # valid fields still build the type, and the arrays stay read-only copies
+        assert Interval(0.0, 1.0)._replace(upper=2.0) == Interval(0.0, 2.0)
+        assert type(Interval._make([0.0, 2.0])) is Interval
+        assert PowerFn(3.0, UNIT)._replace(p=2.5) == PowerFn(2.5, UNIT)
+        xi = np.array([0.0, 0.5, 1.0])
+        moved = _BP._replace(xi=xi)
+        assert type(moved) is Breakpoints and moved.xi is not xi
+        assert not moved.xi.flags.writeable
+        assert type(_PF.oracle()._replace(interval=UNIT)) is type(_PF.oracle())
+        assert (est._replace(y=est.y).x == est.x).all()
 
     def test_arrays_are_read_only_copies(self):
         xi = np.linspace(0.0, 1.0, 4)

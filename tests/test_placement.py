@@ -409,6 +409,20 @@ class TestSweep:
         expected, _ = optimize_quadratic(UNIT, 4)
         np.testing.assert_allclose(result.interior[0], expected.interior, atol=1e-14)
 
+    @pytest.mark.parametrize("lower, upper", [(0.0, 1.0), (0.15, 1.0), (1000.0, 1000.001)])
+    def test_starts_are_the_equal_spacing(self, lower, upper):
+        # both solvers start from Breakpoints.equally_spaced, bit for bit,
+        # and at p = 2 stop there
+        iv = Interval(lower, upper)
+        for n in (2, 7, 200):
+            want = Breakpoints.equally_spaced(iv, n).xi
+            bp, trace = newton_optimize(PowerFn(2.0, iv), n)
+            assert bp.xi.tobytes() == trace.iterates[0].xi.tobytes() == want.tobytes()
+            got = sweep_optimal_points(iv, n, [2.0]).interior[0]
+            assert got.tobytes() == want[1:-1].tobytes()
+        _, trace = newton_optimize(PowerFn(3.0, iv), 7)
+        assert trace.iterates[0].xi.tobytes() == Breakpoints.equally_spaced(iv, 7).xi.tobytes()
+
     @staticmethod
     def _row_by_row(iv, n, grid):
         """The sweep as separate solves: its rows, or the first row's error."""

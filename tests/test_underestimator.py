@@ -45,6 +45,26 @@ class TestBreakpoints:
         bp = Breakpoints.equally_spaced(iv, 7)
         assert bp.xi[0] == iv.lower and bp.xi[-1] == iv.upper
 
+    @pytest.mark.parametrize(
+        "lo,up",
+        [(0.0, 1.0), (0.15, 1.0), (1000.0, 1000.001), (1e-300, 3e-300), (0.0, 1e300),
+         (0.0, 1e-320)],
+    )
+    def test_equally_spaced_is_linspace(self, lo, up):
+        # bit for bit; on [0, 1e-320], 2024 subnormal units wide, the step
+        # underflows to 0 at n = 10**4, and there both raise the same DomainError
+        iv = Interval(lo, up)
+        for n in [*range(1, 201), 10**4]:
+            try:
+                want = Breakpoints(iv, np.linspace(lo, up, n + 1)).xi
+            except DomainError as exc:
+                with pytest.raises(DomainError) as got:
+                    Breakpoints.equally_spaced(iv, n)
+                assert str(got.value) == str(exc), n
+                continue
+            got = Breakpoints.equally_spaced(iv, n).xi
+            assert got.tobytes() == want.tobytes(), n
+
     def test_with_point(self):
         bp = Breakpoints(Interval(0.0, 1.0), [0.0, 0.5, 1.0]).with_point(0.25)
         np.testing.assert_array_equal(bp.xi, [0.0, 0.25, 0.5, 1.0])
