@@ -82,14 +82,17 @@ def _cpu_model():
 
 
 def _time_chunk(body, seed):
-    """Whole-call and kernel times of one ``BLOCK_SIZE`` call, in seconds,
-    and its estimate."""
-    kernel = 0.0
+    """Whole-call, draw and kernel times of one ``BLOCK_SIZE`` call, in
+    seconds, and its estimate.  The draw time runs from the call's start to
+    its first kernel call: the stream, the draws and their strata."""
+    kernel, entered = 0.0, None
     count_hits = mc._kernel.count_hits
 
     def timed(*args):
-        nonlocal kernel
+        nonlocal kernel, entered
         t0 = time.perf_counter()
+        if entered is None:
+            entered = t0
         try:
             return count_hits(*args)
         finally:
@@ -102,7 +105,7 @@ def _time_chunk(body, seed):
         call = time.perf_counter() - t0
     finally:
         mc._kernel.count_hits = count_hits
-    return call, kernel, est
+    return call, entered - t0, kernel, est
 
 
 def bench_chunks(repeats, seed):
@@ -113,7 +116,7 @@ def bench_chunks(repeats, seed):
             for body in _bodies(kind, (lower,)):
                 _time_chunk(body, seed)  # warm-up
                 for r in range(repeats):
-                    c, k, est = _time_chunk(body, seed + r)
+                    c, _, k, est = _time_chunk(body, seed + r)
                     call.append(c)
                     kernel.append(k)
                     hits += est.hits
@@ -199,6 +202,7 @@ def bench_cold(count, seed):
     rows, digest = {}, hashlib.sha256()
     for kind in RelaxationKind:
         steps = []  # per op: inputs, breakpoints, make_body, mc_volume
+        split = []  # per op: mc_volume's draws and kernel
         for p, lower, upper, n, op_seed in _cold_inputs(kind, count, seed):
             _evict()
             t0 = time.perf_counter()
@@ -209,16 +213,19 @@ def bench_cold(count, seed):
             t2 = time.perf_counter()
             body = make_body(kind, pf, bp)
             t3 = time.perf_counter()
-            est = mc_volume(body, mc.BLOCK_SIZE, op_seed)
-            t4 = time.perf_counter()
-            steps.append([(b - a) * 1e6 for a, b in ((t0, t1), (t1, t2), (t2, t3), (t3, t4))])
+            call, draw, kernel, est = _time_chunk(body, op_seed)
+            steps.append([(b - a) * 1e6 for a, b in ((t0, t1), (t1, t2), (t2, t3))] + [call * 1e6])
+            split.append((draw * 1e6, kernel * 1e6))
             digest.update(f"{est.hits},{est.samples},{est.mean!r},{est.stderr!r};".encode())
         inputs, breakpoints, body_us, call_us = zip(*steps)
+        draw_us, kernel_us = zip(*split)
         rows[kind.value] = {
             "inputs_us": statistics.median(inputs),
             "breakpoints_us": statistics.median(breakpoints),
             "make_body_us": statistics.median(body_us),
             "mc_volume_us": statistics.median(call_us),
+            "draw_us": statistics.median(draw_us),
+            "kernel_us": statistics.median(kernel_us),
             "op_us": statistics.median(map(sum, steps)),
             "ops": count,
         }
@@ -265,10 +272,11 @@ def main():
     c = result["cold"]
     print(f"\ncold ops after a cache-evicting task, medians over {COLD_OPS} per kind, us")
     print(f"{'kind':6s} {'inputs':>8s} {'breakpoints':>12s} {'make_body':>10s} "
-          f"{'mc_volume':>10s} {'op':>8s}")
+          f"{'mc_volume':>10s} {'draw':>8s} {'kernel':>8s} {'op':>8s}")
     for name, row in c["kinds"].items():
         print(f"{name:6s} {row['inputs_us']:8.1f} {row['breakpoints_us']:12.1f} "
-              f"{row['make_body_us']:10.1f} {row['mc_volume_us']:10.1f} {row['op_us']:8.1f}")
+              f"{row['make_body_us']:10.1f} {row['mc_volume_us']:10.1f} {row['draw_us']:8.1f} "
+              f"{row['kernel_us']:8.1f} {row['op_us']:8.1f}")
     print(f"digest {c['digest']}; peak RSS {result['ru_maxrss_mb']:.1f} MB")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:

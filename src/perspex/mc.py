@@ -24,8 +24,11 @@ no tangent under-estimator.
 
 Sampling is stratified with two columns per stratum.  ``samples // 2``
 equal intervals of ``w`` tile ``[lower, upper]``, and each takes its two
-offsets ``t = (w - lower) / width`` from one stream,
-``PCG64(SeedSequence(seed))``, chunk by chunk.  A chunk of ``rows`` strata
+offsets ``t = (w - lower) / width`` from one stream, chunk by chunk: the
+stream of ``PCG64(SeedSequence(seed))``, bit for bit.  No ``SeedSequence``
+is built: :func:`_seed_words` computes in plain ints the four words that
+``SeedSequence(seed).generate_state(4, np.uint64)`` returns, and numpy's
+``PCG64`` seeds itself from them.  A chunk of ``rows`` strata
 draws ``2 rows`` uniforms as two rows of ``rows``: row ``j`` holds column
 ``j`` of every stratum, so the chunk's stratum ``i`` takes its draws ``i``
 and ``rows + i``.  Each row then lists its offsets stratum by stratum, in
@@ -42,6 +45,7 @@ order on the calling thread.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from math import inf, isfinite, sqrt
@@ -66,6 +70,107 @@ MIN_SAMPLES = 1 << 12
 # stratum index of each column of a chunk, laid out as the draws: a stratum per column
 _CELLS = np.tile(np.arange(BLOCK_SIZE // 2, dtype=float), (2, 1))
 _CELLS.setflags(write=False)
+
+
+def _seed_words(seed: int) -> list[int]:
+    """The four 64-bit words of ``SeedSequence(seed).generate_state(4,
+    np.uint64)`` for ``0 <= seed < 2**64``, as plain ints.
+
+    numpy's SeedSequence (``numpy/random/bit_generator.pyx``) with its
+    default pool of four 32-bit words, written out step by step.  A hashmix
+    step is ``hash(v) = fold((v ^ a) * b)`` on 32 bits, with ``fold(x) = x ^
+    x >> 16``; its constants ``(a, b)`` depend only on the step's place, and
+    each step's ``a`` is the previous step's ``b``.  The pool's chain starts
+    at ``0x43B0D7E5`` and advances by ``* 0x931E8875``, the output's at
+    ``0x8B51F9DD`` by ``* 0x58F38DED``.  Three phases:
+
+    * fill: pool word ``i`` hashes the seed's 32-bit word ``i``, low first,
+      a missing word counting as 0, so words 2 and 3 start as constants;
+    * mix: for each source word in turn, each other word, in increasing
+      order, becomes ``fold(0xCA01F9DD * dst - 0x4973F715 * hash(src))``;
+    * output: eight hashes of the pool words, cycled, read in little-endian
+      pairs.
+
+    Written out rather than looped over a table of steps: with cold caches
+    the loop costs about as much as the arithmetic, some 20-30 µs a call.
+    """
+    # fill
+    p0 = (seed & 0xFFFFFFFF ^ 0x43B0D7E5) * 0xAE5A53A9 & 0xFFFFFFFF
+    p0 ^= p0 >> 16
+    p1 = (seed >> 32 ^ 0xAE5A53A9) * 0x8488043D & 0xFFFFFFFF
+    p1 ^= p1 >> 16
+    p2, p3 = 0x894CFDD1, 0x30409F75
+    # mix, source p0, then p1, p2 and p3
+    h = (p0 ^ 0x9205B1D5) * 0xE9096E59 & 0xFFFFFFFF
+    p1 = (0xCA01F9DD * p1 - 0x4973F715 * (h ^ h >> 16)) & 0xFFFFFFFF
+    p1 ^= p1 >> 16
+    h = (p0 ^ 0xE9096E59) * 0x8D5CB6AD & 0xFFFFFFFF
+    p2 = (0xCA01F9DD * p2 - 0x4973F715 * (h ^ h >> 16)) & 0xFFFFFFFF
+    p2 ^= p2 >> 16
+    h = (p0 ^ 0x8D5CB6AD) * 0x9BB16511 & 0xFFFFFFFF
+    p3 = (0xCA01F9DD * p3 - 0x4973F715 * (h ^ h >> 16)) & 0xFFFFFFFF
+    p3 ^= p3 >> 16
+    h = (p1 ^ 0x9BB16511) * 0x00C238C5 & 0xFFFFFFFF
+    p0 = (0xCA01F9DD * p0 - 0x4973F715 * (h ^ h >> 16)) & 0xFFFFFFFF
+    p0 ^= p0 >> 16
+    h = (p1 ^ 0x00C238C5) * 0x4D029A09 & 0xFFFFFFFF
+    p2 = (0xCA01F9DD * p2 - 0x4973F715 * (h ^ h >> 16)) & 0xFFFFFFFF
+    p2 ^= p2 >> 16
+    h = (p1 ^ 0x4D029A09) * 0xCC132E1D & 0xFFFFFFFF
+    p3 = (0xCA01F9DD * p3 - 0x4973F715 * (h ^ h >> 16)) & 0xFFFFFFFF
+    p3 ^= p3 >> 16
+    h = (p2 ^ 0xCC132E1D) * 0x83A97B41 & 0xFFFFFFFF
+    p0 = (0xCA01F9DD * p0 - 0x4973F715 * (h ^ h >> 16)) & 0xFFFFFFFF
+    p0 ^= p0 >> 16
+    h = (p2 ^ 0x83A97B41) * 0xFA8DDCB5 & 0xFFFFFFFF
+    p1 = (0xCA01F9DD * p1 - 0x4973F715 * (h ^ h >> 16)) & 0xFFFFFFFF
+    p1 ^= p1 >> 16
+    h = (p2 ^ 0xFA8DDCB5) * 0xAC4C06B9 & 0xFFFFFFFF
+    p3 = (0xCA01F9DD * p3 - 0x4973F715 * (h ^ h >> 16)) & 0xFFFFFFFF
+    p3 ^= p3 >> 16
+    h = (p3 ^ 0xAC4C06B9) * 0x26FF5A8D & 0xFFFFFFFF
+    p0 = (0xCA01F9DD * p0 - 0x4973F715 * (h ^ h >> 16)) & 0xFFFFFFFF
+    p0 ^= p0 >> 16
+    h = (p3 ^ 0x26FF5A8D) * 0x0E554A71 & 0xFFFFFFFF
+    p1 = (0xCA01F9DD * p1 - 0x4973F715 * (h ^ h >> 16)) & 0xFFFFFFFF
+    p1 ^= p1 >> 16
+    h = (p3 ^ 0x0E554A71) * 0x78C50DA5 & 0xFFFFFFFF
+    p2 = (0xCA01F9DD * p2 - 0x4973F715 * (h ^ h >> 16)) & 0xFFFFFFFF
+    p2 ^= p2 >> 16
+    # output
+    w0 = (p0 ^ 0x8B51F9DD) * 0x464A0A99 & 0xFFFFFFFF
+    w1 = (p1 ^ 0x464A0A99) * 0x819D14A5 & 0xFFFFFFFF
+    w2 = (p2 ^ 0x819D14A5) * 0xD369FDC1 & 0xFFFFFFFF
+    w3 = (p3 ^ 0xD369FDC1) * 0x501638AD & 0xFFFFFFFF
+    w4 = (p0 ^ 0x501638AD) * 0xA600C129 & 0xFFFFFFFF
+    w5 = (p1 ^ 0xA600C129) * 0x8B0167F5 & 0xFFFFFFFF
+    w6 = (p2 ^ 0x8B0167F5) * 0x5C1E2ED1 & 0xFFFFFFFF
+    w7 = (p3 ^ 0x5C1E2ED1) * 0x301D747D & 0xFFFFFFFF
+    return [
+        w0 ^ w0 >> 16 | (w1 ^ w1 >> 16) << 32,
+        w2 ^ w2 >> 16 | (w3 ^ w3 >> 16) << 32,
+        w4 ^ w4 >> 16 | (w5 ^ w5 >> 16) << 32,
+        w6 ^ w6 >> 16 | (w7 ^ w7 >> 16) << 32,
+    ]
+
+
+@functools.cache
+def _seed_sequence() -> type:
+    """numpy's seed-sequence interface over :func:`_seed_words`: ``PCG64``
+    takes an instance in place of a ``SeedSequence`` and asks it for its
+    four 64-bit words.  Defined on first use, so that importing this module
+    does not load ``numpy.random``."""
+
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, seed: int):
+            self.seed = seed
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("SeedWords gives PCG64's four 64-bit words only")
+            return np.array(_seed_words(self.seed), dtype=np.uint64)
+
+    return SeedWords
 
 
 class BodySpec(NamedTuple):
@@ -209,6 +314,11 @@ def mc_volume(
     ``workers`` is accepted, must be ``None`` or an integer ``>= 0``, and
     has no effect.  Raises :class:`DomainError` when the mean or its
     standard error overflows floats.
+
+    Each call builds its own generator: the stream of
+    ``PCG64(SeedSequence(seed))``, bit for bit, seeded from the words
+    :func:`_seed_words` computes, so no ``SeedSequence`` is built and no
+    state is shared between calls or threads.
     """
     samples, seed = _integer("samples", samples), _integer("seed", seed)
     if workers is not None and _integer("workers", workers) < 0:
@@ -219,7 +329,7 @@ def mc_volume(
         raise DomainError("seed must fit in an unsigned 64-bit integer")
 
     strata = samples // 2
-    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    gen = np.random.Generator(np.random.PCG64(_seed_sequence()(seed)))
     hits, total, spread = 0, 0.0, 0.0
     for start in range(0, strata, BLOCK_SIZE // 2):
         stop = min(start + BLOCK_SIZE // 2, strata)

@@ -1,5 +1,7 @@
+import sys
 import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -133,6 +135,50 @@ class TestDeterminism:
         means = {mc_volume(body, 20_000, seed=s).mean for s in (0, 1, 2**32, 2**32 + 1, 2**64 - 1)}
         assert len(means) == 5
 
+    def test_seed_words_are_seed_sequence_words(self):
+        # the stream is PCG64(SeedSequence(seed)) seeded from words computed
+        # in mc: should numpy's SeedSequence change, this fails before any
+        # estimate moves
+        rng = np.random.default_rng(20)
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+        seeds += [int(s) for s in rng.integers(0, 2**64 - 1, size=1000, dtype=np.uint64, endpoint=True)]
+        for seed in seeds:
+            expected = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+            assert mc_mod._seed_words(seed) == expected.tolist(), seed
+        state = mc_mod._seed_sequence()(2**32 + 7).generate_state(4, np.uint64)
+        assert state.dtype == np.uint64
+        assert (state == np.random.SeedSequence(2**32 + 7).generate_state(4, np.uint64)).all()
+        with pytest.raises(ValueError):
+            mc_mod._seed_sequence()(7).generate_state(8, np.uint32)
+
+    def test_threads_share_no_stream(self):
+        # each call builds its own generator: four threads, more than the
+        # cores, each running its own body and seed over and over, get the
+        # serial estimates bit for bit; a generator shared between calls or
+        # threads would hand draws of one call to another
+        iv = Interval(0.15, 1.0)
+        pf = PowerFn(3.7, iv)
+        bp = Breakpoints.equally_spaced(iv, 8)
+        jobs = [(make_body(kind, pf, bp), 1000 + i)
+                for i, kind in enumerate((RelaxationKind.NR, RelaxationKind.PR,
+                                          RelaxationKind.PL_PR, RelaxationKind.PL_E_NR))]
+        serial = [mc_volume(body, 2 * mc_mod.BLOCK_SIZE, seed) for body, seed in jobs]
+
+        def repeat(job):
+            body, seed = job
+            return [mc_volume(body, 2 * mc_mod.BLOCK_SIZE, seed) for _ in range(25)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside every call
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(repeat, job) for job in jobs]
+                runs = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for expected, got in zip(serial, runs):
+            assert all(est == expected for est in got)
+
     def test_different_seeds_differ(self):
         # every sampled column meets this body, so the hits alone agree
         body = make_body(RelaxationKind.NR, PowerFn(2.0, UNIT))
@@ -226,6 +272,15 @@ class TestEstimates:
         est = mc_volume(make_body(RelaxationKind(kind), pf), 20_000, seed=3)
         assert 0.0 < est.stderr < np.inf
         assert abs(est.mean - closed_form_volume(RelaxationKind(kind), pf, None)) <= 4.0 * est.stderr
+
+    @pytest.mark.parametrize("kind", ["nr", "pr"])
+    def test_huge_finite_exponent(self, kind):
+        # x**1e300 underflows to 0 on [0, 1): the volume 1/6 - 1/(3 (p + 1))
+        # rounds to 1/6, and the columns still grow with w under the chord
+        # from 0 to 1, so the pair differences, and the stderr, are positive
+        est = mc_volume(make_body(RelaxationKind(kind), PowerFn(1e300, UNIT)), 20_000, seed=0)
+        assert est.stderr > 0.0
+        assert abs(est.mean - 1.0 / 6.0) <= 5.0 * est.stderr
 
     def test_overflowing_estimate_raises_domain_error(self):
         # the body fits (its closed form is 6.19e306) but the scaled sum of
