@@ -23,9 +23,10 @@ pieces):
   workload's reference task does between ops; then the inputs
   (``Interval``, ``PowerFn``), the breakpoints (``Breakpoints.equally_spaced``,
   piecewise-linear kinds only), ``make_body`` and one ``mc.BLOCK_SIZE``
-  call of ``mc_volume`` are timed separately.  Medians
-  over ``COLD_OPS`` ops per kind, in microseconds, and the digest of the
-  ops' estimates.
+  call of ``mc_volume`` are timed separately.  Medians and 75th
+  percentiles over ``COLD_OPS`` ops per kind, in microseconds, with the
+  piecewise-linear kinds' kernel time also split by piece count (2-16
+  and 17-64 pieces), and the digest of the ops' estimates.
 
 Only ``make_body``, ``mc_volume``, ``mc.BLOCK_SIZE`` and the kernel's
 ``count_hits`` are used, so the script times any checkout that has them.
@@ -59,6 +60,7 @@ PIECES = 8
 TARGET_RSE = 3e-3
 SEED = 1
 COLD_OPS = 200  # cold ops per kind
+PIECE_BANDS = ((2, 16), (17, 64))  # piece counts of the cold part's kernel split
 
 
 def _bodies(kind, lowers=LOWERS):
@@ -198,11 +200,16 @@ def _cold_inputs(kind, count, seed):
     return out
 
 
+def _p75(values):
+    return statistics.quantiles(values, n=4)[2]
+
+
 def bench_cold(count, seed):
     rows, digest = {}, hashlib.sha256()
     for kind in RelaxationKind:
         steps = []  # per op: inputs, breakpoints, make_body, mc_volume
         split = []  # per op: mc_volume's draws and kernel
+        pieces = []
         for p, lower, upper, n, op_seed in _cold_inputs(kind, count, seed):
             _evict()
             t0 = time.perf_counter()
@@ -216,6 +223,7 @@ def bench_cold(count, seed):
             call, draw, kernel, est = _time_chunk(body, op_seed)
             steps.append([(b - a) * 1e6 for a, b in ((t0, t1), (t1, t2), (t2, t3))] + [call * 1e6])
             split.append((draw * 1e6, kernel * 1e6))
+            pieces.append(n)
             digest.update(f"{est.hits},{est.samples},{est.mean!r},{est.stderr!r};".encode())
         inputs, breakpoints, body_us, call_us = zip(*steps)
         draw_us, kernel_us = zip(*split)
@@ -226,9 +234,16 @@ def bench_cold(count, seed):
             "mc_volume_us": statistics.median(call_us),
             "draw_us": statistics.median(draw_us),
             "kernel_us": statistics.median(kernel_us),
+            "kernel_p75_us": _p75(kernel_us),
             "op_us": statistics.median(map(sum, steps)),
+            "op_p75_us": _p75(map(sum, steps)),
             "ops": count,
         }
+        if kind.piecewise_linear:
+            for lo, hi in PIECE_BANDS:
+                band = [k for k, n in zip(kernel_us, pieces) if lo <= n <= hi]
+                rows[kind.value][f"kernel_us_{lo}_{hi}"] = {
+                    "median": statistics.median(band), "p75": _p75(band), "ops": len(band)}
     return {"kinds": rows, "digest": digest.hexdigest()[:16]}
 
 
@@ -270,13 +285,21 @@ def main():
           f"op {t['median_op_ms']:.2f} ms, {t['msamples_per_s']:.1f} Msample/s, "
           f"digest {t['digest']}")
     c = result["cold"]
-    print(f"\ncold ops after a cache-evicting task, medians over {COLD_OPS} per kind, us")
+    print(f"\ncold ops after a cache-evicting task, medians (and p75) over {COLD_OPS} per "
+          "kind, us")
     print(f"{'kind':6s} {'inputs':>8s} {'breakpoints':>12s} {'make_body':>10s} "
-          f"{'mc_volume':>10s} {'draw':>8s} {'kernel':>8s} {'op':>8s}")
+          f"{'mc_volume':>10s} {'draw':>8s} {'kernel':>8s} {'p75':>8s} {'op':>8s} {'p75':>8s}")
     for name, row in c["kinds"].items():
         print(f"{name:6s} {row['inputs_us']:8.1f} {row['breakpoints_us']:12.1f} "
               f"{row['make_body_us']:10.1f} {row['mc_volume_us']:10.1f} {row['draw_us']:8.1f} "
-              f"{row['kernel_us']:8.1f} {row['op_us']:8.1f}")
+              f"{row['kernel_us']:8.1f} {row['kernel_p75_us']:8.1f} {row['op_us']:8.1f} "
+              f"{row['op_p75_us']:8.1f}")
+    for name, row in c["kinds"].items():
+        for lo, hi in PIECE_BANDS:
+            band = row.get(f"kernel_us_{lo}_{hi}")
+            if band:
+                print(f"{name:6s} kernel at {lo}-{hi} pieces: {band['median']:.1f} "
+                      f"(p75 {band['p75']:.1f}) over {band['ops']} ops")
     print(f"digest {c['digest']}; peak RSS {result['ru_maxrss_mb']:.1f} MB")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:

@@ -201,8 +201,8 @@ def cmd_sweep(args):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["p"] + [f"xi_{i}" for i in range(1, result.n)])
-    for p, row in zip(result.p, result.interior):
-        writer.writerow([p] + list(row))
+    for p, row in zip(result.p.tolist(), result.interior.tolist()):
+        writer.writerow([p, *row])
     return buf.getvalue()
 
 

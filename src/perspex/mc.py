@@ -19,7 +19,8 @@ lower bound, the column's length in the body is ``h(w) = ∫₀¹ z (z chord(w)
 closed form for every kind; ``hits`` counts the columns that meet the body
 (``h > 0``).  :func:`make_body` computes once per body what the kernel
 reads: its scale, and for the piecewise-linear kinds the offsets of the
-cuts of adjacent tangents and each piece's column coefficients.  It builds
+cuts of adjacent tangents and each piece's column coefficients, for plpr
+as a knot table that the kernel reads with one ``np.interp``.  It builds
 no tangent under-estimator.
 
 Sampling is stratified with two columns per stratum.  ``samples // 2``
@@ -32,7 +33,8 @@ is built: :func:`_seed_words` computes in plain ints the four words that
 draws ``2 rows`` uniforms as two rows of ``rows``: row ``j`` holds column
 ``j`` of every stratum, so the chunk's stratum ``i`` takes its draws ``i``
 and ``rows + i``.  Each row then lists its offsets stratum by stratum, in
-increasing order, and the kernel's piece lookup searches sorted keys.
+increasing order, so the kernel's searches for each column's piece (plpr's
+``np.interp``, plenr's ``np.searchsorted``) run over sorted keys.
 The estimate is ``width`` times the mean of ``h``, and its standard error
 comes from each stratum's pair difference, ``width * sqrt(sum((h1 -
 h2)**2) / 4) / strata``; both are plain sums of the kernel's lengths,
@@ -182,9 +184,12 @@ class BodySpec(NamedTuple):
     piecewise-linear kinds also carry ``cuts``, the offsets ``(cut - lower)
     / width`` of the points where adjacent tangents meet, increasing, so
     that piece ``k`` holds the offsets from ``cuts[k - 1]`` up to
-    ``cuts[k]``; and ``columns``, one row per coefficient and one column per
-    piece (``_columns.tangent_columns`` for plpr, ``_columns.moments`` for
-    plenr).  The smooth kinds carry neither.  Equal only to itself.
+    ``cuts[k]``; and ``columns``.  For plpr that is the knot table of
+    ``_columns.tangent_columns``, offsets in row 0 and column values in
+    row 1, with piece ``k`` from knot ``2k`` to knot ``2k + 1`` and each
+    cut offset twice; for plenr one row per coefficient and one column per
+    piece (``_columns.moments``).  The smooth kinds carry neither.  Equal
+    only to itself.
     """
 
     kind: RelaxationKind
@@ -243,7 +248,7 @@ def make_body(
         cuts /= iv.width
         with np.errstate(over="ignore", invalid="ignore"):  # raised below
             if kind is RelaxationKind.PL_PR:
-                columns = _kernel.tangent_columns(p, iv, xi, rise, unit)
+                columns = _kernel.tangent_columns(p, iv, xi, cuts, rise, unit)
             else:
                 columns = _kernel.moments(p, iv, f_lo, xi, cuts, unit)
         if not np.isfinite(columns).all():

@@ -33,10 +33,14 @@ def column_on_piece(body, t, k):
     """A piecewise-linear body's kernel column ``3 h / unit`` at the offsets
     ``t``, each taken on the piece ``k`` given for it, from the body's piece
     coefficients and in the kernel's order of operations, clipped at 0: on
-    the kernel's own piece it is the kernel's column bit for bit."""
+    the kernel's own piece it is the kernel's column bit for bit.  plpr's
+    piece ``k`` runs from knot ``2k`` at ``(s, f0)`` to knot ``2k + 1`` at
+    ``(e, f1)`` of its knot table, interpolated as ``np.interp`` does."""
     if body.kind is RelaxationKind.PL_PR:
-        at_lo, slope = body.columns
-        h = slope[k] * t + at_lo[k]
+        x, y = body.columns
+        s, e, f0, f1 = x[2 * k], x[2 * k + 1], y[2 * k], y[2 * k + 1]
+        with np.errstate(divide="ignore", invalid="ignore"):  # pieces of no length
+            h = np.where(t == s, f0, np.where(t == e, f1, (f1 - f0) / (e - s) * (t - s) + f0))
     else:
         a, n3, n2, n1, n0 = body.columns
         iv = body.interval

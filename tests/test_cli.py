@@ -160,6 +160,17 @@ class TestSweep:
         )
         assert len(report["p"]) == 2 and len(report["xi"][0]) == 1
 
+    def test_csv_rows_are_the_json_numbers(self):
+        # each CSV cell is the shortest round-trip decimal of the JSON
+        # report's number, as csv writes a Python float
+        argv = ("sweep", "--l", "0.3", "--u", "1.7", "--n", "20",
+                "--p-grid", "1.1,1.5,2,2.718281828459045,7.9")
+        code, out, _ = run_cli(*argv)
+        assert code == 0
+        report = run_json(*argv, "--format", "json")
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert rows == [[repr(p), *map(repr, xi)] for p, xi in zip(report["p"], report["xi"])]
+
 
 class TestCompare:
     def test_thresholds_and_table(self):

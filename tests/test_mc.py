@@ -622,6 +622,51 @@ class TestColumns:
         est = build_underestimator(PowerFn(p, iv).oracle(), Breakpoints.equally_spaced(iv, n))
         assert np.array_equal(cuts, (est.x[1:-1] - lower) / iv.width)
 
+    @staticmethod
+    def _tangent_bodies():
+        # the grids of test_columns_take_the_searched_piece and three
+        # vertices within 2e-7 of each other
+        for p, lower, upper, n in ((3.7, 0.0, 1.0, 8), (8.0, 0.3, 1.2, 64),
+                                   (3.0, 1000.0, 1000.001, 4), (1.5, 0.2, 3.0, 200)):
+            iv = Interval(lower, upper)
+            yield make_body(RelaxationKind.PL_PR, PowerFn(p, iv), Breakpoints.equally_spaced(iv, n))
+        bp = Breakpoints(UNIT, [0.0, 0.5, 0.5 + 1e-7, 0.5 + 2e-7, 1.0])
+        yield make_body(RelaxationKind.PL_PR, PowerFn(3.0, UNIT), bp)
+
+    def test_tangent_knots_repeat_each_cut(self):
+        # plpr's knot table: piece k from knot 2k to knot 2k + 1, so the
+        # offsets run from 0 to 1 without decreasing and each cut offset is
+        # the end of one piece and the start of the next
+        for body in self._tangent_bodies():
+            x, y = body.columns
+            cuts = body.cuts
+            assert body.columns.shape == (2, 2 * (cuts.size + 1))
+            assert x[0] == 0.0 and x[-1] == 1.0
+            assert (np.diff(x) >= 0.0).all()
+            assert np.array_equal(x[1:-1:2], cuts) and np.array_equal(x[2:-1:2], cuts)
+            assert np.isfinite(y).all()
+
+    def test_cut_offsets_take_the_next_piece_without_warnings(self):
+        # at a cut offset np.interp takes the cut's second knot, the start of
+        # the next piece, and never evaluates the zero-length segment between
+        # the two knots, whose slope is inf or nan; in a chunk of more
+        # columns than knots np.interp computes those slopes, and no
+        # floating-point error or warning escapes
+        for body in self._tangent_bodies():
+            x, y = body.columns
+            cuts = body.cuts
+            rows = np.concatenate([cuts, [0.0, 1.0], np.random.default_rng(cuts.size).random(x.size)])
+            t = np.sort(np.tile(rows, (2, 1)), axis=1)
+            with warnings.catch_warnings(), np.errstate(all="raise"):
+                warnings.simplefilter("error")
+                h = mc_mod._kernel.count_hits(body, t)[1]
+            at = np.isin(t, cuts)
+            assert at.sum() >= 2 * cuts.size
+            nxt = np.searchsorted(cuts, t[at], side="right")  # the piece starting at t
+            assert np.array_equal(h[at], np.fmax(y[2 * nxt], 0.0))
+            assert np.array_equal(h[t == 0.0], np.full((t == 0.0).sum(), max(y[0], 0.0)))
+            assert np.array_equal(h[t == 1.0], np.full((t == 1.0).sum(), max(y[-1], 0.0)))
+
     @pytest.mark.parametrize("kind", [RelaxationKind.PL_PR, RelaxationKind.PL_E_NR],
                              ids=lambda k: k.value)
     def test_overflowing_piece_columns_raise_domain_error(self, kind):
