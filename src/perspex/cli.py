@@ -164,7 +164,8 @@ def cmd_optimize(args) -> dict:
     from . import placement
 
     pf = _power(args)
-    bp, trace = placement.newton_optimize(pf, args.n, tol=args.tol, max_iter=args.max_iter)
+    max_iter = placement._MAX_ITER if args.max_iter is None else args.max_iter
+    bp, trace = placement.newton_optimize(pf, args.n, max_iter=max_iter)
     return {
         "command": "optimize",
         "p": pf.p,
@@ -341,8 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("optimize", help="volume-minimizing breakpoints")
     _add_domain(sp)
     sp.add_argument("--n", type=int, required=True, help="number of pieces")
-    sp.add_argument("--tol", type=float, default=None, help="residual tolerance")
-    sp.add_argument("--max-iter", type=int, default=200)
+    sp.add_argument("--max-iter", type=int, help="Newton iteration limit (default: the solver's)")
     _add_output(sp)
     sp.set_defaults(run=cmd_optimize)
 

@@ -1,10 +1,11 @@
 """Optimal placement of linearization points.
 
-For quadratics the volume-minimizing breakpoints are equally spaced in
-closed form, so Newton stops at that start.  For every other exponent the
-unique minimizer is the zero of a tridiagonal stationarity system, found by
-a Newton iteration that is provably monotone from the equally-spaced start:
-coordinates only move down for ``1 < p < 2`` and only up for ``p > 2``.
+The unique minimizer is the zero of a tridiagonal stationarity system,
+found by a Newton iteration that is provably monotone from the
+equally-spaced start: coordinates only move down for ``1 < p < 2`` and only
+up for ``p > 2``.  A run stops once its residual is within its rounding
+floor.  For quadratics that start is the closed-form optimum, within the
+floor, so Newton stops there.
 This module also provides the analytic bracket for a single interior point,
 the normalized bracket width as a function of the exponent, and exponent
 sweeps.
@@ -33,12 +34,8 @@ from .power import (
 )
 from .underestimator import Breakpoints, Interval, _equal_spacing
 
-# Slack for the per-coordinate direction guard on canonical-start runs.
-_MONOTONE_SLACK = 1e-12
-
 _MAX_ITER = 200
 _NEED_INTERIOR = "optimization needs at least one interior point (n >= 2)"
-_NEED_TOL = "tolerance must be positive"
 
 
 def optimize_quadratic(iv: Interval, n: int) -> tuple[Breakpoints, float]:
@@ -130,17 +127,19 @@ class NewtonTrace:
     ``direction`` is the guaranteed movement of every coordinate from the
     equally-spaced start: ``"decreasing"`` for ``1 < p < 2``,
     ``"increasing"`` for ``p > 2``, or ``"stationary-at-start"`` when the
-    start already satisfies the tolerance, or at ``p = 2``, where that start
-    is the closed-form optimum whatever the tolerance.
+    start's residual is within ``residual_floor``, the bound the run stops
+    against (:func:`_residual_floor`), as it is at ``p = 2``.
     ``condition_numbers`` holds the infinity-norm condition of the Jacobian
     at each iterate; since those Jacobians have nonnegative inverses the
-    number is exact, at the cost of one extra tridiagonal solve.
+    number is exact, from the solve that also gives the direction guard's
+    slack.
     """
 
     def __init__(self) -> None:
         self.iterates: list[Breakpoints] = []
         self.residual_norms: list[float] = []
         self.condition_numbers: list[float] = []
+        self.residual_floor = math.nan
         self.direction = "stationary-at-start"
         self.converged = False
 
@@ -149,22 +148,20 @@ class NewtonTrace:
         return len(self.iterates) - 1
 
 
-def _jacobian_condition(sub, diag, sup) -> float:
+def _jacobian_condition(sub, diag, sup, inv_rows, pivot) -> float:
     """Infinity-norm condition number of the stationarity Jacobian.
 
-    Uses the row sums of the inverse, obtained from one solve against the
-    all-ones vector; exact whenever the inverse is nonnegative, which holds
-    at every iterate reached from the equally-spaced start.
+    ``inv_rows`` and ``pivot`` are :func:`_thomas`'s solve against the
+    all-ones vector, the row sums of the inverse: its norm whenever the
+    inverse is nonnegative, as at every iterate from the equally-spaced start.
     """
+    if pivot >= 0:
+        return math.inf
     m = diag.size
     row = np.abs(diag).copy()
     if m > 1:
         row[:-1] += np.abs(sup)
         row[1:] += np.abs(sub)
-    try:
-        inv_rows = solve_tridiagonal(sub, diag, sup, np.ones(m))
-    except SingularJacobian:
-        return math.inf
     return float(row.max() * np.abs(inv_rows).max())
 
 
@@ -183,26 +180,31 @@ def _interior_feasible(interior: np.ndarray, lo: float, up: float) -> np.ndarray
     )
 
 
-def _default_tol(p: float, upper: float) -> float:
-    return 1e-12 * upper ** (p - 1.0)
+def _residual_floor(p, upper):
+    """``16.5 p eps upper``: a first-order bound on the rounding error of the
+    residual of :func:`power._stationarity` on ``[0, upper]``.  With ``u =
+    eps/2`` and one ulp per ``log1p`` and ``expm1``, a ratio-form cut ``t``
+    is within ``15 u t``, and the residual's own roundings add ``3 u p
+    (hi - lo)``: ``p u (15 (x + hi) + 3 (hi - lo)) <= 33 p u upper``."""
+    return 16.5 * np.finfo(float).eps * p * upper
 
 
-def _newton_rows(iv, p, tol, max_iter, xi, canonical=True, trace=None):
+def _newton_rows(iv, p, max_iter, xi, canonical=True, trace=None):
     """Newton iteration on every row of ``xi`` at once.
 
     ``xi`` holds one start per row, ``(rows, n + 1)``, and is overwritten
-    with each row's last iterate; ``p`` and ``tol`` hold one exponent and
-    one tolerance per row.  Each row stops on its own tolerance, or at once
-    at ``p = 2`` from a ``canonical`` start, and meets the guards of
-    :func:`newton_optimize` on its own.  Returns the error of the
-    lowest-index failing row, or ``None`` when every row converged: rows
-    after a failing one are dropped, since their outcome no longer changes
-    what the caller raises.  ``trace`` records a one-row run.
+    with each row's last iterate; ``p`` holds one exponent per row.  Each
+    row stops once its residual is within its own :func:`_residual_floor`,
+    and meets the guards of :func:`newton_optimize` on its own.  Returns the
+    error of the lowest-index failing row, or ``None`` when every row
+    converged: rows after a failing one are dropped, since their outcome no
+    longer changes what the caller raises.  ``trace`` records a one-row run.
     """
     lo, up = iv.lower, iv.upper
     ps = np.asarray(p, dtype=float)
-    tols = np.asarray(tol, dtype=float)
-    stop_at_start = canonical & is_quadratic(ps)
+    floors = _residual_floor(ps, up)
+    if trace is not None:
+        trace.residual_floor = float(floors[0])
     live = np.arange(len(p))  # rows still iterating, ascending
     error = None
     for it in range(max_iter + 1):
@@ -216,18 +218,20 @@ def _newton_rows(iv, p, tol, max_iter, xi, canonical=True, trace=None):
             break
         st = _stationarity(x, pl)
         norm = np.abs(st.residual).max(axis=1)
-        go = ~(norm <= tols[live]) & ~stop_at_start[live]
+        sub, diag, sup = st.d_lo[:, 1:], st.jac_diag, st.d_hi[:, :-1]
+        inv_rows, inv_pivot = _thomas(sub, diag, sup, np.ones_like(diag))  # J^-1 1
+        go = ~(norm <= floors[live])
         if trace is not None:
             trace.iterates.append(Breakpoints(iv, x[0]))
             trace.residual_norms.append(float(norm[0]))
             trace.condition_numbers.append(
-                _jacobian_condition(st.d_lo[0, 1:], st.jac_diag[0], st.d_hi[0, :-1])
+                _jacobian_condition(sub[0], diag[0], sup[0], inv_rows[0], inv_pivot[0])
             )
             if not go[0]:
                 if it > 0:
                     trace.direction = _direction_for(p[0])
                 trace.converged = True
-        live, x, norm, pl = live[go], x[go], norm[go], pl[go]
+        live, x, norm, pl, inv_rows = live[go], x[go], norm[go], pl[go], inv_rows[go]
         if not live.size:
             break
         if it == max_iter:
@@ -235,23 +239,25 @@ def _newton_rows(iv, p, tol, max_iter, xi, canonical=True, trace=None):
             if trace is not None:
                 trace.direction = _direction_for(p[k])
             error = MaxIterExceeded(
-                f"no convergence to {float(tols[k]):g} within {max_iter} iterations "
-                f"(p={p[k]}, last residual {float(norm[0]):g})",
+                f"no convergence to the residual floor {float(floors[k]):g} within "
+                f"{max_iter} iterations (p={p[k]}, last residual {float(norm[0]):g})",
                 trace,
             )
             break
 
-        step, pivot = _thomas(
-            st.d_lo[go, 1:], st.jac_diag[go], st.d_hi[go, :-1], st.residual[go]
-        )
+        step, pivot = _thomas(sub[go], diag[go], sup[go], st.residual[go])
         singular = pivot >= 0
         old = x[:, 1:-1]
         interior = old - step
         if canonical:
+            # rounding of this residual and of the last (which the last step
+            # carried into x) moves x_k back by <= 2 floor (J^-1 1)_k: J^-1 >= 0
+            slack = 2.0 * floors[live, None] * inv_rows
+            move = interior - old
             checks = [
                 singular,
-                (pl < 2.0) & (interior > old + _MONOTONE_SLACK).any(axis=1),
-                (pl > 2.0) & (interior < old - _MONOTONE_SLACK).any(axis=1),
+                (pl < 2.0) & (move > slack).any(axis=1),
+                (pl > 2.0) & (-move > slack).any(axis=1),
                 ~_interior_feasible(interior, lo, up),
             ]
         else:
@@ -289,7 +295,6 @@ def _newton_rows(iv, p, tol, max_iter, xi, canonical=True, trace=None):
 def newton_optimize(
     pf: PowerFn,
     n: int,
-    tol: float | None = None,
     max_iter: int = _MAX_ITER,
     start=None,
 ) -> tuple[Breakpoints, NewtonTrace]:
@@ -297,11 +302,13 @@ def newton_optimize(
 
     Runs the undamped Newton iteration on the stationarity system from the
     equally-spaced start, which converges monotonically for every ``p > 1``
-    with all iterates strictly interior; a canonical-start iterate moving
-    against the guaranteed direction by more than ``1e-12`` raises
-    :class:`MonotonicityViolated` since the theory forbids it.  The default
-    tolerance scales with the residual, ``1e-12 * upper**(p-1)``.  At
-    ``p = 2`` the start is the optimum, returned at iteration 0 for any ``tol``.
+    with all iterates strictly interior.  The run stops once the residual's
+    max-norm is within its rounding floor, ``16.5 p eps upper``
+    (``NewtonTrace.residual_floor``), or raises :class:`MaxIterExceeded`
+    after ``max_iter`` steps.  A canonical-start step moving coordinate
+    ``k`` back by more than rounding explains, ``2 floor (J^-1 1)_k``,
+    raises :class:`MonotonicityViolated`.  At ``p = 2`` the start is the
+    optimum, within the floor, and is returned at iteration 0.
 
     Runs started from ``start`` (a vector of ``n - 1`` interior points)
     carry no direction guarantee; their steps are halved as needed to stay
@@ -313,11 +320,6 @@ def newton_optimize(
         raise DomainError("max_iter must be positive")
     iv = pf.interval
     lo, up = iv.lower, iv.upper
-    if tol is None:
-        tol = _default_tol(pf.p, up)
-    if not tol > 0.0:
-        raise DomainError(_NEED_TOL)
-
     canonical = start is None
     if canonical:
         xi = _equal_spacing(iv, n)
@@ -330,7 +332,7 @@ def newton_optimize(
         xi = np.concatenate(([lo], interior, [up]))
 
     trace = NewtonTrace()
-    error = _newton_rows(iv, [pf.p], [tol], max_iter, xi[None, :], canonical, trace)
+    error = _newton_rows(iv, [pf.p], max_iter, xi[None, :], canonical, trace)
     if error is not None:
         raise error
     return trace.iterates[-1], trace
@@ -471,12 +473,8 @@ def sweep_optimal_points(iv: Interval, n: int, p_grid) -> SweepResult:
     PowerFn(ps[-1], iv)
     if n < 2:
         raise DomainError(_NEED_INTERIOR)
-    tol = [_default_tol(p, iv.upper) for p in ps]
-    rows = next((k for k, t in enumerate(tol) if not t > 0.0), len(ps))
-    xi = np.tile(_equal_spacing(iv, n), (rows, 1))
-    error = _newton_rows(iv, ps[:rows], tol[:rows], _MAX_ITER, xi)
-    if error is None and rows < len(ps):
-        error = DomainError(_NEED_TOL)
+    xi = np.tile(_equal_spacing(iv, n), (len(ps), 1))
+    error = _newton_rows(iv, ps, _MAX_ITER, xi)
     if error is not None:
         raise error
     return SweepResult(interval=iv, n=n, p=grid, interior=xi[:, 1:-1].copy())

@@ -8,6 +8,7 @@ import pytest
 
 from perspex import Breakpoints, Interval, McEstimate, PowerFn, RelaxationKind
 from perspex.cli import main
+from perspex.placement import newton_optimize
 from perspex.power import closed_form_volume, volume_power_closed_form
 
 GOLDEN = (5.0**0.5 - 1.0) / 2.0
@@ -134,6 +135,13 @@ class TestOptimize:
             "optimize", "--p", "8", "--l", "0", "--u", "1", "--n", "10", "--max-iter", "1"
         )
         assert code == 3 and err.startswith("error: MaxIterExceeded")
+
+    def test_iteration_limit_defaults_to_the_solver_s(self, monkeypatch):
+        from perspex import placement
+
+        monkeypatch.setattr(placement, "_MAX_ITER", 1)
+        code, _, err = run_cli("optimize", "--p", "8", "--l", "0", "--u", "1", "--n", "10")
+        assert code == 3 and " within 1 iterations " in err
 
 
 class TestSweep:
@@ -297,6 +305,9 @@ class TestOutputContracts:
         assert code == 2
         code, _, _ = run_cli("frobnicate")
         assert code == 2
+        code, _, _ = run_cli("optimize", "--p", "3", "--l", "0", "--u", "1", "--n", "4",
+                             "--tol", "1e-9")
+        assert code == 2
 
     def test_infinite_exponent_exits_two(self):
         for argv in (
@@ -310,25 +321,24 @@ class TestOutputContracts:
             assert code == 2 and out == "", argv
             assert err.startswith("error: DomainError: exponent must be finite"), argv
 
-    def test_underflowing_slopes_scale_or_run_out_of_iterations(self):
+    def test_underflowing_slopes_scale_and_converge(self):
         # x**149 underflows at the first breakpoints of [0, 0.01]; the
-        # ratio-form volume does not, and the Newton residual stops at its
-        # rounding floor, above the default tolerance (warnings fail the suite)
+        # ratio-form volume and Newton residual do not, and Newton stops at
+        # the residual's rounding floor (warnings fail the suite)
         tiny = ("--l", "0", "--u", "0.01")
         doc = run_json("volume", "--p", "150", *tiny, "--equal", "5", "--relax", "plpr")
         unit = volume_power_closed_form(
             PowerFn(150.0, Interval(0.0, 1.0)), Breakpoints.equally_spaced(Interval(0.0, 1.0), 5)
         )
         assert doc["volume"] == pytest.approx(0.01**151 * unit, rel=4e-15, abs=0)
-        for argv in (
-            ("optimize", "--p", "150", *tiny, "--n", "5"),
-            ("sweep", *tiny, "--n", "5", "--p-grid", "150"),
-            ("sweep", *tiny, "--n", "5", "--p-grid", "3,150"),
-        ):
-            code, out, err = run_cli(*argv)
-            assert code == 3 and out == "", argv
-            assert err.startswith("error: MaxIterExceeded: no convergence to 1e-310 "), argv
-            assert err.count("\n") == 1 and "Warning" not in err, argv
+        bp, _ = newton_optimize(PowerFn(150.0, Interval(0.0, 0.01)), 5)
+        assert run_json("optimize", "--p", "150", *tiny, "--n", "5")["xi"] == bp.xi.tolist()
+        for grid in ("150", "3,150"):
+            code, out, err = run_cli("sweep", *tiny, "--n", "5", "--p-grid", grid)
+            assert code == 0 and err == "", grid
+            assert list(csv.reader(io.StringIO(out)))[-1] == [
+                "150.0", *map(repr, bp.interior.tolist())
+            ]
 
     def test_domain_errors_exit_two(self):
         code, _, err = run_cli("volume", "--p", "2", "--l", "-1", "--u", "1", "--relax", "nr")

@@ -138,7 +138,7 @@ class TestNewton:
     @pytest.mark.parametrize("n", [20, 160])
     def test_quadratic_stops_at_the_closed_form(self, lower, upper, n):
         # narrow intervals far from zero, where the residual at the start is
-        # rounding noise above the tolerance
+        # rounding noise, within the residual floor
         iv = Interval(lower, upper)
         equal = np.linspace(lower, upper, n + 1)
         bp, trace = newton_optimize(PowerFn(2.0, iv), n)
@@ -252,14 +252,66 @@ class TestNewton:
             newton_optimize(PowerFn(8.0, UNIT), 10, max_iter=2)
         assert err.value.trace is not None
         assert err.value.trace.iterations == 2
+        assert err.value.trace.residual_floor > 0.0
 
-    def test_underflowing_slopes_raise(self):
-        # x**149 underflows to 0 at the first breakpoints of [0, 0.01]; the
-        # ratio-form terms do not, and the residual stops at its rounding
-        # floor, about 2p eps upper = 6.7e-16, far above the default
-        # tolerance of 1e-12 * upper**(p-1) (warnings fail the suite)
-        with pytest.raises(MaxIterExceeded, match=r"no convergence to 1e-310 "):
-            newton_optimize(PowerFn(150.0, Interval(0.0, 0.01)), 5)
+    @pytest.mark.parametrize(
+        "p, lower, upper, n",
+        [(8.0, 0.0, 0.1, 5), (150.0, 0.0, 0.01, 5), (8.0, 0.0, 100.0, 20),
+         (3.0, 1000.0, 1000.001, 4)],
+    )
+    def test_stops_at_the_residual_floor(self, p, lower, upper, n):
+        # a tolerance of 1e-12 * upper**(p-1) took 32 iterates on the first
+        # case, ran out of iterations on the second (x**149 underflows there;
+        # the ratio-form terms do not), and stopped the last two at their start
+        iv = Interval(lower, upper)
+        bp, trace = newton_optimize(PowerFn(p, iv), n)
+        floor = trace.residual_floor
+        assert floor == pytest.approx(16.5 * p * np.finfo(float).eps * upper, rel=1e-15)
+        assert trace.converged and 1 <= trace.iterations <= 8
+        assert trace.residual_norms[-1] <= floor < trace.residual_norms[-2]
+        assert trace.direction == "increasing"
+        assert (bp.interior > Breakpoints.equally_spaced(iv, n).interior).all()
+
+    @pytest.mark.parametrize("p, n", [(8.0, 20), (3.0, 10), (1.2, 10)])
+    @pytest.mark.parametrize("c", [1e-3, 0.1, 10.0, 100.0, 1e4])
+    def test_scale_equivariance(self, p, n, c):
+        # the optimum on [0, c] is c times the one on [0, 1].  A run ends with
+        # its residual within the floor, so the exact residual there is within
+        # twice the floor, and coordinate k within 2 floor (J^-1 1)_k of the
+        # optimum (J^-1 >= 0); the floor scales with c and J does not
+        unit = PowerFn(p, UNIT)
+        ref, trace = newton_optimize(unit, n)
+        bp, _ = newton_optimize(PowerFn(p, Interval(0.0, c)), n)
+        sys = gradient_system(unit, ref)
+        inv_rows = solve_tridiagonal(sys.jac_sub, sys.jac_diag, sys.jac_sup, np.ones(n - 1))
+        bound = 4.0 * trace.residual_floor * inv_rows + np.finfo(float).eps
+        assert (np.abs(bp.interior / c - ref.interior) <= bound).all()
+
+    def test_documented_domain_converges_to_the_floor(self):
+        # p in [1 + 1e-6, 50], upper over seven decades, lower ends at 0,
+        # inside and near upper, n up to 10**4; and p = 2 over 200 decades,
+        # where the equally spaced start is the optimum
+        rng = np.random.default_rng(41)
+        eps = np.finfo(float).eps
+        for i in range(600):
+            ratio = (0.0, rng.uniform(0.01, 0.99), 1.0 - 10.0 ** rng.uniform(-9.0, -3.0))[i % 3]
+            n = 10_000 if i % 100 == 0 else int(round(10.0 ** rng.uniform(0.3, 3.5)))
+            if i % 8 == 7:
+                p, upper = 2.0, 10.0 ** rng.uniform(-100.0, 100.0)
+            else:
+                p = 1.0 + float(np.exp(rng.uniform(np.log(1e-6), np.log(49.0))))
+                upper = 10.0 ** rng.uniform(-3.0, 4.0)
+            lower = upper * ratio
+            iv = Interval(lower, upper)
+            bp, trace = newton_optimize(PowerFn(p, iv), n)
+            case = (p, lower, upper, n)
+            assert trace.converged, case
+            assert trace.residual_norms[-1] <= trace.residual_floor, case
+            assert trace.residual_floor == 16.5 * eps * p * upper, case
+            if p == 2.0:
+                assert trace.iterations == 0, case
+                assert trace.direction == "stationary-at-start", case
+                assert bp.xi.tobytes() == Breakpoints.equally_spaced(iv, n).xi.tobytes()
 
     def test_huge_interval_raises_no_warning(self):
         # the power table squared x**(p-1) and overflowed here (warnings
@@ -273,8 +325,6 @@ class TestNewton:
     def test_input_validation(self):
         with pytest.raises(DomainError):
             newton_optimize(PowerFn(3.0, UNIT), 1)
-        with pytest.raises(DomainError):
-            newton_optimize(PowerFn(3.0, UNIT), 3, tol=-1.0)
         with pytest.raises(DomainError):
             newton_optimize(PowerFn(3.0, UNIT), 3, start=[0.9, 0.1])
 
@@ -470,14 +520,14 @@ class TestSweep:
                 sweep_optimal_points(iv, 20, grid)
             assert str(got.value) == str(err)
 
-    def test_underflowing_slopes_raise_for_their_row(self):
-        # the residual floor lies above the default tolerance at p = 150
-        # (TestNewton); the error names the row that ran out of iterations
+    @pytest.mark.parametrize("n, grid", [(5, [150.0]), (5, [3.0, 150.0]), (20, [150.0, 160.0])])
+    def test_underflowing_slopes_rows_equal_single_solves(self, n, grid):
+        # x**149 underflows on [0, 0.01]: p = 150 ran out of iterations under
+        # a tolerance of 1e-12 * upper**(p-1), which underflows to 0 at p = 160
         iv = Interval(0.0, 0.01)
-        assert sweep_optimal_points(iv, 5, [3.0]).interior.shape == (1, 4)
-        for grid in ([150.0], [3.0, 150.0]):
-            with pytest.raises(MaxIterExceeded, match=r"to 1e-310 .*\(p=150\.0, "):
-                sweep_optimal_points(iv, 5, grid)
+        rows, err = self._row_by_row(iv, n, grid)
+        assert err is None
+        assert (sweep_optimal_points(iv, n, grid).interior == rows).all()
 
     def test_grid_validation(self):
         with pytest.raises(DomainError):
