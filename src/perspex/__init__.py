@@ -20,10 +20,10 @@ __version__ = "0.1.0"
 _MODULES = {
     "errors": "DegenerateTangents DomainError HypothesisViolated MaxIterExceeded "
     "MonotonicityViolated PerspexError SingularJacobian",
-    "mc": "KERNEL_BACKEND BLOCK_SIZE BodySpec McEstimate make_body mc_volume",
+    "mc": "KERNEL_BACKEND BodySpec McEstimate make_body mc_volume",
     "placement": "BracketGap NewtonTrace SinglePointBounds SweepResult bracket_gap "
     "min_bracket_gap newton_optimize optimize_quadratic single_point_bounds "
-    "solve_tridiagonal sweep_optimal_points",
+    "sweep_optimal_points",
     "power": "GradientSystem PowerFn RelaxationKind bordered_hessian_eigs gradient_system "
     "refinement_thresholds volume_extended_naive_quadratic volume_naive_quadratic "
     "volume_perspective_quadratic volume_pl_extended_naive volume_power_closed_form "

@@ -29,7 +29,6 @@ from .power import (
     RelaxationKind,
     closed_form_volume,
     gradient_system,
-    is_quadratic,
     refinement_thresholds,
 )
 from .underestimator import Breakpoints, Interval, build_underestimator, fan_triangle_areas
@@ -144,19 +143,6 @@ def cmd_volume(args) -> dict:
         report["triangle_areas"] = fan_triangle_areas(est).tolist()
     if kind is RelaxationKind.PL_PR and bp.n >= 2:
         report["gradient_norm"] = float(np.abs(gradient_system(pf, bp).grad).max())
-    if args.check:
-        from . import mc
-
-        est = mc.mc_volume(
-            mc.make_body(kind, pf, bp), args.samples, args.seed, args.workers
-        )
-        report["mc_check"] = {
-            "samples": est.samples,
-            "seed": est.seed,
-            "mean": est.mean,
-            "stderr": est.stderr,
-            **_sigma_distance(vol, est),
-        }
     return report
 
 
@@ -164,8 +150,7 @@ def cmd_optimize(args) -> dict:
     from . import placement
 
     pf = _power(args)
-    max_iter = placement._MAX_ITER if args.max_iter is None else args.max_iter
-    bp, trace = placement.newton_optimize(pf, args.n, max_iter=max_iter)
+    bp, trace = placement.newton_optimize(pf, args.n, max_iter=placement._MAX_ITER)
     return {
         "command": "optimize",
         "p": pf.p,
@@ -209,8 +194,6 @@ def cmd_sweep(args):
 
 def cmd_compare(args) -> dict:
     iv = _interval(args)
-    if not is_quadratic(args.p):
-        raise DomainError("compare reports the quadratic table; only p=2 is supported")
     n1, n2, ratio = refinement_thresholds(iv, args.gap)
     n = args.equal
     bp = Breakpoints.equally_spaced(iv, n)
@@ -287,11 +270,8 @@ def _add_interval(sp) -> None:
     sp.add_argument("--u", dest="upper", type=float, required=True, help="upper endpoint")
 
 
-def _add_domain(sp, p_default=None) -> None:
-    sp.add_argument(
-        "--p", type=float, required=p_default is None, default=p_default,
-        help="exponent of the power function, p > 1",
-    )
+def _add_domain(sp) -> None:
+    sp.add_argument("--p", type=float, required=True, help="exponent of the power function, p > 1")
     _add_interval(sp)
 
 
@@ -312,15 +292,6 @@ def _add_output(sp) -> None:
     sp.add_argument("--out", metavar="PATH", help="write the report to PATH instead of stdout")
 
 
-def _add_mc(sp) -> None:
-    sp.add_argument("--samples", type=int, default=1_000_000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument(
-        "--workers", type=int, default=None,
-        help="accepted and ignored: Monte-Carlo blocks always run on the calling thread",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="perspex",
@@ -334,15 +305,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_breakpoints(sp)
     sp.add_argument("--relax", default="plpr", help="nr | pr | plpr | enr | plenr")
     sp.add_argument("--areas", action="store_true", help="include per-triangle base areas")
-    sp.add_argument("--check", action="store_true", help="cross-check against Monte Carlo")
-    _add_mc(sp)
     _add_output(sp)
     sp.set_defaults(run=cmd_volume)
 
     sp = sub.add_parser("optimize", help="volume-minimizing breakpoints")
     _add_domain(sp)
     sp.add_argument("--n", type=int, required=True, help="number of pieces")
-    sp.add_argument("--max-iter", type=int, help="Newton iteration limit (default: the solver's)")
     _add_output(sp)
     sp.set_defaults(run=cmd_optimize)
 
@@ -355,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(run=cmd_sweep)
 
     sp = sub.add_parser("compare", help="piece-count thresholds and quadratic volume table")
-    _add_domain(sp, p_default=2.0)
+    _add_interval(sp)
     sp.add_argument("--gap", type=float, required=True, help="volume gap tolerance")
     sp.add_argument("--equal", type=int, default=2, metavar="N", help="pieces for the table")
     _add_output(sp)
@@ -366,7 +334,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_breakpoints(sp)
     sp.add_argument("--relax", default="plpr", help="nr | pr | plpr | enr | plenr")
     sp.add_argument("--check", action="store_true", help="compare against the closed form")
-    _add_mc(sp)
+    sp.add_argument("--samples", type=int, default=1_000_000)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument(
+        "--workers", type=int, default=None,
+        help="accepted and ignored: Monte-Carlo blocks always run on the calling thread",
+    )
     _add_output(sp)
     sp.set_defaults(run=cmd_mc)
 

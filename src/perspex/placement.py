@@ -51,38 +51,41 @@ def optimize_quadratic(iv: Interval, n: int) -> tuple[Breakpoints, float]:
     return bp, volume_quadratic(bp)
 
 
-def _thomas(sub, diag, sup, rhs) -> tuple[np.ndarray, np.ndarray]:
+def _thomas(sub, diag, sup, *rhs) -> tuple[list[np.ndarray], np.ndarray]:
     """Thomas elimination on each row of ``(rows, m)`` bands, no pivoting.
 
-    Returns the solutions and, per row, the position of the first pivot at
-    most ``1e-14`` times its row scale in magnitude, or -1.  The loop runs
-    over positions once and works on all rows at a time.  A single row runs
-    on Python floats: they round like numpy's float64 and cost far less to
-    index than one-element arrays.
+    Returns one solution per right-hand side, from one elimination, and
+    per row the position of the first pivot at most ``1e-14`` times its
+    row scale in magnitude, or -1.  Loops run over positions, on all rows
+    at a time.  A single row runs on Python floats: they round like
+    numpy's float64 and cost far less to index than one-element arrays.
     """
     rows, m = diag.shape
     if rows == 1:
-        a, d, c, r = (band[0].tolist() for band in (sub, diag, sup, rhs))
+        a, d, c, *r = (band[0].tolist() for band in (sub, diag, sup, *rhs))
     else:
-        a, d, c, r = (np.ascontiguousarray(band.T) for band in (sub, diag, sup, rhs))
+        a, d, c, *r = (np.ascontiguousarray(band.T) for band in (sub, diag, sup, *rhs))
     dens = [d[0]]
-    x = None
     try:
         # a row with a zero pivot runs on with inf/nan; the guard below names it
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             cp = [c[0] / d[0]] if m > 1 else []
-            dp = [r[0] / d[0]]
             for i in range(1, m):
                 den = d[i] - a[i - 1] * cp[i - 1]
                 dens.append(den)
                 if i < m - 1:
                     cp.append(c[i] / den)
-                dp.append((r[i] - a[i - 1] * dp[i - 1]) / den)
-            x = [dp[m - 1]]
-            for i in range(m - 2, -1, -1):
-                x.append(dp[i] - cp[i] * x[-1])
+            xs = []
+            for b in r:
+                dp = [b[0] / d[0]]
+                for ai, bi, den in zip(a, b[1:], dens[1:]):
+                    dp.append((bi - ai * dp[-1]) / den)
+                x = [dp.pop()]
+                for dpi, cpi in zip(dp[::-1], cp[::-1]):
+                    x.append(dpi - cpi * x[-1])
+                xs.append(x)
     except ZeroDivisionError:  # Python floats: an exact zero pivot, named below
-        pass
+        xs = None
 
     scale = np.abs(diag)
     scale[:, 1:] = np.fmax(scale[:, 1:], np.abs(sub))
@@ -90,9 +93,9 @@ def _thomas(sub, diag, sup, rhs) -> tuple[np.ndarray, np.ndarray]:
     k = len(dens)
     small = np.abs(np.reshape(dens, (k, rows)).T) <= 1e-14 * np.fmax(scale[:, :k], 1e-300)
     pivot = np.where(small.any(axis=1), small.argmax(axis=1), -1)
-    if x is None:
-        return np.full((rows, m), np.nan), pivot
-    return np.reshape(x[::-1], (m, rows)).T, pivot
+    if xs is None:
+        return [np.full((rows, m), np.nan) for _ in rhs], pivot
+    return [np.reshape(x[::-1], (m, rows)).T for x in xs], pivot
 
 
 def solve_tridiagonal(sub, diag, sup, rhs) -> np.ndarray:
@@ -114,7 +117,7 @@ def solve_tridiagonal(sub, diag, sup, rhs) -> np.ndarray:
     shapes = [lead + (m - 1,), lead + (m,), lead + (m - 1,), lead + (m,)]
     if [band.shape for band in bands] != shapes:
         raise DomainError("tridiagonal bands have inconsistent lengths")
-    x, pivot = _thomas(*(np.atleast_2d(band) for band in bands))
+    (x,), pivot = _thomas(*(np.atleast_2d(band) for band in bands))
     failed = np.flatnonzero(pivot >= 0)
     if failed.size:
         raise SingularJacobian(f"zero pivot in row {pivot[failed[0]]}")
@@ -219,19 +222,20 @@ def _newton_rows(iv, p, max_iter, xi, canonical=True, trace=None):
         st = _stationarity(x, pl)
         norm = np.abs(st.residual).max(axis=1)
         sub, diag, sup = st.d_lo[:, 1:], st.jac_diag, st.d_hi[:, :-1]
-        inv_rows, inv_pivot = _thomas(sub, diag, sup, np.ones_like(diag))  # J^-1 1
+        (step, inv_rows), pivot = _thomas(sub, diag, sup, st.residual, np.ones_like(diag))
         go = ~(norm <= floors[live])
         if trace is not None:
             trace.iterates.append(Breakpoints(iv, x[0]))
             trace.residual_norms.append(float(norm[0]))
             trace.condition_numbers.append(
-                _jacobian_condition(sub[0], diag[0], sup[0], inv_rows[0], inv_pivot[0])
+                _jacobian_condition(sub[0], diag[0], sup[0], inv_rows[0], pivot[0])
             )
             if not go[0]:
                 if it > 0:
                     trace.direction = _direction_for(p[0])
                 trace.converged = True
-        live, x, norm, pl, inv_rows = live[go], x[go], norm[go], pl[go], inv_rows[go]
+        live, x, norm, pl = live[go], x[go], norm[go], pl[go]
+        step, inv_rows, pivot = step[go], inv_rows[go], pivot[go]
         if not live.size:
             break
         if it == max_iter:
@@ -245,7 +249,6 @@ def _newton_rows(iv, p, max_iter, xi, canonical=True, trace=None):
             )
             break
 
-        step, pivot = _thomas(sub[go], diag[go], sup[go], st.residual[go])
         singular = pivot >= 0
         old = x[:, 1:-1]
         interior = old - step

@@ -77,13 +77,6 @@ class TestVolume:
         code, _, err = run_cli("volume", "--p", "3", "--l", "0", "--u", "1", "--relax", "nr")
         assert code == 2 and "mc" in err
 
-    def test_mc_cross_check(self):
-        report = run_json(
-            "volume", "--p", "2", "--l", "0", "--u", "1", "--equal", "2", "--relax", "plpr",
-            "--check", "--samples", "50000", "--seed", "3",
-        )
-        assert report["mc_check"]["sigma_distance"] <= 4.0
-
     def test_optimized_source_reports_trace(self):
         report = run_json(
             "volume", "--p", "3", "--l", "0", "--u", "1", "--optimize", "2", "--relax", "plpr"
@@ -130,18 +123,14 @@ class TestOptimize:
         report = run_json("optimize", "--p", "1.5", "--l", "0", "--u", "1", "--n", "2")
         assert 1.0 / 3.0 < report["xi"][1] < 4.0 / 9.0
 
-    def test_nonconvergence_exit_code(self):
-        code, _, err = run_cli(
-            "optimize", "--p", "8", "--l", "0", "--u", "1", "--n", "10", "--max-iter", "1"
-        )
-        assert code == 3 and err.startswith("error: MaxIterExceeded")
-
-    def test_iteration_limit_defaults_to_the_solver_s(self, monkeypatch):
+    def test_nonconvergence_exit_code(self, monkeypatch):
+        # optimize runs with the solver's iteration limit, read at call time
         from perspex import placement
 
         monkeypatch.setattr(placement, "_MAX_ITER", 1)
-        code, _, err = run_cli("optimize", "--p", "8", "--l", "0", "--u", "1", "--n", "10")
-        assert code == 3 and " within 1 iterations " in err
+        code, out, err = run_cli("optimize", "--p", "8", "--l", "0", "--u", "1", "--n", "10")
+        assert code == 3 and out == ""
+        assert err.startswith("error: MaxIterExceeded") and " within 1 iterations " in err
 
 
 class TestSweep:
@@ -203,9 +192,13 @@ class TestCompare:
         assert 0.0 < report["table"]["enr"] == pytest.approx(1e-300 / 12.0, rel=1e-15)
 
     def test_rejects_other_exponents(self):
-        for p in ("3", "nan"):
-            code, _, _ = run_cli("compare", "--p", p, "--l", "0", "--u", "1", "--gap", "0.001")
-            assert code == 2, p
+        # the table is the quadratic's: --p is not a flag, and the report says p = 2
+        for p in ("2", "3", "nan"):
+            code, out, err = run_cli(
+                "compare", "--p", p, "--l", "0", "--u", "1", "--gap", "0.001"
+            )
+            assert code == 2 and out == "" and "unrecognized arguments: --p" in err, p
+        assert run_json("compare", "--l", "0", "--u", "1", "--gap", "0.001")["p"] == 2.0
 
 
 class TestMc:
@@ -252,14 +245,12 @@ class TestMc:
         monkeypatch.setattr("perspex.mc.mc_volume", no_spread)
         common = ("--p", "2", "--l", "0", "--u", "1", "--relax", "pr", "--check",
                   "--samples", "20000", "--seed", "1")
-        mc_report = run_json("mc", *common)
-        volume_report = run_json("volume", *common)["mc_check"]
-        for report in (mc_report, volume_report):
-            if agrees:
-                assert report["sigma_distance"] == 0.0 and "note" not in report
-            else:
-                assert report["sigma_distance"] is None
-                assert "zero stderr" in report["note"]
+        report = run_json("mc", *common)
+        if agrees:
+            assert report["sigma_distance"] == 0.0 and "note" not in report
+        else:
+            assert report["sigma_distance"] is None
+            assert "zero stderr" in report["note"]
         if not agrees:  # CSV prints the null as an empty value
             _, out, _ = run_cli("mc", *common, "--format", "csv")
             assert "\nsigma_distance,\n" in out
@@ -308,6 +299,21 @@ class TestOutputContracts:
         code, _, _ = run_cli("optimize", "--p", "3", "--l", "0", "--u", "1", "--n", "4",
                              "--tol", "1e-9")
         assert code == 2
+
+    def test_removed_flags_exit_two(self):
+        # mc --check is the one Monte-Carlo cross-check, compare is p = 2
+        # only, and optimize always runs to the solver's iteration limit
+        plpr = ("--p", "2", "--l", "0", "--u", "1", "--equal", "2", "--relax", "plpr")
+        for argv in (
+            ("volume", *plpr, "--check"),
+            ("volume", *plpr, "--samples", "50000"),
+            ("volume", *plpr, "--seed", "3"),
+            ("volume", *plpr, "--workers", "1"),
+            ("compare", "--p", "2", "--l", "0", "--u", "1", "--gap", "0.001"),
+            ("optimize", "--p", "3", "--l", "0", "--u", "1", "--n", "4", "--max-iter", "200"),
+        ):
+            code, out, err = run_cli(*argv)
+            assert code == 2 and out == "" and "unrecognized arguments" in err, argv
 
     def test_infinite_exponent_exits_two(self):
         for argv in (

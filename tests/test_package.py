@@ -113,6 +113,12 @@ class TestNamespace:
             perspex.volume_cubic  # noqa: B018
         assert not hasattr(perspex, "_columns_table")
 
+    def test_module_helpers_are_not_package_names(self):
+        # read through their modules, as the tests and benchmarks do
+        for module, name in (("placement", "solve_tridiagonal"), ("mc", "BLOCK_SIZE")):
+            assert name not in perspex.__all__ and not hasattr(perspex, name), name
+            assert hasattr(importlib.import_module(f"perspex.{module}"), name), name
+
     def test_dir_lists_the_public_names(self):
         assert set(perspex.__all__) <= set(dir(perspex))
 

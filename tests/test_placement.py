@@ -9,6 +9,7 @@ from perspex import (
     DomainError,
     Interval,
     MaxIterExceeded,
+    MonotonicityViolated,
     PerspexError,
     PowerFn,
     SingularJacobian,
@@ -18,10 +19,11 @@ from perspex import (
     newton_optimize,
     optimize_quadratic,
     single_point_bounds,
-    solve_tridiagonal,
     sweep_optimal_points,
     volume_power_closed_form,
 )
+from perspex import placement
+from perspex.placement import solve_tridiagonal
 
 UNIT = Interval(0.0, 1.0)
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -327,6 +329,68 @@ class TestNewton:
             newton_optimize(PowerFn(3.0, UNIT), 1)
         with pytest.raises(DomainError):
             newton_optimize(PowerFn(3.0, UNIT), 3, start=[0.9, 0.1])
+
+
+class TestNewtonFailures:
+    """Each of the Newton loop's typed failures, from a single run and, where
+    a sweep can meet it, from the lowest failing row of a sweep."""
+
+    @staticmethod
+    def _patch_stationarity(monkeypatch, edit):
+        # the loop reads _stationarity from its module at call time
+        real = placement._stationarity
+
+        def patched(xi, p):
+            st = real(xi, p)
+            return st._replace(**edit(st, p))
+
+        monkeypatch.setattr(placement, "_stationarity", patched)
+
+    def test_unordered_start_raises(self):
+        # the ulp at 1e16 is 2, so the equally spaced start repeats points
+        iv = Interval(1e16, 1e16 + 4.0)
+        with pytest.raises(DomainError, match="^breakpoints must be strictly increasing$"):
+            newton_optimize(PowerFn(3.0, iv), 8)
+        with pytest.raises(DomainError, match="^breakpoints must be strictly increasing$"):
+            sweep_optimal_points(iv, 8, [1.5, 3.0])
+
+    @pytest.mark.parametrize("p, moved", [(1.5, "increased"), (3.0, "decreased")])
+    def test_no_floor_no_slack_raises_on_rounding(self, monkeypatch, p, moved):
+        # with a zero floor the run never stops and the guard has no slack, so
+        # rounding noise at the optimum reads as a step the wrong way
+        monkeypatch.setattr(placement, "_residual_floor", lambda p, upper: 0.0 * p)
+        with pytest.raises(MonotonicityViolated, match=f"^a coordinate {moved} at p={p};"):
+            newton_optimize(PowerFn(p, UNIT), 10)
+
+    def test_sweep_names_its_lowest_failing_row(self, monkeypatch):
+        monkeypatch.setattr(placement, "_residual_floor", lambda p, upper: 0.0 * p)
+        with pytest.raises(MonotonicityViolated, match="^a coordinate increased at p=1.1;"):
+            sweep_optimal_points(Interval(0.3, 1.0), 10, np.geomspace(1.1, 8.0, 50))
+
+    def test_singular_step_raises(self, monkeypatch):
+        # a zero first pivot in the rows at p = 3: the one-row run on Python
+        # floats, and a sweep on arrays whose other row converges
+        def zero_pivot(st, p):
+            diag = st.jac_diag.copy()
+            diag[p == 3.0, 0] = 0.0
+            return {"jac_diag": diag}
+
+        self._patch_stationarity(monkeypatch, zero_pivot)
+        with pytest.raises(SingularJacobian, match="^zero pivot in row 0$"):
+            newton_optimize(PowerFn(3.0, UNIT), 5)
+        with pytest.raises(SingularJacobian, match="^zero pivot in row 0$"):
+            sweep_optimal_points(UNIT, 5, [1.5, 3.0])
+        assert sweep_optimal_points(UNIT, 5, [1.5]).interior.shape == (1, 4)
+
+    def test_overlong_steps_fail_damping_or_leave_the_interior(self, monkeypatch):
+        # a residual 1e30 times too large makes steps that 80 halvings cannot
+        # bring inside; a canonical run does not halve and leaves the interval
+        self._patch_stationarity(monkeypatch, lambda st, p: {"residual": 1e30 * st.residual})
+        with pytest.raises(MaxIterExceeded, match="^damping failed to keep the iterate interior$"):
+            newton_optimize(PowerFn(3.0, UNIT), 5, start=[0.1, 0.2, 0.3, 0.4])
+        left = "^an iterate left the open ordered interior$"
+        with pytest.raises(MonotonicityViolated, match=left):
+            newton_optimize(PowerFn(3.0, UNIT), 5)
 
 
 class TestSinglePointBounds:
