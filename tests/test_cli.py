@@ -124,13 +124,20 @@ class TestOptimize:
         assert 1.0 / 3.0 < report["xi"][1] < 4.0 / 9.0
 
     def test_nonconvergence_exit_code(self, monkeypatch):
-        # optimize runs with the solver's iteration limit, read at call time
         from perspex import placement
 
         monkeypatch.setattr(placement, "_MAX_ITER", 1)
         code, out, err = run_cli("optimize", "--p", "8", "--l", "0", "--u", "1", "--n", "10")
         assert code == 3 and out == ""
-        assert err.startswith("error: MaxIterExceeded") and " within 1 iterations " in err
+        assert err.startswith("error: MaxIterExceeded")
+
+    def test_iteration_limit_defaults_to_the_solver_s(self, monkeypatch):
+        # optimize has no --max-iter; it reads the solver's limit at call time
+        from perspex import placement
+
+        monkeypatch.setattr(placement, "_MAX_ITER", 1)
+        code, _, err = run_cli("optimize", "--p", "8", "--l", "0", "--u", "1", "--n", "10")
+        assert code == 3 and " within 1 iterations " in err
 
 
 class TestSweep:
