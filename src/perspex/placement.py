@@ -29,7 +29,6 @@ from .power import (
     _stationarity,
     _tangent_cuts,
     gradient_system,  # re-exported; nothing in this module calls it
-    is_quadratic,
     volume_quadratic,
 )
 from .underestimator import Breakpoints, Interval, _equal_spacing
@@ -169,7 +168,7 @@ def _jacobian_condition(sub, diag, sup, inv_rows, pivot) -> float:
 
 
 def _direction_for(p: float) -> str:
-    if is_quadratic(p):
+    if p == 2.0:
         return "stationary-at-start"
     return "decreasing" if p < 2.0 else "increasing"
 
@@ -383,7 +382,7 @@ def single_point_bounds(pf: PowerFn) -> SinglePointBounds:
     lo, up = pf.interval.lower, pf.interval.upper
     p = pf.p
     half = 0.5 * (lo + up)
-    if is_quadratic(p):
+    if p == 2.0:
         return SinglePointBounds(lower=half, upper=half, half=half, power_mean=half)
     cut, mean = _bracket_ends(lo, up, p)
     power_mean = (0.5 * (up ** (p - 1.0) + lo ** (p - 1.0))) ** (1.0 / (p - 1.0))
@@ -408,11 +407,10 @@ class BracketGap(NamedTuple):
 
 
 def bracket_gap(p: float, t: float) -> BracketGap:
-    if not p > 1.0:
-        raise DomainError("need p > 1")
     if not 0.0 <= t < 1.0:
         raise DomainError("endpoint ratio must lie in [0, 1)")
-    if is_quadratic(p):
+    PowerFn(p, Interval(t, 1.0))  # the exponent bound of every PowerFn
+    if p == 2.0:
         return BracketGap(p=p, endpoint_ratio=t, value=0.0)
     cut, mean = _bracket_ends(t, 1.0, p)
     return BracketGap(p=p, endpoint_ratio=t, value=(mean - cut) / (1.0 - t))
@@ -466,8 +464,6 @@ def sweep_optimal_points(iv: Interval, n: int, p_grid) -> SweepResult:
     grid = np.asarray(p_grid, dtype=float).ravel()
     if grid.size == 0:
         raise DomainError("empty exponent grid")
-    if not (grid > 1.0).all():
-        raise DomainError("every exponent must exceed 1")
     if grid.size > 1 and not (np.diff(grid) > 0.0).all():
         raise DomainError("exponent grid must be strictly increasing")
     ps = grid.tolist()

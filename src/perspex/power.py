@@ -1,12 +1,11 @@
 """Closed-form volume analytics for power functions ``x**p`` with ``p > 1``.
 
-Everything here evaluates in O(n) for n linearization pieces (the PL volume
-in O(n + log(upper/lower)) quadrature spans): the exact
-volume of the perspective relaxation of the tangent under-estimator, its
-gradient and tridiagonal Hessian in the interior breakpoints, the
-stationarity residual driving Newton's method, the quadratic special cases,
-and the lighter naive-relaxation variants obtained by extending the
-function linearly down to the origin.
+Everything here evaluates in O(n) for n linearization pieces (the volumes
+in O(n + log(upper/lower)) quadrature spans): the exact volume of every
+relaxation at every exponent, that of the perspective relaxation of the
+tangent under-estimator with its gradient and tridiagonal Hessian in the
+interior breakpoints, and the stationarity residual driving Newton's
+method.
 
 Powers are plain ``**``, whose exponents here are positive, so ``0.0**q``
 is 0 already.  The Newton terms read only the ratio-form tangent cuts and
@@ -32,16 +31,7 @@ from .underestimator import (
     build_underestimator,
 )
 
-# Exponents this close to 2 are routed through the exact quadratic formulas.
-_QUADRATIC_EPS = 1e-12
-
 _MIN_P = 1.0 + 1e-9
-
-
-def is_quadratic(p):
-    """Is ``p`` close enough to 2 to take the exact quadratic formulas?
-    Elementwise for an array ``p``."""
-    return abs(p - 2.0) < _QUADRATIC_EPS
 
 
 class RelaxationKind(Enum):
@@ -143,7 +133,7 @@ def volume_power_closed_form(pf: PowerFn, bp: Breakpoints) -> float:
     if pf.interval != bp.interval:
         raise DomainError("breakpoints cover a different interval than the function")
     p = pf.p
-    if is_quadratic(p):
+    if p == 2.0:
         return volume_quadratic(bp)
     xi = bp.xi
     a, b = xi[:-1], xi[1:]
@@ -155,7 +145,7 @@ def volume_power_closed_form(pf: PowerFn, bp: Breakpoints) -> float:
     # powers of (s - start) and (end - s) in each integrand
     left = np.repeat([1, 0, 2], [1, a.size, a.size])
     right = np.repeat([1, 2, 0], [1, a.size, a.size])
-    return p * (p - 1.0) / 6.0 * float(_span_integrals(starts, ends, left, right, p).sum())
+    return p * (p - 1.0) / 6.0 * float(_span_integrals(starts, ends, left, right, p - 2.0).sum())
 
 
 def _tangent_cuts(a: np.ndarray, b: np.ndarray, p) -> np.ndarray:
@@ -204,43 +194,60 @@ _GL_WEIGHTS = np.array([
 _GL_WEIGHTS = np.concatenate((_GL_WEIGHTS, _GL_WEIGHTS[::-1]))  # symmetric about 1/2
 
 
-def _span_integrals(a, b, left, right, p: float) -> np.ndarray:
-    """``∫_a^b (s - a)**left * (b - s)**right * s**(p-2) ds`` per span.
+_WINDOW = 50.0  # above k = 8, a span's integrand below b exp(-50/k) is dropped
+_MAX_SPAN_POWER = 1e6  # where a node's rounding moves s**k by k eps/2 = 1.1e-10
 
-    ``left + right = 2`` and ``0 <= a < b``.  A span from 0 takes the Beta
-    closed form ``b**(p+1) * B(p - 1 + left, right + 1)``.  The others are
-    split at geometric points into sub-spans whose end ratio is at most 2,
-    where ``s**(p-2)`` is analytic well beyond the sub-span, and each
-    sub-span takes the 16-point Gauss-Legendre rule; its relative error is
-    below 1e-16 for ``p`` up to about 50.  Both distances ``s - a`` and ``b
-    - s`` are sums of nonnegative terms, so they keep their relative
-    accuracy near the span's ends.
+
+def _span_integrals(a, b, left, right, k: float, unit_end: bool = False) -> np.ndarray:
+    """``∫_a^b (s - a)**left * (b - s)**right * s**k ds`` per span, ``b - s``
+    in units of ``b`` if ``unit_end``; ``left, right <= 2``, ``k > -1``.
+
+    A span from 0 takes the Beta closed form ``b**(k + left + right + 1) B(k
+    + 1 + left, right + 1)``.  The others are split at geometric points into
+    sub-spans of end ratio at most ``2**(1/max(1, k/8))``, where ``s**k`` is
+    analytic well beyond the sub-span and varies by at most ``2**8``, and
+    each takes the 16-point Gauss-Legendre rule, whose own error is below
+    1e-16.  Above ``k = 8`` only ``[b exp(-_WINDOW/k), b]`` is split, into at
+    most 10 sub-spans: below it ``s**k`` is under ``e**-50`` of ``b**k``,
+    and the integrand's share about ``50**2 e**-50 / 2 = 2.4e-19``.  A
+    node's rounding moves ``s**k`` by up to ``k eps/2``, so above
+    ``_MAX_SPAN_POWER`` a span not from 0 raises :class:`DomainError`.
+    ``s - a`` and ``b - s`` are sums of nonnegative terms, so they keep
+    their relative accuracy near the span's ends.
     """
     out = np.empty(a.shape)
     zero = a == 0.0
     if zero.any():
-        # B(x, k + 1) = k! / (x (x + 1) ... (x + k)) with x = p - 1 + left
-        x = p - 1.0 + left[zero]
-        k = right[zero]
-        beta = np.where(k == 0, 1.0 / x, np.where(k == 1, 1.0 / (x * (x + 1.0)),
+        # B(x, r + 1) = r! / (x (x + 1) ... (x + r)) with x = k + 1 + left
+        x = k + 1.0 + left[zero]
+        r = right[zero]
+        beta = np.where(r == 0, 1.0 / x, np.where(r == 1, 1.0 / (x * (x + 1.0)),
                                                   2.0 / (x * (x + 1.0) * (x + 2.0))))
-        out[zero] = b[zero] ** p * b[zero] * beta  # p + 1 would round the exponent
+        # one factor b apart and the integers summed first: k + 1 would round
+        out[zero] = b[zero] ** (k + (left[zero] + (0 if unit_end else r))) * b[zero] * beta
     live = ~zero
     if live.any():
+        if k > _MAX_SPAN_POWER:
+            raise DomainError(f"the span rule does not resolve s**{k!r}: a node's rounding "
+                              f"moves it by up to {k * np.finfo(float).eps / 2:.2g} relative")
         a, b, left, right = a[live], b[live], left[live], right[live]
-        parts = np.maximum(np.ceil(np.log2(b / a)), 1.0).astype(np.intp)
+        grow = max(1.0, k / 8.0)  # sub-spans per halving of s
+        start = a if grow == 1.0 else np.maximum(a, b * math.exp(-_WINDOW / k))
+        parts = np.maximum(np.ceil(np.log2(b / start) * grow), 1.0).astype(np.intp)
         span = np.repeat(np.arange(a.size), parts)
         # index of each sub-span within its span, and the span's sub-span count
-        k = np.arange(span.size) - np.repeat(np.cumsum(parts) - parts, parts)
+        j = np.arange(span.size) - np.repeat(np.cumsum(parts) - parts, parts)
         m = parts[span]
-        sa, sb = a[span], b[span]
-        lo = np.where(k == 0, sa, sa * (sb / sa) ** (k / m))
-        hi = np.where(k == m - 1, sb, sa * (sb / sa) ** ((k + 1) / m))
+        sa, sc, sb = a[span], start[span], b[span]
+        lo = np.where(j == 0, sc, sc * (sb / sc) ** (j / m))
+        hi = np.where(j == m - 1, sb, sc * (sb / sc) ** ((j + 1) / m))
         h = (hi - lo)[:, None]
         s = lo[:, None] + h * _GL_NODES
         from_a = (lo - sa)[:, None] + h * _GL_NODES
         to_b = (sb - hi)[:, None] + h * (1.0 - _GL_NODES)
-        f = s ** (p - 2.0)
+        if unit_end:
+            to_b /= sb[:, None]
+        f = s**k
         f *= from_a ** left[span, None]
         f *= to_b ** right[span, None]
         sub = (f @ _GL_WEIGHTS) * h[:, 0]
@@ -416,8 +423,7 @@ def bordered_hessian_eigs(pf: PowerFn, bp: Breakpoints) -> np.ndarray:
     if bp.n < 3:
         raise DomainError("bordered test needs at least two interior breakpoints")
     sys = gradient_system(pf, bp)
-    scale = max(1.0, bp.interval.upper) ** pf.p
-    if np.abs(sys.grad).max() <= 1e-11 * scale:
+    if np.abs(sys.grad).max() <= 1e-11 * bp.interval.upper**pf.p:  # the gradient's unit
         raise DomainError("gradient vanishes here; the bordered test does not apply")
     m = sys.grad.size
     b = np.zeros((m + 1, m + 1))
@@ -428,19 +434,17 @@ def bordered_hessian_eigs(pf: PowerFn, bp: Breakpoints) -> np.ndarray:
 
 def volume_naive_quadratic(iv: Interval) -> float:
     """Volume of the naive relaxation of ``x**2`` on the interval."""
-    w, lo, up = iv.width, iv.lower, iv.upper
-    return w**3 / 18.0 + w * (up * up + up * lo + lo * lo) / 36.0
+    return closed_form_volume(RelaxationKind.NR, PowerFn(2.0, iv), None)
 
 
 def volume_perspective_quadratic(iv: Interval) -> float:
     """Volume of the exact perspective relaxation of ``x**2``."""
-    return iv.width**3 / 18.0
+    return closed_form_volume(RelaxationKind.PR, PowerFn(2.0, iv), None)
 
 
 def volume_extended_naive_quadratic(iv: Interval) -> float:
     """Naive-relaxation volume of ``x**2`` linearly extended to the origin."""
-    w, lo, up = iv.width, iv.lower, iv.upper  # no intermediate outgrows the volume
-    return w * w * (up + lo * (lo / up)) / 12.0
+    return closed_form_volume(RelaxationKind.E_NR, PowerFn(2.0, iv), None)
 
 
 def volume_pl_extended_naive(f: ConvexFunction, bp: Breakpoints) -> float:
@@ -456,9 +460,10 @@ def volume_pl_extended_naive(f: ConvexFunction, bp: Breakpoints) -> float:
     lo, up = float(xi[0]), float(xi[-1])
     f_lo, f_up = float(f.fn(lo)), float(f.fn(up))
     d = f._values(xi)[1]
-    if d[0] < -1e-12:
+    slack = 4.5 * np.finfo(float).eps  # f, f' within 2 eps each, so f(lo)/lo within 2.5
+    if d[0] < -slack * float(np.abs(d).max()):
         raise HypothesisViolated("function must be increasing on the interval")
-    if lo > 0.0 and d[0] < f_lo / lo - 1e-12:
+    if lo > 0.0 and d[0] < f_lo / lo - slack * max(abs(d[0]), abs(f_lo / lo)):
         raise HypothesisViolated(
             "slope at the left endpoint must be at least the chord slope from the origin"
         )
@@ -473,37 +478,42 @@ def volume_pl_extended_naive(f: ConvexFunction, bp: Breakpoints) -> float:
     )
 
 
-def closed_form_volume(
-    kind: RelaxationKind, pf: PowerFn, bp: Breakpoints | None
-) -> float | None:
-    """Exact volume of relaxation ``kind`` of ``pf``, or ``None`` without one.
+def closed_form_volume(kind: RelaxationKind, pf: PowerFn, bp: Breakpoints | None) -> float:
+    """Exact volume of relaxation ``kind`` of ``pf``, at every exponent.
 
-    The piecewise-linear kinds need breakpoints and have closed forms at
-    every exponent; ``nr``, ``pr`` and ``enr`` take none and have closed
-    forms at ``p = 2`` only.  Raises :class:`DomainError`, with no warning,
-    where the closed form overflows floats and so is not finite.
+    The piecewise-linear kinds need breakpoints.  Integrating the oracle's
+    columns over ``w`` gives ``pr`` as plpr's chord term, ``p (p-1)/6 ∫ (s -
+    l)(u - s) s**(p-2)``; ``nr`` adds ``κ/3 ∫ s**p`` with ``κ = (p-1)/(p+2)``,
+    and ``enr`` adds ``κ/3 (∫ f - f(l) l**2 (1/l - 1/u))``, which is ``κ (p+2)
+    / (3u) ∫ (u - s) s**p``: nonnegative span integrals, so nothing cancels.
+    From ``l = 0``, ``p (p-1)`` times pr's Beta integral is the one ratio
+    ``(p-1)/(p+1)``.  Raises :class:`DomainError`, with no warning, where the
+    volume overflows floats or :func:`_span_integrals` refuses the exponent.
     """
-    if not (kind.piecewise_linear or is_quadratic(pf.p)):
-        return None
+    p, lo, up = pf.p, pf.interval.lower, pf.interval.upper
+
+    def span(left, right, k, unit_end=False):  # the one span [lo, up]
+        args = (np.array([x]) for x in (lo, up, left, right))
+        return float(_span_integrals(*args, k, unit_end)[0])
+
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # the check below reports them
             if kind is RelaxationKind.PL_PR:
                 vol = volume_power_closed_form(pf, bp)
             elif kind is RelaxationKind.PL_E_NR:
                 vol = volume_pl_extended_naive(pf.oracle(), bp)
-            elif kind is RelaxationKind.NR:
-                vol = volume_naive_quadratic(pf.interval)
-            elif kind is RelaxationKind.PR:
-                vol = volume_perspective_quadratic(pf.interval)
-            else:
-                vol = volume_extended_naive_quadratic(pf.interval)
+            else:  # pr, to which nr and enr each add a term
+                vol = ((p - 1.0) / (6.0 * (p + 1.0)) * (up**p * up) if lo == 0.0
+                       else p * (p - 1.0) / 6.0 * span(1, 1, p - 2.0))
+                if kind is RelaxationKind.NR:
+                    vol += (p - 1.0) / (p + 2.0) / 3.0 * span(0, 0, p)
+                elif kind is RelaxationKind.E_NR:
+                    vol += (p - 1.0) / 3.0 * span(0, 1, p, unit_end=True)
     except OverflowError:  # Python floats raise where numpy returns inf
         vol = math.inf
     if not math.isfinite(vol):
-        iv = pf.interval
         raise DomainError(
-            f"the closed-form {kind.value} volume of x**{pf.p!r} on "
-            f"[{iv.lower!r}, {iv.upper!r}] overflows floats"
+            f"the closed-form {kind.value} volume of x**{p!r} on [{lo!r}, {up!r}] overflows floats"
         )
     return vol
 

@@ -1,13 +1,17 @@
 import csv
 import io
 import json
+import re
+import shlex
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from perspex import Breakpoints, Interval, McEstimate, PowerFn, RelaxationKind
-from perspex.cli import main
+from perspex.cli import _flatten, main
 from perspex.placement import newton_optimize
 from perspex.power import closed_form_volume, volume_power_closed_form
 
@@ -73,9 +77,10 @@ class TestVolume:
         )
         assert code == 2
 
-    def test_no_quadratic_closed_form_for_other_exponents(self):
-        code, _, err = run_cli("volume", "--p", "3", "--l", "0", "--u", "1", "--relax", "nr")
-        assert code == 2 and "mc" in err
+    def test_closed_form_at_every_exponent(self):
+        # nr of x**3 on [0, 1]: pr's (p-1)/(6 (p+1)) = 1/12 plus κ/(3 (p+1)) = 1/30
+        report = run_json("volume", "--p", "3", "--l", "0", "--u", "1", "--relax", "nr")
+        assert report["volume"] == pytest.approx(7.0 / 60.0, rel=1e-15)
 
     def test_optimized_source_reports_trace(self):
         report = run_json(
@@ -224,13 +229,14 @@ class TestMc:
         assert report["analytic"] == pytest.approx(0.0625, rel=1e-14)
         assert report["sigma_distance"] <= 4.0
 
-    def test_no_reference_flagged(self):
+    def test_every_check_has_a_reference(self):
+        # pr of x**3 on [0.5, 1]: (0.5 (1/8 + 1) / 2 - (1 - 1/16) / 4) / 3 = 1/64
         report = run_json(
             "mc", "--p", "3", "--l", "0.5", "--u", "1", "--relax", "pr",
             "--check", "--samples", "20000", "--seed", "8",
         )
-        assert report["analytic"] is None
-        assert report["note"] == "no analytic reference"
+        assert report["analytic"] == pytest.approx(1.0 / 64.0, rel=1e-15)
+        assert report["sigma_distance"] <= 4.0 and "note" not in report
 
     def test_narrow_body_has_a_spread(self):
         report = run_json(
@@ -392,3 +398,44 @@ class TestOutputContracts:
             code, out, err = run_cli(*argv)
             assert code == 2 and out == "", argv
             assert err.startswith("error: DomainError") and err.count("\n") == 1, argv
+
+
+def _readme_cli_lines():
+    """``(argv, claim)`` per line of the README's CLI block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = []
+    for line in block.splitlines():
+        command, _, claim = line.partition("#")
+        lines.append((shlex.split(command)[1:], claim.strip()))
+    return lines
+
+
+def _printed_values(out):
+    """A JSON report flattened to the keys ``--format csv`` prints, or a CSV
+    table keyed by column and row (``xi_1.2``); values as printed."""
+    if out.startswith("{"):
+        return {key: json.dumps(value) for key, value in _flatten(json.loads(out))}
+    rows = list(csv.DictReader(io.StringIO(out)))
+    return {f"{col}.{i}": value for i, row in enumerate(rows) for col, value in row.items()}
+
+
+class TestReadme:
+    @pytest.mark.parametrize("argv, claim", _readme_cli_lines(), ids=lambda v: " ".join(v)
+                             if isinstance(v, list) else None)
+    def test_cli_block_prints_what_its_comments_say(self, argv, claim):
+        code, out, err = run_cli(*argv)
+        assert code == 0, err
+        values = _printed_values(out)
+        assert claim, "every README CLI line states what it prints"
+        for clause in claim.split(";"):
+            key, op, want = re.fullmatch(r"\s*(\S+) ([=<]) (\S+)\s*", clause).groups()
+            got = values[key]
+            if op == "<":
+                assert float(got) < float(want), clause
+            elif want.endswith("..."):
+                assert got.startswith(want[:-3]), clause
+            elif "/" in want:
+                assert float(got) == pytest.approx(float(Fraction(want)), rel=1e-15), clause
+            else:
+                assert float(got) == float(want), clause

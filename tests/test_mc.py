@@ -1156,6 +1156,15 @@ class TestConeSampler:
         assert [t.shape for t in seen] == [(2, half)] * 2
         assert (np.concatenate([t.ravel() for t in seen]) == want).all()
 
+    @pytest.mark.parametrize("p", [1.3, 3.7, 8.0])
+    @pytest.mark.parametrize("kind", ["nr", "pr", "enr"])
+    def test_smooth_closed_forms_at_every_exponent(self, kind, p):
+        # the closed forms of nr, pr and enr away from p = 2, against the oracle
+        kind = RelaxationKind(kind)
+        pf = PowerFn(p, Interval(0.15, 1.0))
+        est = mc_volume(make_body(kind, pf), 200_000, seed=1)
+        assert abs(est.mean - closed_form_volume(kind, pf, None)) <= 4.0 * est.stderr
+
     @pytest.mark.parametrize("kind", PERSPECTIVE, ids=lambda k: k.value)
     def test_huge_ratio_bodies_match_closed_forms(self, kind):
         # (upper / lower)**p overflows, so the perspective gaps fall back

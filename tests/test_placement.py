@@ -493,6 +493,15 @@ class TestBracketGap:
         with pytest.raises(DomainError):
             bracket_gap(3.0, 1.0)
 
+    def test_exponent_bound_is_powerfn_s(self):
+        # below PowerFn's 1 + 1e-9 the (p-1)-th root inflates rounding: at t =
+        # 0.9 the gap read 0.003467 at p = 1 + 1e-12, against 0.004389 at 1 + 1e-9
+        with pytest.raises(DomainError, match=r"^exponent must be at least 1\.000000001, got"):
+            bracket_gap(1.0 + 1e-12, 0.9)
+        assert bracket_gap(1.0 + 1e-9, 0.9).value == pytest.approx(0.004389, rel=1e-3)
+        with pytest.raises(DomainError, match=r"^exponent must be at least 1\.000000001, got 1\.0$"):
+            sweep_optimal_points(UNIT, 5, [1.0, 2.0])
+
 
 class TestMinBracketGap:
     def test_location_and_value(self):

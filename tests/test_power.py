@@ -495,6 +495,18 @@ class TestBorderedHessian:
         with pytest.raises(DomainError):
             bordered_hessian_eigs(PowerFn(3.0, UNIT), bp)
 
+    def test_vanishing_gradient_guard_is_scale_invariant(self):
+        # the gradient is upper**p times a function of the offsets; at these
+        # points it is 0.066 upper**p, which a guard in units of max(1, upper)**p
+        # read as vanishing on [0, 1e-5].  Scaling x keeps the bordered
+        # matrix's inertia (Sylvester), so both have as many negative eigenvalues
+        negatives = []
+        for upper in (1.0, 1e-5):
+            iv = Interval(0.0, upper)
+            bp = Breakpoints(iv, upper * np.array([0.0, 0.1, 0.2, 0.9, 1.0]))
+            negatives.append(int((bordered_hessian_eigs(PowerFn(3.0, iv), bp) < 0.0).sum()))
+        assert negatives[0] == negatives[1]
+
 
 class TestQuadraticSpecials:
     def test_naive(self):
@@ -562,14 +574,112 @@ class TestClosedFormDispatch:
             with pytest.raises(DomainError, match="overflows floats"):
                 closed_form_volume(kind, pf, bp if kind.piecewise_linear else None)
 
-    def test_none_without_a_closed_form(self):
+    @staticmethod
+    def _exact_smooth(kind, p, iv):
+        """nr, pr or enr of ``x**p`` for an integer ``p``, in exact rationals
+        on the float endpoints, from ``∫ f = (u**(p+1) - l**(p+1)) / (p + 1)``."""
+        l, u = Fraction(iv.lower), Fraction(iv.upper)
+        integral = (u ** (p + 1) - l ** (p + 1)) / (p + 1)
+        vol = ((u - l) * (l**p + u**p) / 2 - integral) / 3
+        kappa = Fraction(p - 1, p + 2)
+        if kind is RelaxationKind.NR:
+            vol += kappa * integral / 3
+        elif kind is RelaxationKind.E_NR:
+            vol += kappa * (integral - l ** (p + 1) + l ** (p + 2) / u) / 3
+        return vol
+
+    def test_every_kind_at_every_exponent(self):
+        # nr, pr and enr have a closed form at every p, not at p = 2 alone
+        for p in (3, 4, 7):
+            for iv in (self.IV, UNIT, Interval(1000.0, 1000.001), Interval(0.3, 1e4)):
+                pf = PowerFn(float(p), iv)
+                for kind in (RelaxationKind.NR, RelaxationKind.PR, RelaxationKind.E_NR):
+                    got = closed_form_volume(kind, pf, None)
+                    exact = self._exact_smooth(kind, p, iv)
+                    assert abs(Fraction(got) - exact) <= Fraction(1e-14) * exact, (kind, p, iv)
         pf = PowerFn(3.0, self.IV)
         bp = Breakpoints.equally_spaced(self.IV, 3)
-        for kind in (RelaxationKind.NR, RelaxationKind.PR, RelaxationKind.E_NR):
-            assert closed_form_volume(kind, pf, None) is None
         assert closed_form_volume(RelaxationKind.PL_PR, pf, bp) == volume_power_closed_form(
             pf, bp
         )
+
+    def test_huge_exponents_from_zero(self):
+        # p (p - 1) overflows and pr's Beta integral underflows at p = 1e300;
+        # their product is the ratio (p - 1)/(p + 1), so every kind reads 1/6
+        pf = PowerFn(1e300, UNIT)
+        for kind in (RelaxationKind.NR, RelaxationKind.PR, RelaxationKind.E_NR):
+            assert closed_form_volume(kind, pf, None) == pytest.approx(1.0 / 6.0, rel=1e-15)
+
+    def test_exponents_beyond_the_span_rule_raise(self):
+        # pr of x**1e100 on [0.5, 1] is 1/12; the span rule cannot resolve
+        # s**(p-2) there, and says so rather than return a wrong number
+        for p in (1e7, 1e100):
+            with pytest.raises(DomainError, match="span rule does not resolve"):
+                closed_form_volume(RelaxationKind.PR, PowerFn(p, Interval(0.5, 1.0)), None)
+        # at p = 1e6 the rule's window holds the volume, (1/4 - 1/(p + 1))/3
+        # with 0.5**p = 0, to its rounding bound p eps / 2
+        p = 1e6
+        vol = closed_form_volume(RelaxationKind.PR, PowerFn(p, Interval(0.5, 1.0)), None)
+        assert vol == pytest.approx((0.25 - 1.0 / (p + 1.0)) / 3.0, rel=p * np.finfo(float).eps / 2)
+
+
+# Exponents from near 1 to 300 on intervals from zero, narrow ones far from
+# zero and wide ones: where the volume overflows floats, the closed form
+# raises DomainError; everywhere else it is within 1e-14 of 60 digits
+ACCURACY_P = (1.001, 1.05, 1.2, 1.5, 2.0, 3.0, 3.7, 8.0, 20.0, 40.0, 100.0, 300.0)
+ACCURACY_IV = (
+    (0.0, 1.0), (0.15, 1.0), (0.5, 1.0), (0.9, 1.0), (1000.0, 1000.001), (10.0, 10.0001),
+    (1e-10, 1.0), (0.3, 1e4), (6.63392, 6.633921), (0.0, 1e-3),
+)
+
+
+def _within_or_overflows(get, want):
+    """``get()`` is within 1e-14 of ``want`` rounded to a float, or raises
+    :class:`DomainError` exactly where ``want`` overflows floats."""
+    if want > np.finfo(float).max:
+        with pytest.raises(DomainError, match="overflows floats"):
+            get()
+        return
+    want = float(want)
+    assert abs(get() - want) <= 1e-14 * want
+
+
+class TestAccuracyGrid:
+    @staticmethod
+    def _smooth_reference(mpmath, kind, p, lower, upper):
+        """nr, pr or enr at 60 digits, from ``∫ f = (u**(p+1) - l**(p+1)) /
+        (p + 1)``: pr a third of the chord's area less ``∫ f``, nr adding
+        ``κ/3 ∫ f`` and enr ``κ/3 (∫ f - f(l) l**2 (1/l - 1/u))``."""
+        with mpmath.workdps(60):
+            p, l, u = mpmath.mpf(p), mpmath.mpf(lower), mpmath.mpf(upper)
+            integral = (u ** (p + 1) - l ** (p + 1)) / (p + 1)
+            vol = ((u - l) * (l**p + u**p) / 2 - integral) / 3
+            kappa = (p - 1) / (p + 2)
+            if kind is RelaxationKind.NR:
+                vol += kappa * integral / 3
+            elif kind is RelaxationKind.E_NR:
+                vol += kappa * (integral - l ** (p + 1) + l ** (p + 2) / u) / 3
+            return vol
+
+    @pytest.mark.parametrize("p", ACCURACY_P)
+    def test_smooth_kinds(self, p):
+        mpmath = pytest.importorskip("mpmath")
+        for lower, upper in ACCURACY_IV:
+            pf = PowerFn(p, Interval(lower, upper))
+            for kind in (RelaxationKind.NR, RelaxationKind.PR, RelaxationKind.E_NR):
+                want = self._smooth_reference(mpmath, kind, p, lower, upper)
+                _within_or_overflows(lambda: closed_form_volume(kind, pf, None), want)
+
+    @pytest.mark.parametrize("p", ACCURACY_P)
+    def test_plpr(self, p):
+        # the span rule sizes its sub-spans by p: with sizes fixed for p <= 10
+        # it was off by 6.4e-8 at p = 100 and 3.8e-2 at p = 300 on [0.5, 1]
+        mpmath = pytest.importorskip("mpmath")
+        for lower, upper in ACCURACY_IV:
+            iv = Interval(lower, upper)
+            pf, bp = PowerFn(p, iv), Breakpoints.equally_spaced(iv, 3)
+            want = TestClosedForm._reference(mpmath, p, bp.xi)
+            _within_or_overflows(lambda: closed_form_volume(RelaxationKind.PL_PR, pf, bp), want)
 
 
 class TestExtendedNaive:
@@ -619,6 +729,24 @@ class TestExtendedNaive:
         shifted = ConvexFunction(fn=lambda x: x * x + 1.0, deriv=lambda x: 2.0 * x, interval=iv)
         with pytest.raises(HypothesisViolated):
             volume_pl_extended_naive(shifted, Breakpoints.equally_spaced(iv, 2))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6, 1e12, 1e20])
+    def test_hypothesis_at_equality_holds_at_every_scale(self, scale):
+        # the tangent of s (x**2 + l**2) at l passes through the origin, so
+        # the hypothesis holds with equality; an absolute slack of 1e-12
+        # rejected 33, 36 and 31 of these 200 intervals at s = 1e6, 1e12 and 1e20
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            lo, up = np.sort(rng.uniform(0.01, 10.0, 2)).tolist()
+            iv = Interval(lo, up)
+            f = ConvexFunction(fn=lambda x, l=lo: scale * (x * x + l * l),
+                               deriv=lambda x: 2.0 * scale * x, interval=iv)
+            assert volume_pl_extended_naive(f, Breakpoints.equally_spaced(iv, 3)) > 0.0
+            # a relative 1e-10 below equality is still a violation
+            f = ConvexFunction(fn=lambda x, l=lo: scale * (x * x + l * l * (1.0 + 1e-10)),
+                               deriv=lambda x: 2.0 * scale * x, interval=iv)
+            with pytest.raises(HypothesisViolated):
+                volume_pl_extended_naive(f, Breakpoints.equally_spaced(iv, 3))
 
     def test_decreasing_function_rejected(self):
         iv = Interval(0.0, 0.5)
