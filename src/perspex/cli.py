@@ -118,6 +118,8 @@ def _emit(text: str, out: str | None) -> None:
 def cmd_volume(args) -> dict:
     pf = _power(args)
     kind = RelaxationKind.from_tag(args.relax)
+    if args.areas and kind is not RelaxationKind.PL_PR:
+        raise DomainError(f"--areas lists plpr's fan triangles; {kind.value} has none")
     bp, trace_summary = _resolve_breakpoints(args, pf)
     _check_breakpoints(kind, bp)
 
@@ -132,7 +134,7 @@ def cmd_volume(args) -> dict:
     }
     if trace_summary is not None:
         report["trace"] = trace_summary
-    if kind is RelaxationKind.PL_PR and args.areas:
+    if args.areas:
         est = build_underestimator(pf.oracle(), bp)
         report["triangle_areas"] = fan_triangle_areas(est).tolist()
     if kind is RelaxationKind.PL_PR and bp.n >= 2:
@@ -144,7 +146,7 @@ def cmd_optimize(args) -> dict:
     from . import placement
 
     pf = _power(args)
-    bp, trace = placement.newton_optimize(pf, args.n, max_iter=placement._MAX_ITER)
+    bp, trace = placement.newton_optimize(pf, args.n)
     return {
         "command": "optimize",
         "p": pf.p,
@@ -293,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_domain(sp)
     _add_breakpoints(sp)
     sp.add_argument("--relax", default="plpr", help="nr | pr | plpr | enr | plenr")
-    sp.add_argument("--areas", action="store_true", help="include per-triangle base areas")
+    sp.add_argument("--areas", action="store_true", help="include plpr's per-triangle base areas")
     _add_output(sp)
     sp.set_defaults(run=cmd_volume)
 

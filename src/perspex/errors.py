@@ -26,7 +26,8 @@ class SingularJacobian(PerspexError):
 
 
 class MaxIterExceeded(PerspexError):
-    """The Newton iteration ran out of iterations before reaching tolerance.
+    """The Newton iteration ran out of iterations before its residual came
+    within its rounding floor.
 
     The partial trace is attached as ``.trace``.
     """

@@ -26,6 +26,7 @@ from .errors import (
 )
 from .power import (
     PowerFn,
+    _residual_floor,
     _stationarity,
     _tangent_cuts,
     gradient_system,  # re-exported; nothing in this module calls it
@@ -173,28 +174,10 @@ def _direction_for(p: float) -> str:
     return "decreasing" if p < 2.0 else "increasing"
 
 
-def _interior_feasible(interior: np.ndarray, lo: float, up: float) -> np.ndarray:
-    """Per row of ``interior``: strictly increasing and strictly inside."""
-    return (
-        ~(interior[:, 0] <= lo)
-        & ~(interior[:, -1] >= up)
-        & (np.diff(interior, axis=1) > 0.0).all(axis=1)
-    )
+def _newton_rows(iv, p, xi, trace=None):
+    """Newton iteration from the equally-spaced start on every row of ``xi``.
 
-
-def _residual_floor(p, upper):
-    """``16.5 p eps upper``: a first-order bound on the rounding error of the
-    residual of :func:`power._stationarity` on ``[0, upper]``.  With ``u =
-    eps/2`` and one ulp per ``log1p`` and ``expm1``, a ratio-form cut ``t``
-    is within ``15 u t``, and the residual's own roundings add ``3 u p
-    (hi - lo)``: ``p u (15 (x + hi) + 3 (hi - lo)) <= 33 p u upper``."""
-    return 16.5 * np.finfo(float).eps * p * upper
-
-
-def _newton_rows(iv, p, max_iter, xi, canonical=True, trace=None):
-    """Newton iteration on every row of ``xi`` at once.
-
-    ``xi`` holds one start per row, ``(rows, n + 1)``, and is overwritten
+    ``xi`` holds that start in each row, ``(rows, n + 1)``, and is overwritten
     with each row's last iterate; ``p`` holds one exponent per row.  Each
     row stops once its residual is within its own :func:`_residual_floor`,
     and meets the guards of :func:`newton_optimize` on its own.  Returns the
@@ -209,7 +192,7 @@ def _newton_rows(iv, p, max_iter, xi, canonical=True, trace=None):
         trace.residual_floor = float(floors[0])
     live = np.arange(len(p))  # rows still iterating, ascending
     error = None
-    for it in range(max_iter + 1):
+    for it in range(_MAX_ITER + 1):
         x, pl = xi[live], ps[live]
         ordered = (np.diff(x, axis=1) > 0.0).all(axis=1)  # what Breakpoints asks
         if not ordered.all():
@@ -237,13 +220,13 @@ def _newton_rows(iv, p, max_iter, xi, canonical=True, trace=None):
         step, inv_rows, pivot = step[go], inv_rows[go], pivot[go]
         if not live.size:
             break
-        if it == max_iter:
+        if it == _MAX_ITER:
             k = live[0]
             if trace is not None:
                 trace.direction = _direction_for(p[k])
             error = MaxIterExceeded(
                 f"no convergence to the residual floor {float(floors[k]):g} within "
-                f"{max_iter} iterations (p={p[k]}, last residual {float(norm[0]):g})",
+                f"{_MAX_ITER} iterations (p={p[k]}, last residual {float(norm[0]):g})",
                 trace,
             )
             break
@@ -251,39 +234,28 @@ def _newton_rows(iv, p, max_iter, xi, canonical=True, trace=None):
         singular = pivot >= 0
         old = x[:, 1:-1]
         interior = old - step
-        if canonical:
-            # rounding of this residual and of the last (which the last step
-            # carried into x) moves x_k back by <= 2 floor (J^-1 1)_k: J^-1 >= 0
-            slack = 2.0 * floors[live, None] * inv_rows
-            move = interior - old
-            checks = [
-                singular,
-                (pl < 2.0) & (move > slack).any(axis=1),
-                (pl > 2.0) & (-move > slack).any(axis=1),
-                ~_interior_feasible(interior, lo, up),
-            ]
-        else:
-            shrinking = ~singular & ~_interior_feasible(interior, lo, up)
-            for _ in range(80):  # a row still outside after 80 halvings fails
-                if not shrinking.any():
-                    break
-                step[shrinking] *= 0.5
-                interior[shrinking] = old[shrinking] - step[shrinking]
-                shrinking &= ~_interior_feasible(interior, lo, up)
-            checks = [singular, shrinking]
-        failed = np.logical_or.reduce(checks)
+        # rounding of this residual and of the last (which the last step
+        # carried into x) moves x_k back by <= 2 floor (J^-1 1)_k: J^-1 >= 0
+        slack = 2.0 * floors[live, None] * inv_rows
+        move = interior - old
+        increased = (pl < 2.0) & (move > slack).any(axis=1)
+        decreased = (pl > 2.0) & (-move > slack).any(axis=1)
+        outside = (  # not strictly increasing and strictly inside
+            (interior[:, 0] <= lo)
+            | (interior[:, -1] >= up)
+            | ~(np.diff(interior, axis=1) > 0.0).all(axis=1)
+        )
+        failed = singular | increased | decreased | outside
         if failed.any():
             j = int(np.argmax(failed))
             k = live[j]
             if singular[j]:
                 error = SingularJacobian(f"zero pivot in row {pivot[j]}")
-            elif not canonical:
-                error = MaxIterExceeded("damping failed to keep the iterate interior", trace)
-            elif checks[1][j]:
+            elif increased[j]:
                 error = MonotonicityViolated(
                     f"a coordinate increased at p={p[k]}; decreasing run expected"
                 )
-            elif checks[2][j]:
+            elif decreased[j]:
                 error = MonotonicityViolated(
                     f"a coordinate decreased at p={p[k]}; increasing run expected"
                 )
@@ -294,12 +266,7 @@ def _newton_rows(iv, p, max_iter, xi, canonical=True, trace=None):
     return error
 
 
-def newton_optimize(
-    pf: PowerFn,
-    n: int,
-    max_iter: int = _MAX_ITER,
-    start=None,
-) -> tuple[Breakpoints, NewtonTrace]:
+def newton_optimize(pf: PowerFn, n: int) -> tuple[Breakpoints, NewtonTrace]:
     """Minimize the PL perspective volume over the interior breakpoints.
 
     Runs the undamped Newton iteration on the stationarity system from the
@@ -307,34 +274,17 @@ def newton_optimize(
     with all iterates strictly interior.  The run stops once the residual's
     max-norm is within its rounding floor, ``16.5 p eps upper``
     (``NewtonTrace.residual_floor``), or raises :class:`MaxIterExceeded`
-    after ``max_iter`` steps.  A canonical-start step moving coordinate
-    ``k`` back by more than rounding explains, ``2 floor (J^-1 1)_k``,
-    raises :class:`MonotonicityViolated`.  At ``p = 2`` the start is the
-    optimum, within the floor, and is returned at iteration 0.
-
-    Runs started from ``start`` (a vector of ``n - 1`` interior points)
-    carry no direction guarantee; their steps are halved as needed to stay
-    strictly interior and ordered.
+    after ``_MAX_ITER`` steps.  A step moving coordinate ``k`` back by more
+    than rounding explains, ``2 floor (J^-1 1)_k``, or out of the open
+    ordered interior raises :class:`MonotonicityViolated`.  At ``p = 2``
+    the start is the optimum, within the floor, and is returned at
+    iteration 0.
     """
     if n < 2:
         raise DomainError(_NEED_INTERIOR)
-    if max_iter < 1:
-        raise DomainError("max_iter must be positive")
     iv = pf.interval
-    lo, up = iv.lower, iv.upper
-    canonical = start is None
-    if canonical:
-        xi = _equal_spacing(iv, n)
-    else:
-        interior = np.asarray(start, dtype=float).ravel()
-        if interior.size != n - 1:
-            raise DomainError(f"start must supply {n - 1} interior points")
-        if not _interior_feasible(interior[None, :], lo, up)[0]:
-            raise DomainError("start must be strictly increasing inside the interval")
-        xi = np.concatenate(([lo], interior, [up]))
-
     trace = NewtonTrace()
-    error = _newton_rows(iv, [pf.p], max_iter, xi[None, :], canonical, trace)
+    error = _newton_rows(iv, [pf.p], _equal_spacing(iv, n)[None, :], trace)
     if error is not None:
         raise error
     return trace.iterates[-1], trace
@@ -456,8 +406,8 @@ def sweep_optimal_points(iv: Interval, n: int, p_grid) -> SweepResult:
 
     Every optimal coordinate is increasing in the exponent, so each column
     of the result is monotone down the rows.  All rows run as one batched
-    Newton iteration, each row exactly as :func:`newton_optimize` runs it
-    with default settings, but without a trace.  A solver error is the one
+    Newton iteration, each row exactly as :func:`newton_optimize` runs it,
+    but without a trace.  A solver error is the one
     :func:`newton_optimize` raises for the lowest-index failing row; a
     :class:`MaxIterExceeded` from here carries no trace.
     """
@@ -473,7 +423,7 @@ def sweep_optimal_points(iv: Interval, n: int, p_grid) -> SweepResult:
     if n < 2:
         raise DomainError(_NEED_INTERIOR)
     xi = np.tile(_equal_spacing(iv, n), (len(ps), 1))
-    error = _newton_rows(iv, ps, _MAX_ITER, xi)
+    error = _newton_rows(iv, ps, xi)
     if error is not None:
         raise error
     return SweepResult(interval=iv, n=n, p=grid, interior=xi[:, 1:-1].copy())

@@ -130,6 +130,8 @@ def volume_power_closed_form(pf: PowerFn, bp: Breakpoints) -> float:
     volume.  Agrees with the fan-triangulation volume of the corresponding
     under-estimator; this form never constructs the tangent vertices.
     """
+    if bp is None:
+        raise DomainError("plpr needs breakpoints")
     if pf.interval != bp.interval:
         raise DomainError("breakpoints cover a different interval than the function")
     p = pf.p
@@ -306,6 +308,16 @@ def _stationarity(xi: np.ndarray, p: np.ndarray) -> _Stationarity:
     return _Stationarity(residual, t_up, t_dn, d_lo, d_hi, s_lo, jac_diag)
 
 
+def _residual_floor(p, upper):
+    """``16.5 p eps upper``: a first-order bound on the rounding error of the
+    residual of :func:`_stationarity` on ``[0, upper]``.  With ``u = eps/2``
+    and one ulp per ``log1p`` and ``expm1``, a ratio-form cut ``t`` is within
+    ``15 u t``, and the residual's own roundings add ``3 u p (hi - lo)``:
+    ``p u (15 (x + hi) + 3 (hi - lo)) <= 33 p u upper``.  A residual within
+    it is zero within rounding."""
+    return 16.5 * np.finfo(float).eps * p * upper
+
+
 class GradientSystem(NamedTuple):
     """First- and second-order data of the volume at fixed breakpoints.
 
@@ -418,12 +430,15 @@ def bordered_hessian_eigs(pf: PowerFn, bp: Breakpoints) -> np.ndarray:
     The quasiconvexity certificate asks this matrix to have exactly one
     negative eigenvalue wherever the gradient is nonzero.  Undefined at
     stationary points (zero border) and for fewer than two interior
-    breakpoints; both raise :class:`DomainError`.
+    breakpoints; both raise :class:`DomainError`.  The gradient counts as
+    zero where the residual is within its rounding floor
+    (:func:`_residual_floor`), as at a Newton optimum: each gradient entry
+    is a positive multiple of its residual entry, so the two vanish together.
     """
     if bp.n < 3:
         raise DomainError("bordered test needs at least two interior breakpoints")
     sys = gradient_system(pf, bp)
-    if np.abs(sys.grad).max() <= 1e-11 * bp.interval.upper**pf.p:  # the gradient's unit
+    if np.abs(sys.residual).max() <= _residual_floor(pf.p, bp.interval.upper):
         raise DomainError("gradient vanishes here; the bordered test does not apply")
     m = sys.grad.size
     b = np.zeros((m + 1, m + 1))
@@ -481,7 +496,8 @@ def volume_pl_extended_naive(f: ConvexFunction, bp: Breakpoints) -> float:
 def closed_form_volume(kind: RelaxationKind, pf: PowerFn, bp: Breakpoints | None) -> float:
     """Exact volume of relaxation ``kind`` of ``pf``, at every exponent.
 
-    The piecewise-linear kinds need breakpoints.  Integrating the oracle's
+    The piecewise-linear kinds need breakpoints, and raise
+    :class:`DomainError` without them.  Integrating the oracle's
     columns over ``w`` gives ``pr`` as plpr's chord term, ``p (p-1)/6 ∫ (s -
     l)(u - s) s**(p-2)``; ``nr`` adds ``κ/3 ∫ s**p`` with ``κ = (p-1)/(p+2)``,
     and ``enr`` adds ``κ/3 (∫ f - f(l) l**2 (1/l - 1/u))``, which is ``κ (p+2)
@@ -490,6 +506,8 @@ def closed_form_volume(kind: RelaxationKind, pf: PowerFn, bp: Breakpoints | None
     ``(p-1)/(p+1)``.  Raises :class:`DomainError`, with no warning, where the
     volume overflows floats or :func:`_span_integrals` refuses the exponent.
     """
+    if kind.piecewise_linear and bp is None:
+        raise DomainError(f"{kind.value} needs breakpoints")
     p, lo, up = pf.p, pf.interval.lower, pf.interval.upper
 
     def span(left, right, k, unit_end=False):  # the one span [lo, up]

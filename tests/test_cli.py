@@ -61,6 +61,16 @@ class TestVolume:
         )
         assert sum(report["triangle_areas"]) == pytest.approx(3.0 * report["volume"], rel=1e-12)
 
+    def test_areas_only_for_plpr(self):
+        # the other kinds have no fan triangles to list
+        for relax in ("nr", "pr", "enr", "plenr"):
+            argv = ["volume", "--p", "3", "--l", "0", "--u", "1", "--relax", relax, "--areas"]
+            if relax == "plenr":
+                argv += ["--equal", "3"]
+            code, out, err = run_cli(*argv)
+            assert code == 2 and out == "", relax
+            assert err.startswith("error: DomainError") and err.count("\n") == 1, relax
+
     def test_full_list_must_match_endpoints(self):
         code, _, err = run_cli(
             "volume", "--p", "2", "--l", "0", "--u", "1", "--xi", "0,0.3,0.9", "--relax", "plpr"

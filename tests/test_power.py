@@ -507,6 +507,20 @@ class TestBorderedHessian:
             negatives.append(int((bordered_hessian_eigs(PowerFn(3.0, iv), bp) < 0.0).sum()))
         assert negatives[0] == negatives[1]
 
+    def test_vanishing_gradient_guard_reads_the_residual_floor(self):
+        # far from zero the gradient is of order p**2 upper**(p-2) width**2:
+        # 1.2e-4 at these points, which a guard of 1e-11 upper**p (1e-2 here)
+        # read as vanishing.  A Newton optimum's residual is within the
+        # floor, so the guard still refuses it
+        iv = Interval(1000.0, 1000.001)
+        pf = PowerFn(3.0, iv)
+        bp = Breakpoints.from_interior(iv, 1000.0 + 0.001 * np.array([0.1, 0.2, 0.9]))
+        eigs = bordered_hessian_eigs(pf, bp)
+        assert eigs.size == 4 and np.isfinite(eigs).all()
+        optimum, _ = newton_optimize(pf, 4)
+        with pytest.raises(DomainError, match="^gradient vanishes here;"):
+            bordered_hessian_eigs(pf, optimum)
+
 
 class TestQuadraticSpecials:
     def test_naive(self):
@@ -564,6 +578,14 @@ class TestClosedFormDispatch:
         for kind, vol in expected.items():
             assert closed_form_volume(kind, pf, bp if kind.piecewise_linear else None) == vol
         assert [k.value for k in RelaxationKind if k.piecewise_linear] == ["plpr", "plenr"]
+
+    def test_missing_breakpoints_are_a_domain_error(self):
+        pf = PowerFn(3.0, self.IV)
+        for kind in (RelaxationKind.PL_PR, RelaxationKind.PL_E_NR):
+            with pytest.raises(DomainError, match=f"^{kind.value} needs breakpoints$"):
+                closed_form_volume(kind, pf, None)
+        with pytest.raises(DomainError, match="^plpr needs breakpoints$"):
+            volume_power_closed_form(pf, None)
 
     def test_non_finite_volume_is_a_domain_error(self):
         # every kind overflows here, through numpy (inf, nan) or Python floats
