@@ -261,6 +261,18 @@ class TestNewton:
                 limit = self._damped_newton(pf, cuts, trace.residual_floor)
                 assert (np.abs(limit - reference.interior) <= bound).all(), (p, cuts)
 
+    def test_quadratic_from_a_custom_start_iterates(self):
+        # newton_optimize always starts at equal spacing, which is the p = 2
+        # optimum; from an unequal start the stationarity residual still has
+        # that one zero, and Newton steps reach it
+        pf = PowerFn(2.0, UNIT)
+        _, trace = newton_optimize(pf, 5)
+        start = [0.1, 0.3, 0.5, 0.9]
+        sys = gradient_system(pf, Breakpoints.from_interior(UNIT, start))
+        assert np.abs(sys.residual).max() > trace.residual_floor
+        limit = self._damped_newton(pf, start, trace.residual_floor)
+        np.testing.assert_allclose(limit, [0.2, 0.4, 0.6, 0.8], atol=1e-12)
+
     def test_takes_only_the_function_and_the_piece_count(self):
         # every run starts from equal spacing and has the same iteration limit
         assert list(inspect.signature(newton_optimize).parameters) == ["pf", "n"]
