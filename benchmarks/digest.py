@@ -18,7 +18,9 @@ The families, each on fixed seeded inputs:
   ``[0.3, 1]``.
 * ``closed``: ``closed_form_volume`` of all five kinds on 300 seeded
   grids (p on ``(1, 10]`` and exactly 2; narrow, far and zero-lower
-  intervals; 1 to 40 random pieces).
+  intervals; 1 to 40 random pieces), then on 100 grids with p on ``(10,
+  300]``, and plpr at p = 2 on 100 translated intervals ``[l, l + w]`` with
+  ``l / w`` up to 1e9, where the rounding of absolute tangent cuts shows.
 * ``mc``: ``mc_volume`` of every kind on four bodies, 65,536 columns each.
 
 Only public names are used, so any checkout that has them can be digested.
@@ -100,14 +102,28 @@ def closed_digest(grids: int = 300) -> str:
         iv = _interval(rng, 10.0 ** rng.uniform(-2.0, 2.0))
         n = int(rng.integers(1, 41))
         interior = np.sort(rng.uniform(iv.lower, iv.upper, n - 1))
-        pf = PowerFn(p, iv)
-        for kind in RelaxationKind:
-            try:
-                bp = Breakpoints.from_interior(iv, interior) if kind.piecewise_linear else None
-                _add(h, closed_form_volume(kind, pf, bp))
-            except PerspexError as exc:
-                _add_error(h, exc)
+        _add_volumes(h, PowerFn(p, iv), interior, RelaxationKind)
+    for _ in range(grids // 3):
+        p = 10.0 * float(np.exp(rng.uniform(0.0, np.log(30.0))))
+        iv = _interval(rng, 10.0 ** rng.uniform(-1.0, 1.0))
+        interior = np.sort(rng.uniform(iv.lower, iv.upper, int(rng.integers(1, 41)) - 1))
+        _add_volumes(h, PowerFn(p, iv), interior, RelaxationKind)
+    for _ in range(grids // 3):
+        width = 10.0 ** rng.uniform(-3.0, 1.0)
+        lower = width * 10.0 ** rng.uniform(0.0, 9.0)
+        iv = Interval(lower, lower + width)
+        interior = np.sort(rng.uniform(iv.lower, iv.upper, int(rng.integers(1, 41)) - 1))
+        _add_volumes(h, PowerFn(2.0, iv), interior, [RelaxationKind.PL_PR])
     return h.hexdigest()
+
+
+def _add_volumes(h, pf: PowerFn, interior: np.ndarray, kinds) -> None:
+    for kind in kinds:
+        try:
+            bp = Breakpoints.from_interior(pf.interval, interior) if kind.piecewise_linear else None
+            _add(h, closed_form_volume(kind, pf, bp))
+        except PerspexError as exc:
+            _add_error(h, exc)
 
 
 def mc_digest(samples: int = 65_536) -> str:

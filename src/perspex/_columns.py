@@ -44,7 +44,7 @@ error is at most about ``eps`` times that piece's width in offsets over
 ``1 - t``.
 
 The kernel returns each column as ``3 h / unit``; the oracle applies
-``unit / 3`` and the width once to its sums.  The unit is ``f(lower)``
+``unit / 3`` and the width once, to its sums' means.  The unit is ``f(lower)``
 where ``f(upper) <= 2 f(lower)`` (:func:`column_scale`): there the kernel
 works in ratios to ``lower`` (``log1p`` and ``expm1`` of ``w/lower - 1``),
 and never subtracts two values of size ``f(lower)``, which on a narrow
@@ -61,11 +61,7 @@ import math
 
 import numpy as np
 
-from .power import RelaxationKind
-
-_LN2 = math.log(2.0)
-_EPS = np.finfo(float).eps
-_SERIES_BOUND = 2.0**-6  # the largest |p log(a / x)| whose gaps are summed as series
+from .power import _LN2, RelaxationKind, _relative_gap
 
 
 def column_scale(p, interval, lower_height, upper_height):
@@ -84,8 +80,8 @@ def _bregman(p, a, x, ratio):
     """``f(a) - f(x) - f'(x) (a - x)`` for ``f = x**p``, elementwise.
 
     With ``ratio`` it is ``f(x) φ(p u)`` at ``u = log1p((a - x) / x)``
-    (:func:`_relative_gap`), which keeps its relative accuracy however close
-    ``a`` is to ``x``; the kernel takes it where ``f(upper) <= 2
+    (``power._relative_gap``), which keeps its relative accuracy however
+    close ``a`` is to ``x``; the kernel takes it where ``f(upper) <= 2
     f(lower)``, where ``a - x`` is exact and ``|p u| <= ln 2``.  Elsewhere
     the direct form, whose terms then differ by a factor of at least about
     2 wherever the gap is not a rounding of 0."""
@@ -97,66 +93,11 @@ def _bregman(p, a, x, ratio):
     return gap
 
 
-def _gap_series(p, bound):
-    """Coefficients ``b_2 .. b_K`` of ``φ(y) = Σ b_k y**k``, ``b_k = (1 -
-    p**(1-k)) / k!``, the Bregman gap ``f(a) - f(x) - f'(x) (a - x)`` over
-    ``f(x)`` for ``f = x**p`` at ``y = p log(a / x)``: ``e**y - 1 - p
-    (e**(y/p) - 1)``, whose linear terms cancel exactly.  Enough terms that
-    the first one left out is below ``eps / 8`` of the first one kept at
-    ``|y| = bound``; for ``bound <= ln 2`` every term is at most half the one
-    before it, so the series keeps its relative accuracy for either sign of
-    ``y``."""
-    log_p = math.log(p)
-    coef, k = [], 2
-    while True:
-        b = -math.expm1((1 - k) * log_p) / math.factorial(k)
-        if coef and b * bound ** (k - 2) <= _EPS / 8.0 * coef[0]:
-            return coef
-        coef.append(b)
-        k += 1
-
-
-def _series(coef, y):
-    """``Σ coef[i] y**(i + 2)`` by Horner's rule."""
-    acc = np.full_like(y, coef[-1])
-    for b in reversed(coef[:-1]):
-        acc *= y
-        acc += b
-    acc *= y
-    acc *= y
-    return acc
-
-
-def _relative_gap(p, u, bound):
-    """``φ(p u) = D(a; x) / f(x)`` at ``u = log(a / x)``, elementwise, where
-    ``D`` is the Bregman gap ``f(a) - f(x) - f'(x) (a - x)`` of ``f = x**p``
-    and ``|p u| <= bound <= ln 2``.
-
-    Up to ``bound = 2**-6`` it is the series of :func:`_gap_series`, at most
-    7 terms.  Above that it is ``e**u expm1(q u) - q expm1(u)`` with ``q = p
-    - 1``, whose two terms are of order ``q |u|`` and leave ``φ ≈ p q u**2 /
-    2``.  Its absolute error is a few ``eps q |u|``.  In pr's column the two
-    gaps' errors, weighed by ``1 - t`` and ``t``, come to a few ``eps q t (1
-    - t) s`` with ``s = log(upper / lower)``, against a column of order ``p
-    q t (1 - t) s**2``: a relative error of a few ``eps / bound``.  Its cost
-    does not grow with ``bound``, as the series' does."""
-    if bound <= _SERIES_BOUND:
-        return _series(_gap_series(p, bound), p * u)
-    q = p - 1.0
-    gap = u * q
-    np.expm1(gap, out=gap)
-    e = np.expm1(u)
-    gap *= e + 1.0
-    e *= q
-    gap -= e
-    return gap
-
-
 def _perspective_ratio(body, t):
     """pr's ``3 h / f(lower)`` where ``f(upper) <= 2 f(lower)``: ``(chord -
     f(w)) / f(lower)`` as ``(1 - t) D(lower; w) + t D(upper; w)`` over
     ``f(lower)``, a sum of nonnegative Bregman gaps to the tangent at ``w``,
-    each ``f(w) φ(p log(a / w))`` (:func:`_relative_gap`), so nothing
+    each ``f(w) φ(p log(a / w))`` (``power._relative_gap``), so nothing
     cancels however close ``t`` is to 0 or 1.  ``log(w / lower)`` is
     ``log1p(t width / lower)`` and ``log(upper / w)`` is ``log(upper /
     lower)`` less it; where that difference cancels, near ``t = 1``, the
@@ -230,10 +171,14 @@ def tangent_columns(p, interval, xi, cuts, rise, unit):
     neither cancels.  Knots ``2k`` and ``2k + 1`` are that line at the
     piece's ends, the cut offsets ``cuts[k - 1]`` and ``cuts[k]`` (0 and 1
     at the interval's ends), so each cut offset appears twice and each
-    piece keeps its own line up to the rounded cut."""
+    piece keeps its own line up to the rounded cut.  With the unit
+    ``f(upper)`` the gaps are taken in ratios to ``upper``, so no term
+    exceeds ``p``."""
     ends = np.array([[interval.lower], [interval.upper]])
-    gaps = _bregman(p, ends, xi, rise is not None)
-    gaps /= unit
+    if rise is None:
+        gaps = _bregman(p, ends / interval.upper, xi / interval.upper, False)
+    else:
+        gaps = _bregman(p, ends, xi, True) / unit
     gaps[1] -= gaps[0]
     knots = np.empty((2, xi.size, 2))  # offset or value, piece, start or end
     x = knots[0]

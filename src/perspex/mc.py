@@ -40,9 +40,10 @@ comes from each stratum's pair difference, ``width * sqrt(sum((h1 -
 h2)**2) / 4) / strata``; both are plain sums of the kernel's lengths,
 which it returns in a unit of the body's (``BodySpec.unit``) so that no
 square over- or underflows, and ``width``, the unit and the kernel's
-factor 3 scale the sums once.  Columns are scored in chunks of ``BLOCK_SIZE``, which keeps
-every temporary cache-sized, and the chunks' sums are added in stratum
-order on the calling thread.
+factor 3 scale the sums once, after they are divided by the strata.
+Columns are scored in chunks of ``BLOCK_SIZE``, which keeps every
+temporary cache-sized, and the chunks' sums are added in stratum order on
+the calling thread.
 """
 
 from __future__ import annotations
@@ -350,8 +351,10 @@ def mc_volume(
         total += float(h.sum())
         spread += float(np.dot(d, d))
 
+    # divided by the strata first: a sum of columns times the scale can
+    # overflow where the mean, at most the cone, does not
     scale = body.interval.width * body.unit / 3.0
-    mean, stderr = scale * total / (2 * strata), scale * sqrt(spread / 4.0) / strata
+    mean, stderr = total / (2 * strata) * scale, sqrt(spread / 4.0) / strata * scale
     if not (isfinite(mean) and isfinite(stderr)):
         raise DomainError(
             f"the {body.kind.value} estimate of x**{body.p!r} on "

@@ -26,7 +26,6 @@ from .errors import (
 )
 from .power import (
     PowerFn,
-    _residual_floor,
     _stationarity,
     _tangent_cuts,
     gradient_system,  # re-exported; nothing in this module calls it
@@ -130,8 +129,8 @@ class NewtonTrace:
     ``direction`` is the guaranteed movement of every coordinate from the
     equally-spaced start: ``"decreasing"`` for ``1 < p < 2``,
     ``"increasing"`` for ``p > 2``, or ``"stationary-at-start"`` when the
-    start's residual is within ``residual_floor``, the bound the run stops
-    against (:func:`_residual_floor`), as it is at ``p = 2``.
+    start's residual is within its rounding floor, as it is at ``p = 2``;
+    ``residual_floor`` is that floor at the last iterate.
     ``condition_numbers`` holds the infinity-norm condition of the Jacobian
     at each iterate; since those Jacobians have nonnegative inverses the
     number is exact, from the solve that also gives the direction guard's
@@ -179,17 +178,15 @@ def _newton_rows(iv, p, xi, trace=None):
 
     ``xi`` holds that start in each row, ``(rows, n + 1)``, and is overwritten
     with each row's last iterate; ``p`` holds one exponent per row.  Each
-    row stops once its residual is within its own :func:`_residual_floor`,
-    and meets the guards of :func:`newton_optimize` on its own.  Returns the
-    error of the lowest-index failing row, or ``None`` when every row
-    converged: rows after a failing one are dropped, since their outcome no
-    longer changes what the caller raises.  ``trace`` records a one-row run.
+    row stops once its residual is within its own rounding floor at that
+    iterate (``power._stationarity``), and meets the guards of
+    :func:`newton_optimize` on its own.  Returns the error of the
+    lowest-index failing row, or ``None`` when every row converged: rows
+    after a failing one are dropped, since their outcome no longer changes
+    what the caller raises.  ``trace`` records a one-row run.
     """
     lo, up = iv.lower, iv.upper
     ps = np.asarray(p, dtype=float)
-    floors = _residual_floor(ps, up)
-    if trace is not None:
-        trace.residual_floor = float(floors[0])
     live = np.arange(len(p))  # rows still iterating, ascending
     error = None
     for it in range(_MAX_ITER + 1):
@@ -205,10 +202,11 @@ def _newton_rows(iv, p, xi, trace=None):
         norm = np.abs(st.residual).max(axis=1)
         sub, diag, sup = st.d_lo[:, 1:], st.jac_diag, st.d_hi[:, :-1]
         (step, inv_rows), pivot = _thomas(sub, diag, sup, st.residual, np.ones_like(diag))
-        go = ~(norm <= floors[live])
+        go = ~(norm <= st.floor)
         if trace is not None:
             trace.iterates.append(Breakpoints(iv, x[0]))
             trace.residual_norms.append(float(norm[0]))
+            trace.residual_floor = float(st.floor[0])
             trace.condition_numbers.append(
                 _jacobian_condition(sub[0], diag[0], sup[0], inv_rows[0], pivot[0])
             )
@@ -216,7 +214,7 @@ def _newton_rows(iv, p, xi, trace=None):
                 if it > 0:
                     trace.direction = _direction_for(p[0])
                 trace.converged = True
-        live, x, norm, pl = live[go], x[go], norm[go], pl[go]
+        live, x, norm, pl, floor = live[go], x[go], norm[go], pl[go], st.floor[go]
         step, inv_rows, pivot = step[go], inv_rows[go], pivot[go]
         if not live.size:
             break
@@ -225,7 +223,7 @@ def _newton_rows(iv, p, xi, trace=None):
             if trace is not None:
                 trace.direction = _direction_for(p[k])
             error = MaxIterExceeded(
-                f"no convergence to the residual floor {float(floors[k]):g} within "
+                f"no convergence to the residual floor {float(floor[0]):g} within "
                 f"{_MAX_ITER} iterations (p={p[k]}, last residual {float(norm[0]):g})",
                 trace,
             )
@@ -236,7 +234,7 @@ def _newton_rows(iv, p, xi, trace=None):
         interior = old - step
         # rounding of this residual and of the last (which the last step
         # carried into x) moves x_k back by <= 2 floor (J^-1 1)_k: J^-1 >= 0
-        slack = 2.0 * floors[live, None] * inv_rows
+        slack = 2.0 * floor[:, None] * inv_rows
         move = interior - old
         increased = (pl < 2.0) & (move > slack).any(axis=1)
         decreased = (pl > 2.0) & (-move > slack).any(axis=1)
@@ -272,7 +270,7 @@ def newton_optimize(pf: PowerFn, n: int) -> tuple[Breakpoints, NewtonTrace]:
     Runs the undamped Newton iteration on the stationarity system from the
     equally-spaced start, which converges monotonically for every ``p > 1``
     with all iterates strictly interior.  The run stops once the residual's
-    max-norm is within its rounding floor, ``16.5 p eps upper``
+    max-norm is within its rounding floor at the iterate
     (``NewtonTrace.residual_floor``), or raises :class:`MaxIterExceeded`
     after ``_MAX_ITER`` steps.  A step moving coordinate ``k`` back by more
     than rounding explains, ``2 floor (J^-1 1)_k``, or out of the open

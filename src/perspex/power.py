@@ -8,13 +8,14 @@ interior breakpoints, and the stationarity residual driving Newton's
 method.
 
 Powers are plain ``**``, whose exponents here are positive, so ``0.0**q``
-is 0 already.  The Newton terms read only the ratio-form tangent cuts and
-``x**(p-2)`` at interior points, which are positive; only the boundary
-coupling ``b0`` takes a limit at ``lower == 0``.
+is 0 already.  The Newton terms read only the tangent cuts' fractions of
+their pairs and ``x**(p-2)`` at interior points, which are positive; only
+the boundary coupling ``b0`` takes a limit at ``lower == 0``.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from enum import Enum
 from typing import NamedTuple
@@ -26,12 +27,18 @@ from .underestimator import (
     Breakpoints,
     ConvexFunction,
     Interval,
-    _check_brackets,
     _validated_make,
     build_underestimator,
 )
 
 _MIN_P = 1.0 + 1e-9
+_EPS = np.finfo(float).eps
+_LN2 = math.log(2.0)
+_SERIES_BOUND = 2.0**-6  # the largest |p u| of a kernel call whose gaps are summed as series
+# 1 - k and -1/k! for the gap series' orders k = 2, 3, ...
+_ONE_LESS, _NEG_INV_FACT = np.array([(1 - k, -1 / math.factorial(k)) for k in range(2, 20)]).T
+# the largest |y| at which the gap series may stop before order k = 3, 4, ...
+_SERIES_REACH = [(_EPS / 16 * math.factorial(k) / (k - 1)) ** (1 / (k - 2)) for k in range(3, 20)]
 
 
 class RelaxationKind(Enum):
@@ -107,12 +114,9 @@ class _PowerOracle(ConvexFunction):
 
 
 def volume_quadratic(bp: Breakpoints) -> float:
-    """Exact volume of the PL perspective relaxation for ``f(x) = x**2``.
-
-    A third of the chord-to-parabola area ``w**3/6`` plus, per piece of
-    width ``h``, a third of the parabola-to-tangents area ``h**3/12``: a sum
-    of nonnegative terms, so nothing cancels."""
-    return (bp.interval.width**3 + 0.5 * float((np.diff(bp.xi) ** 3).sum())) / 18.0
+    """Exact volume of the PL perspective relaxation for ``f(x) = x**2``,
+    ``width**3/18 + Σ h**3/36`` over the pieces' widths ``h``."""
+    return volume_power_closed_form(PowerFn(2.0, bp.interval), bp)
 
 
 def volume_power_closed_form(pf: PowerFn, bp: Breakpoints) -> float:
@@ -123,8 +127,8 @@ def volume_power_closed_form(pf: PowerFn, bp: Breakpoints) -> float:
     the chord-to-``f`` area ``∫ (s - l)(u - s) f''/2`` over ``[l, u]``, and
     for each piece ``[a, b]`` with tangent intersection ``t`` the
     ``f``-to-tangent areas ``∫ (t - s)**2 f''/2`` over ``[a, t]`` and
-    ``∫ (s - t)**2 f''/2`` over ``[t, b]``.  ``t`` is taken in ratio form
-    (:func:`_tangent_cuts`), and the integrals by :func:`_span_integrals`.
+    ``∫ (s - t)**2 f''/2`` over ``[t, b]``, of lengths ``θ (b - a)`` and
+    ``(1 - θ) (b - a)`` (:func:`_cut_terms`), by :func:`_span_integrals`.
     Nothing cancels, so the volume keeps its relative accuracy on narrow
     intervals far from zero, and no intermediate grows faster than the
     volume.  Agrees with the fan-triangulation volume of the corresponding
@@ -134,49 +138,99 @@ def volume_power_closed_form(pf: PowerFn, bp: Breakpoints) -> float:
         raise DomainError("plpr needs breakpoints")
     if pf.interval != bp.interval:
         raise DomainError("breakpoints cover a different interval than the function")
-    p = pf.p
-    if p == 2.0:
-        return volume_quadratic(bp)
-    xi = bp.xi
-    a, b = xi[:-1], xi[1:]
-    t = _tangent_cuts(a, b, p)
-    _check_brackets(xi, t)
-    lo, up = xi[:1], xi[-1:]
+    p, xi = pf.p, bp.xi
+    a, b, lo, up = xi[:-1], xi[1:], xi[:1], xi[-1:]
+    delta = b - a
+    theta, rest = _cut_terms(a, b, p)[:2]
+    t = a + theta * delta
     starts = np.concatenate((lo, a, t))
     ends = np.concatenate((up, t, b))
+    lengths = np.concatenate((up - lo, theta * delta, rest * delta))
     # powers of (s - start) and (end - s) in each integrand
     left = np.repeat([1, 0, 2], [1, a.size, a.size])
     right = np.repeat([1, 2, 0], [1, a.size, a.size])
-    return p * (p - 1.0) / 6.0 * float(_span_integrals(starts, ends, left, right, p - 2.0).sum())
+    spans = _span_integrals(starts, ends, left, right, p - 2.0, lengths=lengths)
+    return p * (p - 1.0) / 6.0 * float(spans.sum())
 
 
 def _tangent_cuts(a: np.ndarray, b: np.ndarray, p) -> np.ndarray:
-    """Where the tangents of ``x**p`` at ``a < b`` meet: the one rule, in
-    ratio form (:func:`_cut_terms`).  ``p`` may hold one exponent per row of
-    ``a``."""
-    return _cut_terms(a, b, p)[0]
+    """Where the tangents of ``x**p`` at ``a < b`` meet: ``a + θ (b - a)``
+    (:func:`_cut_terms`).  ``p`` may hold one exponent per row of ``a``."""
+    return a + _cut_terms(a, b, p)[0] * (b - a)
 
 
-def _cut_terms(a: np.ndarray, b: np.ndarray, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(t, L, g)`` per pair ``a < b``: the tangent cut ``t``, ``L =
-    log(b/a)`` and ``g = 1 - (a/b)**(p-1)``, which lies in ``(0, 1]``.
-
-    ``t = a (p-1)/p * expm1(p L) / expm1((p-1) L)`` with ``L =
-    log1p((b - a)/a)``, written as ``b (p-1)/p * expm1(-p L) / -g`` with
-    ``g = -expm1(-(p-1) L)`` so that no term overflows however large ``b/a``
-    is, and ``a = 0`` (``L = inf``, ``g = 1``) gives ``b (p-1)/p``.  No
-    difference of powers, so ``t`` and ``g`` keep their relative accuracy
-    however close ``b/a`` is to 1.  ``t`` is clipped to ``[a, b]`` against
-    rounding.
+def _cut_terms(a: np.ndarray, b: np.ndarray, p) -> tuple[np.ndarray, ...]:
+    """``(θ, 1 - θ, L, g)`` per pair ``a < b``: the cut's fraction ``θ = (t -
+    a)/(b - a)`` of its pair and its complement, each a Bregman gap, ``D(a;
+    b)`` or ``D(b; a)``, over their sum; ``L = log(b/a)``; ``g = 1 -
+    (a/b)**(p-1)``.  In units of ``f(b)``, with ``y = p L`` and ``q = p -
+    1``, the gaps are ``φ(-y)`` and ``q φ*(-y)``, ``φ*`` being ``φ``
+    (:func:`_gap_series`) of the conjugate exponent ``p/q``: series in
+    ``-y`` where ``y <= ln 2``, per element, and expm1 forms elsewhere.  At
+    ``p = 2`` the gaps are the same bits, so ``θ = 1/2``.  θ and ``1 - θ``
+    are within 6 eps relative (4.6 eps measured against 40 digits).
     """
     q = p - 1.0
     with np.errstate(divide="ignore"):  # a = 0
         ratio = np.log1p((b - a) / a)
-    gap = -np.expm1(-q * ratio)
-    t = b * (q / p) * (np.expm1(-p * ratio) / -gap)
-    np.maximum(t, a, out=t)
-    np.minimum(t, b, out=t)
-    return t, ratio, gap
+    y, decay = p * ratio, -q * ratio
+    fall = np.expm1(decay)  # (a/b)**q - 1 = -g
+    shrink = q * np.expm1(-ratio)  # q (a/b - 1)
+    sums = _series(_gap_series(np.log1p(np.array([q, 1.0 / q])), _LN2), -np.minimum(y, _LN2))
+    lower_s, upper_s = sums.reshape((2,) + y.shape)
+    near = y <= _LN2
+    lower = np.where(near, lower_s, fall * np.exp(-ratio) - shrink)
+    upper = np.where(near, q * upper_s, shrink * np.exp(decay) - fall)
+    total = lower + upper
+    return lower / total, upper / total, ratio, -fall
+
+
+def _gap_series(log_p, bound):
+    """Coefficients ``b_2 .. b_K`` of ``φ(y) = Σ b_k y**k``, ``b_k = (1 -
+    p**(1-k)) / k!``, the Bregman gap ``f(a) - f(x) - f'(x) (a - x)`` over
+    ``f(x)`` for ``f = x**p`` at ``y = p log(a / x)``, along a new last axis
+    of ``log_p = log(p)``.  As ``b_k <= 2 (k - 1) b_2 / k!``, at ``|y| <=
+    bound <= ln 2`` each term is at most half the one before, and the first
+    one left out, ``k``, has ``2 (k - 1) / k! bound**(k - 2) <= eps / 8``."""
+    terms = 1 + bisect.bisect_left(_SERIES_REACH, bound)  # orders 2 .. terms + 1
+    coef = np.asarray(log_p)[..., None] * _ONE_LESS[:terms]
+    np.expm1(coef, out=coef)
+    coef *= _NEG_INV_FACT[:terms]
+    return coef
+
+
+def _series(coef, y):
+    """``Σ coef[..., i] y**(i + 2)``: ``coef``, ``(..., K)``, times the powers
+    of ``y`` on a second-to-last axis; a ``(K,)`` ``coef`` gives ``y``'s shape."""
+    powers = np.empty((coef.shape[-1] + 1,) + y.shape)  # y**1 .. y**(K+1)
+    powers[0] = y
+    done = 1
+    while done < len(powers):  # doubling: y**(done + j) = y**j * y**done
+        new = powers[done:2 * done]
+        np.multiply(powers[:len(new)], powers[done - 1], out=new)
+        done += len(new)
+    return coef @ powers[1:].swapaxes(0, -2)
+
+
+def _relative_gap(p, u, bound):
+    """``φ(p u) = D(a; x) / f(x)`` at ``u = log(a / x)``, elementwise, where
+    ``D`` is the Bregman gap of ``f = x**p`` and ``|p u| <= bound <= ln 2``:
+    the Monte-Carlo kernel's form, chosen once per call.  Up to ``bound =
+    2**-6`` it is the series of :func:`_gap_series`, at most 7 terms; above,
+    ``e**u expm1(q u) - q expm1(u)`` with ``q = p - 1``, two terms of order
+    ``q |u|`` that leave ``φ ≈ p q u**2 / 2``, so its error is a few ``eps /
+    bound`` relative in pr's column.  Its cost does not grow with ``bound``,
+    as the series' does."""
+    if bound <= _SERIES_BOUND:
+        return _series(_gap_series(math.log(p), bound), p * u)
+    q = p - 1.0
+    gap = u * q
+    np.expm1(gap, out=gap)
+    e = np.expm1(u)
+    gap *= e + 1.0
+    e *= q
+    gap -= e
+    return gap
 
 
 # The 16-point Gauss-Legendre rule on [0, 1], each node and weight rounded
@@ -200,9 +254,10 @@ _WINDOW = 50.0  # above k = 8, a span's integrand below b exp(-50/k) is dropped
 _MAX_SPAN_POWER = 1e6  # where a node's rounding moves s**k by k eps/2 = 1.1e-10
 
 
-def _span_integrals(a, b, left, right, k: float, unit_end: bool = False) -> np.ndarray:
+def _span_integrals(a, b, left, right, k: float, unit_end=False, lengths=None) -> np.ndarray:
     """``∫_a^b (s - a)**left * (b - s)**right * s**k ds`` per span, ``b - s``
     in units of ``b`` if ``unit_end``; ``left, right <= 2``, ``k > -1``.
+    ``lengths``, if given, replace ``b - a`` for spans of one sub-span.
 
     A span from 0 takes the Beta closed form ``b**(k + left + right + 1) B(k
     + 1 + left, right + 1)``.  The others are split at geometric points into
@@ -233,6 +288,7 @@ def _span_integrals(a, b, left, right, k: float, unit_end: bool = False) -> np.n
             raise DomainError(f"the span rule does not resolve s**{k!r}: a node's rounding "
                               f"moves it by up to {k * np.finfo(float).eps / 2:.2g} relative")
         a, b, left, right = a[live], b[live], left[live], right[live]
+        lengths = b - a if lengths is None else lengths[live]
         grow = max(1.0, k / 8.0)  # sub-spans per halving of s
         start = a if grow == 1.0 else np.maximum(a, b * math.exp(-_WINDOW / k))
         parts = np.maximum(np.ceil(np.log2(b / start) * grow), 1.0).astype(np.intp)
@@ -243,7 +299,7 @@ def _span_integrals(a, b, left, right, k: float, unit_end: bool = False) -> np.n
         sa, sc, sb = a[span], start[span], b[span]
         lo = np.where(j == 0, sc, sc * (sb / sc) ** (j / m))
         hi = np.where(j == m - 1, sb, sc * (sb / sc) ** ((j + 1) / m))
-        h = (hi - lo)[:, None]
+        h = np.where((m == 1) & (start == a)[span], lengths[span], hi - lo)[:, None]
         s = lo[:, None] + h * _GL_NODES
         from_a = (lo - sa)[:, None] + h * _GL_NODES
         to_b = (sb - hi)[:, None] + h * (1.0 - _GL_NODES)
@@ -265,57 +321,62 @@ class _Stationarity(NamedTuple):
     d_hi: np.ndarray
     s_lo: np.ndarray
     jac_diag: np.ndarray
+    floor: np.ndarray  # one per row
 
 
 def _stationarity(xi: np.ndarray, p: np.ndarray) -> _Stationarity:
-    """Stationarity residual and the terms of its derivatives, row by row.
+    """Stationarity residual, the terms of its derivatives and its rounding
+    floor, row by row.
 
     ``xi`` holds one set of at least three breakpoints per row and ``p`` one
     exponent per row.  The residual ``t_dn - t_up`` is ``2p`` times ``x_k``
-    minus the midpoint of its ratio-form cuts, to a few ``eps * p * upper``.
+    minus the midpoint of its cuts, formed as ``p ((1 - θ_{k-1}) Δ_{k-1} -
+    θ_k Δ_k)`` from the cuts' fractions (:func:`_cut_terms`) and the gaps
+    ``Δ`` between breakpoints, never from a difference of absolute cuts.
     Entry k of each band belongs to interior point k; the Newton Jacobian's
     sub- and super-diagonal are ``d_lo[:, 1:]`` and ``d_hi[:, :-1]``.
 
-    The bands differentiate the cuts: for a pair ``(a, b)`` with cut ``t``,
-    ``dt/db = (p-1) (b - t) / (b g)`` and ``dt/da = (p-1) (t - a)
-    (a/b)**(p-2) / (b g)``, with ``L`` and ``g`` from :func:`_cut_terms` and
-    the powers of ``a/b`` as ``exp`` of multiples of ``-L``.  Nothing
-    subtracts two powers.  Every entry is elementwise in its row, so a
-    batched row equals the row alone.
+    The bands differentiate the cuts: for a pair ``(a, b)``, ``dt/db = (p-1)
+    (1 - θ) (Δ/b) / g`` and ``dt/da = (p-1) θ (Δ/b) (a/b)**(p-2) / g``, with
+    ``L`` and ``g`` from :func:`_cut_terms` and the powers of ``a/b`` as
+    ``exp`` of multiples of ``-L``.  Nothing subtracts two powers.  Every
+    entry is elementwise in its row, so a batched row equals the row alone.
+
+    ``floor`` is each row's rounding floor, ``eps (max_k (Σ_k / 2 + 16 (t_up
+    + t_dn)_k) + p width)``: rounding the breakpoints moves entry k by up
+    to ``eps/2 Σ_k``, ``Σ_k = Σ_j |dr_k/dx_j| x_j = x_k J_kk - s_lo - x_{k+1}
+    d_hi`` (Euler); an evaluation errs by up to ``8 eps (t_up + t_dn)``,
+    counted twice; the equally spaced start adds ``p eps width`` at ``p =
+    2``.  On ``[l, l + w]`` it is about ``p eps l``, and on ``[0, w]`` a few
+    ``p eps w``.
     """
     pc = p[:, None]
     q = pc - 1.0
     pq = pc * q
-    lo, mid, hi = xi[:, :-2], xi[:, 1:-1], xi[:, 2:]
+    mid, hi = xi[:, 1:-1], xi[:, 2:]
+    delta = np.diff(xi, axis=1)
 
     # p times mid's distances to the tangent cuts above and below it
-    cut, ratio, gap = _cut_terms(xi[:, :-1], xi[:, 1:], pc)
-    t_up = pc * (cut[:, 1:] - mid)
-    t_dn = pc * (mid - cut[:, :-1])
+    theta, rest, ratio, gap = _cut_terms(xi[:, :-1], xi[:, 1:], pc)
+    t_up = pc * (theta[:, 1:] * delta[:, 1:])
+    t_dn = pc * (rest[:, :-1] * delta[:, :-1])
     residual = t_dn - t_up
 
     # derivatives of the residual at mid w.r.t. each neighbor; s_lo is lo
     # times the one at lo, which stays finite at lo == 0
-    d_hi = -pq * (hi - cut[:, 1:]) / (hi * gap[:, 1:])
-    from_lo, ratio_lo, gap_lo = -pq * (cut[:, :-1] - lo), ratio[:, :-1], gap[:, :-1]
+    d_hi = -pq * (rest[:, 1:] * delta[:, 1:]) / (hi * gap[:, 1:])
+    from_lo, ratio_lo, gap_lo = -pq * (theta[:, :-1] * delta[:, :-1]), ratio[:, :-1], gap[:, :-1]
     s_lo = from_lo * np.exp(-q * ratio_lo) / gap_lo
     # at lo == 0 (ratio inf) the factor (lo/mid)**(p-2) is inf below p = 2
     # and 0 above; at p == 2 it is 1, where (1 - q) * ratio would be 0 * inf
     with np.errstate(invalid="ignore"):
         d_lo = from_lo * np.exp(np.where(q == 1.0, 0.0, (1.0 - q) * ratio_lo)) / (mid * gap_lo)
-    # the residual is homogeneous of degree 1 in the breakpoints (Euler)
-    jac_diag = (residual - s_lo - hi * d_hi) / mid
-    return _Stationarity(residual, t_up, t_dn, d_lo, d_hi, s_lo, jac_diag)
-
-
-def _residual_floor(p, upper):
-    """``16.5 p eps upper``: a first-order bound on the rounding error of the
-    residual of :func:`_stationarity` on ``[0, upper]``.  With ``u = eps/2``
-    and one ulp per ``log1p`` and ``expm1``, a ratio-form cut ``t`` is within
-    ``15 u t``, and the residual's own roundings add ``3 u p (hi - lo)``:
-    ``p u (15 (x + hi) + 3 (hi - lo)) <= 33 p u upper``.  A residual within
-    it is zero within rounding."""
-    return 16.5 * np.finfo(float).eps * p * upper
+    # Euler (the residual is homogeneous of degree 1): x_k J_kk = residual + reach
+    reach = -s_lo - hi * d_hi
+    jac_diag = (residual + reach) / mid
+    half_sigma = reach + 0.5 * residual
+    floor = _EPS * ((half_sigma + 16.0 * (t_up + t_dn)).max(axis=1) + p * (xi[:, -1] - xi[:, 0]))
+    return _Stationarity(residual, t_up, t_dn, d_lo, d_hi, s_lo, jac_diag, floor)
 
 
 class GradientSystem(NamedTuple):
@@ -432,13 +493,13 @@ def bordered_hessian_eigs(pf: PowerFn, bp: Breakpoints) -> np.ndarray:
     stationary points (zero border) and for fewer than two interior
     breakpoints; both raise :class:`DomainError`.  The gradient counts as
     zero where the residual is within its rounding floor
-    (:func:`_residual_floor`), as at a Newton optimum: each gradient entry
+    (:func:`_stationarity`), as at a Newton optimum: each gradient entry
     is a positive multiple of its residual entry, so the two vanish together.
     """
     if bp.n < 3:
         raise DomainError("bordered test needs at least two interior breakpoints")
     sys = gradient_system(pf, bp)
-    if np.abs(sys.residual).max() <= _residual_floor(pf.p, bp.interval.upper):
+    if np.abs(sys.residual).max() <= _stationarity(bp.xi[None, :], np.array([sys.p])).floor[0]:
         raise DomainError("gradient vanishes here; the bordered test does not apply")
     m = sys.grad.size
     b = np.zeros((m + 1, m + 1))
@@ -468,8 +529,11 @@ def volume_pl_extended_naive(f: ConvexFunction, bp: Breakpoints) -> float:
     Requires ``f`` increasing with its slope at the left endpoint at least
     the chord slope from the origin, so the extension stays convex;
     violations raise :class:`HypothesisViolated`.  At ``lower == 0`` no
-    extension is needed and the formula applies as is.  O(n).
+    extension is needed and the formula applies as is.  O(n).  Raises
+    :class:`DomainError` without breakpoints.
     """
+    if bp is None:
+        raise DomainError("plenr needs breakpoints")
     est = build_underestimator(f, bp)
     xi = bp.xi
     lo, up = float(xi[0]), float(xi[-1])

@@ -242,7 +242,10 @@ def build_underestimator(f: ConvexFunction, bp: Breakpoints) -> PLUnderEstimator
     """Intersect adjacent tangents of ``f`` at the breakpoints by ``f``'s rule
     (:meth:`ConvexFunction._cuts`).  Raises :class:`DegenerateTangents` unless
     each vertex lies strictly between its two tangency points, and
-    :class:`DomainError` when the intervals disagree."""
+    :class:`DomainError` without breakpoints or when the intervals
+    disagree."""
+    if bp is None:
+        raise DomainError("the tangent under-estimator needs breakpoints")
     if f.interval != bp.interval:
         raise DomainError("function and breakpoints cover different intervals")
     xi = bp.xi

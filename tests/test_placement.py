@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_power_instance
+from conftest import high_precision_cuts, random_power_instance
 
 from perspex import (
     Breakpoints,
@@ -25,9 +25,16 @@ from perspex import (
 )
 from perspex import placement
 from perspex.placement import solve_tridiagonal
+from perspex.power import _stationarity
 
 UNIT = Interval(0.0, 1.0)
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+EPS = np.finfo(float).eps
+
+
+def _floor(p, bp):
+    """The residual's rounding floor at ``bp``, as the Newton run reads it."""
+    return float(_stationarity(bp.xi[None, :], np.array([float(p)])).floor[0])
 
 
 class TestOptimizeQuadratic:
@@ -305,10 +312,14 @@ class TestNewton:
         # the ratio-form terms do not), and stopped the last two at their start
         iv = Interval(lower, upper)
         bp, trace = newton_optimize(PowerFn(p, iv), n)
-        floor = trace.residual_floor
-        assert floor == pytest.approx(16.5 * p * np.finfo(float).eps * upper, rel=1e-15)
+        floors = [_floor(p, it) for it in trace.iterates]
+        assert trace.residual_floor == floors[-1]
         assert trace.converged and 1 <= trace.iterations <= 8
-        assert trace.residual_norms[-1] <= floor < trace.residual_norms[-2]
+        assert trace.residual_norms[-1] <= floors[-1]
+        assert trace.residual_norms[-2] > floors[-2]
+        # p eps upper for the breakpoints' rounding plus a few p eps width,
+        # below 16.5 p eps upper
+        assert floors[-1] < 16.5 * p * EPS * upper
         assert trace.direction == "increasing"
         assert (bp.interior > Breakpoints.equally_spaced(iv, n).interior).all()
 
@@ -327,12 +338,49 @@ class TestNewton:
         bound = 4.0 * trace.residual_floor * inv_rows + np.finfo(float).eps
         assert (np.abs(bp.interior / c - ref.interior) <= bound).all()
 
+    @pytest.mark.parametrize("p", [1.2, 3.0, 8.0])
+    @pytest.mark.parametrize("c", [1e-100, 1e-3, 1e3, 1e100])
+    def test_scale_equivariance_at_extreme_scales(self, p, c):
+        # the residual, its bands and its floor are homogeneous of degree 1
+        # in the breakpoints, so the optimum on c [l, u] is c times the one
+        # on [l, u], each within the bound of test_scale_equivariance
+        for lower in (0.0, 0.3):
+            unit = PowerFn(p, Interval(lower, 1.0))
+            ref, trace = newton_optimize(unit, 10)
+            bp, scaled = newton_optimize(PowerFn(p, Interval(lower * c, c)), 10)
+            assert scaled.residual_floor == pytest.approx(c * trace.residual_floor, rel=1e-12)
+            sys = gradient_system(unit, ref)
+            inv_rows = solve_tridiagonal(sys.jac_sub, sys.jac_diag, sys.jac_sup, np.ones(9))
+            bound = 4.0 * trace.residual_floor * inv_rows + EPS
+            assert (np.abs(bp.interior / c - ref.interior) <= bound).all()
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 7.0])
+    @pytest.mark.parametrize("offset", [1e2, 1e4, 1e6])
+    def test_translated_optima_at_sixty_digits(self, p, offset):
+        # on [L, L + w] the floor is about p eps L, the least residual float
+        # breakpoints can reach; the evaluator is within 8 eps (t_up + t_dn)
+        # of each entry, in units of the gaps between breakpoints, which
+        # 60-digit cuts at the returned breakpoints confirm
+        mpmath = pytest.importorskip("mpmath")
+        width = 1e-3
+        iv = Interval(offset * width, offset * width + width)
+        bp, trace = newton_optimize(PowerFn(p, iv), 8)
+        assert trace.residual_norms[-1] <= trace.residual_floor
+        assert trace.residual_floor <= p * EPS * (iv.upper + 20.0 * width)
+        st = _stationarity(bp.xi[None, :], np.array([p]))
+        bound = np.abs(st.residual[0]) + 8.0 * EPS * (st.t_up[0] + st.t_dn[0])
+        with mpmath.workdps(60):
+            cuts = [t for t, _, _ in high_precision_cuts(mpmath, p, bp.xi)]
+            x = [mpmath.mpf(v) for v in bp.xi.tolist()]
+            exact = np.array([float(abs(p * (2 * x[k] - cuts[k - 1] - cuts[k])))
+                              for k in range(1, 8)])
+        assert (exact <= bound).all()
+
     def test_documented_domain_converges_to_the_floor(self):
         # p in [1 + 1e-6, 50], upper over seven decades, lower ends at 0,
         # inside and near upper, n up to 10**4; and p = 2 over 200 decades,
         # where the equally spaced start is the optimum
         rng = np.random.default_rng(41)
-        eps = np.finfo(float).eps
         for i in range(600):
             ratio = (0.0, rng.uniform(0.01, 0.99), 1.0 - 10.0 ** rng.uniform(-9.0, -3.0))[i % 3]
             n = 10_000 if i % 100 == 0 else int(round(10.0 ** rng.uniform(0.3, 3.5)))
@@ -347,7 +395,7 @@ class TestNewton:
             case = (p, lower, upper, n)
             assert trace.converged, case
             assert trace.residual_norms[-1] <= trace.residual_floor, case
-            assert trace.residual_floor == 16.5 * eps * p * upper, case
+            assert trace.residual_floor == _floor(p, bp), case
             if p == 2.0:
                 assert trace.iterations == 0, case
                 assert trace.direction == "stationary-at-start", case
@@ -394,12 +442,12 @@ class TestNewtonFailures:
     def test_no_floor_no_slack_raises_on_rounding(self, monkeypatch, p, moved):
         # with a zero floor the run never stops and the guard has no slack, so
         # rounding noise at the optimum reads as a step the wrong way
-        monkeypatch.setattr(placement, "_residual_floor", lambda p, upper: 0.0 * p)
+        self._patch_stationarity(monkeypatch, lambda st, p: {"floor": 0.0 * st.floor})
         with pytest.raises(MonotonicityViolated, match=f"^a coordinate {moved} at p={p};"):
             newton_optimize(PowerFn(p, UNIT), 10)
 
     def test_sweep_names_its_lowest_failing_row(self, monkeypatch):
-        monkeypatch.setattr(placement, "_residual_floor", lambda p, upper: 0.0 * p)
+        self._patch_stationarity(monkeypatch, lambda st, p: {"floor": 0.0 * st.floor})
         with pytest.raises(MonotonicityViolated, match="^a coordinate increased at p=1.1;"):
             sweep_optimal_points(Interval(0.3, 1.0), 10, np.geomspace(1.1, 8.0, 50))
 

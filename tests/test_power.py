@@ -34,7 +34,7 @@ from perspex import (
     volume_power_closed_form,
     volume_quadratic,
 )
-from perspex.power import closed_form_volume
+from perspex.power import _cut_terms, _stationarity, closed_form_volume
 
 UNIT = Interval(0.0, 1.0)
 
@@ -110,6 +110,28 @@ class TestQuadraticVolume:
                 (volume_naive_quadratic(bp.interval), _exact_naive_quadratic(bp.interval)),
             ):
                 assert abs(Fraction(got) - exact) <= Fraction(1e-15) * exact, bp.xi
+
+    def test_general_form_at_fifty_digits(self):
+        # volume_quadratic is the general form at p = 2, which integrates
+        # each half-piece over its length theta (b - a), not over the rounded
+        # cut's t - a, which is 9.4e-14 off on the first grid
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(43)
+        grids = [Breakpoints.equally_spaced(Interval(1e6, 1e6 + 1e-3), 3)]
+        for lower, width in ((1e6, 1e-3), (1000.0, 1e-3), (10.0, 1e-4), (0.0, 1.0), (0.3, 0.7)):
+            for n in (2, 7, 40):
+                iv = Interval(lower, lower + width)
+                interior = np.sort(rng.uniform(iv.lower, iv.upper, n - 1))
+                grids.append(Breakpoints.from_interior(iv, interior))
+        for bp in grids:
+            with mpmath.workdps(50):
+                x = [mpmath.mpf(v) for v in bp.xi.tolist()]
+                gaps = [b - a for a, b in zip(x[:-1], x[1:])]
+                exact = (x[-1] - x[0]) ** 3 / 18 + sum(g**3 for g in gaps) / 36
+                vol = volume_power_closed_form(PowerFn(2.0, bp.interval), bp)
+                err = abs(mpmath.mpf(vol) - exact) / exact
+            assert err <= 1e-15, bp.xi
+            assert volume_quadratic(bp) == vol
 
     def test_near_two_routing_is_continuous(self):
         bp = Breakpoints(UNIT, [0.0, 0.3, 1.0])
@@ -217,6 +239,46 @@ class TestClosedForm:
             )
 
 
+class TestCutFractions:
+    """The tangent cut as the fraction theta of its pair, and 1 - theta,
+    each a ratio of two Bregman gaps."""
+
+    def test_within_six_eps_of_forty_digits(self):
+        # p in [1 + 1e-6, 300] and L = log(b/a) in [1e-12, 700], both
+        # log-uniform, on pairs placed anywhere in [e**-30, e**30]; the
+        # reference takes the gaps in expm1 form, exact at 40 digits
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(45)
+        size = 2000
+        p = 1.0 + np.exp(rng.uniform(np.log(1e-6), np.log(299.0), size))
+        a = np.exp(rng.uniform(-30.0, 30.0, size))
+        b = a * np.exp(np.exp(rng.uniform(np.log(1e-12), np.log(700.0), size)))
+        keep = np.isfinite(b) & (b > a)
+        p, a, b = p[keep], a[keep], b[keep]
+        theta, rest, _, _ = (v[:, 0] for v in _cut_terms(a[:, None], b[:, None], p[:, None]))
+        with mpmath.workdps(40):
+            for k in range(p.size):
+                q = mpmath.mpf(p[k]) - 1
+                ratio = mpmath.log(mpmath.mpf(b[k]) / mpmath.mpf(a[k]))
+                shrink, fall = mpmath.expm1(-ratio), mpmath.expm1(-q * ratio)
+                lower = fall * mpmath.exp(-ratio) - q * shrink
+                upper = q * shrink * mpmath.exp(-q * ratio) - fall
+                for got, want in ((theta[k], lower), (rest[k], upper)):
+                    want /= lower + upper
+                    assert abs(got - want) <= 6.0 * np.finfo(float).eps * want, (p[k], a[k], b[k])
+
+    def test_from_zero_and_at_two(self):
+        b = np.array([1e-300, 1.0, 1e300])
+        theta, rest, ratio, gap = _cut_terms(np.zeros(3), b, 3.0)
+        np.testing.assert_allclose(theta, 2.0 / 3.0, rtol=1e-15)
+        np.testing.assert_allclose(rest, 1.0 / 3.0, rtol=1e-15)
+        assert (ratio == np.inf).all() and (gap == 1.0).all()
+        # both gaps are the same bits at p = 2, so every pair splits in half
+        a = np.array([0.0, 1e-8, 0.5, 1000.0, 1e6])
+        theta, rest, _, _ = _cut_terms(a, a + np.array([1.0, 1e-8, 0.25, 1e-3, 1e-9]), 2.0)
+        assert (theta == 0.5).all() and (rest == 0.5).all()
+
+
 class TestGradient:
     def test_quadratic_partial_formula(self):
         # p=2 collapses to (xi[i+1]-xi[i-1]) * (2 xi[i]-xi[i+1]-xi[i-1]) / 12
@@ -284,16 +346,19 @@ class TestGradient:
         # powers put it off by 2e10 and 4e3 times 2p eps upper on the first
         # and fourth grids, which made Newton step the wrong way
         mpmath = pytest.importorskip("mpmath")
+        # formed from the cuts' fractions of their pairs, each entry is within
+        # 8 eps (t_up + t_dn), in units of the gaps between breakpoints
         iv = Interval(lower, upper)
         bp = Breakpoints.equally_spaced(iv, n)
         got = gradient_system(PowerFn(p, iv), bp).residual
+        st = _stationarity(bp.xi[None, :], np.array([p]))
         with mpmath.workdps(60):
             q = mpmath.mpf(p)
             x = [mpmath.mpf(v) for v in bp.xi.tolist()]
             t = [(q - 1) * (b**q - a**q) / (q * (b ** (q - 1) - a ** (q - 1)))
                  for a, b in zip(x[:-1], x[1:])]
             want = np.array([float(q * (2 * x[k] - t[k - 1] - t[k])) for k in range(1, n)])
-        assert np.abs(got - want).max() <= 4.0 * 2.0 * p * np.finfo(float).eps * upper
+        assert (np.abs(got - want) <= 8.0 * np.finfo(float).eps * (st.t_up + st.t_dn)[0]).all()
 
 
 class TestHessian:
@@ -586,6 +651,8 @@ class TestClosedFormDispatch:
                 closed_form_volume(kind, pf, None)
         with pytest.raises(DomainError, match="^plpr needs breakpoints$"):
             volume_power_closed_form(pf, None)
+        with pytest.raises(DomainError, match="^plenr needs breakpoints$"):
+            volume_pl_extended_naive(pf.oracle(), None)
 
     def test_non_finite_volume_is_a_domain_error(self):
         # every kind overflows here, through numpy (inf, nan) or Python floats

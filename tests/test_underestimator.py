@@ -210,6 +210,10 @@ class TestBuild:
             est = build_underestimator(pf.oracle(), bp)
             assert ((bp.xi[:-1] < est.x[1:-1]) & (est.x[1:-1] < bp.xi[1:])).all()
 
+    def test_missing_breakpoints(self):
+        with pytest.raises(DomainError, match="^the tangent under-estimator needs breakpoints$"):
+            build_underestimator(PowerFn(3.0, Interval(0.0, 1.0)).oracle(), None)
+
     def test_interval_mismatch(self):
         f = _quadratic(Interval(0.0, 1.0))
         with pytest.raises(DomainError):
