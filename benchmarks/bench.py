@@ -1,0 +1,119 @@
+#!/usr/bin/env python3
+"""Time the Newton solver the way ``optimize`` and ``sweep`` run it.
+
+Two parts, each timed in several fresh processes, one after another:
+
+* newton: ``newton_optimize`` for ``x**3.7`` on ``[0, 1]`` at n in {10,
+  100, 10^3, 10^4, 10^5} pieces;
+* sweep: ``sweep_optimal_points`` on ``[0, 1.3]`` with n = 20 over
+  ``geomspace(1.1, 8, 200)``, the 200 x 20 sweep.
+
+Each process imports perspex, makes one untimed call per case, and then
+takes the median of ``REPEATS[case]`` timed calls.  The report gives, per
+case, the median and quartiles of those per-process medians, in
+milliseconds.  Only ``newton_optimize``, ``sweep_optimal_points``,
+``PowerFn``, ``Interval`` and ``KERNEL_BACKEND`` are used, so the script
+times any checkout that has them.
+
+    PYTHONPATH=src python3 benchmarks/bench.py [--json PATH]
+
+nproc, the numpy version and ``KERNEL_BACKEND`` are recorded beside the
+numbers.
+"""
+
+import argparse
+import json
+import multiprocessing
+import os
+import platform
+import statistics
+import time
+
+PROCESSES = 7
+NEWTON_P = 3.7
+REPEATS = {
+    "newton_n10": 50,
+    "newton_n100": 50,
+    "newton_n1000": 20,
+    "newton_n10000": 7,
+    "newton_n100000": 3,
+    "sweep_200x20": 20,
+}
+
+
+def _cases():
+    import numpy as np
+
+    from perspex import Interval, PowerFn, newton_optimize, sweep_optimal_points
+
+    pf = PowerFn(NEWTON_P, Interval(0.0, 1.0))
+    grid = np.geomspace(1.1, 8.0, 200)
+    sizes = (10, 100, 1000, 10_000, 100_000)
+    cases = {f"newton_n{n}": (lambda n=n: newton_optimize(pf, n)) for n in sizes}
+    cases["sweep_200x20"] = lambda: sweep_optimal_points(Interval(0.0, 1.3), 20, grid)
+    return cases
+
+
+def _one_process():
+    """Per-case median of the timed calls of this process, in ms."""
+    out = {}
+    for name, call in _cases().items():
+        call()
+        times = []
+        for _ in range(REPEATS[name]):
+            t0 = time.perf_counter()
+            call()
+            times.append(time.perf_counter() - t0)
+        out[name] = 1e3 * statistics.median(times)
+    return out
+
+
+def _quartiles(values):
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--json", metavar="PATH", help="also write the results here")
+    args = parser.parse_args()
+
+    import numpy as np
+
+    import perspex
+
+    spawn = multiprocessing.get_context("spawn")
+    runs = []
+    for _ in range(PROCESSES):
+        with spawn.Pool(1) as pool:
+            runs.append(pool.apply(_one_process))
+    result = {
+        "machine": {
+            "nproc": os.cpu_count() or 1,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "kernel_backend": perspex.KERNEL_BACKEND,
+        },
+        "processes": PROCESSES,
+        "repeats": REPEATS,
+        "unit": "ms",
+        "cases": {},
+    }
+    for name in REPEATS:
+        times = [run[name] for run in runs]
+        result["cases"][name] = {**_quartiles(times), "per_process": times}
+
+    m = result["machine"]
+    print(f"{m['nproc']} CPUs, numpy {m['numpy']}, kernel backend {m['kernel_backend']}")
+    print(f"per-process medians over {PROCESSES} processes, ms")
+    print(f"{'case':16s} {'q1':>10s} {'median':>10s} {'q3':>10s}")
+    for name, row in result["cases"].items():
+        print(f"{name:16s} {row['q1']:10.3f} {row['median']:10.3f} {row['q3']:10.3f}")
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as fh:
+            json.dump(result, fh, indent=1)
+            fh.write("\n")
+
+
+if __name__ == "__main__":
+    main()

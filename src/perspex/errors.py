@@ -22,7 +22,8 @@ class HypothesisViolated(PerspexError):
 
 
 class SingularJacobian(PerspexError):
-    """A tridiagonal pivot collapsed; the linear system cannot be solved."""
+    """A divisor of the tridiagonal solve's cyclic reduction collapsed: a
+    breakdown of the reduction, not a proof that the matrix is singular."""
 
 
 class MaxIterExceeded(PerspexError):

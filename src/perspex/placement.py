@@ -50,63 +50,59 @@ def optimize_quadratic(iv: Interval, n: int) -> tuple[Breakpoints, float]:
     return bp, volume_quadratic(bp)
 
 
-def _thomas(sub, diag, sup, *rhs) -> tuple[list[np.ndarray], np.ndarray]:
-    """Thomas elimination on each row of ``(rows, m)`` bands, no pivoting.
+def _cyclic_reduction(sub, diag, sup, *rhs) -> tuple[np.ndarray, np.ndarray]:
+    """Odd-even cyclic reduction on each row of ``(rows, m)`` bands, no pivoting.
 
-    Returns one solution per right-hand side, from one elimination, and
-    per row the position of the first pivot at most ``1e-14`` times its
-    row scale in magnitude, or -1.  Loops run over positions, on all rows
-    at a time.  A single row runs on Python floats: they round like
-    numpy's float64 and cost far less to index than one-element arrays.
+    Returns the solutions for every right-hand side, stacked, and per row
+    the first position whose divisor is at most ``1e-14`` times its row
+    scale in magnitude, or -1.  Position ``i`` is entry ``i + 1`` of bands
+    padded with identity rows to ``2^k - 1`` positions between zero entries
+    and laid out positions first, so that every level's strided slices
+    keep each position's rows together; level ``s`` (1, 2, 4, ...)
+    eliminates the positions ``s (mod 2s)`` of every row at once, and each
+    position divides once, at its level.  The Newton Jacobians are
+    M-matrices, as are their Schur complements, so ``a`` and ``c`` (the
+    negated off-diagonals) stay nonnegative on them.
     """
     rows, m = diag.shape
-    if rows == 1:
-        a, d, c, *r = (band[0].tolist() for band in (sub, diag, sup, *rhs))
-    else:
-        a, d, c, *r = (np.ascontiguousarray(band.T) for band in (sub, diag, sup, *rhs))
-    dens = [d[0]]
-    try:
-        # a row with a zero pivot runs on with inf/nan; the guard below names it
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            cp = [c[0] / d[0]] if m > 1 else []
-            for i in range(1, m):
-                den = d[i] - a[i - 1] * cp[i - 1]
-                dens.append(den)
-                if i < m - 1:
-                    cp.append(c[i] / den)
-            xs = []
-            for b in r:
-                dp = [b[0] / d[0]]
-                for ai, bi, den in zip(a, b[1:], dens[1:]):
-                    dp.append((bi - ai * dp[-1]) / den)
-                x = [dp.pop()]
-                for dpi, cpi in zip(dp[::-1], cp[::-1]):
-                    x.append(dpi - cpi * x[-1])
-                xs.append(x)
-    except ZeroDivisionError:  # Python floats: an exact zero pivot, named below
-        xs = None
+    top = 1 << m.bit_length()
+    a, c = np.zeros((2, top + 1, rows))
+    d = np.ones((top + 1, rows))
+    b = np.zeros((len(rhs), top + 1, rows))  # overwritten by the solutions
+    a[2 : m + 1], d[1 : m + 1], c[1:m] = -sub.T, diag.T, -sup.T
+    b[:, 1 : m + 1] = np.swapaxes(rhs, 1, 2)
+    scale = np.abs([a, c, d]).max(axis=0)
+    strides = [1 << level for level in range(m.bit_length())]
+    # a row with a zero divisor runs on with inf/nan; the guard below names it
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for s in strides[:-1]:
+            keep, right = slice(2 * s, top, 2 * s), slice(3 * s, top, 2 * s)
+            left = slice(s, top - 2 * s, 2 * s)
+            alpha, gamma = a[keep] / d[left], c[keep] / d[right]
+            d[keep] -= alpha * c[left] + gamma * a[right]
+            b[:, keep] += alpha * b[:, left] + gamma * b[:, right]
+            a[keep], c[keep] = alpha * a[left], gamma * c[right]
+        for s in reversed(strides):
+            out, lo, hi = slice(s, top, 2 * s), slice(0, top - s, 2 * s), slice(2 * s, None, 2 * s)
+            b[:, out] += a[out] * b[:, lo] + c[out] * b[:, hi]
+            b[:, out] /= d[out]
 
-    scale = np.abs(diag)
-    scale[:, 1:] = np.fmax(scale[:, 1:], np.abs(sub))
-    scale[:, :-1] = np.fmax(scale[:, :-1], np.abs(sup))
-    k = len(dens)
-    small = np.abs(np.reshape(dens, (k, rows)).T) <= 1e-14 * np.fmax(scale[:, :k], 1e-300)
-    pivot = np.where(small.any(axis=1), small.argmax(axis=1), -1)
-    if xs is None:
-        return [np.full((rows, m), np.nan) for _ in rhs], pivot
-    return [np.reshape(x[::-1], (m, rows)).T for x in xs], pivot
+    small = np.abs(d[1 : m + 1]) <= 1e-14 * np.fmax(scale[1 : m + 1], 1e-300)
+    pivot = np.where(small.any(axis=0), small.argmax(axis=0), -1)
+    return np.swapaxes(b[:, 1 : m + 1], 1, 2), pivot
 
 
 def solve_tridiagonal(sub, diag, sup, rhs) -> np.ndarray:
-    """Thomas elimination for a tridiagonal system, no pivoting.
+    """Odd-even cyclic reduction for a tridiagonal system, no pivoting.
 
     ``sub`` and ``sup`` have one entry less than ``diag``.  All four bands
     may carry a leading row axis, ``(rows, m)``, to solve that many systems
     in one pass; each row's solution equals its own 1-D solve.  Pivoting is
     not needed for the Newton Jacobians solved here (M-matrices at every
-    iterate), but each pivot is still guarded: a magnitude below ``1e-14``
-    times its row scale raises :class:`SingularJacobian`, which names the
-    first such pivot of the first row that has one.
+    iterate), but each divisor is still guarded: one at most ``1e-14`` times
+    its row scale raises :class:`SingularJacobian`, naming its position, the
+    first in the first row that has one: a breakdown of the reduction, not
+    a proof that the matrix is singular.
     """
     bands = [np.asarray(band, dtype=float) for band in (sub, diag, sup, rhs)]
     d = bands[1]
@@ -116,7 +112,7 @@ def solve_tridiagonal(sub, diag, sup, rhs) -> np.ndarray:
     shapes = [lead + (m - 1,), lead + (m,), lead + (m - 1,), lead + (m,)]
     if [band.shape for band in bands] != shapes:
         raise DomainError("tridiagonal bands have inconsistent lengths")
-    (x,), pivot = _thomas(*(np.atleast_2d(band) for band in bands))
+    (x,), pivot = _cyclic_reduction(*(np.atleast_2d(band) for band in bands))
     failed = np.flatnonzero(pivot >= 0)
     if failed.size:
         raise SingularJacobian(f"zero pivot in row {pivot[failed[0]]}")
@@ -133,8 +129,8 @@ class NewtonTrace:
     ``residual_floor`` is that floor at the last iterate.
     ``condition_numbers`` holds the infinity-norm condition of the Jacobian
     at each iterate; since those Jacobians have nonnegative inverses the
-    number is exact, from the solve that also gives the direction guard's
-    slack.
+    number is exact: ``J^-1 1``, solved beside the step in one cyclic
+    reduction, gives it and the direction guard's slack.
     """
 
     def __init__(self) -> None:
@@ -153,8 +149,8 @@ class NewtonTrace:
 def _jacobian_condition(sub, diag, sup, inv_rows, pivot) -> float:
     """Infinity-norm condition number of the stationarity Jacobian.
 
-    ``inv_rows`` and ``pivot`` are :func:`_thomas`'s solve against the
-    all-ones vector, the row sums of the inverse: its norm whenever the
+    ``inv_rows`` and ``pivot`` are :func:`_cyclic_reduction`'s solve against
+    the all-ones vector, the row sums of the inverse: its norm whenever the
     inverse is nonnegative, as at every iterate from the equally-spaced start.
     """
     if pivot >= 0:
@@ -183,7 +179,8 @@ def _newton_rows(iv, p, xi, trace=None):
     :func:`newton_optimize` on its own.  Returns the error of the
     lowest-index failing row, or ``None`` when every row converged: rows
     after a failing one are dropped, since their outcome no longer changes
-    what the caller raises.  ``trace`` records a one-row run.
+    what the caller raises.  ``trace`` records a one-row run.  The step and
+    ``J^-1 1`` of all live rows come from one :func:`_cyclic_reduction`.
     """
     lo, up = iv.lower, iv.upper
     ps = np.asarray(p, dtype=float)
@@ -201,7 +198,7 @@ def _newton_rows(iv, p, xi, trace=None):
         st = _stationarity(x, pl)
         norm = np.abs(st.residual).max(axis=1)
         sub, diag, sup = st.d_lo[:, 1:], st.jac_diag, st.d_hi[:, :-1]
-        (step, inv_rows), pivot = _thomas(sub, diag, sup, st.residual, np.ones_like(diag))
+        (step, inv_rows), pivot = _cyclic_reduction(sub, diag, sup, st.residual, np.ones_like(diag))
         go = ~(norm <= st.floor)
         if trace is not None:
             trace.iterates.append(Breakpoints(iv, x[0]))

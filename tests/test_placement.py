@@ -26,6 +26,7 @@ from perspex import (
 from perspex import placement
 from perspex.placement import solve_tridiagonal
 from perspex.power import _stationarity
+from perspex.underestimator import _equal_spacing
 
 UNIT = Interval(0.0, 1.0)
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -114,11 +115,12 @@ class TestTridiagonal:
     def test_rows_singular_when_any_row_is(self):
         sub, diag, sup, rhs = self._bands(np.random.default_rng(34), 4, 5)
         a, d, c = sub[2], diag[2], sup[2]
-        # elimination leaves exactly zero in row 2 of system 2
+        # d2 (d1 - a0 c0/d0) = a1 c1, so the reduction's first level leaves
+        # d1 - a0 c0/d0 - a1 c1/d2 = 0 at position 1, its divisor one level on
         d[2] = a[1] * (c[1] / (d[1] - a[0] * (c[0] / d[0])))
-        with pytest.raises(SingularJacobian, match=r"^zero pivot in row 2$"):
+        with pytest.raises(SingularJacobian, match=r"^zero pivot in row 1$"):
             solve_tridiagonal(a, d, c, rhs[2])
-        with pytest.raises(SingularJacobian, match=r"^zero pivot in row 2$"):
+        with pytest.raises(SingularJacobian, match=r"^zero pivot in row 1$"):
             solve_tridiagonal(sub, diag, sup, rhs)
         diag[1, 0] = 0.0
         with pytest.raises(SingularJacobian, match=r"^zero pivot in row 0$"):
@@ -130,6 +132,51 @@ class TestTridiagonal:
             solve_tridiagonal(sub, diag, sup, rhs[:2])
         with pytest.raises(DomainError):
             solve_tridiagonal(sub[:, :2], diag, sup, rhs)
+
+    @staticmethod
+    def _thomas_longdouble(sub, diag, sup, rhs):
+        """Thomas elimination in ``np.longdouble``: the extended reference."""
+        bands = (sub, diag, sup, rhs)
+        a, d, c, b = (np.asarray(band, dtype=np.longdouble).tolist() for band in bands)
+        cp, dp, den = [], [b[0] / d[0]], d[0]
+        for i in range(1, len(d)):
+            cp.append(c[i - 1] / den)
+            den = d[i] - a[i - 1] * cp[-1]
+            dp.append((b[i] - a[i - 1] * dp[-1]) / den)
+        x = [dp.pop()]
+        for dpi, cpi in zip(dp[::-1], cp[::-1]):
+            x.append(dpi - cpi * x[-1])
+        return np.array(x[::-1], dtype=np.longdouble)
+
+    @pytest.mark.parametrize("n", [10, 1000, 10_000, 100_000])
+    @pytest.mark.parametrize("lower, upper", [(0.0, 1.0), (1000.0, 1000.001)])
+    @pytest.mark.parametrize("p", [1.2, 3.7])
+    def test_newton_solve_within_its_rounding_bound(self, p, lower, upper, n):
+        # The reduction is Gaussian elimination in its own order, each entry
+        # and each back-substituted unknown an inner product of at most
+        # k = 2 log2(n) + 1 rounded terms: backward error |dJ| <= gamma_3k
+        # |L||U| (Higham, Accuracy and Stability, Thm 9.3), at most
+        # 4 log2(n) eps |L||U| for n >= 3, and |L||U| of these M-matrices has
+        # at most twice the norm of J (1.57 to 1.99997 on the cases here,
+        # from the reduction's multipliers and divisors).  So c = 8 in
+        # |x - x_ref| <= c log2(n) eps cond_inf(J) |x_ref|, with cond_inf(J)
+        # exact from J^-1 1 as J^-1 >= 0.  The reference's own error bound
+        # is below 2^-11 of that.
+        iv = Interval(lower, upper)
+        st = _stationarity(_equal_spacing(iv, n)[None, :], np.array([p]))
+        bands = st.d_lo[:, 1:], st.jac_diag, st.d_hi[:, :-1]
+        ones = np.ones(n - 1)
+        got, pivot = placement._cyclic_reduction(*bands, st.residual, ones[None, :])
+        assert pivot[0] == -1
+        sub, diag, sup = (band[0] for band in bands)
+        refs = [self._thomas_longdouble(sub, diag, sup, b) for b in (st.residual[0], ones)]
+        row = np.abs(diag)
+        row[1:] += np.abs(sub)
+        row[:-1] += np.abs(sup)
+        cond = float(row.max() * refs[1].max())
+        for x, ref in zip(got, refs):
+            err = float(np.abs(x[0] - ref).max() / np.abs(ref).max())
+            assert err <= 8.0 * math.log2(n) * EPS * cond
 
 
 class TestNewton:
@@ -174,12 +221,27 @@ class TestNewton:
         assert trace.direction == "decreasing"
         assert (bp.interior < np.linspace(0.25, 1.0, 7)[1:-1]).all()
 
-    @pytest.mark.parametrize("n,p", [(300, 1.05), (1000, 5.0), (2000, 3.0), (10_000, 3.0)])
-    def test_large_n_moves_in_the_guaranteed_direction(self, n, p):
+    @pytest.mark.parametrize(
+        "n, p, lower",
+        [
+            pytest.param(n, p, lower, id=f"{n}-{p}" + (f"-{lower}" if lower else ""))
+            for n, p, lower in [
+                (300, 1.05, 0.0),
+                (1000, 5.0, 0.0),
+                (2000, 3.0, 0.0),
+                (10_000, 3.0, 0.0),
+                (100_000, 1.05, 0.0),
+                (100_000, 3.0, 0.0),
+                (100_000, 8.0, 0.5),
+            ]
+        ],
+    )
+    def test_large_n_moves_in_the_guaranteed_direction(self, n, p, lower):
         # the residual's rounding, once up to 6e-13 of the width here,
         # stalled these runs near 1e-12 and then stepped against the direction
-        bp, trace = newton_optimize(PowerFn(p, UNIT), n)
+        bp, trace = newton_optimize(PowerFn(p, Interval(lower, 1.0)), n)
         assert trace.converged and trace.iterations <= 8
+        assert trace.residual_norms[-1] <= 1e-9 * (1.0 - lower)
         assert trace.direction == ("decreasing" if p < 2.0 else "increasing")
         steps = np.diff([it.interior for it in trace.iterates], axis=0)
         assert ((steps <= 0.0) if p < 2.0 else (steps >= 0.0)).all()
@@ -452,8 +514,8 @@ class TestNewtonFailures:
             sweep_optimal_points(Interval(0.3, 1.0), 10, np.geomspace(1.1, 8.0, 50))
 
     def test_singular_step_raises(self, monkeypatch):
-        # a zero first pivot in the rows at p = 3: the one-row run on Python
-        # floats, and a sweep on arrays whose other row converges
+        # a zero first divisor in the rows at p = 3: a one-row run, and a
+        # sweep whose other row converges
         def zero_pivot(st, p):
             diag = st.jac_diag.copy()
             diag[p == 3.0, 0] = 0.0
