@@ -1,19 +1,26 @@
 #!/usr/bin/env python3
-"""Time the Newton solver the way ``optimize`` and ``sweep`` run it.
+"""Time the Newton solver the way ``optimize`` and ``sweep`` run it, and
+the closed-form volumes.
 
-Two parts, each timed in several fresh processes, one after another:
+Four parts, each timed in several fresh processes, one after another:
 
 * newton: ``newton_optimize`` for ``x**3.7`` on ``[0, 1]`` at n in {10,
   100, 10^3, 10^4, 10^5} pieces;
 * sweep: ``sweep_optimal_points`` on ``[0, 1.3]`` with n = 20 over
-  ``geomspace(1.1, 8, 200)``, the 200 x 20 sweep.
+  ``geomspace(1.1, 8, 200)``, the 200 x 20 sweep;
+* plpr: ``volume_power_closed_form`` for ``x**3.7`` on ``[0, 1]`` at n in
+  {20, 1250, 10^4} equally spaced pieces;
+* smooth: ``power.closed_form_volume`` of nr, pr and enr for ``x**3.7``
+  on ``[0.15, 1]``.
 
 Each process imports perspex, makes one untimed call per case, and then
 takes the median of ``REPEATS[case]`` timed calls.  The report gives, per
 case, the median and quartiles of those per-process medians, in
 milliseconds.  Only ``newton_optimize``, ``sweep_optimal_points``,
-``PowerFn``, ``Interval`` and ``KERNEL_BACKEND`` are used, so the script
-times any checkout that has them.
+``volume_power_closed_form``, ``power.closed_form_volume``,
+``Breakpoints``, ``RelaxationKind``, ``PowerFn``, ``Interval`` and
+``KERNEL_BACKEND`` are used, so the script times any checkout that has
+them.
 
     PYTHONPATH=src python3 benchmarks/bench.py [--json PATH]
 
@@ -38,19 +45,40 @@ REPEATS = {
     "newton_n10000": 7,
     "newton_n100000": 3,
     "sweep_200x20": 20,
+    "plpr_n20": 200,
+    "plpr_n1250": 100,
+    "plpr_n10000": 20,
+    "nr": 200,
+    "pr": 200,
+    "enr": 200,
 }
 
 
 def _cases():
     import numpy as np
 
-    from perspex import Interval, PowerFn, newton_optimize, sweep_optimal_points
+    from perspex import (
+        Breakpoints,
+        Interval,
+        PowerFn,
+        RelaxationKind,
+        newton_optimize,
+        sweep_optimal_points,
+        volume_power_closed_form,
+    )
+    from perspex.power import closed_form_volume
 
     pf = PowerFn(NEWTON_P, Interval(0.0, 1.0))
     grid = np.geomspace(1.1, 8.0, 200)
     sizes = (10, 100, 1000, 10_000, 100_000)
     cases = {f"newton_n{n}": (lambda n=n: newton_optimize(pf, n)) for n in sizes}
     cases["sweep_200x20"] = lambda: sweep_optimal_points(Interval(0.0, 1.3), 20, grid)
+    for n in (20, 1250, 10_000):
+        bp = Breakpoints.equally_spaced(pf.interval, n)
+        cases[f"plpr_n{n}"] = lambda bp=bp: volume_power_closed_form(pf, bp)
+    smooth = PowerFn(NEWTON_P, Interval(0.15, 1.0))
+    for tag in ("nr", "pr", "enr"):
+        cases[tag] = lambda kind=RelaxationKind(tag): closed_form_volume(kind, smooth, None)
     return cases
 
 
@@ -108,7 +136,7 @@ def main():
     print(f"per-process medians over {PROCESSES} processes, ms")
     print(f"{'case':16s} {'q1':>10s} {'median':>10s} {'q3':>10s}")
     for name, row in result["cases"].items():
-        print(f"{name:16s} {row['q1']:10.3f} {row['median']:10.3f} {row['q3']:10.3f}")
+        print(f"{name:16s} {row['q1']:10.4f} {row['median']:10.4f} {row['q3']:10.4f}")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(result, fh, indent=1)

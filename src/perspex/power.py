@@ -1,11 +1,11 @@
 """Closed-form volume analytics for power functions ``x**p`` with ``p > 1``.
 
-Everything here evaluates in O(n) for n linearization pieces (the volumes
-in O(n + log(upper/lower)) quadrature spans): the exact volume of every
-relaxation at every exponent, that of the perspective relaxation of the
-tangent under-estimator with its gradient and tridiagonal Hessian in the
-interior breakpoints, and the stationarity residual driving Newton's
-method.
+Everything here evaluates in O(n) for n linearization pieces: the exact
+volume of every relaxation at every exponent (nr, pr and enr by one
+quadrature span of O(log(upper/lower)) sub-spans), that of the
+perspective relaxation of the tangent under-estimator with its gradient
+and tridiagonal Hessian in the interior breakpoints, and the
+stationarity residual driving Newton's method.
 
 Powers are plain ``**``, whose exponents here are positive, so ``0.0**q``
 is 0 already.  The Newton terms read only the tangent cuts' fractions of
@@ -27,8 +27,8 @@ from .underestimator import (
     Breakpoints,
     ConvexFunction,
     Interval,
+    _check_brackets,
     _validated_make,
-    build_underestimator,
 )
 
 _MIN_P = 1.0 + 1e-9
@@ -122,35 +122,60 @@ def volume_quadratic(bp: Breakpoints) -> float:
 def volume_power_closed_form(pf: PowerFn, bp: Breakpoints) -> float:
     """Exact volume of the PL perspective relaxation for ``x**p``.
 
-    A third of the area between the chord and the tangent under-estimator,
-    written as a sum of nonnegative integrals of ``f'' = p (p-1) s**(p-2)``:
-    the chord-to-``f`` area ``∫ (s - l)(u - s) f''/2`` over ``[l, u]``, and
-    for each piece ``[a, b]`` with tangent intersection ``t`` the
-    ``f``-to-tangent areas ``∫ (t - s)**2 f''/2`` over ``[a, t]`` and
-    ``∫ (s - t)**2 f''/2`` over ``[t, b]``, of lengths ``θ (b - a)`` and
-    ``(1 - θ) (b - a)`` (:func:`_cut_terms`), by :func:`_span_integrals`.
-    Nothing cancels, so the volume keeps its relative accuracy on narrow
-    intervals far from zero, and no intermediate grows faster than the
-    volume.  Agrees with the fan-triangulation volume of the corresponding
-    under-estimator; this form never constructs the tangent vertices.
+    A third of the area between the chord and the tangent under-estimator.
+    On the piece of the tangent at ``x_k``, between its cuts, the chord
+    minus the tangent is affine in the offset ``τ = (s - l)/(u - l)``:
+    ``(1 - τ) D(l; x_k) + τ D(u; x_k)``, ``D`` the Bregman gap.  So the
+    area is the trapezoid sum ``w Σ_k Δτ_k ((1 - τ̄_k) D(l; x_k) + τ̄_k D(u;
+    x_k))`` over the pieces' lengths ``Δτ`` and midpoints ``τ̄``.  A length
+    is ``(1 - θ_{k-1}) Δ_{k-1} + θ_k Δ_k`` from the cuts' fractions θ of
+    their pairs (:func:`_cut_terms`), ``τ̄`` and ``1 - τ̄`` are sums of
+    distances from their own end, and the gaps come in units of ``f(u)``
+    (:func:`_pair_gaps`): every term is a product of nonnegative factors,
+    so nothing cancels on narrow intervals far from zero.  No cut's
+    rounding moves the sum to first order, because the under-estimator is
+    continuous at its cuts.  The volume is ``u**(p+1)`` times the
+    dimensionless sum (:func:`_scaled`).  Agrees with the fan-triangulation
+    volume of the corresponding under-estimator; this form never
+    constructs the tangent vertices.
     """
     if bp is None:
         raise DomainError("plpr needs breakpoints")
     if pf.interval != bp.interval:
         raise DomainError("breakpoints cover a different interval than the function")
     p, xi = pf.p, bp.xi
-    a, b, lo, up = xi[:-1], xi[1:], xi[:1], xi[-1:]
-    delta = b - a
-    theta, rest = _cut_terms(a, b, p)[:2]
-    t = a + theta * delta
-    starts = np.concatenate((lo, a, t))
-    ends = np.concatenate((up, t, b))
-    lengths = np.concatenate((up - lo, theta * delta, rest * delta))
-    # powers of (s - start) and (end - s) in each integrand
-    left = np.repeat([1, 0, 2], [1, a.size, a.size])
-    right = np.repeat([1, 2, 0], [1, a.size, a.size])
-    spans = _span_integrals(starts, ends, left, right, p - 2.0, lengths=lengths)
-    return p * (p - 1.0) / 6.0 * float(spans.sum())
+    a, b, lo, up = xi[:-1], xi[1:], xi[0], xi[-1]
+    n, w = a.size, up - lo
+    # gaps of the pairs (x_k, x_k+1), (l, x_k+1) and (x_k+1, u), one call
+    fwd, back, ratio = _pair_gaps(np.concatenate((a, np.full(n, lo), b)),
+                                  np.concatenate((b, b, np.full(n, up))), p)[:3]
+    scale = (b - a) / (fwd[:n] + back[:n])
+    head, tail = fwd[:n] * scale, back[:n] * scale  # θ Δ and (1 - θ) Δ
+    # τ and 1 - τ at l, the cuts and u, each a sum of distances from its end
+    from_lo = np.concatenate(([0.0], (a - lo + head) / w, [1.0]))
+    to_up = np.concatenate(([1.0], (up - b + tail) / w, [0.0]))
+    # per piece, D(l; x_k) from units of f(x_k), and D(u; x_k), the first
+    # D(u; l) of the pair (l, u)
+    at_lo = np.append(0.0, fwd[n:2 * n] * np.exp(-p * ratio[2 * n:]))
+    at_up = back[2 * n - 1:]
+    length = np.append(head, 0.0) + np.append(0.0, tail)
+    terms = length * ((to_up[:-1] + to_up[1:]) * at_lo + (from_lo[:-1] + from_lo[1:]) * at_up)
+    return _scaled(float(terms.sum()) / up / 6.0, up, p)
+
+
+def _scaled(unit: float, upper: float, p: float) -> float:
+    """``unit * upper**(p + 1)``, the power as ``upper**p * upper`` (``p +
+    1`` would round) and applied last; where that power overflows, ``unit``
+    times ``upper**(p/2)`` twice and ``upper``, so the product overflows
+    only where it is not finite."""
+    upper = float(upper)
+    try:
+        if (scale := upper**p * upper) < math.inf:
+            return unit * scale
+    except OverflowError:  # Python floats raise where numpy returns inf
+        pass
+    half = upper ** (p / 2.0)
+    return unit * half * half * upper
 
 
 def _tangent_cuts(a: np.ndarray, b: np.ndarray, p) -> np.ndarray:
@@ -161,14 +186,24 @@ def _tangent_cuts(a: np.ndarray, b: np.ndarray, p) -> np.ndarray:
 
 def _cut_terms(a: np.ndarray, b: np.ndarray, p) -> tuple[np.ndarray, ...]:
     """``(θ, 1 - θ, L, g)`` per pair ``a < b``: the cut's fraction ``θ = (t -
-    a)/(b - a)`` of its pair and its complement, each a Bregman gap, ``D(a;
-    b)`` or ``D(b; a)``, over their sum; ``L = log(b/a)``; ``g = 1 -
-    (a/b)**(p-1)``.  In units of ``f(b)``, with ``y = p L`` and ``q = p -
-    1``, the gaps are ``φ(-y)`` and ``q φ*(-y)``, ``φ*`` being ``φ``
-    (:func:`_gap_series`) of the conjugate exponent ``p/q``: series in
-    ``-y`` where ``y <= ln 2``, per element, and expm1 forms elsewhere.  At
-    ``p = 2`` the gaps are the same bits, so ``θ = 1/2``.  θ and ``1 - θ``
-    are within 6 eps relative (4.6 eps measured against 40 digits).
+    a)/(b - a)`` of its pair and its complement, each Bregman gap of
+    :func:`_pair_gaps` over their sum, and that function's ``L`` and ``g``.
+    At ``p = 2`` the gaps are the same bits, so ``θ = 1/2``.  θ and ``1 -
+    θ`` are within 6 eps relative (4.6 eps measured against 40 digits).
+    """
+    lower, upper, ratio, gap = _pair_gaps(a, b, p)
+    total = lower + upper
+    return lower / total, upper / total, ratio, gap
+
+
+def _pair_gaps(a: np.ndarray, b: np.ndarray, p) -> tuple[np.ndarray, ...]:
+    """``(D(a; b), D(b; a), L, g)`` per pair ``a < b``: the two Bregman gaps
+    of ``x**p`` in units of ``f(b)``, ``L = log(b/a)`` and ``g = 1 -
+    (a/b)**(p-1)``.  With ``y = p L`` and ``q = p - 1``, the gaps are
+    ``φ(-y)`` and ``q φ*(-y)``, ``φ*`` being ``φ`` (:func:`_gap_series`) of
+    the conjugate exponent ``p/q``: series in ``-y`` where ``y <= ln 2``,
+    per element, and expm1 forms elsewhere.  From ``a = 0`` they are ``q``
+    and 1.  ``p`` may hold one exponent per row of ``a``.
     """
     q = p - 1.0
     with np.errstate(divide="ignore"):  # a = 0
@@ -181,8 +216,7 @@ def _cut_terms(a: np.ndarray, b: np.ndarray, p) -> tuple[np.ndarray, ...]:
     near = y <= _LN2
     lower = np.where(near, lower_s, fall * np.exp(-ratio) - shrink)
     upper = np.where(near, q * upper_s, shrink * np.exp(decay) - fall)
-    total = lower + upper
-    return lower / total, upper / total, ratio, -fall
+    return lower, upper, ratio, -fall
 
 
 def _gap_series(log_p, bound):
@@ -251,66 +285,51 @@ _GL_WEIGHTS = np.concatenate((_GL_WEIGHTS, _GL_WEIGHTS[::-1]))  # symmetric abou
 
 
 _WINDOW = 50.0  # above k = 8, a span's integrand below b exp(-50/k) is dropped
-_MAX_SPAN_POWER = 1e6  # where a node's rounding moves s**k by k eps/2 = 1.1e-10
+_MAX_SPAN_POWER = 1e6  # the largest power of s the span rule accepts, where it is checked
 
 
-def _span_integrals(a, b, left, right, k: float, unit_end=False, lengths=None) -> np.ndarray:
-    """``∫_a^b (s - a)**left * (b - s)**right * s**k ds`` per span, ``b - s``
-    in units of ``b`` if ``unit_end``; ``left, right <= 2``, ``k > -1``.
-    ``lengths``, if given, replace ``b - a`` for spans of one sub-span.
+def _span_integral(a: float, b: float, left: int, right: int, k: float) -> float:
+    """``∫_a^b (s - a)**left * (b - s)**right * s**k ds`` in units of
+    ``b**(k + left + right + 1)``, for ``0 <= a < b``, ``left, right <= 2``
+    and ``k > -1``.
 
-    A span from 0 takes the Beta closed form ``b**(k + left + right + 1) B(k
-    + 1 + left, right + 1)``.  The others are split at geometric points into
-    sub-spans of end ratio at most ``2**(1/max(1, k/8))``, where ``s**k`` is
-    analytic well beyond the sub-span and varies by at most ``2**8``, and
-    each takes the 16-point Gauss-Legendre rule, whose own error is below
-    1e-16.  Above ``k = 8`` only ``[b exp(-_WINDOW/k), b]`` is split, into at
-    most 10 sub-spans: below it ``s**k`` is under ``e**-50`` of ``b**k``,
-    and the integrand's share about ``50**2 e**-50 / 2 = 2.4e-19``.  A
-    node's rounding moves ``s**k`` by up to ``k eps/2``, so above
+    From 0 it is the Beta function ``B(k + 1 + left, right + 1)``.
+    Otherwise the span is split at geometric points into sub-spans of end
+    ratio at most ``2**(1/max(1, k/8))``, where ``s**k`` is analytic well
+    beyond the sub-span and varies by at most ``2**8``, and each takes the
+    16-point Gauss-Legendre rule, whose own error is below 1e-16.  Above
+    ``k = 8`` only ``[b exp(-_WINDOW/k), b]`` is split, into at most 10
+    sub-spans: below it ``s**k`` is under ``e**-50`` of ``b**k``, and the
+    integrand's share about ``50**2 e**-50 / 2 = 2.4e-19``.
+
+    Each node's ``s - a`` and ``b - s`` are sums of nonnegative terms from
+    its sub-span's own float ends, so they keep their relative accuracy
+    near the span's ends; the integrand takes them in units of ``b``.
+    ``(s/b)**k`` is ``exp(k log1p(-(b - s)/b))`` above ``b/2``: a node's
+    rounding moves it by about ``k eps (b - s)/s`` relative, where it is
+    below ``e**(-k (b - s)/b)`` of its peak, so by at most about ``2 eps /
+    e`` of the peak.  Below ``b/2``, reached only where ``k < 72``, it is
+    the power of ``s/b``, moved by up to ``k eps/2``.  Above
     ``_MAX_SPAN_POWER`` a span not from 0 raises :class:`DomainError`.
-    ``s - a`` and ``b - s`` are sums of nonnegative terms, so they keep
-    their relative accuracy near the span's ends.
     """
-    out = np.empty(a.shape)
-    zero = a == 0.0
-    if zero.any():
-        # B(x, r + 1) = r! / (x (x + 1) ... (x + r)) with x = k + 1 + left
-        x = k + 1.0 + left[zero]
-        r = right[zero]
-        beta = np.where(r == 0, 1.0 / x, np.where(r == 1, 1.0 / (x * (x + 1.0)),
-                                                  2.0 / (x * (x + 1.0) * (x + 2.0))))
-        # one factor b apart and the integers summed first: k + 1 would round
-        out[zero] = b[zero] ** (k + (left[zero] + (0 if unit_end else r))) * b[zero] * beta
-    live = ~zero
-    if live.any():
-        if k > _MAX_SPAN_POWER:
-            raise DomainError(f"the span rule does not resolve s**{k!r}: a node's rounding "
-                              f"moves it by up to {k * np.finfo(float).eps / 2:.2g} relative")
-        a, b, left, right = a[live], b[live], left[live], right[live]
-        lengths = b - a if lengths is None else lengths[live]
-        grow = max(1.0, k / 8.0)  # sub-spans per halving of s
-        start = a if grow == 1.0 else np.maximum(a, b * math.exp(-_WINDOW / k))
-        parts = np.maximum(np.ceil(np.log2(b / start) * grow), 1.0).astype(np.intp)
-        span = np.repeat(np.arange(a.size), parts)
-        # index of each sub-span within its span, and the span's sub-span count
-        j = np.arange(span.size) - np.repeat(np.cumsum(parts) - parts, parts)
-        m = parts[span]
-        sa, sc, sb = a[span], start[span], b[span]
-        lo = np.where(j == 0, sc, sc * (sb / sc) ** (j / m))
-        hi = np.where(j == m - 1, sb, sc * (sb / sc) ** ((j + 1) / m))
-        h = np.where((m == 1) & (start == a)[span], lengths[span], hi - lo)[:, None]
-        s = lo[:, None] + h * _GL_NODES
-        from_a = (lo - sa)[:, None] + h * _GL_NODES
-        to_b = (sb - hi)[:, None] + h * (1.0 - _GL_NODES)
-        if unit_end:
-            to_b /= sb[:, None]
-        f = s**k
-        f *= from_a ** left[span, None]
-        f *= to_b ** right[span, None]
-        sub = (f @ _GL_WEIGHTS) * h[:, 0]
-        out[live] = np.bincount(span, weights=sub, minlength=a.size)
-    return out
+    if a == 0.0:
+        x = k + (1.0 + left)  # the integers summed first: k + 1 would round
+        return math.factorial(right) / math.prod(x + j for j in range(right + 1))
+    if k > _MAX_SPAN_POWER:
+        raise DomainError(f"the span rule does not resolve s**{k!r}: it is checked "
+                          f"up to s**{_MAX_SPAN_POWER:g}")
+    grow = max(1.0, k / 8.0)  # sub-spans per halving of s
+    start = a if grow == 1.0 else max(a, b * math.exp(-_WINDOW / k))
+    m = max(math.ceil(math.log2(b / start) * grow), 1)
+    ends = start * (b / start) ** (np.arange(m + 1) / m)
+    ends[-1] = b
+    lo, hi = ends[:-1, None], ends[1:, None]
+    h = hi - lo
+    rest = ((b - hi) + h * (1.0 - _GL_NODES)) / b  # (b - s)/b
+    f = np.where(rest < 0.5, np.exp(k * np.log1p(-np.minimum(rest, 0.5))),
+                 ((lo + h * _GL_NODES) / b) ** k)
+    f *= (((lo - a) + h * _GL_NODES) / b) ** left * rest**right
+    return float(h[:, 0] @ (f @ _GL_WEIGHTS)) / b
 
 
 class _Stationarity(NamedTuple):
@@ -529,24 +548,29 @@ def volume_pl_extended_naive(f: ConvexFunction, bp: Breakpoints) -> float:
     Requires ``f`` increasing with its slope at the left endpoint at least
     the chord slope from the origin, so the extension stays convex;
     violations raise :class:`HypothesisViolated`.  At ``lower == 0`` no
-    extension is needed and the formula applies as is.  O(n).  Raises
+    extension is needed and the formula applies as is.  O(n); it reads the
+    tangent cuts by ``f``'s rule and raises as
+    :func:`~perspex.underestimator.build_underestimator` does, and
     :class:`DomainError` without breakpoints.
     """
     if bp is None:
         raise DomainError("plenr needs breakpoints")
-    est = build_underestimator(f, bp)
+    if f.interval != bp.interval:
+        raise DomainError("function and breakpoints cover different intervals")
     xi = bp.xi
+    fx, d = f._values(xi)
+    cuts = f._cuts(xi, fx, d)
+    _check_brackets(xi, cuts)
     lo, up = float(xi[0]), float(xi[-1])
     f_lo, f_up = float(f.fn(lo)), float(f.fn(up))
-    d = f._values(xi)[1]
-    slack = 4.5 * np.finfo(float).eps  # f, f' within 2 eps each, so f(lo)/lo within 2.5
+    slack = 4.5 * _EPS  # f, f' within 2 eps each, so f(lo)/lo within 2.5
     if d[0] < -slack * float(np.abs(d).max()):
         raise HypothesisViolated("function must be increasing on the interval")
     if lo > 0.0 and d[0] < f_lo / lo - slack * max(abs(d[0]), abs(f_lo / lo)):
         raise HypothesisViolated(
             "slope at the left endpoint must be at least the chord slope from the origin"
         )
-    t = est.x
+    t = np.concatenate((xi[:1], cuts, xi[-1:]))
     s = float(
         (((t[1:] ** 2 - t[:-1] ** 2) / 2.0 - (t[1:] ** 3 - t[:-1] ** 3) / (6.0 * up)) * d).sum()
     )
@@ -565,32 +589,31 @@ def closed_form_volume(kind: RelaxationKind, pf: PowerFn, bp: Breakpoints | None
     columns over ``w`` gives ``pr`` as plpr's chord term, ``p (p-1)/6 ∫ (s -
     l)(u - s) s**(p-2)``; ``nr`` adds ``κ/3 ∫ s**p`` with ``κ = (p-1)/(p+2)``,
     and ``enr`` adds ``κ/3 (∫ f - f(l) l**2 (1/l - 1/u))``, which is ``κ (p+2)
-    / (3u) ∫ (u - s) s**p``: nonnegative span integrals, so nothing cancels.
-    From ``l = 0``, ``p (p-1)`` times pr's Beta integral is the one ratio
-    ``(p-1)/(p+1)``.  Raises :class:`DomainError`, with no warning, where the
-    volume overflows floats or :func:`_span_integrals` refuses the exponent.
+    / (3u) ∫ (u - s) s**p``: nonnegative span integrals
+    (:func:`_span_integral`), so nothing cancels.  From ``l = 0``, ``p
+    (p-1)`` times pr's Beta integral is the one ratio ``(p-1)/(p+1)``.
+    Every kind but plenr is ``u**(p+1)`` times a dimensionless sum
+    (:func:`_scaled`), so it overflows only where the volume does.  Raises
+    :class:`DomainError`, with no warning, where the volume overflows
+    floats or the span rule refuses the exponent.
     """
     if kind.piecewise_linear and bp is None:
         raise DomainError(f"{kind.value} needs breakpoints")
     p, lo, up = pf.p, pf.interval.lower, pf.interval.upper
-
-    def span(left, right, k, unit_end=False):  # the one span [lo, up]
-        args = (np.array([x]) for x in (lo, up, left, right))
-        return float(_span_integrals(*args, k, unit_end)[0])
-
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # the check below reports them
             if kind is RelaxationKind.PL_PR:
                 vol = volume_power_closed_form(pf, bp)
             elif kind is RelaxationKind.PL_E_NR:
                 vol = volume_pl_extended_naive(pf.oracle(), bp)
-            else:  # pr, to which nr and enr each add a term
-                vol = ((p - 1.0) / (6.0 * (p + 1.0)) * (up**p * up) if lo == 0.0
-                       else p * (p - 1.0) / 6.0 * span(1, 1, p - 2.0))
+            else:  # pr, to which nr and enr each add a term, in units of up**(p+1)
+                unit = ((p - 1.0) / (6.0 * (p + 1.0)) if lo == 0.0
+                        else p * (p - 1.0) / 6.0 * _span_integral(lo, up, 1, 1, p - 2.0))
                 if kind is RelaxationKind.NR:
-                    vol += (p - 1.0) / (p + 2.0) / 3.0 * span(0, 0, p)
+                    unit += (p - 1.0) / (p + 2.0) / 3.0 * _span_integral(lo, up, 0, 0, p)
                 elif kind is RelaxationKind.E_NR:
-                    vol += (p - 1.0) / 3.0 * span(0, 1, p, unit_end=True)
+                    unit += (p - 1.0) / 3.0 * _span_integral(lo, up, 0, 1, p)
+                vol = _scaled(unit, up, p)
     except OverflowError:  # Python floats raise where numpy returns inf
         vol = math.inf
     if not math.isfinite(vol):

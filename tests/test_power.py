@@ -190,19 +190,30 @@ class TestClosedForm:
                 area -= (f[k + 1] + d[k + 1] * (t - x[k + 1]) / 2) * (x[k + 1] - t)
             return area / 3
 
+    # (p, lower, upper, n, at the Newton optimum rather than equally spaced)
+    REFERENCE_CASES = [
+        (3.0, 1.0, 1.001, 4, False), (3.0, 1000.0, 1000.001, 4, False),
+        (1.2, 10.0, 10.0001, 30, False), (3.0, 0.0, 1e55, 3, False), (1.05, 1e-9, 1.0, 7, False),
+        (40.0, 0.5, 2.0, 9, False), (40.0, 1e-10, 1.0, 5, False),
+        (3.7, 0.0, 1.0, 200, True), (1.5, 0.15, 1.0, 1250, True),
+    ]
+
     @pytest.mark.parametrize(
-        "p,lower,upper,n",
-        [(3.0, 1.0, 1.001, 4), (3.0, 1000.0, 1000.001, 4), (1.2, 10.0, 10.0001, 30),
-         (3.0, 0.0, 1e55, 3), (1.05, 1e-9, 1.0, 7), (40.0, 0.5, 2.0, 9), (40.0, 1e-10, 1.0, 5)],
+        "p,lower,upper,n,optimal", REFERENCE_CASES,
+        ids=["-".join(map(str, c[:4])) + ("-newton" if c[4] else "") for c in REFERENCE_CASES],
     )
-    def test_matches_high_precision_reference(self, p, lower, upper, n):
-        # a sum of nonnegative integrals: nothing cancels on narrow intervals
+    def test_matches_high_precision_reference(self, p, lower, upper, n, optimal):
+        # a sum of nonnegative terms: nothing cancels on narrow intervals
         # far from zero (the difference-of-powers form was off by a relative
-        # 1.3e-7, 71 and 2.1 on the first three), and nothing grows faster
-        # than the volume (it gave -inf on [0, 1e55])
+        # 1.3e-7, 71 and 2.1 on the first three), nothing grows faster than
+        # the volume (it gave -inf on [0, 1e55]), and many small pieces at
+        # the optimum add no rounding of their own
         mpmath = pytest.importorskip("mpmath")
         iv = Interval(lower, upper)
-        bp = Breakpoints.equally_spaced(iv, n)
+        if optimal:
+            bp = newton_optimize(PowerFn(p, iv), n)[0]
+        else:
+            bp = Breakpoints.equally_spaced(iv, n)
         got = volume_power_closed_form(PowerFn(p, iv), bp)
         want = self._reference(mpmath, p, bp.xi)
         assert abs(got - want) <= 1e-14 * want
@@ -715,7 +726,7 @@ class TestClosedFormDispatch:
 # Exponents from near 1 to 300 on intervals from zero, narrow ones far from
 # zero and wide ones: where the volume overflows floats, the closed form
 # raises DomainError; everywhere else it is within 1e-14 of 60 digits
-ACCURACY_P = (1.001, 1.05, 1.2, 1.5, 2.0, 3.0, 3.7, 8.0, 20.0, 40.0, 100.0, 300.0)
+ACCURACY_P = (1.001, 1.05, 1.2, 1.5, 2.0, 3.0, 3.7, 8.0, 20.0, 40.0, 100.0, 103.0, 300.0)
 ACCURACY_IV = (
     (0.0, 1.0), (0.15, 1.0), (0.5, 1.0), (0.9, 1.0), (1000.0, 1000.001), (10.0, 10.0001),
     (1e-10, 1.0), (0.3, 1e4), (6.63392, 6.633921), (0.0, 1e-3),
@@ -761,8 +772,8 @@ class TestAccuracyGrid:
 
     @pytest.mark.parametrize("p", ACCURACY_P)
     def test_plpr(self, p):
-        # the span rule sizes its sub-spans by p: with sizes fixed for p <= 10
-        # it was off by 6.4e-8 at p = 100 and 3.8e-2 at p = 300 on [0.5, 1]
+        # a trapezoid sum of Bregman gaps, no quadrature; at p = 103 on
+        # [1000, 1000.001] upper**(p+1) overflows floats but the volume does not
         mpmath = pytest.importorskip("mpmath")
         for lower, upper in ACCURACY_IV:
             iv = Interval(lower, upper)
