@@ -144,7 +144,7 @@ def volume_power_closed_form(pf: PowerFn, bp: Breakpoints) -> float:
     if pf.interval != bp.interval:
         raise DomainError("breakpoints cover a different interval than the function")
     p, xi = pf.p, bp.xi
-    a, b, lo, up = xi[:-1], xi[1:], xi[0], xi[-1]
+    a, b, lo, up = xi[:-1], xi[1:], float(xi[0]), float(xi[-1])
     n, w = a.size, up - lo
     # gaps of the pairs (x_k, x_k+1), (l, x_k+1) and (x_k+1, u), one call
     fwd, back, ratio = _pair_gaps(np.concatenate((a, np.full(n, lo), b)),
