@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Time the Newton solver the way ``optimize`` and ``sweep`` run it, and
-the closed-form volumes.
+"""Time the Newton solver the way ``optimize`` and ``sweep`` run it, the
+closed-form volumes and the piecewise Monte-Carlo bodies.
 
-Four parts, each timed in several fresh processes, one after another:
+Five parts, each timed in several fresh processes, one after another:
 
 * newton: ``newton_optimize`` for ``x**3.7`` on ``[0, 1]`` at n in {10,
   100, 10^3, 10^4, 10^5} pieces;
@@ -11,16 +11,19 @@ Four parts, each timed in several fresh processes, one after another:
 * plpr: ``volume_power_closed_form`` for ``x**3.7`` on ``[0, 1]`` at n in
   {20, 1250, 10^4} equally spaced pieces;
 * smooth: ``power.closed_form_volume`` of nr, pr and enr for ``x**3.7``
-  on ``[0.15, 1]``.
+  on ``[0.15, 1]``;
+* body: ``make_body`` of plpr and plenr for ``x**3.7`` on ``[0.15, 1]`` at
+  n in {8, 64} equally spaced pieces, the set-up of a piecewise
+  Monte-Carlo call.
 
 Each process imports perspex, makes one untimed call per case, and then
 takes the median of ``REPEATS[case]`` timed calls.  The report gives, per
 case, the median and quartiles of those per-process medians, in
 milliseconds.  Only ``newton_optimize``, ``sweep_optimal_points``,
 ``volume_power_closed_form``, ``power.closed_form_volume``,
-``Breakpoints``, ``RelaxationKind``, ``PowerFn``, ``Interval`` and
-``KERNEL_BACKEND`` are used, so the script times any checkout that has
-them.
+``make_body``, ``Breakpoints``, ``RelaxationKind``, ``PowerFn``,
+``Interval`` and ``KERNEL_BACKEND`` are used, so the script times any
+checkout that has them.
 
     PYTHONPATH=src python3 benchmarks/bench.py [--json PATH]
 
@@ -51,6 +54,10 @@ REPEATS = {
     "nr": 200,
     "pr": 200,
     "enr": 200,
+    "body_plpr_n8": 500,
+    "body_plpr_n64": 500,
+    "body_plenr_n8": 500,
+    "body_plenr_n64": 500,
 }
 
 
@@ -62,6 +69,7 @@ def _cases():
         Interval,
         PowerFn,
         RelaxationKind,
+        make_body,
         newton_optimize,
         sweep_optimal_points,
         volume_power_closed_form,
@@ -79,6 +87,11 @@ def _cases():
     smooth = PowerFn(NEWTON_P, Interval(0.15, 1.0))
     for tag in ("nr", "pr", "enr"):
         cases[tag] = lambda kind=RelaxationKind(tag): closed_form_volume(kind, smooth, None)
+    for tag in ("plpr", "plenr"):
+        for n in (8, 64):
+            bp = Breakpoints.equally_spaced(smooth.interval, n)
+            cases[f"body_{tag}_n{n}"] = (
+                lambda kind=RelaxationKind(tag), bp=bp: make_body(kind, smooth, bp))
     return cases
 
 

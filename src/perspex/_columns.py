@@ -239,15 +239,15 @@ def _plenr(body, t, k, g):
     each column's piece."""
     a, n3, n2, n1, n0 = body.columns
     v = t + body.interval.lower / body.interval.width  # w / width
-    d = np.take(a, k)
+    d = a.take(k)
     np.subtract(t, d, out=d)
-    n = np.take(n3, k)
+    n = n3.take(k)
     n *= d
-    n += np.take(n2, k)
+    n += n2.take(k)
     n *= d
-    n += np.take(n1, k)
+    n += n1.take(k)
     n *= d
-    n += np.take(n0, k)
+    n += n0.take(k)
     np.multiply(v, v, out=v)
     with np.errstate(invalid="ignore"):  # 0/0 at w = lower = 0, a column of length 0
         n /= v
@@ -262,7 +262,7 @@ def count_hits(body, t):
     column's length ``h(w)`` in it as ``3 h / body.unit``, clipped at 0
     against rounding, in the shape of ``t``.  ``t`` may have any shape and
     order.  plpr's columns are one ``np.interp`` over the body's knot
-    table, and plenr finds each column's piece by ``np.searchsorted``
+    table, and plenr finds each column's piece by ``searchsorted``
     among the cut offsets; at a cut offset both take the next piece.  Both
     searches run fastest on rows of increasing offsets, the layout
     ``mc.mc_volume`` draws.
@@ -278,7 +278,7 @@ def count_hits(body, t):
         h = np.interp(t, *body.columns)
     elif kind is RelaxationKind.PL_E_NR:
         # piece k holds the offsets from cuts[k - 1] up to cuts[k]
-        k = np.searchsorted(body.cuts, t, side="right")
+        k = body.cuts.searchsorted(t, side="right")
         # (f(upper) - f(lower)) / unit; 1 - f(lower)/f(upper) >= 1/2 does not cancel
         h = _plenr(body, t, k, 1.0 - body.lower_height / body.unit if rise is None else rise)
     else:

@@ -217,7 +217,10 @@ def make_body(
     """Assemble the kernel data of one relaxation body.
 
     The piecewise-linear kinds need breakpoints, the tangency points; the
-    others ignore them.  Their cuts come from ``power._tangent_cuts``, and
+    others ignore them.  Their cuts are positions from the ratio-form
+    quotient of ``power._tangent_cuts``, without the gap series of the
+    fractions θ that Newton reads: a body's volume moves only at second
+    order with a cut, as the under-estimator is continuous there.  They
     raise ``DegenerateTangents`` unless each lies strictly between its two
     tangency points.  Raises ``DomainError`` when the sampled cone is not
     representable in floats: ``f(upper)`` overflows or underflows to zero,

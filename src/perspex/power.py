@@ -33,6 +33,7 @@ from .underestimator import (
 
 _MIN_P = 1.0 + 1e-9
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 _LN2 = math.log(2.0)
 _SERIES_BOUND = 2.0**-6  # the largest |p u| of a kernel call whose gaps are summed as series
 # 1 - k and -1/k! for the gap series' orders k = 2, 3, ...
@@ -137,7 +138,8 @@ def volume_power_closed_form(pf: PowerFn, bp: Breakpoints) -> float:
     continuous at its cuts.  The volume is ``u**(p+1)`` times the
     dimensionless sum (:func:`_scaled`).  Agrees with the fan-triangulation
     volume of the corresponding under-estimator; this form never
-    constructs the tangent vertices.
+    constructs the tangent vertices.  Raises :class:`DomainError` where the
+    volume overflows floats, as :func:`closed_form_volume` does.
     """
     if bp is None:
         raise DomainError("plpr needs breakpoints")
@@ -160,28 +162,56 @@ def volume_power_closed_form(pf: PowerFn, bp: Breakpoints) -> float:
     at_up = back[2 * n - 1:]
     length = np.append(head, 0.0) + np.append(0.0, tail)
     terms = length * ((to_up[:-1] + to_up[1:]) * at_lo + (from_lo[:-1] + from_lo[1:]) * at_up)
-    return _scaled(float(terms.sum()) / up / 6.0, up, p)
+    return _finite(_scaled(float(terms.sum()) / up / 6.0, up, p), RelaxationKind.PL_PR, pf)
 
 
 def _scaled(unit: float, upper: float, p: float) -> float:
     """``unit * upper**(p + 1)``, the power as ``upper**p * upper`` (``p +
     1`` would round) and applied last; where that power overflows, ``unit``
     times ``upper**(p/2)`` twice and ``upper``, so the product overflows
-    only where it is not finite."""
+    only where it is not finite.  ``inf`` where it overflows: where even
+    ``upper**(p/2)`` does, the power exceeds the largest float squared, and
+    no dimensionless sum here is small enough to bring it back."""
     upper = float(upper)
     try:
         if (scale := upper**p * upper) < math.inf:
             return unit * scale
     except OverflowError:  # Python floats raise where numpy returns inf
         pass
-    half = upper ** (p / 2.0)
+    try:
+        half = upper ** (p / 2.0)
+    except OverflowError:
+        return math.inf
     return unit * half * half * upper
 
 
+def _finite(vol: float, kind: RelaxationKind, pf: PowerFn) -> float:
+    """``vol``, or :class:`DomainError` where the volume overflows floats."""
+    if not math.isfinite(vol):
+        iv = pf.interval
+        raise DomainError(f"the closed-form {kind.value} volume of x**{pf.p!r} on "
+                          f"[{iv.lower!r}, {iv.upper!r}] overflows floats")
+    return vol
+
+
 def _tangent_cuts(a: np.ndarray, b: np.ndarray, p) -> np.ndarray:
-    """Where the tangents of ``x**p`` at ``a < b`` meet: ``a + θ (b - a)``
-    (:func:`_cut_terms`).  ``p`` may hold one exponent per row of ``a``."""
-    return a + _cut_terms(a, b, p)[0] * (b - a)
+    """Where the tangents of ``x**p`` at ``a < b`` meet, as positions: the
+    quotient ``t = b (q/p) expm1(-p L) / expm1(-q L)`` with ``L = log1p((b -
+    a)/a)`` and ``q = p - 1``, clamped to ``[a, b]``.  No term overflows
+    however large ``b/a`` is, ``a = 0`` gives ``b q/p``, and ``t`` is within
+    ``15 u t`` (``u = eps/2``), the order of the rounding of ``a + θ (b -
+    a)``.  The oracle's vertices (so plenr's closed form), the Monte-Carlo
+    bodies and the single-point bracket read these positions; a volume
+    moves only at second order with a cut.  Newton and plpr's closed form
+    read the fractions of :func:`_cut_terms`.  ``p`` may hold one exponent
+    per row of ``a``."""
+    q = p - 1.0
+    with np.errstate(divide="ignore"):  # a = 0
+        ratio = np.log1p((b - a) / a)
+    t = b * (q / p) * (np.expm1(-p * ratio) / np.expm1(-q * ratio))
+    np.maximum(t, a, out=t)
+    np.minimum(t, b, out=t)
+    return t
 
 
 def _cut_terms(a: np.ndarray, b: np.ndarray, p) -> tuple[np.ndarray, ...]:
@@ -190,6 +220,9 @@ def _cut_terms(a: np.ndarray, b: np.ndarray, p) -> tuple[np.ndarray, ...]:
     :func:`_pair_gaps` over their sum, and that function's ``L`` and ``g``.
     At ``p = 2`` the gaps are the same bits, so ``θ = 1/2``.  θ and ``1 -
     θ`` are within 6 eps relative (4.6 eps measured against 40 digits).
+    Newton's terms and plpr's closed form read them, where a cut enters
+    through its distances to its pair; the positions come cheaper from
+    :func:`_tangent_cuts`, which skips the gaps' series.
     """
     lower, upper, ratio, gap = _pair_gaps(a, b, p)
     total = lower + upper
@@ -320,14 +353,20 @@ def _span_integral(a: float, b: float, left: int, right: int, k: float) -> float
                           f"up to s**{_MAX_SPAN_POWER:g}")
     grow = max(1.0, k / 8.0)  # sub-spans per halving of s
     start = a if grow == 1.0 else max(a, b * math.exp(-_WINDOW / k))
-    m = max(math.ceil(math.log2(b / start) * grow), 1)
-    ends = start * (b / start) ** (np.arange(m + 1) / m)
-    ends[-1] = b
+    # the ends in log2, as b / start may overflow floats from a subnormal a
+    log_start = math.log2(start)
+    span = math.log2(b) - log_start
+    m = max(math.ceil(span * grow), 1)
+    ends = np.exp2(log_start + span * (np.arange(m + 1) / m))
+    ends[0], ends[-1] = start, b
     lo, hi = ends[:-1, None], ends[1:, None]
     h = hi - lo
     rest = ((b - hi) + h * (1.0 - _GL_NODES)) / b  # (b - s)/b
+    # s/b below the least normal float is raised to it, so that its power
+    # stays finite for -1 < k < 0; such a node's h/b and (s - a)/b are below
+    # it too, so it adds less than that float to the sum
     f = np.where(rest < 0.5, np.exp(k * np.log1p(-np.minimum(rest, 0.5))),
-                 ((lo + h * _GL_NODES) / b) ** k)
+                 np.maximum((lo + h * _GL_NODES) / b, _TINY) ** k)
     f *= (((lo - a) + h * _GL_NODES) / b) ** left * rest**right
     return float(h[:, 0] @ (f @ _GL_WEIGHTS)) / b
 
@@ -616,11 +655,7 @@ def closed_form_volume(kind: RelaxationKind, pf: PowerFn, bp: Breakpoints | None
                 vol = _scaled(unit, up, p)
     except OverflowError:  # Python floats raise where numpy returns inf
         vol = math.inf
-    if not math.isfinite(vol):
-        raise DomainError(
-            f"the closed-form {kind.value} volume of x**{p!r} on [{lo!r}, {up!r}] overflows floats"
-        )
-    return vol
+    return _finite(vol, kind, pf)
 
 
 def refinement_thresholds(iv: Interval, gap: float) -> tuple[int, int, float]:

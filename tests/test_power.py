@@ -34,7 +34,7 @@ from perspex import (
     volume_power_closed_form,
     volume_quadratic,
 )
-from perspex.power import _cut_terms, _stationarity, closed_form_volume
+from perspex.power import _cut_terms, _stationarity, _tangent_cuts, closed_form_volume
 
 UNIT = Interval(0.0, 1.0)
 
@@ -288,6 +288,36 @@ class TestCutFractions:
         a = np.array([0.0, 1e-8, 0.5, 1000.0, 1e6])
         theta, rest, _, _ = _cut_terms(a, a + np.array([1.0, 1e-8, 0.25, 1e-3, 1e-9]), 2.0)
         assert (theta == 0.5).all() and (rest == 0.5).all()
+
+
+class TestCutPositions:
+    """The tangent cut as a position, the ratio-form quotient that the
+    vertices, plenr and the Monte-Carlo bodies read."""
+
+    def test_within_fifteen_u_of_forty_digits(self):
+        # TestCutFractions' domain: p in [1 + 1e-6, 300] and L = log(b/a) in
+        # [1e-12, 700], both log-uniform, on pairs anywhere in [e**-30,
+        # e**30]; the bound is 15 u t with u = eps/2, derived for this form
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(46)
+        size = 2000
+        p = 1.0 + np.exp(rng.uniform(np.log(1e-6), np.log(299.0), size))
+        a = np.exp(rng.uniform(-30.0, 30.0, size))
+        b = a * np.exp(np.exp(rng.uniform(np.log(1e-12), np.log(700.0), size)))
+        keep = np.isfinite(b) & (b > a)
+        p, a, b = p[keep], a[keep], b[keep]
+        cuts = _tangent_cuts(a[:, None], b[:, None], p[:, None])[:, 0]
+        assert ((a <= cuts) & (cuts <= b)).all()
+        with mpmath.workdps(40):
+            for k in range(p.size):
+                pk, ak, bk = (mpmath.mpf(v) for v in (p[k], a[k], b[k]))
+                ratio = mpmath.log(bk / ak)
+                want = bk * (pk - 1) / pk * mpmath.expm1(-pk * ratio) / mpmath.expm1(-(pk - 1) * ratio)
+                assert abs(cuts[k] - want) <= 7.5 * np.finfo(float).eps * want, (p[k], a[k], b[k])
+
+    def test_from_zero(self):
+        b = np.array([1e-300, 1.0, 1e300])
+        np.testing.assert_allclose(_tangent_cuts(np.zeros(3), b, 3.0), 2.0 / 3.0 * b, rtol=1e-15)
 
 
 class TestGradient:
@@ -667,12 +697,19 @@ class TestClosedFormDispatch:
 
     def test_non_finite_volume_is_a_domain_error(self):
         # every kind overflows here, through numpy (inf, nan) or Python floats
-        # (OverflowError); numpy warnings are test errors, so none is emitted
+        # (OverflowError); numpy warnings are test errors, so none is emitted.
+        # At p = 1000 even upper**(p/2) overflows; volume_power_closed_form
+        # called directly raises what the dispatch raises
         iv = Interval(0.0, 1e200)
-        pf, bp = PowerFn(2.0, iv), Breakpoints.equally_spaced(iv, 3)
-        for kind in RelaxationKind:
-            with pytest.raises(DomainError, match="overflows floats"):
-                closed_form_volume(kind, pf, bp if kind.piecewise_linear else None)
+        bp = Breakpoints.equally_spaced(iv, 3)
+        for p in (2.0, 1000.0):
+            pf = PowerFn(p, iv)
+            for kind in RelaxationKind:
+                with pytest.raises(DomainError, match="overflows floats"):
+                    closed_form_volume(kind, pf, bp if kind.piecewise_linear else None)
+            with pytest.raises(DomainError, match=rf"^the closed-form plpr volume of x\*\*{p!r} "
+                                                  r"on \[0\.0, 1e\+200\] overflows floats$"):
+                volume_power_closed_form(pf, bp)
 
     @staticmethod
     def _exact_smooth(kind, p, iv):
@@ -765,6 +802,17 @@ class TestAccuracyGrid:
     def test_smooth_kinds(self, p):
         mpmath = pytest.importorskip("mpmath")
         for lower, upper in ACCURACY_IV:
+            pf = PowerFn(p, Interval(lower, upper))
+            for kind in (RelaxationKind.NR, RelaxationKind.PR, RelaxationKind.E_NR):
+                want = self._smooth_reference(mpmath, kind, p, lower, upper)
+                _within_or_overflows(lambda: closed_form_volume(kind, pf, None), want)
+
+    @pytest.mark.parametrize("lower,upper", [(1e-320, 1e5), (5e-324, 100.0)])
+    def test_smooth_kinds_where_upper_over_lower_overflows(self, lower, upper):
+        # upper/lower is not a float here, so the span rule takes its ends in
+        # logs; below p = 2 the powers s**(p-2) of subnormal s/upper would overflow
+        mpmath = pytest.importorskip("mpmath")
+        for p in (1.001, 1.5, 3.0, 20.0):
             pf = PowerFn(p, Interval(lower, upper))
             for kind in (RelaxationKind.NR, RelaxationKind.PR, RelaxationKind.E_NR):
                 want = self._smooth_reference(mpmath, kind, p, lower, upper)
