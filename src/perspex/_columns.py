@@ -61,7 +61,7 @@ import math
 
 import numpy as np
 
-from .power import _LN2, RelaxationKind, _relative_gap
+from .power import _LN2, _TINY, RelaxationKind, _relative_gap
 
 
 def column_scale(p, interval, lower_height, upper_height):
@@ -176,7 +176,16 @@ def tangent_columns(p, interval, xi, cuts, rise, unit):
     exceeds ``p``."""
     ends = np.array([[interval.lower], [interval.upper]])
     if rise is None:
-        gaps = _bregman(p, ends / interval.upper, xi / interval.upper, False)
+        up = interval.upper
+        gaps = _bregman(p, ends / up, xi / up, False)
+        # where x > 0 but x/upper is below the normal floats ([1e-320, 1e5]),
+        # so is f(x), but not the tangent's slope p (x/upper)**(p-1), taken in
+        # logs; xi increases from lower >= 0, so if any x is, xi[0] or xi[1] is
+        tiny = _TINY * up
+        if xi[1] < tiny or 0.0 < xi[0] < tiny:
+            small = (xi > 0.0) & (xi < tiny)
+            gaps[0, small] = 0.0
+            gaps[1, small] = 1.0 - p * np.exp((p - 1.0) * (np.log(xi[small]) - math.log(up)))
     else:
         gaps = _bregman(p, ends, xi, True) / unit
     gaps[1] -= gaps[0]

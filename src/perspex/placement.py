@@ -186,15 +186,16 @@ def _newton_rows(iv, p, xi, trace=None):
     ps = np.asarray(p, dtype=float)
     live = np.arange(len(p))  # rows still iterating, ascending
     error = None
+    # what Breakpoints asks, of the start only: the guard on each step keeps
+    # every accepted iterate strictly increasing inside (lower, upper)
+    ordered = (np.diff(xi, axis=1) > 0.0).all(axis=1)
+    if not ordered.all():
+        live = live[:int(np.argmin(ordered))]
+        error = DomainError("breakpoints must be strictly increasing")
     for it in range(_MAX_ITER + 1):
-        x, pl = xi[live], ps[live]
-        ordered = (np.diff(x, axis=1) > 0.0).all(axis=1)  # what Breakpoints asks
-        if not ordered.all():
-            j = int(np.argmin(ordered))
-            error = DomainError("breakpoints must be strictly increasing")
-            live, x, pl = live[:j], x[:j], pl[:j]
         if not live.size:
             break
+        x, pl = xi[live], ps[live]
         st = _stationarity(x, pl)
         norm = np.abs(st.residual).max(axis=1)
         sub, diag, sup = st.d_lo[:, 1:], st.jac_diag, st.d_hi[:, :-1]

@@ -196,22 +196,37 @@ def _finite(vol: float, kind: RelaxationKind, pf: PowerFn) -> float:
 
 def _tangent_cuts(a: np.ndarray, b: np.ndarray, p) -> np.ndarray:
     """Where the tangents of ``x**p`` at ``a < b`` meet, as positions: the
-    quotient ``t = b (q/p) expm1(-p L) / expm1(-q L)`` with ``L = log1p((b -
-    a)/a)`` and ``q = p - 1``, clamped to ``[a, b]``.  No term overflows
-    however large ``b/a`` is, ``a = 0`` gives ``b q/p``, and ``t`` is within
-    ``15 u t`` (``u = eps/2``), the order of the rounding of ``a + θ (b -
-    a)``.  The oracle's vertices (so plenr's closed form), the Monte-Carlo
+    quotient ``t = b (q/p) expm1(-p L) / expm1(-q L)`` with ``L = log(b/a)``
+    (:func:`_log_ratio`) and ``q = p - 1``, clamped to ``[a, b]``.  No
+    term overflows however large ``b/a`` is, ``a = 0`` gives ``b q/p``, and
+    ``t`` is within ``15 u t`` (``u = eps/2``), the order of the rounding of
+    ``a + θ (b - a)``.  The oracle's vertices (so plenr's closed form), the Monte-Carlo
     bodies and the single-point bracket read these positions; a volume
     moves only at second order with a cut.  Newton and plpr's closed form
     read the fractions of :func:`_cut_terms`.  ``p`` may hold one exponent
     per row of ``a``."""
     q = p - 1.0
-    with np.errstate(divide="ignore"):  # a = 0
-        ratio = np.log1p((b - a) / a)
+    ratio = _log_ratio(a, b)
     t = b * (q / p) * (np.expm1(-p * ratio) / np.expm1(-q * ratio))
     np.maximum(t, a, out=t)
     np.minimum(t, b, out=t)
     return t
+
+
+def _log_ratio(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``L = log(b/a)`` per pair ``0 <= a < b``, ``inf`` at ``a = 0``:
+    ``log1p((b - a)/a)``, and ``log(b) - log(a)`` where that quotient
+    overflows floats, as it does only from a tiny ``a`` (``[1e-320, 1e5]``),
+    so that such a pair is not read as one from 0.  :func:`_tangent_cuts`
+    and :func:`_pair_gaps` share it."""
+    with np.errstate(divide="ignore", over="raise"):  # a = 0 divides by zero
+        try:
+            return np.log1p((b - a) / a)
+        except FloatingPointError:
+            pass
+    with np.errstate(divide="ignore", over="ignore"):
+        quotient = (b - a) / a
+        return np.where(np.isinf(quotient), np.log(b) - np.log(a), np.log1p(quotient))
 
 
 def _cut_terms(a: np.ndarray, b: np.ndarray, p) -> tuple[np.ndarray, ...]:
@@ -239,8 +254,7 @@ def _pair_gaps(a: np.ndarray, b: np.ndarray, p) -> tuple[np.ndarray, ...]:
     and 1.  ``p`` may hold one exponent per row of ``a``.
     """
     q = p - 1.0
-    with np.errstate(divide="ignore"):  # a = 0
-        ratio = np.log1p((b - a) / a)
+    ratio = _log_ratio(a, b)
     y, decay = p * ratio, -q * ratio
     fall = np.expm1(decay)  # (a/b)**q - 1 = -g
     shrink = q * np.expm1(-ratio)  # q (a/b - 1)
@@ -318,7 +332,9 @@ _GL_WEIGHTS = np.concatenate((_GL_WEIGHTS, _GL_WEIGHTS[::-1]))  # symmetric abou
 
 
 _WINDOW = 50.0  # above k = 8, a span's integrand below b exp(-50/k) is dropped
-_MAX_SPAN_POWER = 1e6  # the largest power of s the span rule accepts, where it is checked
+# the largest power of s the span rule accepts: the window b (1 - exp(-50/k)),
+# about 50 b/k, spans at least four floats, which lie at most eps b apart
+_MAX_SPAN_POWER = _WINDOW / (4.0 * _EPS)
 
 
 def _span_integral(a: float, b: float, left: int, right: int, k: float) -> float:
@@ -342,15 +358,21 @@ def _span_integral(a: float, b: float, left: int, right: int, k: float) -> float
     rounding moves it by about ``k eps (b - s)/s`` relative, where it is
     below ``e**(-k (b - s)/b)`` of its peak, so by at most about ``2 eps /
     e`` of the peak.  Below ``b/2``, reached only where ``k < 72``, it is
-    the power of ``s/b``, moved by up to ``k eps/2``.  Above
-    ``_MAX_SPAN_POWER`` a span not from 0 raises :class:`DomainError`.
+    the power of ``s/b``, moved by up to ``k eps/2``.
+
+    Above ``_MAX_SPAN_POWER = 50 / (4 eps)``, about 5.6e16, the window
+    spans fewer than four floats (they lie at most ``eps b`` apart), the
+    rounding of its start moves the dropped share, and a span not from 0
+    raises :class:`DomainError`: at ``k = 1e17`` and ``b`` just above a
+    power of two the rule is off by 7e-14, and from about ``k = 9e17`` the
+    window is empty.
     """
     if a == 0.0:
         x = k + (1.0 + left)  # the integers summed first: k + 1 would round
         return math.factorial(right) / math.prod(x + j for j in range(right + 1))
     if k > _MAX_SPAN_POWER:
-        raise DomainError(f"the span rule does not resolve s**{k!r}: it is checked "
-                          f"up to s**{_MAX_SPAN_POWER:g}")
+        raise DomainError(f"the span rule does not resolve s**{k!r}: above "
+                          f"s**{_MAX_SPAN_POWER:.3g} its window spans under four floats")
     grow = max(1.0, k / 8.0)  # sub-spans per halving of s
     start = a if grow == 1.0 else max(a, b * math.exp(-_WINDOW / k))
     # the ends in log2, as b / start may overflow floats from a subnormal a
@@ -426,8 +448,9 @@ def _stationarity(xi: np.ndarray, p: np.ndarray) -> _Stationarity:
     from_lo, ratio_lo, gap_lo = -pq * (theta[:, :-1] * delta[:, :-1]), ratio[:, :-1], gap[:, :-1]
     s_lo = from_lo * np.exp(-q * ratio_lo) / gap_lo
     # at lo == 0 (ratio inf) the factor (lo/mid)**(p-2) is inf below p = 2
-    # and 0 above; at p == 2 it is 1, where (1 - q) * ratio would be 0 * inf
-    with np.errstate(invalid="ignore"):
+    # and 0 above, as it may overflow to from a tiny lo; at p == 2 it is 1,
+    # where (1 - q) * ratio would be 0 * inf
+    with np.errstate(over="ignore", invalid="ignore"):
         d_lo = from_lo * np.exp(np.where(q == 1.0, 0.0, (1.0 - q) * ratio_lo)) / (mid * gap_lo)
     # Euler (the residual is homogeneous of degree 1): x_k J_kk = residual + reach
     reach = -s_lo - hi * d_hi

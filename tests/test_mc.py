@@ -522,6 +522,23 @@ class TestColumns:
                              for ti in t])
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
+    def test_tangent_columns_where_lower_over_upper_is_not_a_float(self):
+        # on [1e-320, 1e5] lower/upper underflows to 0, but the slope of the
+        # tangent at lower, p (lower/upper)**(p-1), is e**-0.75 of p at p =
+        # 1.001; offsets from 1e-6 reach into the first piece, which ends
+        # near 6e-4
+        mpmath = pytest.importorskip("mpmath")
+        p, lower, upper = 1.001, 1e-320, 1e5
+        iv = Interval(lower, upper)
+        bp = Breakpoints.equally_spaced(iv, 3)
+        body = make_body(RelaxationKind.PL_PR, PowerFn(p, iv), bp)
+        t = np.geomspace(1e-6, 0.99, 15)
+        got = _lengths(body, t)
+        with mpmath.workdps(40):
+            want = np.array([float(_mp_column(mpmath, RelaxationKind.PL_PR, p, lower, upper,
+                                              bp.xi, ti)) for ti in t])
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("kind", [RelaxationKind.E_NR, RelaxationKind.PL_E_NR],
                              ids=lambda k: k.value)
     @pytest.mark.parametrize("p,lower,upper,n", [(3.0, 1000.0, 1000.001, 4), (3.0, 1.0, 1.001, 4)])

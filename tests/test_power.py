@@ -34,7 +34,13 @@ from perspex import (
     volume_power_closed_form,
     volume_quadratic,
 )
-from perspex.power import _cut_terms, _stationarity, _tangent_cuts, closed_form_volume
+from perspex.power import (
+    _cut_terms,
+    _span_integral,
+    _stationarity,
+    _tangent_cuts,
+    closed_form_volume,
+)
 
 UNIT = Interval(0.0, 1.0)
 
@@ -748,25 +754,36 @@ class TestClosedFormDispatch:
             assert closed_form_volume(kind, pf, None) == pytest.approx(1.0 / 6.0, rel=1e-15)
 
     def test_exponents_beyond_the_span_rule_raise(self):
-        # pr of x**1e100 on [0.5, 1] is 1/12; the span rule cannot resolve
-        # s**(p-2) there, and says so rather than return a wrong number
-        for p in (1e7, 1e100):
+        # pr of x**p on [0.5, 1] is about 1/12; above k = 50 / (4 eps) the
+        # span rule's window spans under four floats below upper (none at
+        # 1e18), and the rule says so rather than return a wrong number
+        for p in (1e17, 1e18, 1e100):
             with pytest.raises(DomainError, match="span rule does not resolve"):
                 closed_form_volume(RelaxationKind.PR, PowerFn(p, Interval(0.5, 1.0)), None)
-        # at p = 1e6 the rule's window holds the volume, (1/4 - 1/(p + 1))/3
-        # with 0.5**p = 0, to its rounding bound p eps / 2
-        p = 1e6
+
+    @pytest.mark.parametrize("p", [1e6, 1e10, 1e14, 1e16, 5e16])
+    def test_huge_exponents_within_the_span_rule(self, p):
+        # pr on [0.5, 1] is (1/4 - 1/(p + 1))/3, as 0.5**p is 0; the span of
+        # pr's s**(p-2) in units of upper**(p+1) is the same for every upper,
+        # checked where floats lie furthest apart relative to upper (just
+        # above a power of two) and nearest (just below one)
         vol = closed_form_volume(RelaxationKind.PR, PowerFn(p, Interval(0.5, 1.0)), None)
-        assert vol == pytest.approx((0.25 - 1.0 / (p + 1.0)) / 3.0, rel=p * np.finfo(float).eps / 2)
+        assert vol == pytest.approx((0.25 - 1.0 / (p + 1.0)) / 3.0, rel=1e-15)
+        k = Fraction(p - 2.0)
+        exact = 1 / (k + 2) - Fraction(1, 2) / (k + 1) - 1 / (k + 3) + Fraction(1, 2) / (k + 2)
+        for upper in (1.0 + 2.0**-51, 1.5, 2.0 - 2.0**-52):
+            got = _span_integral(upper / 2.0, upper, 1, 1, p - 2.0)
+            assert abs(Fraction(got) - exact) <= Fraction(1e-15) * exact, upper
 
 
 # Exponents from near 1 to 300 on intervals from zero, narrow ones far from
-# zero and wide ones: where the volume overflows floats, the closed form
-# raises DomainError; everywhere else it is within 1e-14 of 60 digits
+# zero, wide ones and ones whose upper/lower overflows floats: where the
+# volume overflows floats, the closed form raises DomainError; everywhere
+# else it is within 1e-14 of 60 digits
 ACCURACY_P = (1.001, 1.05, 1.2, 1.5, 2.0, 3.0, 3.7, 8.0, 20.0, 40.0, 100.0, 103.0, 300.0)
 ACCURACY_IV = (
     (0.0, 1.0), (0.15, 1.0), (0.5, 1.0), (0.9, 1.0), (1000.0, 1000.001), (10.0, 10.0001),
-    (1e-10, 1.0), (0.3, 1e4), (6.63392, 6.633921), (0.0, 1e-3),
+    (1e-10, 1.0), (0.3, 1e4), (6.63392, 6.633921), (0.0, 1e-3), (1e-320, 1e5), (5e-324, 100.0),
 )
 
 
