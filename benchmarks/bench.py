@@ -22,10 +22,13 @@ quartiles of the per-process medians and the median of the per-process
   columns on each of four bodies (p in {1.5, 2, 3.7, 6} on ``[lower, 1]``,
   8 equal pieces) per seed, split into the column kernel
   (``mc._kernel.count_hits``, timed by a wrapper around it) and the rest
-  of the call (the stream, the draws and their strata, the sums);
-* target: one round of the loop that brings each of the 60 chunk bodies to
-  a relative stderr of 3e-3, a one-chunk pilot and then calls sized from
-  the last estimate's relative stderr, timed per op and per round;
+  of the call (the stream, the draws and their strata, the sums), at
+  lower in {0, 0.15, 0.5, 0.9}; at 0.9, ``f(1) <= 2 f(0.9)`` for every p
+  up to 6.6, so the kernel works in units of ``f(lower)``;
+* target: one round of the loop that brings each of the 60 chunk bodies
+  with lower in {0, 0.15, 0.5} to a relative stderr of 3e-3, a one-chunk
+  pilot and then calls sized from the last estimate's relative stderr,
+  timed per op and per round;
 * cold: one op as perfbench's mc-target workload runs it, ``COLD_OPS`` per
   kind on seeded bodies drawn as its pool draws them (p log-uniform on
   [1.25, 8] or exactly 2, upper log-uniform on [1, 100], lower 0 or 0.15
@@ -82,7 +85,8 @@ from perspex.power import closed_form_volume
 PROCESSES = 7
 NEWTON_P = 3.7
 MC_EXPONENTS = (1.5, 2.0, 3.7, 6.0)
-MC_LOWERS = (0.0, 0.15, 0.5)
+MC_LOWERS = (0.0, 0.15, 0.5)  # lower ends of the target round's bodies
+CHUNK_LOWERS = MC_LOWERS + (0.9,)
 MC_PIECES = 8
 TARGET_RSE = 3e-3
 SEED = 1
@@ -133,7 +137,7 @@ def _cases():
     cases = {name: (REPEATS[name], _timed(fn)) for name, fn in whole.items()}
 
     for kind in RelaxationKind:
-        for lower in MC_LOWERS:
+        for lower in CHUNK_LOWERS:
             cases[f"chunk_{kind.value}_l{lower:g}"] = (
                 REPEATS["chunk"], lambda r, bodies=_bodies(kind, (lower,)): _chunks(bodies, r))
     bodies = [body for kind in RelaxationKind for body in _bodies(kind, MC_LOWERS)]

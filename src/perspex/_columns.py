@@ -79,16 +79,16 @@ def column_scale(p, interval, lower_height, upper_height):
 def _bregman(p, a, x, ratio):
     """``f(a) - f(x) - f'(x) (a - x)`` for ``f = x**p``, elementwise.
 
-    With ``ratio`` it is ``f(x) φ(p u)`` at ``u = log1p((a - x) / x)``
-    (``power._relative_gap``), which keeps its relative accuracy however
-    close ``a`` is to ``x``; the kernel takes it where ``f(upper) <= 2
-    f(lower)``, where ``a - x`` is exact and ``|p u| <= ln 2``.  Elsewhere
+    With ``ratio`` it is ``f(x) φ(p u)`` at ``u = log1p((a - x) / x)``, the
+    gap series (``power._relative_gap``), which keeps its relative accuracy
+    however close ``a`` is to ``x``; the kernel takes it where ``f(upper) <=
+    2 f(lower)``, where ``a - x`` is exact and ``|p u| <= ln 2``.  Elsewhere
     the direct form, whose terms then differ by a factor of at least about
     2 wherever the gap is not a rounding of 0."""
     if not ratio:
         return a**p - x**p - p * x ** (p - 1.0) * (a - x)
     u = np.log1p((a - x) / x)
-    gap = _relative_gap(p, u, p * float(np.abs(u).max()))
+    gap = _relative_gap(p, u)
     gap *= x**p
     return gap
 
@@ -97,19 +97,20 @@ def _perspective_ratio(body, t):
     """pr's ``3 h / f(lower)`` where ``f(upper) <= 2 f(lower)``: ``(chord -
     f(w)) / f(lower)`` as ``(1 - t) D(lower; w) + t D(upper; w)`` over
     ``f(lower)``, a sum of nonnegative Bregman gaps to the tangent at ``w``,
-    each ``f(w) φ(p log(a / w))`` (``power._relative_gap``), so nothing
-    cancels however close ``t`` is to 0 or 1.  ``log(w / lower)`` is
-    ``log1p(t width / lower)`` and ``log(upper / w)`` is ``log(upper /
-    lower)`` less it; where that difference cancels, near ``t = 1``, the
-    upper gap is second order in it, and its absolute error of a few ``eps
-    log(upper / lower)`` does not show in the column."""
+    each ``f(w) φ(p log(a / w))`` summed as the gap series
+    (``power._relative_gap``), so nothing cancels however close ``t`` is to
+    0 or 1, or ``p`` to 1.  ``log(w / lower)`` is ``log1p(t width / lower)``
+    and ``log(upper / w)`` is ``log(upper / lower)`` less it; where that
+    difference cancels, near ``t = 1``, the upper gap is second order in it,
+    and its absolute error of a few ``eps log(upper / lower)`` does not show
+    in the column."""
     lo, width, p = body.interval.lower, body.interval.width, body.p
     span = math.log1p(width / lo)  # log(upper / lower)
     log_w = t * (width / lo)
     np.log1p(log_w, out=log_w)  # log(w / lower)
-    h = _relative_gap(p, span - log_w, p * span)
+    h = _relative_gap(p, span - log_w)
     h *= t
-    g = _relative_gap(p, -log_w, p * span)
+    g = _relative_gap(p, -log_w)
     g *= 1.0 - t
     h += g
     log_w *= p
@@ -246,17 +247,15 @@ def _plenr(body, t, k, g):
     """``3 h / unit`` of plenr, ``t g - N / (w / width)**2`` (see
     :func:`moments`), with ``g = (f(upper) - f(lower)) / unit`` and ``k``
     each column's piece."""
-    a, n3, n2, n1, n0 = body.columns
+    d, n, n2, n1, n0 = body.columns.take(k, axis=1)  # the rows of each column's piece
     v = t + body.interval.lower / body.interval.width  # w / width
-    d = a.take(k)
     np.subtract(t, d, out=d)
-    n = n3.take(k)
     n *= d
-    n += n2.take(k)
+    n += n2
     n *= d
-    n += n1.take(k)
+    n += n1
     n *= d
-    n += n0.take(k)
+    n += n0
     np.multiply(v, v, out=v)
     with np.errstate(invalid="ignore"):  # 0/0 at w = lower = 0, a column of length 0
         n /= v

@@ -15,7 +15,6 @@ the boundary coupling ``b0`` takes a limit at ``lower == 0``.
 
 from __future__ import annotations
 
-import bisect
 import math
 from enum import Enum
 from typing import NamedTuple
@@ -35,11 +34,8 @@ _MIN_P = 1.0 + 1e-9
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 _LN2 = math.log(2.0)
-_SERIES_BOUND = 2.0**-6  # the largest |p u| of a kernel call whose gaps are summed as series
-# 1 - k and -1/k! for the gap series' orders k = 2, 3, ...
-_ONE_LESS, _NEG_INV_FACT = np.array([(1 - k, -1 / math.factorial(k)) for k in range(2, 20)]).T
-# the largest |y| at which the gap series may stop before order k = 3, 4, ...
-_SERIES_REACH = [(_EPS / 16 * math.factorial(k) / (k - 1)) ** (1 / (k - 2)) for k in range(3, 20)]
+# 1 - k and -1/k! for the gap series' orders k = 2 .. 17
+_ONE_LESS, _NEG_INV_FACT = np.array([(1 - k, -1 / math.factorial(k)) for k in range(2, 18)]).T
 
 
 class RelaxationKind(Enum):
@@ -258,7 +254,7 @@ def _pair_gaps(a: np.ndarray, b: np.ndarray, p) -> tuple[np.ndarray, ...]:
     y, decay = p * ratio, -q * ratio
     fall = np.expm1(decay)  # (a/b)**q - 1 = -g
     shrink = q * np.expm1(-ratio)  # q (a/b - 1)
-    sums = _series(_gap_series(np.log1p(np.array([q, 1.0 / q])), _LN2), -np.minimum(y, _LN2))
+    sums = _series(_gap_series(np.log1p(np.array([q, 1.0 / q]))), -np.minimum(y, _LN2))
     lower_s, upper_s = sums.reshape((2,) + y.shape)
     near = y <= _LN2
     lower = np.where(near, lower_s, fall * np.exp(-ratio) - shrink)
@@ -266,17 +262,16 @@ def _pair_gaps(a: np.ndarray, b: np.ndarray, p) -> tuple[np.ndarray, ...]:
     return lower, upper, ratio, -fall
 
 
-def _gap_series(log_p, bound):
-    """Coefficients ``b_2 .. b_K`` of ``φ(y) = Σ b_k y**k``, ``b_k = (1 -
+def _gap_series(log_p):
+    """Coefficients ``b_2 .. b_17`` of ``φ(y) = Σ b_k y**k``, ``b_k = (1 -
     p**(1-k)) / k!``, the Bregman gap ``f(a) - f(x) - f'(x) (a - x)`` over
     ``f(x)`` for ``f = x**p`` at ``y = p log(a / x)``, along a new last axis
-    of ``log_p = log(p)``.  As ``b_k <= 2 (k - 1) b_2 / k!``, at ``|y| <=
-    bound <= ln 2`` each term is at most half the one before, and the first
-    one left out, ``k``, has ``2 (k - 1) / k! bound**(k - 2) <= eps / 8``."""
-    terms = 1 + bisect.bisect_left(_SERIES_REACH, bound)  # orders 2 .. terms + 1
-    coef = np.asarray(log_p)[..., None] * _ONE_LESS[:terms]
+    of ``log_p = log(p)``.  As ``b_k <= 2 (k - 1) b_2 / k!``, at ``|y| <= ln
+    2`` each term is at most half the one before, and the first one left
+    out, ``k = 18``, has ``2 (k - 1) / k! (ln 2)**(k - 2) <= eps / 8``."""
+    coef = np.asarray(log_p)[..., None] * _ONE_LESS
     np.expm1(coef, out=coef)
-    coef *= _NEG_INV_FACT[:terms]
+    coef *= _NEG_INV_FACT
     return coef
 
 
@@ -293,25 +288,15 @@ def _series(coef, y):
     return coef @ powers[1:].swapaxes(0, -2)
 
 
-def _relative_gap(p, u, bound):
+def _relative_gap(p, u):
     """``φ(p u) = D(a; x) / f(x)`` at ``u = log(a / x)``, elementwise, where
-    ``D`` is the Bregman gap of ``f = x**p`` and ``|p u| <= bound <= ln 2``:
-    the Monte-Carlo kernel's form, chosen once per call.  Up to ``bound =
-    2**-6`` it is the series of :func:`_gap_series`, at most 7 terms; above,
-    ``e**u expm1(q u) - q expm1(u)`` with ``q = p - 1``, two terms of order
-    ``q |u|`` that leave ``φ ≈ p q u**2 / 2``, so its error is a few ``eps /
-    bound`` relative in pr's column.  Its cost does not grow with ``bound``,
-    as the series' does."""
-    if bound <= _SERIES_BOUND:
-        return _series(_gap_series(math.log(p), bound), p * u)
-    q = p - 1.0
-    gap = u * q
-    np.expm1(gap, out=gap)
-    e = np.expm1(u)
-    gap *= e + 1.0
-    e *= q
-    gap -= e
-    return gap
+    ``D`` is the Bregman gap of ``f = x**p`` and ``|p u| <= ln 2``: the
+    series of :func:`_gap_series` that :func:`_pair_gaps` sums, for the
+    Monte-Carlo kernel.  Each term is at most half the one before, so the
+    sum is at least half its first, ``b_2 (p u)**2``, whatever the sign of
+    ``u``: it keeps its relative accuracy however small ``u`` is and however
+    close ``p`` is to 1."""
+    return _series(_gap_series(math.log(p)), p * u)
 
 
 # The 16-point Gauss-Legendre rule on [0, 1], each node and weight rounded

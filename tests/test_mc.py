@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 import warnings
@@ -560,26 +561,38 @@ class TestColumns:
     @pytest.mark.parametrize(
         "p,lower,upper",
         [(3.0, 1000.0, 1000.001), (2.0, 1.0, 1.001), (1.001, 6.63392, 6.633921), (1.2, 0.7, 1.0),
-         (40.0, 1.0, 1.017), (2.0, 1.0, 1.008), (8.0, 1.0, 1.002), (1.0001, 1.0, 1.2)],
+         (40.0, 1.0, 1.017), (2.0, 1.0, 1.008), (8.0, 1.0, 1.002), (1.0001, 1.0, 1.2)]
+        + [(p, lower, upper) for p in (1.001, 1.05, 1.5, 3.7)
+           for lower, upper in ((1.0, 1.15), (1.0, 1.5), (10.0, 10.5), (0.8, 1.0))
+           if p * math.log(upper / lower) <= math.log(2.0)],
     )
     def test_perspective_columns_keep_their_accuracy_near_the_ends(self, p, lower, upper):
         # where f(upper) <= 2 f(lower), pr's column is (1 - t) D(lower; w) + t
         # D(upper; w) in Bregman gaps to the tangent at w, with no cancelling
         # term: near t = 1 the column is first order in 1 - t, and a
         # difference chord - f(w) of two first-order terms cancelled to
-        # 7.9e-8 at t = 0.997 on [1000, 1000.001].  The gaps are series up
-        # to p log(upper / lower) = 2**-6 and a closed form above it; the
-        # last three bodies sit just above that switch, or have p near 1
+        # 7.9e-8 at t = 0.997 on [1000, 1000.001].  Each gap is one series
+        # in y = p log(a / w).  To first order in u = eps/2: log(w / lower)
+        # carries 3 u (width / lower, times t, log1p) and y 4 u, which the
+        # gap, quadratic in y, doubles to 8 u; the series' leading
+        # coefficient, y**2 and the sum of its terms 5 u; the two weights
+        # and their sum 2 u; f(w) / f(lower) = exp(p log(w / lower)), with
+        # |p log(w / lower)| <= ln 2, about 4 u, and the last product u;
+        # _lengths' f(lower) / 3 and its product 3 u: 23 u, within 12 eps.
+        # The upper gap's log(upper / w), a difference that cancels near t
+        # = 1, is off by at most 5 u log(upper / lower); as t (1 - t)
+        # log(upper / lower)**2 is the column's size, that is at most 10 u
+        # of the column, against the lower gap's 8 u it stands in for
         mpmath = pytest.importorskip("mpmath")
         iv = Interval(lower, upper)
         body = make_body(RelaxationKind.PR, PowerFn(p, iv))
         assert body.rise is not None
-        t = np.array([1e-9, 0.003, 0.5, 0.9, 0.99, 0.997, 0.9999, 1.0 - 1e-9])
+        t = np.array([1e-9, 0.003, 0.1, 0.5, 0.9, 0.99, 0.997, 0.9999, 1.0 - 1e-9])
         got = _lengths(body, t)
         with mpmath.workdps(40):
             want = np.array([float(_mp_column(mpmath, RelaxationKind.PR, p, lower, upper,
                                               [lower, upper], ti)) for ti in t])
-        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert got == pytest.approx(want, rel=12 * np.finfo(float).eps, abs=0.0)
 
     @pytest.mark.parametrize(
         "p,lower,upper,n",
