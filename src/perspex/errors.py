@@ -14,7 +14,7 @@ class DomainError(PerspexError, ValueError):
 
 
 class DegenerateTangents(PerspexError):
-    """Adjacent tangent lines are too close to parallel to intersect reliably."""
+    """Adjacent tangent lines do not meet strictly between their tangency points."""
 
 
 class HypothesisViolated(PerspexError):
@@ -22,8 +22,9 @@ class HypothesisViolated(PerspexError):
 
 
 class SingularJacobian(PerspexError):
-    """A divisor of the tridiagonal solve's cyclic reduction collapsed: a
-    breakdown of the reduction, not a proof that the matrix is singular."""
+    """A tridiagonal solve is not certified: ``J^-1 1`` is not finite and
+    positive at a Newton iterate, as for an M-matrix, or a cyclic reduction
+    broke down to a non-finite solution; not a proof of singularity."""
 
 
 class MaxIterExceeded(PerspexError):

@@ -224,8 +224,8 @@ def make_body(
     raise ``DegenerateTangents`` unless each lies strictly between its two
     tangency points.  Raises ``DomainError`` when the sampled cone is not
     representable in floats: ``f(upper)`` overflows or underflows to zero,
-    or the cone's volume does not fit; and when a piece coefficient
-    overflows.
+    or the cone's volume does not fit, named as over- or underflow; and
+    when a piece coefficient overflows.
     """
     iv = power.interval
     lo, up, p = iv.lower, iv.upper, power.p
@@ -271,9 +271,8 @@ def make_body(
         columns=columns,
     )
     if not 0.0 < body.cone_volume < inf:
-        raise DomainError(
-            f"the Monte-Carlo cone of x**{p!r} on [{lo!r}, {up!r}] overflows floats"
-        )
+        way = "overflows floats" if body.cone_volume else "underflows to 0"
+        raise DomainError(f"the Monte-Carlo cone of x**{p!r} on [{lo!r}, {up!r}] {way}")
     return body
 
 

@@ -50,19 +50,19 @@ def optimize_quadratic(iv: Interval, n: int) -> tuple[Breakpoints, float]:
     return bp, volume_quadratic(bp)
 
 
-def _cyclic_reduction(sub, diag, sup, *rhs) -> tuple[np.ndarray, np.ndarray]:
+def _cyclic_reduction(sub, diag, sup, *rhs) -> np.ndarray:
     """Odd-even cyclic reduction on each row of ``(rows, m)`` bands, no pivoting.
 
-    Returns the solutions for every right-hand side, stacked, and per row
-    the first position whose divisor is at most ``1e-14`` times its row
-    scale in magnitude, or -1.  Position ``i`` is entry ``i + 1`` of bands
-    padded with identity rows to ``2^k - 1`` positions between zero entries
-    and laid out positions first, so that every level's strided slices
-    keep each position's rows together; level ``s`` (1, 2, 4, ...)
-    eliminates the positions ``s (mod 2s)`` of every row at once, and each
-    position divides once, at its level.  The Newton Jacobians are
-    M-matrices, as are their Schur complements, so ``a`` and ``c`` (the
-    negated off-diagonals) stay nonnegative on them.
+    Returns the solutions for every right-hand side, stacked.  Position
+    ``i`` is entry ``i + 1`` of bands padded with identity rows to ``2^k -
+    1`` positions between zero entries and laid out positions first, so
+    that every level's strided slices keep each position's rows together;
+    level ``s`` (1, 2, 4, ...) eliminates the positions ``s (mod 2s)`` of
+    every row at once, and each position divides once, at its level.  The
+    Newton Jacobians are M-matrices, as are their Schur complements, so
+    ``a`` and ``c`` (the negated off-diagonals) stay nonnegative and the
+    divisors positive on them (Heller, SIAM J. Numer. Anal. 13, 1976).  A
+    zero divisor runs on, without a warning, to non-finite solutions.
     """
     rows, m = diag.shape
     top = 1 << m.bit_length()
@@ -71,9 +71,7 @@ def _cyclic_reduction(sub, diag, sup, *rhs) -> tuple[np.ndarray, np.ndarray]:
     b = np.zeros((len(rhs), top + 1, rows))  # overwritten by the solutions
     a[2 : m + 1], d[1 : m + 1], c[1:m] = -sub.T, diag.T, -sup.T
     b[:, 1 : m + 1] = np.swapaxes(rhs, 1, 2)
-    scale = np.abs([a, c, d]).max(axis=0)
     strides = [1 << level for level in range(m.bit_length())]
-    # a row with a zero divisor runs on with inf/nan; the guard below names it
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for s in strides[:-1]:
             keep, right = slice(2 * s, top, 2 * s), slice(3 * s, top, 2 * s)
@@ -86,10 +84,7 @@ def _cyclic_reduction(sub, diag, sup, *rhs) -> tuple[np.ndarray, np.ndarray]:
             out, lo, hi = slice(s, top, 2 * s), slice(0, top - s, 2 * s), slice(2 * s, None, 2 * s)
             b[:, out] += a[out] * b[:, lo] + c[out] * b[:, hi]
             b[:, out] /= d[out]
-
-    small = np.abs(d[1 : m + 1]) <= 1e-14 * np.fmax(scale[1 : m + 1], 1e-300)
-    pivot = np.where(small.any(axis=0), small.argmax(axis=0), -1)
-    return np.swapaxes(b[:, 1 : m + 1], 1, 2), pivot
+    return np.swapaxes(b[:, 1 : m + 1], 1, 2)
 
 
 def solve_tridiagonal(sub, diag, sup, rhs) -> np.ndarray:
@@ -99,10 +94,10 @@ def solve_tridiagonal(sub, diag, sup, rhs) -> np.ndarray:
     may carry a leading row axis, ``(rows, m)``, to solve that many systems
     in one pass; each row's solution equals its own 1-D solve.  Pivoting is
     not needed for the Newton Jacobians solved here (M-matrices at every
-    iterate), but each divisor is still guarded: one at most ``1e-14`` times
-    its row scale raises :class:`SingularJacobian`, naming its position, the
-    first in the first row that has one: a breakdown of the reduction, not
-    a proof that the matrix is singular.
+    iterate).  A solution that is not finite, from a zero divisor, raises
+    :class:`SingularJacobian` naming its first such position and, for rows
+    of systems, the first row that has one: a breakdown of the reduction,
+    not a proof that the matrix is singular.
     """
     bands = [np.asarray(band, dtype=float) for band in (sub, diag, sup, rhs)]
     d = bands[1]
@@ -112,10 +107,12 @@ def solve_tridiagonal(sub, diag, sup, rhs) -> np.ndarray:
     shapes = [lead + (m - 1,), lead + (m,), lead + (m - 1,), lead + (m,)]
     if [band.shape for band in bands] != shapes:
         raise DomainError("tridiagonal bands have inconsistent lengths")
-    (x,), pivot = _cyclic_reduction(*(np.atleast_2d(band) for band in bands))
-    failed = np.flatnonzero(pivot >= 0)
-    if failed.size:
-        raise SingularJacobian(f"zero pivot in row {pivot[failed[0]]}")
+    (x,) = _cyclic_reduction(*(np.atleast_2d(band) for band in bands))
+    broken = ~np.isfinite(x)
+    if broken.any():
+        row = int(np.argmax(broken.any(axis=1)))
+        where = f"position {int(np.argmax(broken[row]))}" + (f" of row {row}" if lead else "")
+        raise SingularJacobian(f"the reduction broke down: a non-finite solution at {where}")
     return x if lead else x[0]
 
 
@@ -130,7 +127,9 @@ class NewtonTrace:
     ``condition_numbers`` holds the infinity-norm condition of the Jacobian
     at each iterate; since those Jacobians have nonnegative inverses the
     number is exact: ``J^-1 1``, solved beside the step in one cyclic
-    reduction, gives it and the direction guard's slack.
+    reduction, gives it and the direction guard's slack, and certifies the
+    solve: finite and positive, as for every M-matrix (Berman and Plemmons,
+    *Nonnegative Matrices*), or the run raises :class:`SingularJacobian`.
     """
 
     def __init__(self) -> None:
@@ -146,21 +145,20 @@ class NewtonTrace:
         return len(self.iterates) - 1
 
 
-def _jacobian_condition(sub, diag, sup, inv_rows, pivot) -> float:
+def _jacobian_condition(sub, diag, sup, inv_rows) -> float:
     """Infinity-norm condition number of the stationarity Jacobian.
 
-    ``inv_rows`` and ``pivot`` are :func:`_cyclic_reduction`'s solve against
-    the all-ones vector, the row sums of the inverse: its norm whenever the
-    inverse is nonnegative, as at every iterate from the equally-spaced start.
+    ``inv_rows`` is :func:`_cyclic_reduction`'s solve against the all-ones
+    vector, the row sums of the inverse: its norm whenever the inverse is
+    nonnegative, as at every iterate from the equally-spaced start.  ``inf``
+    where it is not finite and positive.
     """
-    if pivot >= 0:
+    if not ((inv_rows > 0.0) & np.isfinite(inv_rows)).all():
         return math.inf
-    m = diag.size
-    row = np.abs(diag).copy()
-    if m > 1:
-        row[:-1] += np.abs(sup)
-        row[1:] += np.abs(sub)
-    return float(row.max() * np.abs(inv_rows).max())
+    row = np.abs(diag)
+    row[:-1] += np.abs(sup)
+    row[1:] += np.abs(sub)
+    return float(row.max() * inv_rows.max())
 
 
 def _direction_for(p: float) -> str:
@@ -199,21 +197,21 @@ def _newton_rows(iv, p, xi, trace=None):
         st = _stationarity(x, pl)
         norm = np.abs(st.residual).max(axis=1)
         sub, diag, sup = st.d_lo[:, 1:], st.jac_diag, st.d_hi[:, :-1]
-        (step, inv_rows), pivot = _cyclic_reduction(sub, diag, sup, st.residual, np.ones_like(diag))
+        step, inv_rows = _cyclic_reduction(sub, diag, sup, st.residual, np.ones_like(diag))
         go = ~(norm <= st.floor)
         if trace is not None:
             trace.iterates.append(Breakpoints(iv, x[0]))
             trace.residual_norms.append(float(norm[0]))
             trace.residual_floor = float(st.floor[0])
             trace.condition_numbers.append(
-                _jacobian_condition(sub[0], diag[0], sup[0], inv_rows[0], pivot[0])
+                _jacobian_condition(sub[0], diag[0], sup[0], inv_rows[0])
             )
             if not go[0]:
                 if it > 0:
                     trace.direction = _direction_for(p[0])
                 trace.converged = True
         live, x, norm, pl, floor = live[go], x[go], norm[go], pl[go], st.floor[go]
-        step, inv_rows, pivot = step[go], inv_rows[go], pivot[go]
+        step, inv_rows = step[go], inv_rows[go]
         if not live.size:
             break
         if it == _MAX_ITER:
@@ -227,7 +225,8 @@ def _newton_rows(iv, p, xi, trace=None):
             )
             break
 
-        singular = pivot >= 0
+        certified = (inv_rows > 0.0) & np.isfinite(inv_rows)
+        singular = ~certified.all(axis=1)
         old = x[:, 1:-1]
         interior = old - step
         # rounding of this residual and of the last (which the last step
@@ -246,7 +245,8 @@ def _newton_rows(iv, p, xi, trace=None):
             j = int(np.argmax(failed))
             k = live[j]
             if singular[j]:
-                error = SingularJacobian(f"zero pivot in row {pivot[j]}")
+                i = int(np.argmin(certified[j]))
+                error = SingularJacobian(f"J^-1 1 is not finite and positive at position {i}")
             elif increased[j]:
                 error = MonotonicityViolated(
                     f"a coordinate increased at p={p[k]}; decreasing run expected"

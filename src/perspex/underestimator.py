@@ -22,10 +22,6 @@ import numpy as np
 
 from .errors import DegenerateTangents, DomainError
 
-# Relative separation below which two tangent slopes count as parallel.
-# Strict convexity separates them analytically; floating point needs a guard.
-_SLOPE_GAP_RTOL = 1e-12
-
 _CHEBYSHEV_NODES = 64
 
 
@@ -162,17 +158,16 @@ class ConvexFunction(
     def _cuts(self, xi: np.ndarray, fx: np.ndarray, dfx: np.ndarray) -> np.ndarray:
         """Where the tangents at adjacent ``xi`` meet, from ``fx = f(xi)`` and
         ``dfx = f'(xi)``: the intercepts' difference over the slopes'.  Raises
-        DegenerateTangents on (nearly) equal slopes, DomainError on falling ones."""
-        gaps = np.diff(dfx)
-        # relative to the slope itself, so the guard is invariant under x -> c x;
-        # ``<=`` keeps two slopes that both underflow to 0 degenerate
-        tol = _SLOPE_GAP_RTOL * np.abs(dfx[1:])
-        if (np.abs(gaps) <= tol).any():
-            raise DegenerateTangents("adjacent tangent slopes coincide within tolerance")
-        if (gaps <= 0.0).any():
+        DomainError on falling slopes.  Equal ones give a cut that is not
+        finite, which the caller's bracket check (:func:`_check_brackets`)
+        reports as DegenerateTangents: a pair is degenerate exactly when
+        ``D(a; b) + D(b; a) = (f'(b) - f'(a)) (b - a)``, the sum of its two
+        Bregman gaps, is not positive."""
+        if (np.diff(dfx) < 0.0).any():
             raise DomainError("derivative must be strictly increasing at the breakpoints")
         intercept = fx - dfx * xi
-        return (intercept[1:] - intercept[:-1]) / (dfx[:-1] - dfx[1:])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (intercept[1:] - intercept[:-1]) / (dfx[:-1] - dfx[1:])
 
 
 class PLUnderEstimator(NamedTuple("PLUnderEstimator", [("x", np.ndarray), ("y", np.ndarray)])):

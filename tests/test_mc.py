@@ -298,6 +298,18 @@ class TestEstimates:
                 est = mc_volume(make_body(kind, pf, grid), 200_000, seed=1)
             assert abs(est.mean - closed_form_volume(kind, pf, grid)) <= 4.0 * est.stderr, kind
 
+    @pytest.mark.parametrize("p, lower, upper, way", [
+        (1.2, 5e-324, 1e-150, "underflows to 0"),
+        (1.0001, 1e-320, 1e-300, "underflows to 0"),
+        (2.0, 0.0, 1e154, "overflows floats"),
+    ])
+    def test_cone_outside_the_floats_names_its_direction(self, p, lower, upper, way):
+        # f(upper) is positive and finite, but width * f(upper) / 6 is not
+        pf = PowerFn(p, Interval(lower, upper))
+        assert 0.0 < pf(upper) < np.inf
+        with pytest.raises(DomainError, match=f"^the Monte-Carlo cone of x.* {way}$"):
+            make_body(RelaxationKind.PR, pf)
+
     def test_validation(self):
         body = make_body(RelaxationKind.NR, PowerFn(2.0, UNIT))
         # the pilot of one chunk must be a valid budget
@@ -943,9 +955,8 @@ class TestGoldenHits:
 
 
 def _random_bodies(count, seed):
-    """Seeded bodies of every kind: l/u 0 or up to 0.9, upper in [0.1, 100];
-    p = 2 for the kinds with quadratic closed forms only, p in [1.1, 8] and
-    2 to 12 equal pieces for the piecewise-linear kinds."""
+    """Seeded bodies of every kind: l/u 0 or up to 0.9, upper in [0.1, 100],
+    p in [1.1, 8], and 2 to 12 equal pieces for the piecewise-linear kinds."""
     rng = np.random.default_rng(seed)
     kinds = list(RelaxationKind)
     out = []
@@ -954,11 +965,10 @@ def _random_bodies(count, seed):
         upper = 10.0 ** rng.uniform(-1.0, 2.0)
         lower = 0.0 if i % 2 == 0 else upper * rng.uniform(0.0, 0.9)
         iv = Interval(lower, upper)
+        pf = PowerFn(rng.uniform(1.1, 8.0), iv)
+        bp = None
         if kind.piecewise_linear:
-            pf = PowerFn(rng.uniform(1.1, 8.0), iv)
             bp = Breakpoints.equally_spaced(iv, int(rng.integers(2, 13)))
-        else:
-            pf, bp = PowerFn(2.0, iv), None
         out.append((make_body(kind, pf, bp), closed_form_volume(kind, pf, bp)))
     return out
 

@@ -114,16 +114,18 @@ class TestTridiagonal:
 
     def test_rows_singular_when_any_row_is(self):
         sub, diag, sup, rhs = self._bands(np.random.default_rng(34), 4, 5)
-        a, d, c = sub[2], diag[2], sup[2]
-        # d2 (d1 - a0 c0/d0) = a1 c1, so the reduction's first level leaves
-        # d1 - a0 c0/d0 - a1 c1/d2 = 0 at position 1, its divisor one level on
-        d[2] = a[1] * (c[1] / (d[1] - a[0] * (c[0] / d[0])))
-        with pytest.raises(SingularJacobian, match=r"^zero pivot in row 1$"):
-            solve_tridiagonal(a, d, c, rhs[2])
-        with pytest.raises(SingularJacobian, match=r"^zero pivot in row 1$"):
+        # in row 2 the reduction's first level leaves d1 - a0 c0/d0 - a1 c1/d2
+        # = 1 - 1/2 - 1/2, exactly 0, at position 1, its divisor one level on;
+        # back-substitution carries the non-finite value to every position
+        sub[2, :2] = sup[2, :2] = 1.0
+        diag[2, :3] = 2.0, 1.0, 2.0
+        broke = r"^the reduction broke down: a non-finite solution at position 0"
+        with pytest.raises(SingularJacobian, match=broke + "$"):
+            solve_tridiagonal(sub[2], diag[2], sup[2], rhs[2])
+        with pytest.raises(SingularJacobian, match=broke + " of row 2$"):
             solve_tridiagonal(sub, diag, sup, rhs)
         diag[1, 0] = 0.0
-        with pytest.raises(SingularJacobian, match=r"^zero pivot in row 0$"):
+        with pytest.raises(SingularJacobian, match=broke + " of row 1$"):
             solve_tridiagonal(sub, diag, sup, rhs)
 
     def test_rows_shape_mismatch(self):
@@ -166,8 +168,9 @@ class TestTridiagonal:
         st = _stationarity(_equal_spacing(iv, n)[None, :], np.array([p]))
         bands = st.d_lo[:, 1:], st.jac_diag, st.d_hi[:, :-1]
         ones = np.ones(n - 1)
-        got, pivot = placement._cyclic_reduction(*bands, st.residual, ones[None, :])
-        assert pivot[0] == -1
+        got = placement._cyclic_reduction(*bands, st.residual, ones[None, :])
+        # J^-1 1 certifies the solve: finite and positive, as for an M-matrix
+        assert ((got[1] > 0.0) & np.isfinite(got[1])).all()
         sub, diag, sup = (band[0] for band in bands)
         refs = [self._thomas_longdouble(sub, diag, sup, b) for b in (st.residual[0], ones)]
         row = np.abs(diag)
@@ -522,9 +525,10 @@ class TestNewtonFailures:
             return {"jac_diag": diag}
 
         self._patch_stationarity(monkeypatch, zero_pivot)
-        with pytest.raises(SingularJacobian, match="^zero pivot in row 0$"):
+        uncertified = "^J\\^-1 1 is not finite and positive at position 0$"
+        with pytest.raises(SingularJacobian, match=uncertified):
             newton_optimize(PowerFn(3.0, UNIT), 5)
-        with pytest.raises(SingularJacobian, match="^zero pivot in row 0$"):
+        with pytest.raises(SingularJacobian, match=uncertified):
             sweep_optimal_points(UNIT, 5, [1.5, 3.0])
         assert sweep_optimal_points(UNIT, 5, [1.5]).interior.shape == (1, 4)
 

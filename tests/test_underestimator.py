@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from conftest import column_on_piece, random_power_instance
@@ -18,6 +20,8 @@ from perspex import (
 )
 from perspex.mc import _kernel as mc_kernel
 from perspex.power import _PowerOracle, _tangent_cuts
+
+EPS = float(np.finfo(float).eps)
 
 
 def _quadratic(iv):
@@ -225,11 +229,44 @@ class TestBuild:
         with pytest.raises(DegenerateTangents):
             build_underestimator(affine, Breakpoints(iv, [0.0, 0.5, 1.0]))
 
+    def test_nearly_affine_cuts_within_their_rounding_bound(self):
+        # f = 1 + x + a x**2 with a = 1e-10: the slopes at 0.75 and 0.752
+        # differ by 4e-13 relative, yet their tangents meet at the midpoint,
+        # as every quadratic's tangents do.  Each intercept f - f' x takes
+        # at most five roundings of u M (u = eps/2, M the pair's largest
+        # |f| or |f' x|; two in f, one in f' x, two in the difference, of
+        # size up to 2 M), and the slopes' own rounding moves the cut by at
+        # most u |f'| (b - a) / Δs <= u M / Δs; so a cut is within
+        # 6 eps M / Δs of exact (wider than the middle pair's bracket,
+        # which build_underestimator checks)
+        iv = Interval(0.5, 1.0)
+        fn, deriv = (lambda x: 1.0 + x + 1e-10 * x * x), (lambda x: 1.0 + 2e-10 * x)
+        bp = Breakpoints(iv, [0.5, 0.75, 0.752, 1.0])
+        est = build_underestimator(ConvexFunction(fn=fn, deriv=deriv, interval=iv), bp)
+        xi = [Fraction(x) for x in bp.xi]
+        fx = np.array([fn(x) for x in bp.xi])
+        dfx = np.array([deriv(x) for x in bp.xi])
+        big = np.fmax(np.abs(fx), np.abs(dfx * bp.xi))
+        bound = 6.0 * EPS * np.fmax(big[:-1], big[1:]) / np.diff(dfx)
+        for cut, a, b, eb in zip(est.x[1:-1], xi[:-1], xi[1:], bound):
+            assert abs(Fraction(cut) - (a + b) / 2) <= eb
+        # the fan's ordinates are absolute: each is off by up to about
+        # 1.5 eps max|y| (f's two roundings, and the tangent's sum), which
+        # moves the base area by that times half the width between its
+        # neighbours, w in all; the determinants' roundings add about as
+        # much again, and the volume is a third of the area.  Exact: a
+        # (w**3/18 + sum h**3/36), as volume_quadratic for x**2
+        h = [b - a for a, b in zip(xi[:-1], xi[1:])]
+        w = xi[-1] - xi[0]
+        exact = Fraction(1e-10) * (w**3 / 18 + sum(x**3 for x in h) / 36)
+        vol = volume_pl_perspective(est)
+        assert abs(Fraction(vol) - exact) <= EPS * float(np.abs(est.y).max()) * float(w)
+
     @pytest.mark.parametrize("p", [1.5, 3.0, 8.0])
     @pytest.mark.parametrize("n", [2, 8, 64])
     def test_scale_equivariance(self, p, n):
         # x -> c x maps the tangent vertices to c x and the volume to
-        # c**(p+1) times itself, so the slope guard must not depend on c
+        # c**(p+1) times itself
         for ratio in (0.0, 0.15):
             unit = Interval(ratio, 1.0)
             base = build_underestimator(PowerFn(p, unit).oracle(), Breakpoints.equally_spaced(unit, n))
@@ -241,7 +278,7 @@ class TestBuild:
                 assert volume_pl_perspective(est) == pytest.approx(vol * u ** (p + 1.0), rel=1e-12)
 
     def test_underflowing_slopes_are_degenerate(self):
-        # adjacent derivatives both round to 0, so no relative gap separates them
+        # adjacent derivatives both round to 0: their tangents give no cut
         iv = Interval(0.0, 0.01)
         f = ConvexFunction(fn=lambda x: 1.0 + x**150, deriv=lambda x: 150.0 * x**149, interval=iv)
         with pytest.raises(DegenerateTangents):
