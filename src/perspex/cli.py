@@ -350,7 +350,7 @@ def main(argv=None) -> int:
     except PerspexError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     return 0

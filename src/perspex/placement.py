@@ -26,6 +26,7 @@ from .errors import (
 )
 from .power import (
     PowerFn,
+    _pair_gaps,
     _stationarity,
     _tangent_cuts,
     gradient_system,  # re-exported; nothing in this module calls it
@@ -302,26 +303,25 @@ class SinglePointBounds(NamedTuple):
     power_mean: float
 
 
-def _bracket_ends(lo: float, up: float, p: float) -> tuple[float, float]:
-    """``(cut, mean)``: where the tangents at ``lo`` and ``up`` meet
-    (:func:`power._tangent_cuts`) and the ``(p-1)``-th root of the mean of
-    ``f'`` over ``[lo, up]``, ``((up**p - lo**p) / (p (up - lo)))**(1/(p-1))``.
+def _bracket_ends(lo: float, up: float, p: float) -> tuple[float, float, float]:
+    """``(cut, mean, power_mean)`` for ``x**p`` on ``[lo, up]``: where the
+    tangents at ``lo`` and ``up`` meet (:func:`power._tangent_cuts`), the
+    ``(p-1)``-th root of the mean of ``f'``, ``((up**p - lo**p) / (p (up -
+    lo)))**(1/(p-1))``, and the ``(p-1)``-power mean of ``lo`` and ``up``.
 
-    The mean is taken as ``lo (expm1(p L) / (p r))**(1/(p-1))`` with ``r =
-    (up - lo)/lo`` and ``L = log1p(r)``, which subtracts no two powers, and
-    as ``up p**(-1/(p-1))`` at ``lo = 0``.  Where ``(up/lo)**p`` overflows,
-    ``lo/up`` is far below 1, and the mean is taken in ratios to ``up``."""
-    cut = float(_tangent_cuts(np.array([lo]), np.array([up]), p)[0])
+    Both means are ``up exp(log1p(-m)/(p-1))`` in ratios to ``up``, from the
+    gap ``D = D(lo; up)/f(up)`` and ``g = 1 - (lo/up)**(p-1)`` of
+    :func:`power._pair_gaps`: ``m = D/(p s)`` with ``s = (up - lo)/up``,
+    since ``1 - (lo/up)**p = p s - D``, and ``m = g/2``.  No two powers are
+    subtracted, no power overflows, and ``m`` keeps its relative accuracy
+    as ``p -> 1``, where the root divides ``log1p``'s value by ``p - 1``.
+    At ``lo = 0``, ``D = p - 1`` and ``g = 1``."""
+    a, b = np.array([lo]), np.array([up])
+    cut = float(_tangent_cuts(a, b, p)[0])
+    gap, _, _, g = (float(v[0]) for v in _pair_gaps(a, b, p))
     q = p - 1.0
-    if lo == 0.0:
-        return cut, up * p ** (-1.0 / q)
-    r = (up - lo) / lo
-    try:
-        ratio = math.expm1(p * math.log1p(r)) / (p * r)
-    except OverflowError:
-        rho = lo / up
-        return cut, up * (-math.expm1(p * math.log(rho)) / (p * (1.0 - rho))) ** (1.0 / q)
-    return cut, lo * ratio ** (1.0 / q)
+    mean = up * math.exp(math.log1p(-gap / (p * ((up - lo) / up))) / q)
+    return cut, mean, up * math.exp(math.log1p(-0.5 * g) / q)
 
 
 def single_point_bounds(pf: PowerFn) -> SinglePointBounds:
@@ -330,8 +330,7 @@ def single_point_bounds(pf: PowerFn) -> SinglePointBounds:
     half = 0.5 * (lo + up)
     if p == 2.0:
         return SinglePointBounds(lower=half, upper=half, half=half, power_mean=half)
-    cut, mean = _bracket_ends(lo, up, p)
-    power_mean = (0.5 * (up ** (p - 1.0) + lo ** (p - 1.0))) ** (1.0 / (p - 1.0))
+    cut, mean, power_mean = _bracket_ends(lo, up, p)
     return SinglePointBounds(
         lower=min(cut, mean),
         upper=max(cut, mean),
@@ -358,7 +357,7 @@ def bracket_gap(p: float, t: float) -> BracketGap:
     PowerFn(p, Interval(t, 1.0))  # the exponent bound of every PowerFn
     if p == 2.0:
         return BracketGap(p=p, endpoint_ratio=t, value=0.0)
-    cut, mean = _bracket_ends(t, 1.0, p)
+    cut, mean, _ = _bracket_ends(t, 1.0, p)
     return BracketGap(p=p, endpoint_ratio=t, value=(mean - cut) / (1.0 - t))
 
 

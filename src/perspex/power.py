@@ -10,7 +10,7 @@ stationarity residual driving Newton's method.
 Powers are plain ``**``, whose exponents here are positive, so ``0.0**q``
 is 0 already.  The Newton terms read only the tangent cuts' fractions of
 their pairs and ``x**(p-2)`` at interior points, which are positive; only
-the boundary coupling ``b0`` takes a limit at ``lower == 0``.
+the boundary coupling ``coupling[0]`` takes a limit at ``lower == 0``.
 """
 
 from __future__ import annotations
@@ -463,17 +463,12 @@ class GradientSystem(NamedTuple):
     grad: np.ndarray  # partial volume derivatives, same layout
     hess_diag: np.ndarray
     hess_offdiag: np.ndarray  # positive couplings; Hessian entries are negated
-    coupling: np.ndarray  # couplings of all n adjacent pairs, boundary included
+    coupling: np.ndarray  # couplings of all n adjacent pairs, boundary pair first
     jac_sub: np.ndarray
     jac_diag: np.ndarray
     jac_sup: np.ndarray
 
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
-
-    @property
-    def b0(self) -> float:
-        """Boundary coupling of the leftmost pair (may be ``inf`` at lower == 0)."""
-        return float(self.coupling[0])
 
     def hessian(self) -> np.ndarray:
         m = self.hess_diag.size
@@ -484,16 +479,6 @@ class GradientSystem(NamedTuple):
             h[k, k + 1] = h[k + 1, k] = -self.hess_offdiag
         return h
 
-    def jacobian(self) -> np.ndarray:
-        m = self.jac_diag.size
-        j = np.zeros((m, m))
-        j[np.arange(m), np.arange(m)] = self.jac_diag
-        if m > 1:
-            k = np.arange(m - 1)
-            j[k, k + 1] = self.jac_sup
-            j[k + 1, k] = self.jac_sub
-        return j
-
 
 def gradient_system(pf: PowerFn, bp: Breakpoints) -> GradientSystem:
     """Assemble residual, gradient, Hessian and Newton Jacobian at ``bp``.
@@ -502,8 +487,8 @@ def gradient_system(pf: PowerFn, bp: Breakpoints) -> GradientSystem:
     each ``x_k`` minus the midpoint of its ratio-form cuts, and every other
     entry is built from the same cuts (:func:`_stationarity`), so intervals
     starting at zero work for every ``p > 1``.  There the boundary coupling
-    ``b0`` is its ``lower -> 0`` limit: ``inf`` below ``p = 2``, 0 above.
-    Raises :class:`DomainError` when the gradient overflows floats.
+    ``coupling[0]`` is its ``lower -> 0`` limit: ``inf`` below ``p = 2``, 0
+    above.  Raises :class:`DomainError` when the gradient overflows floats.
     """
     if pf.interval != bp.interval:
         raise DomainError("breakpoints cover a different interval than the function")

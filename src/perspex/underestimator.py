@@ -15,7 +15,6 @@ fan triangulation rooted at the left endpoint delivers in linear time.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -109,10 +108,6 @@ class Breakpoints(NamedTuple("Breakpoints", [("interval", Interval), ("xi", np.n
             np.concatenate(([interval.lower], interior, [interval.upper])),
         )
 
-    def with_point(self, x: float) -> "Breakpoints":
-        """A refined copy with one extra breakpoint inserted at ``x``."""
-        return Breakpoints(self.interval, np.sort(np.append(self.xi, float(x))))
-
 
 class ConvexFunction(
     NamedTuple(
@@ -176,10 +171,11 @@ class PLUnderEstimator(NamedTuple("PLUnderEstimator", [("x", np.ndarray), ("y", 
     ``x`` has length ``n + 2``: the interval endpoints plus the ``n``
     tangent-intersection abscissae, strictly increasing.  ``y`` holds the
     matching ordinates; between consecutive vertices the function is the
-    connecting chord.  Both are read-only copies.  Equal only to itself.
+    connecting chord, so ``np.interp(w, x, y)`` evaluates it on ``[x[0],
+    x[-1]]``.  Both are read-only copies.  Equal only to itself.
     """
 
-    # no __slots__: the cached slopes live in the instance __dict__
+    __slots__ = ()
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     def __new__(cls, x, y):
@@ -194,36 +190,6 @@ class PLUnderEstimator(NamedTuple("PLUnderEstimator", [("x", np.ndarray), ("y", 
         return super().__new__(cls, x, y)
 
     _make = classmethod(_validated_make)
-
-    @property
-    def n(self) -> int:
-        """Number of tangency points that produced this estimator."""
-        return self.x.size - 2
-
-    @property
-    def interval(self) -> Interval:
-        return Interval(float(self.x[0]), float(self.x[-1]))
-
-    def __call__(self, w):
-        """Evaluate the piecewise-linear function at ``w`` (scalar or array).
-
-        Piece ``k = np.searchsorted(x[1:-1], w, side="right")`` holds ``x[k]
-        <= w < x[k+1]``, the end pieces extend outwards, and the value is
-        ``y[k] + slope[k] * (w - x[k])``.  A scalar gives a ``float``.
-        """
-        scalar = np.ndim(w) == 0
-        w = np.atleast_1d(np.asarray(w, dtype=float))
-        k = np.searchsorted(self.x[1:-1], w, side="right")
-        # a[k] for indices known to be in range; mode="clip" skips the bounds
-        # check that makes plain fancy indexing about 1.5x slower
-        out = w - np.take(self.x, k, mode="clip")
-        out *= np.take(self._slope, k, mode="clip")
-        out += np.take(self.y, k, mode="clip")
-        return float(out[0]) if scalar else out
-
-    @cached_property
-    def _slope(self) -> np.ndarray:
-        return (self.y[1:] - self.y[:-1]) / (self.x[1:] - self.x[:-1])
 
 
 def _check_brackets(xi: np.ndarray, cuts: np.ndarray) -> None:

@@ -29,6 +29,13 @@ def random_power_instance(
     return PowerFn(p, iv), Breakpoints(iv, xi)
 
 
+def dense_tridiagonal(sub, diag, sup):
+    """The dense matrix with ``diag`` on its diagonal, ``sub`` below and
+    ``sup`` above it: the reference for the tridiagonal bands, such as a
+    Newton Jacobian's ``jac_sub``, ``jac_diag`` and ``jac_sup``."""
+    return np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
+
+
 def column_on_piece(body, t, k):
     """A piecewise-linear body's kernel column ``3 h / unit`` at the offsets
     ``t``, each taken on the piece ``k`` given for it, from the body's piece

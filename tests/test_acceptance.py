@@ -227,7 +227,7 @@ def test_criterion_09_ordering_properties():
         pf, bp = random_power_instance(rng, n_max=5)
         before = volume_power_closed_form(pf, bp)
         k = int(rng.integers(0, bp.n))
-        refined = bp.with_point(0.5 * float(bp.xi[k] + bp.xi[k + 1]))
+        refined = Breakpoints(bp.interval, np.insert(bp.xi, k + 1, 0.5 * (bp.xi[k] + bp.xi[k + 1])))
         after = volume_power_closed_form(pf, refined)
         ok = ok and after <= before + 1e-12 * max(1.0, before)
     _report(9, ok, "PL+PR <= NR with exact equality case; refinement monotone")

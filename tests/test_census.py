@@ -4,7 +4,8 @@ Seeds 1-3 of a jittered grid of n (160, 450, 1250) x p (6 log bins over
 [1.01, 8] plus p = 2) x lower (0, a ratio of upper, or a narrow interval far
 from zero), with upper over four decades of [1e-2, 1e2]: 63 inputs a seed,
 drawn as the benchmark draws them.  Every input must return an ordered
-interior whose residual is at most 1e-9 of the width.
+interior whose residual is at most 1e-9 of the width, and plpr's closed
+form must match its own knot table there and at equal spacing.
 """
 
 import itertools
@@ -14,10 +15,20 @@ import numpy as np
 import pytest
 from conftest import high_precision_cuts
 
-from perspex import Interval, PowerFn, gradient_system, newton_optimize
+from perspex import (
+    Breakpoints,
+    Interval,
+    PowerFn,
+    RelaxationKind,
+    gradient_system,
+    make_body,
+    newton_optimize,
+    volume_power_closed_form,
+)
 
 SEEDS = (1, 2, 3)
 STATIONARITY_BOUND = 1e-9  # max |residual| / width
+EPS = float(np.finfo(float).eps)
 
 # (seed, index in the seed's grid): the inputs whose runs stopped at 1.08e-9
 # to 1.76e-9 of the width while the floor was 16.5 p eps upper, on narrow
@@ -31,6 +42,36 @@ def _in_bin(rng, lo, hi, bins, k, log=True, jitter=0.3):
     a, b = (math.log(lo), math.log(hi)) if log else (lo, hi)
     x = a + (b - a) / bins * (k + 0.5 + jitter * (rng.uniform() - 0.5))
     return math.exp(x) if log else x
+
+
+def knot_sum_bound(p):
+    """Relative bound on plpr's closed form against ``width * unit / 3``
+    times the trapezoid sum of its body's knot table, the exact volume of
+    the body's piecewise-linear columns, to first order in u = eps/2.
+
+    Each side sums nonnegative terms, so it is within its terms' relative
+    error plus 22 u, numpy's pairwise summation of up to 1250 of them.  A
+    closed-form term weighs two Bregman gaps (4 eps; 3.3 eps measured
+    against 60 digits), one of them scaled by ``exp(-p L)`` (``p L u``, at
+    most 10 eps on this grid), by lengths from the cut fractions (6 eps, as
+    TestCutFractions bounds them), with about 8 roundings: 24 eps.  A knot
+    value is a gap's direct difference ``a**p - x**p - p x**(p-1) (a - x)``
+    in units of ``f(upper)``, whose terms, each below ``p + 1``, cancel to
+    O(p - 1) of them: about 8 eps / (p - 1), and 2 eps more for the line
+    and the trapezoid.  The cut offsets that the two sides read differently
+    move the volume only at second order.  In all, 24 + 2 + 2 * 11 = 48 eps
+    and 8 eps / (p - 1); the census's worst is 6.6 eps, at p = 1.19."""
+    return (48.0 + 8.0 / (p - 1.0)) * EPS
+
+
+def knot_sum_error(pf, bp):
+    """Relative difference of plpr's closed form at ``bp`` from the
+    trapezoid sum of its body's knot table, two knots a piece."""
+    body = make_body(RelaxationKind.PL_PR, pf, bp)
+    x, y = body.columns
+    trapezoid = float(((x[1::2] - x[::2]) * (y[::2] + y[1::2])).sum()) / 2.0
+    want = pf.interval.width * body.unit / 3.0 * trapezoid
+    return abs(volume_power_closed_form(pf, bp) - want) / want
 
 
 def census_grid(seed):
@@ -67,6 +108,10 @@ def test_every_input_is_ordered_and_stationary(seed):
         stat = float(np.abs(gradient_system(pf, bp).residual).max()) / (upper - lower)
         if not stat <= STATIONARITY_BOUND:
             failures.append((p, lower, upper, n, stat))
+        for at in (bp, Breakpoints.equally_spaced(pf.interval, n)):
+            error = knot_sum_error(pf, at)
+            if not error <= knot_sum_bound(p):
+                failures.append((p, lower, upper, n, error))
     assert failures == []
 
 

@@ -154,6 +154,17 @@ class TestOptimize:
         code, _, err = run_cli("optimize", "--p", "8", "--l", "0", "--u", "1", "--n", "10")
         assert code == 3 and " within 1 iterations " in err
 
+    def test_memory_error_is_an_input_error(self, monkeypatch):
+        # a piece count too large to allocate (--n 100000000000 asks numpy
+        # for 745 GiB) is reported like an unwritable --out, not as a traceback
+        def too_large(pf, n):
+            raise MemoryError("Unable to allocate 745. GiB")
+
+        monkeypatch.setattr("perspex.placement.newton_optimize", too_large)
+        code, out, err = run_cli("optimize", "--p", "3", "--l", "0", "--u", "1", "--n", "100000000000")
+        assert code == 2 and out == ""
+        assert err == "error: MemoryError: Unable to allocate 745. GiB\n"
+
 
 class TestSweep:
     def test_csv_shape_and_monotonicity(self):

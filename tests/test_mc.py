@@ -456,7 +456,8 @@ class TestMembership:
                 lower = w**3.7
             else:
                 bp = Breakpoints.equally_spaced(iv, 3)
-                lower = build_underestimator(PowerFn(3.7, iv).oracle(), bp)(w)
+                est = build_underestimator(PowerFn(3.7, iv).oracle(), bp)
+                lower = np.interp(w, est.x, est.y)
             chord = body.lower_height + (body.upper_height - body.lower_height) * t
             gap = chord - lower
             with warnings.catch_warnings(), np.errstate(all="raise"):

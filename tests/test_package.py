@@ -186,6 +186,8 @@ class TestClassSemantics:
         for field in obj._fields:
             with pytest.raises(AttributeError):
                 setattr(obj, field, getattr(obj, field))
+        with pytest.raises(AttributeError):  # slots: no instance dict
+            obj.extra = 1
 
     def test_value_type_fields_are_read_only(self):
         for obj in (UNIT, PowerFn(3.0, UNIT), single_point_bounds(PowerFn(3.0, UNIT)),

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import high_precision_cuts, random_power_instance
+from conftest import dense_tridiagonal, high_precision_cuts, random_power_instance
 
 from perspex import (
     Breakpoints,
@@ -71,8 +71,7 @@ class TestTridiagonal:
             sub = rng.uniform(-1.0, 1.0, m - 1)
             sup = rng.uniform(-1.0, 1.0, m - 1)
             rhs = rng.normal(size=m)
-            dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
-            expected = np.linalg.solve(dense, rhs)
+            expected = np.linalg.solve(dense_tridiagonal(sub, diag, sup), rhs)
             got = solve_tridiagonal(sub, diag, sup, rhs)
             assert float(np.abs(got - expected).max()) <= 1e-12 * max(
                 1.0, float(np.abs(expected).max())
@@ -82,7 +81,7 @@ class TestTridiagonal:
         pf = PowerFn(3.0, UNIT)
         sys = gradient_system(pf, Breakpoints.equally_spaced(UNIT, 6))
         x = solve_tridiagonal(sys.jac_sub, sys.jac_diag, sys.jac_sup, sys.residual)
-        residual = sys.jacobian() @ x - sys.residual
+        residual = dense_tridiagonal(sys.jac_sub, sys.jac_diag, sys.jac_sup) @ x - sys.residual
         assert float(np.abs(residual).max()) <= 1e-12
 
     def test_singular_raises(self):
@@ -263,7 +262,7 @@ class TestNewton:
         assert np.isfinite(conds).all() and (conds >= 1.0).all()
         # exact against the dense condition number at the start
         sys = gradient_system(pf, Breakpoints.equally_spaced(UNIT, 5))
-        dense = np.linalg.cond(sys.jacobian(), p=np.inf)
+        dense = np.linalg.cond(dense_tridiagonal(sys.jac_sub, sys.jac_diag, sys.jac_sup), p=np.inf)
         assert conds[0] == pytest.approx(dense, rel=1e-12)
 
     def test_start_sign_convention(self):
@@ -355,7 +354,8 @@ class TestNewton:
             pf = PowerFn(p, UNIT)
             _, trace = newton_optimize(pf, 5)
             for bp in trace.iterates:
-                inv = np.linalg.inv(gradient_system(pf, bp).jacobian())
+                sys = gradient_system(pf, bp)
+                inv = np.linalg.inv(dense_tridiagonal(sys.jac_sub, sys.jac_diag, sys.jac_sup))
                 assert inv.min() >= -1e-10
 
     def test_max_iter_exceeded_carries_trace(self, monkeypatch):
@@ -563,27 +563,61 @@ class TestSinglePointBounds:
     @pytest.mark.parametrize(
         "p,lower,upper",
         [(1.001, 6.63392, 6.633921), (3.0, 1000.0, 1000.001), (1.2, 10.0, 10.0001),
-         (1.5, 0.0, 1.0), (3.0, 0.2, 1.0), (8.0, 1.0, 1.5), (40.0, 1e-10, 1.0)],
+         (1.5, 0.0, 1.0), (3.0, 0.2, 1.0), (8.0, 1.0, 1.5), (40.0, 1e-10, 1.0),
+         (1.0000001077681364, 2.3339174556705863e78, 2.3339174596834943e78)],
     )
     def test_bracket_matches_high_precision_reference(self, p, lower, upper):
-        # both ends within the interval and near their 60-digit values: the
-        # tangents' cut within 4 eps * upper (the ratio form's bound), the
-        # mean within (4 / (p - 1) + 4) eps * upper, as the (p - 1)-th root
-        # multiplies the quotient's few ulps of rounding by 1 / (p - 1)
+        # both ends and the power mean within the interval and near their
+        # 60-digit values.  The tangents' cut is within 4 eps * upper (the
+        # ratio form's bound).  Each mean is upper exp(E), E = log1p(-m)/(p -
+        # 1), with m within r u (u = eps/2) relative: r = 12 for D / (p s)
+        # (the gap's 8 u, 3.3 eps measured, and 4 u for s, p s and the
+        # quotient) and 5 for g / 2.  log1p multiplies that by kappa = m /
+        # ((1 - m) |log1p(-m)|) and adds 1 u, and so does the division, so
+        # exp(E) times upper is within (|E| (kappa r + 2) + 2) u relative
         mpmath = pytest.importorskip("mpmath")
         b = single_point_bounds(PowerFn(p, Interval(lower, upper)))
+        u = np.finfo(float).eps / 2.0
+
+        def mean_and_bound(mean, r):
+            e = mpmath.log(mean / up)
+            m = -mpmath.expm1((q - 1) * e)
+            kappa = m / ((1 - m) * abs(mpmath.log1p(-m)))
+            return float(mean), float((abs(e) * (kappa * r + 2) + 2) * u * mean)
+
         with mpmath.workdps(60):
             q, lo, up = mpmath.mpf(p), mpmath.mpf(lower), mpmath.mpf(upper)
-            cut = (q - 1) * (up**q - lo**q) / (q * (up ** (q - 1) - lo ** (q - 1)))
-            mean = ((up**q - lo**q) / (q * (up - lo))) ** (1 / (q - 1))
-            cut, mean = float(cut), float(mean)
-        eps = np.finfo(float).eps
-        assert lower <= b.lower <= b.upper <= upper
+            cut = float((q - 1) * (up**q - lo**q) / (q * (up ** (q - 1) - lo ** (q - 1))))
+            mean, tol_mean = mean_and_bound(((up**q - lo**q) / (q * (up - lo))) ** (1 / (q - 1)), 12)
+            power_mean, tol_pm = mean_and_bound(((up ** (q - 1) + lo ** (q - 1)) / 2) ** (1 / (q - 1)), 5)
+        assert lower <= b.lower <= b.upper <= upper and lower <= b.power_mean <= upper
+        assert abs(b.power_mean - power_mean) <= tol_pm
         # the two ends may lie closer than the mean's rounding, so either may
         # be the lower one
-        tol_cut, tol_mean = 4.0 * eps * upper, (4.0 / (p - 1.0) + 4.0) * eps * upper
+        tol_cut = 4.0 * np.finfo(float).eps * upper
         assert any(abs(c - cut) <= tol_cut and abs(m - mean) <= tol_mean
                    for c, m in ((b.lower, b.upper), (b.upper, b.lower)))
+
+    def test_domain_sample_is_finite_and_inside(self):
+        # p = 1 + 10**U(-8, 2.5) and u = 10**U(-100, 100), with l at 0, at a
+        # uniform fraction of u, just below u or at a tiny fraction of u:
+        # both ends of the bracket and the power mean are finite and inside
+        # [l, u], or the input raises a typed error
+        rng = np.random.default_rng(47)
+        size = 2000
+        p = 1.0 + 10.0 ** rng.uniform(-8.0, 2.5, size)
+        upper = 10.0 ** rng.uniform(-100.0, 100.0, size)
+        frac = np.choose(rng.integers(0, 4, size), [
+            np.zeros(size), rng.random(size), 1.0 - 10.0 ** rng.uniform(-15.0, -1.0, size),
+            10.0 ** rng.uniform(-300.0, -1.0, size)])
+        for pk, lo, up in zip(p.tolist(), (frac * upper).tolist(), upper.tolist()):
+            try:
+                b = single_point_bounds(PowerFn(pk, Interval(lo, up)))
+            except PerspexError:
+                continue
+            ends = (b.lower, b.upper, b.power_mean)
+            assert all(map(math.isfinite, ends)), (pk, lo, up)
+            assert lo <= b.lower <= b.upper <= up and lo <= b.power_mean <= up, (pk, lo, up)
 
     def test_minimizer_contained_across_grid(self):
         for p in np.geomspace(1.05, 12.0, 8):
@@ -641,9 +675,30 @@ class TestBracketGap:
         with pytest.raises(DomainError):
             bracket_gap(3.0, 1.0)
 
+    def test_near_one_within_a_derived_bound_of_sixty_digits(self):
+        # at p = 1 + 1e-9 and t = 0.9 the mean is exp(E), E = log1p(-m)/(p - 1)
+        # with m = D/(p s) near 0.  D is within 8 u (u = eps/2; 3.3 eps
+        # measured against 60 digits from p - 1 = 1e-9 to 298), s = 1 - t, p s
+        # and m add 3 u, and log1p, which keeps m's relative error as m -> 0,
+        # and the division by p - 1 add 1 u each: E is within 13 u relative, so
+        # exp(E) and its rounding are within (13 |E| + 1) u.  The cut is within
+        # 15 u (its ratio form's bound), and the difference and the division by
+        # 1 - t add 2 u of the value.
+        mpmath = pytest.importorskip("mpmath")
+        p, t = 1.0 + 1e-9, 0.9
+        with mpmath.workdps(60):
+            q, lo = mpmath.mpf(p), mpmath.mpf(t)
+            mean = ((1 - lo**q) / (q * (1 - lo))) ** (1 / (q - 1))
+            cut = (q - 1) * (1 - lo**q) / (q * (1 - lo ** (q - 1)))
+            want = (mean - cut) / (1 - lo)
+            u = mpmath.mpf(np.finfo(float).eps) / 2
+            bound = ((13 * abs(mpmath.log(mean)) + 1) * u * mean + 15 * u * cut) / (1 - lo) + 2 * u * abs(want)
+            assert abs(bracket_gap(p, t).value - want) <= bound
+
     def test_exponent_bound_is_powerfn_s(self):
-        # below PowerFn's 1 + 1e-9 the (p-1)-th root inflates rounding: at t =
-        # 0.9 the gap read 0.003467 at p = 1 + 1e-12, against 0.004389 at 1 + 1e-9
+        # the bracket keeps its accuracy below PowerFn's 1 + 1e-9 (at t = 0.9
+        # and p = 1 + 1e-12 the gap is within 2e-16 of 60 digits), but every
+        # entry point takes PowerFn's exponent bound
         with pytest.raises(DomainError, match=r"^exponent must be at least 1\.000000001, got"):
             bracket_gap(1.0 + 1e-12, 0.9)
         assert bracket_gap(1.0 + 1e-9, 0.9).value == pytest.approx(0.004389, rel=1e-3)
